@@ -24,7 +24,6 @@ from .envs import (
     PhiBuffer,
     frame_skip_step,
     make_env,
-    phi_observe,
     scale_ram,
 )
 from .agents import (
@@ -45,6 +44,7 @@ from .harness import (
     checkpoint_load,
     checkpoint_save,
     load_params_into,
+    network_from_checkpoint,
     run_experiment,
     run_test_period,
     run_training_epoch,

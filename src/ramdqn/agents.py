@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor_core as tc
 from .optim import q_loss_grad, rmsprop_step
 from .tensor_core import LayerSpec, ShapeError, backward, forward, make_network
 
@@ -45,6 +44,15 @@ class HyperParams:
                      "test_steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.replay_capacity < max(self.minibatch_size, self.replay_start_size):
+            raise ValueError("replay_capacity must be at least "
+                             "max(minibatch_size, replay_start_size)")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError("dropout_p must be in [0, 1)")
+        if not 0.0 <= self.test_epsilon <= 1.0:
+            raise ValueError("test_epsilon must be in [0, 1]")
 
 
 @dataclass

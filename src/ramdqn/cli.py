@@ -8,13 +8,12 @@ import sys
 import numpy as np
 
 from .agents import ARCHITECTURES, HyperParams, architecture_streams, build_architecture
-from .envs import ENV_REGISTRY, make_env
+from .envs import ENV_REGISTRY
 from .harness import (
     CheckpointError,
     ExperimentConfig,
-    best_epoch,
     checkpoint_load,
-    load_params_into,
+    network_from_checkpoint,
     run_experiment,
     run_test_period,
 )
@@ -55,22 +54,6 @@ def _ram_first_dense_weights(net):
     return None
 
 
-def _build_from_checkpoint(ckpt):
-    h = ckpt["header"]
-    env = make_env(h["env"])
-    hyper = HyperParams(**h["hyper"])
-    _, needs_screen = architecture_streams(h["arch"])
-    net = build_architecture(
-        h["arch"], output_dim=h["output_dim"],
-        screen_shape=env.screen_shape if needs_screen else None,
-        phi_length=hyper.phi_length, dropout_p=hyper.dropout_p,
-        rng=np.random.default_rng(0),
-        dtype=np.dtype(h["dtype"]),
-    )
-    load_params_into(net, ckpt)
-    return net, h, hyper
-
-
 def cmd_train(args):
     if args.env not in ENV_REGISTRY:
         print(f"error: unknown environment {args.env!r}", file=sys.stderr)
@@ -78,16 +61,20 @@ def cmd_train(args):
     if args.arch not in ARCHITECTURES:
         print(f"error: unknown architecture {args.arch!r}", file=sys.stderr)
         return EXIT_USAGE
-    hyper = HyperParams(
-        frame_skip=args.frame_skip,
-        dropout_p=args.dropout,
-        learning_rate=args.learning_rate,
-        steps_per_epoch=args.steps_per_epoch,
-        replay_capacity=args.replay_capacity,
-        test_steps=args.test_steps,
-    )
-    config = ExperimentConfig(env_name=args.env, arch=args.arch, hyper=hyper,
-                              epochs=args.epochs, seed=args.seed, out_dir=args.out)
+    try:
+        hyper = HyperParams(
+            frame_skip=args.frame_skip,
+            dropout_p=args.dropout,
+            learning_rate=args.learning_rate,
+            steps_per_epoch=args.steps_per_epoch,
+            replay_capacity=args.replay_capacity,
+            test_steps=args.test_steps,
+        )
+        config = ExperimentConfig(env_name=args.env, arch=args.arch, hyper=hyper,
+                                  epochs=args.epochs, seed=args.seed, out_dir=args.out)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
     def progress(report):
         print(f"epoch {report.epoch}: avg_score={report.avg_score:.3f} "
@@ -96,7 +83,7 @@ def cmd_train(args):
 
     try:
         reports, best = run_experiment(config, progress=progress)
-    except OSError as e:
+    except (OSError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
     print(f"best epoch {best} avg_score={reports[best - 1].avg_score:.3f} "
@@ -109,15 +96,11 @@ def cmd_train(args):
 def cmd_eval(args):
     try:
         ckpt = checkpoint_load(args.checkpoint)
-        net, header, hyper = _build_from_checkpoint(ckpt)
+        net, header, hyper = network_from_checkpoint(ckpt)
     except CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
-    env_name = args.env or header["env"]
-    if env_name not in ENV_REGISTRY:
-        print(f"error: unknown environment {env_name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_test_period(net, env_name, hyper, seed=args.seed,
+    report = run_test_period(net, header["env"], hyper, seed=args.seed,
                              steps=args.steps, epsilon=args.epsilon)
     flag = " (truncated)" if report.truncated else ""
     print(f"avg_score={report.avg_score:.6f} episodes={report.episodes} "
@@ -128,7 +111,7 @@ def cmd_eval(args):
 def cmd_visualize(args):
     try:
         ckpt = checkpoint_load(args.checkpoint)
-        net, _, _ = _build_from_checkpoint(ckpt)
+        net, _, _ = network_from_checkpoint(ckpt)
     except CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
@@ -204,9 +187,9 @@ def build_parser():
     p.add_argument("--test-steps", type=int, default=10_000)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint over one test period")
+    p = sub.add_parser("eval", help="evaluate a checkpoint over one test period "
+                                    "on the game it was trained on")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--env", default=None)
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)

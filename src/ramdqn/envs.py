@@ -61,11 +61,6 @@ class PhiBuffer:
         return np.stack(self.frames).astype(np.float32) / 256.0
 
 
-def phi_observe(buffer, new_screen):
-    """Evict the oldest frame, append the newest, return the scaled stack."""
-    return buffer.observe(new_screen)
-
-
 class MicroGame:
     """Base class: RAM assembly, terminal bookkeeping, rng state plumbing."""
 

@@ -14,7 +14,6 @@ import numpy as np
 from .agents import (
     EpsilonSchedule,
     HyperParams,
-    architecture_streams,
     build_architecture,
     epsilon_at,
     select_action,
@@ -23,7 +22,7 @@ from .agents import (
 from .envs import PhiBuffer, frame_skip_step, make_env, scale_ram
 from .optim import rmsprop_state_for
 from .replay import ReplayMemory, Transition
-from .tensor_core import ShapeError, forward
+from .tensor_core import ShapeError
 
 CHECKPOINT_MAGIC = b"RAMDQN1\n"
 
@@ -51,6 +50,51 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = ""
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be positive")
+
+
+def build_network(arch, env, hyper, rng, dtype=np.float32):
+    """The `arch` network for `env`'s screen and action set under `hyper`."""
+    return build_architecture(arch, output_dim=env.action_count,
+                              screen_shape=env.screen_shape,
+                              phi_length=hyper.phi_length,
+                              dropout_p=hyper.dropout_p, rng=rng, dtype=dtype)
+
+
+class EpisodePipeline:
+    """Turns a game into network inputs: the env, the phi window over its
+    screens, the frame skip, and the rng that seeds each episode's reset.
+    `streams` names the inputs to build ("ram", "screen")."""
+
+    def __init__(self, env, streams, hyper, seed_rng):
+        self.env = env
+        self.ram = "ram" in streams
+        self.phi = PhiBuffer(hyper.phi_length) if "screen" in streams else None
+        self.frame_skip = hyper.frame_skip
+        self.seed_rng = seed_rng
+
+    def begin(self):
+        """Reset the game; the first inputs of the new episode."""
+        obs = self.env.reset(int(self.seed_rng.integers(2**63)))
+        if self.phi is not None:
+            self.phi.reset(obs.screen)
+        return self._inputs(obs, fresh=True)
+
+    def step(self, action):
+        """Play `action` for one frame-skip step: (reward, terminal, inputs)."""
+        result = frame_skip_step(self.env, action, self.frame_skip)
+        return result.reward, result.terminal, self._inputs(result.observation)
+
+    def _inputs(self, obs, fresh=False):
+        inputs = {}
+        if self.ram:
+            inputs["ram"] = scale_ram(obs.ram)
+        if self.phi is not None:
+            inputs["screen"] = self.phi.stack() if fresh else self.phi.observe(obs.screen)
+        return inputs
+
 
 class TrainingState:
     """Everything one experiment mutates: env, net, replay, optimizer, rngs."""
@@ -58,8 +102,6 @@ class TrainingState:
     def __init__(self, config):
         self.config = config
         self.hyper = config.hyper
-        self.needs_ram, self.needs_screen = architecture_streams(config.arch)
-        self.env = make_env(config.env_name)
         self.schedule = EpsilonSchedule.from_hyper(self.hyper)
 
         ss = np.random.SeedSequence(config.seed)
@@ -67,56 +109,30 @@ class TrainingState:
         self.explore_rng = np.random.default_rng(explore_ss)
         self.dropout_rng = np.random.default_rng(dropout_ss)
         self.sample_rng = np.random.default_rng(sample_ss)
-        self.env_seed_rng = np.random.default_rng(env_ss)
 
-        self.net = build_architecture(
-            config.arch,
-            output_dim=self.env.action_count,
-            screen_shape=self.env.screen_shape if self.needs_screen else None,
-            phi_length=self.hyper.phi_length,
-            dropout_p=self.hyper.dropout_p,
-            rng=np.random.default_rng(init_ss),
-        )
+        env = make_env(config.env_name)
+        self.net = build_network(config.arch, env, self.hyper, np.random.default_rng(init_ss))
+        self.episode = EpisodePipeline(env, self.net.input_streams, self.hyper,
+                                       np.random.default_rng(env_ss))
         self.opt_state = rmsprop_state_for(self.net, learning_rate=self.hyper.learning_rate)
         self.replay = ReplayMemory(self.hyper.replay_capacity)
-        self.phi = PhiBuffer(self.hyper.phi_length) if self.needs_screen else None
         self.global_step = 0
         self.epochs_done = 0
         self.warmed = False
-        self.current_inputs = None
-        self._begin_episode()
-
-    def _begin_episode(self):
-        seed = int(self.env_seed_rng.integers(2**63))
-        obs = self.env.reset(seed)
-        if self.phi is not None:
-            self.phi.reset(obs.screen)
-        self.current_inputs = self._inputs_from(obs, fresh=True)
-
-    def _inputs_from(self, obs, fresh=False):
-        inputs = {}
-        if self.needs_ram:
-            inputs["ram"] = scale_ram(obs.ram)
-        if self.needs_screen:
-            inputs["screen"] = self.phi.stack() if fresh else self.phi.observe(obs.screen)
-        return inputs
+        self.current_inputs = self.episode.begin()
 
     def _take_action(self, action):
-        result = frame_skip_step(self.env, action, self.hyper.frame_skip)
-        next_inputs = self._inputs_from(result.observation)
-        self.replay.push(Transition(self.current_inputs, action, result.reward,
-                                    next_inputs, result.terminal))
-        if result.terminal:
-            self._begin_episode()
-        else:
-            self.current_inputs = next_inputs
+        reward, terminal, next_inputs = self.episode.step(action)
+        self.replay.push(Transition(self.current_inputs, action, reward,
+                                    next_inputs, terminal))
+        self.current_inputs = self.episode.begin() if terminal else next_inputs
 
     def warmup(self):
         """Populate the replay memory with random-action transitions."""
         if self.warmed:
             return
         for _ in range(self.hyper.replay_start_size):
-            action = int(self.explore_rng.integers(self.env.action_count))
+            action = int(self.explore_rng.integers(self.episode.env.action_count))
             self._take_action(action)
         self.warmed = True
 
@@ -124,14 +140,13 @@ class TrainingState:
 def run_training_epoch(state, steps):
     """Run `steps` frame-skip actions with annealing epsilon, training after
     every action once the replay memory is warm; returns the mean loss."""
-    if not state.warmed:
-        state.warmup()
+    state.warmup()
     hyper = state.hyper
     losses = []
     for _ in range(steps):
         eps = epsilon_at(state.schedule, state.global_step)
         action = select_action(state.net, state.current_inputs, eps,
-                               state.explore_rng, state.env.action_count)
+                               state.explore_rng, state.episode.env.action_count)
         state._take_action(action)
         state.global_step += 1
         if len(state.replay) >= max(hyper.replay_start_size, hyper.minibatch_size):
@@ -151,43 +166,22 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0,
     """
     steps = hyper.test_steps if steps is None else steps
     epsilon = hyper.test_epsilon if epsilon is None else epsilon
-    streams = {spec.stream for spec in net.layers if spec.kind == "input"}
-    needs_ram = "ram" in streams
-    needs_screen = "screen" in streams
-
-    env = make_env(env_name)
     policy_ss, env_ss = np.random.SeedSequence(seed).spawn(2)
     policy_rng = np.random.default_rng(policy_ss)
-    env_seed_rng = np.random.default_rng(env_ss)
-    phi = PhiBuffer(hyper.phi_length) if needs_screen else None
+    episode = EpisodePipeline(make_env(env_name), net.input_streams, hyper,
+                              np.random.default_rng(env_ss))
 
-    def begin():
-        obs = env.reset(int(env_seed_rng.integers(2**63)))
-        if phi is not None:
-            phi.reset(obs.screen)
-        return build_inputs(obs, fresh=True)
-
-    def build_inputs(obs, fresh=False):
-        inputs = {}
-        if needs_ram:
-            inputs["ram"] = scale_ram(obs.ram)
-        if needs_screen:
-            inputs["screen"] = phi.stack() if fresh else phi.observe(obs.screen)
-        return inputs
-
-    inputs = begin()
+    inputs = episode.begin()
     episode_scores = []
     current = 0.0
     for _ in range(steps):
-        action = select_action(net, inputs, epsilon, policy_rng, env.action_count)
-        result = frame_skip_step(env, action, hyper.frame_skip)
-        current += result.reward
-        if result.terminal:
+        action = select_action(net, inputs, epsilon, policy_rng, episode.env.action_count)
+        reward, terminal, inputs = episode.step(action)
+        current += reward
+        if terminal:
             episode_scores.append(current)
             current = 0.0
-            inputs = begin()
-        else:
-            inputs = build_inputs(result.observation)
+            inputs = episode.begin()
 
     if episode_scores:
         avg = sum(episode_scores) / len(episode_scores)
@@ -274,21 +268,15 @@ def checkpoint_save(state, path, include_replay=False):
     bit-identically.  Replay contents are optional (resume support)."""
     net = state.net
     arrays = []  # (name, shape, data)
-    for i, p in enumerate(net.params):
-        if p is None:
-            continue
-        for key in sorted(p):
-            arrays.append((f"param/{i}/{key}", list(p[key].shape), p[key]))
-    for i, acc in enumerate(state.opt_state.mean_square):
-        if acc is None:
-            continue
-        for key in sorted(acc):
-            arrays.append((f"acc/{i}/{key}", list(acc[key].shape), acc[key]))
+    for prefix, layers in (("param", net.params), ("acc", state.opt_state.mean_square)):
+        for i, p in enumerate(layers):
+            for key in sorted(p or {}):
+                arrays.append((f"{prefix}/{i}/{key}", list(p[key].shape), p[key]))
     for stream in sorted(state.current_inputs):
         arr = state.current_inputs[stream]
         arrays.append((f"state_input/{stream}", list(arr.shape), arr))
-    if state.phi is not None:
-        frames = np.stack(state.phi.frames)
+    if state.episode.phi is not None:
+        frames = np.stack(state.episode.phi.frames)
         arrays.append(("phi_frames", list(frames.shape), frames))
 
     replay_meta = None
@@ -326,9 +314,9 @@ def checkpoint_save(state, path, include_replay=False):
             "explore": state.explore_rng.bit_generator.state,
             "dropout": state.dropout_rng.bit_generator.state,
             "sample": state.sample_rng.bit_generator.state,
-            "env_seed": state.env_seed_rng.bit_generator.state,
+            "env_seed": state.episode.seed_rng.bit_generator.state,
         },
-        "env_state": state.env.get_state(),
+        "env_state": state.episode.env.get_state(),
         "arrays": [{"name": n, "shape": s} for n, s, _ in arrays],
         "replay": replay_meta,
     }
@@ -365,10 +353,16 @@ def checkpoint_load(path):
             header = json.loads(blob)
         except ValueError as e:
             raise CheckpointError("corrupt checkpoint: bad header") from e
-        if header.get("version") != 1:
+        if not isinstance(header, dict) or header.get("version") != 1:
             raise CheckpointError("corrupt checkpoint: unsupported version")
+        if not isinstance(header.get("arrays"), list):
+            raise CheckpointError("corrupt checkpoint: header has no array list")
         arrays = {}
         for entry in header["arrays"]:
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    and isinstance(entry.get("shape"), list)
+                    and all(isinstance(n, int) for n in entry["shape"])):
+                raise CheckpointError(f"corrupt checkpoint: bad array entry {entry!r}")
             arrays[entry["name"]] = _read_array(f, tuple(entry["shape"]))
     return {"header": header, "arrays": arrays}
 
@@ -391,6 +385,27 @@ def load_params_into(net, ckpt):
             p[key][...] = src.astype(net.dtype)
 
 
+def network_from_checkpoint(ckpt):
+    """Rebuild the network a checkpoint was saved from, with its parameters.
+
+    Returns (net, header, hyper).  A header naming no valid architecture,
+    game, hyperparameters or float dtype, or parameters that do not fit the
+    network, raise CheckpointError.
+    """
+    h = ckpt["header"]
+    try:
+        env = make_env(h["env"])
+        hyper = HyperParams(**h["hyper"])
+        dtype = np.dtype(h["dtype"])
+        if dtype.kind != "f":
+            raise TypeError(f"dtype {dtype.name} is not a float type")
+        net = build_network(h["arch"], env, hyper, np.random.default_rng(0), dtype)
+        load_params_into(net, ckpt)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e
+    return net, h, hyper
+
+
 def restore_training_state(ckpt):
     """Rebuild a TrainingState from a checkpoint saved with replay included."""
     h = ckpt["header"]
@@ -410,16 +425,12 @@ def restore_training_state(ckpt):
     state.explore_rng.bit_generator.state = h["rng"]["explore"]
     state.dropout_rng.bit_generator.state = h["rng"]["dropout"]
     state.sample_rng.bit_generator.state = h["rng"]["sample"]
-    state.env_seed_rng.bit_generator.state = h["rng"]["env_seed"]
-    state.env.set_state(h["env_state"])
-    state.current_inputs = {
-        s: ckpt["arrays"][f"state_input/{s}"].astype(np.float32)
-        for s in ([k for k in ("ram", "screen")
-                   if f"state_input/{k}" in ckpt["arrays"]])
-    }
-    if state.phi is not None:
-        frames = ckpt["arrays"]["phi_frames"].astype(np.uint8)
-        state.phi.frames = [frames[i] for i in range(frames.shape[0])]
+    state.episode.seed_rng.bit_generator.state = h["rng"]["env_seed"]
+    state.episode.env.set_state(h["env_state"])
+    state.current_inputs = {s: ckpt["arrays"][f"state_input/{s}"].astype(np.float32)
+                            for s in state.net.input_streams}
+    if state.episode.phi is not None:
+        state.episode.phi.frames = list(ckpt["arrays"]["phi_frames"].astype(np.uint8))
     meta = h.get("replay")
     if meta:
         n = meta["size"]

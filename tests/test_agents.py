@@ -95,6 +95,40 @@ def test_screen_shape_required_for_screen_nets():
         build_architecture("nips", 4)
 
 
+def test_hyper_rejects_replay_smaller_than_minibatch():
+    with pytest.raises(ValueError, match="replay_capacity"):
+        HyperParams(replay_capacity=10)  # minibatch 32: would never train
+
+
+def test_hyper_rejects_replay_smaller_than_start_size():
+    with pytest.raises(ValueError, match="replay_capacity"):
+        HyperParams(replay_capacity=50, minibatch_size=8, replay_start_size=100)
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.001, float("nan")])
+def test_hyper_rejects_nonpositive_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        HyperParams(learning_rate=lr)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
+def test_hyper_rejects_dropout_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="dropout_p"):
+        HyperParams(dropout_p=p)
+
+
+@pytest.mark.parametrize("eps", [-0.01, 1.01])
+def test_hyper_rejects_test_epsilon_outside_unit_interval(eps):
+    with pytest.raises(ValueError, match="test_epsilon"):
+        HyperParams(test_epsilon=eps)
+
+
+def test_hyper_accepts_boundary_values():
+    HyperParams(replay_capacity=100, minibatch_size=32, replay_start_size=100,
+                dropout_p=0.0, test_epsilon=1.0)
+    HyperParams(test_epsilon=0.0, dropout_p=0.99)
+
+
 def test_terminal_layer_has_no_activation():
     for name in ("just_ram", "big_ram"):
         net = build_architecture(name, 4, rng=np.random.default_rng(0))

@@ -1,8 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from ramdqn.cli import main, write_weight_heatmap
-from ramdqn.harness import TrainingState, checkpoint_save
+from ramdqn.harness import CHECKPOINT_MAGIC, TrainingState, checkpoint_save
 from ramdqn.agents import HyperParams
 from ramdqn.harness import ExperimentConfig
 
@@ -39,6 +42,28 @@ def test_train_unknown_arch_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--frame-skip", "0"],
+    ["--replay-capacity", "10"],
+    ["--learning-rate", "0"],
+    ["--dropout", "1.0"],
+    ["--epochs", "0"],
+])
+def test_train_invalid_settings_exit_2(tmp_path, capsys, flags):
+    rc = main(["train", "--env", "micro_catch", "--arch", "just_ram",
+               "--out", str(tmp_path / "x"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_checkpoint_write_failure_exit_1(tmp_path, capsys):
+    (tmp_path / "run" / "last.ckpt").mkdir(parents=True)
+    rc, _ = run_train(tmp_path)
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_train_determinism_byte_identical(tmp_path):
     _, out1 = run_train(tmp_path, "a")
     _, out2 = run_train(tmp_path, "b")
@@ -71,6 +96,63 @@ def test_eval_corrupt_checkpoint_exit_1(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
     assert main(["eval", "--checkpoint", str(bad)]) == 1
+
+
+def test_eval_rejects_env_option(tmp_path):
+    # A checkpoint's output layer fits only the game it was trained on.
+    _, out = run_train(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(out / "best.ckpt"), "--env", "micro_diver"])
+    assert exc.value.code == 2
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to a checkpoint's JSON header, keeping the array data."""
+    data = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    (hlen,) = struct.unpack("<Q", data[start - 8:start])
+    header = json.loads(data[start:start + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+                     + data[start + hlen:])
+
+
+def set_key(key, value):
+    return lambda h: h.__setitem__(key, value)
+
+
+BAD_HEADERS = {
+    "no_arrays": lambda h: h.pop("arrays"),
+    "arrays_not_list": set_key("arrays", {}),
+    "entry_without_name": lambda h: h["arrays"][0].pop("name"),
+    "entry_without_shape": lambda h: h["arrays"][0].pop("shape"),
+    "unknown_arch": set_key("arch", "nope"),
+    "no_arch": lambda h: h.pop("arch"),
+    "other_arch": set_key("arch", "big_ram"),
+    "unknown_env": set_key("env", "nope"),
+    "other_env": set_key("env", "micro_diver"),
+    "invalid_hyper": lambda h: h["hyper"].__setitem__("frame_skip", 0),
+    "unknown_hyper": lambda h: h["hyper"].__setitem__("momentum", 0.9),
+    "hyper_not_dict": set_key("hyper", [1, 2]),
+    "unknown_dtype": set_key("dtype", "nope"),
+    "int_dtype": set_key("dtype", "int32"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_bad_checkpoint_header_exit_1(tmp_path, capsys, command, case):
+    hyper = HyperParams(frame_skip=1, replay_capacity=200, replay_start_size=20,
+                        minibatch_size=8, steps_per_epoch=10, test_steps=10)
+    state = TrainingState(ExperimentConfig("micro_catch", "just_ram", hyper=hyper))
+    path = tmp_path / "bad.ckpt"
+    checkpoint_save(state, path)
+    rewrite_header(path, BAD_HEADERS[case])
+    extra = ["--steps", "10"] if command == "eval" else ["--out", str(tmp_path / "x.ppm")]
+    rc = main([command, "--checkpoint", str(path), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: corrupt checkpoint")
 
 
 def test_eval_large_step_override(tmp_path, capsys):

@@ -6,7 +6,6 @@ from ramdqn.envs import (
     PhiBuffer,
     frame_skip_step,
     make_env,
-    phi_observe,
     scale_ram,
 )
 
@@ -269,7 +268,7 @@ def test_phi_buffer_fifo():
     buf.reset(frames[0])
     stack = None
     for f in frames[1:]:
-        stack = phi_observe(buf, f)
+        stack = buf.observe(f)
     for plane, f in zip(stack, frames[1:]):
         np.testing.assert_array_equal(plane, f / 256.0)
 
@@ -277,7 +276,7 @@ def test_phi_buffer_fifo():
 def test_phi_buffer_scales_by_256():
     buf = PhiBuffer(2)
     buf.reset(np.zeros((2, 2), dtype=np.uint8))
-    stack = phi_observe(buf, np.full((2, 2), 255, dtype=np.uint8))
+    stack = buf.observe(np.full((2, 2), 255, dtype=np.uint8))
     assert stack[-1][0, 0] == np.float32(255 / 256)
 
 
