@@ -94,6 +94,12 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if not 0.0 <= args.epsilon <= 1.0:
+        print(f"error: --epsilon must be in [0, 1], got {args.epsilon}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.steps < 1:
+        print(f"error: --steps must be at least 1, got {args.steps}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         ckpt = checkpoint_load(args.checkpoint)
         net, header, hyper = network_from_checkpoint(ckpt)

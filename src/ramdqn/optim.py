@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,12 +11,16 @@ from .tensor_core import ShapeError
 
 @dataclass
 class RmsPropState:
-    """Per-parameter mean-square accumulators plus the update constants."""
+    """Per-parameter mean-square accumulators plus the update constants.
+
+    `scratch` holds one work array per parameter, made on the first step, so
+    that an update allocates no full-size temporaries."""
 
     mean_square: list
     decay_rho: float = 0.95
     stabilizer_eps: float = 1e-6
     learning_rate: float = 0.0002
+    scratch: list = field(default=None, repr=False, compare=False)
 
 
 def rmsprop_state_for(net, learning_rate=0.0002, decay_rho=0.95, stabilizer_eps=1e-6):
@@ -46,7 +50,10 @@ def rmsprop_step(params, grads, state):
     lr = state.learning_rate
     if len(params) != len(state.mean_square):
         raise ShapeError("optimizer state does not match parameter layout")
-    for p, g, acc in zip(params, grads, state.mean_square):
+    if state.scratch is None:
+        state.scratch = [None if acc is None else {k: np.empty_like(a) for k, a in acc.items()}
+                         for acc in state.mean_square]
+    for p, g, acc, scratch in zip(params, grads, state.mean_square, state.scratch):
         if p is None:
             continue
         for key, val in p.items():
@@ -58,9 +65,15 @@ def rmsprop_step(params, grads, state):
             if gk.shape != val.shape:
                 raise ShapeError(f"gradient shape {gk.shape} != param shape {val.shape}")
             gk = gk.astype(val.dtype, copy=False)
+            t = scratch[key]
+            np.multiply(gk, 1.0 - rho, out=t)
+            t *= gk
             a *= rho
-            a += (1.0 - rho) * gk * gk
-            val -= lr * gk / np.sqrt(a + eps)
+            a += t
+            np.add(a, eps, out=t)
+            np.sqrt(t, out=t)
+            np.divide(gk * lr, t, out=t)
+            val -= t
 
 
 def q_loss_grad(q_values, actions, targets):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 Tensor = np.ndarray
 
@@ -184,7 +185,7 @@ def dense_apply(W, b, x, activation="none"):
 
 def conv2d_apply(kernels, biases, x, stride=1, activation="none"):
     """Valid cross-correlation over a batch x of shape (B, C, H, W)."""
-    pre = _conv_forward(kernels, biases, x, stride)
+    pre, _ = _conv_forward(kernels, biases, x, stride)
     return _activate(pre, activation)
 
 
@@ -215,7 +216,15 @@ def _activate(pre, activation):
     return pre
 
 
+def _conv_cols(x, k, stride, oh, ow):
+    """Unrolled windows of x (B, C, H, W) (Chellapilla et al. 2006): a
+    (B*oh*ow, C*k*k) matrix, one row per output cell in (B, oh, ow) order."""
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(x.shape[0] * oh * ow, -1)
+
+
 def _conv_forward(kernels, biases, x, stride):
+    """Pre-activation (B, F, oh, ow) output and the window matrix behind it."""
     f, c, k, _ = kernels.shape
     b_, ci, h, w = x.shape
     if ci != c:
@@ -223,22 +232,32 @@ def _conv_forward(kernels, biases, x, stride):
     if k > h or k > w:
         raise ShapeError(f"conv2d: kernel {k} larger than input {h}x{w}")
     oh, ow = _conv_extent(h, k, stride), _conv_extent(w, k, stride)
-    out = np.zeros((b_, f, oh, ow), dtype=x.dtype)
+    cols = _conv_cols(x, k, stride, oh, ow)
+    out = cols @ kernels.reshape(f, -1).T
+    if biases is not None:
+        out += biases
+    return out.reshape(b_, oh, ow, f).transpose(0, 3, 1, 2), cols
+
+
+def _col2im(dcols, x, k, stride):
+    """Adjoint of `_conv_cols`: the gradient w.r.t. x (B, C, H, W) from the
+    gradient w.r.t. its window matrix, one strided slice-add per offset."""
+    b_, c, h, w = x.shape
+    oh, ow = _conv_extent(h, k, stride), _conv_extent(w, k, stride)
+    d = dcols.reshape(b_, oh, ow, c, k, k)
+    dx = np.zeros_like(x)
     for di in range(k):
         for dj in range(k):
-            xs = x[:, :, di : di + stride * (oh - 1) + 1 : stride,
-                   dj : dj + stride * (ow - 1) + 1 : stride]
-            out += np.einsum("fc,bchw->bfhw", kernels[:, :, di, dj], xs)
-    if biases is not None:
-        out += biases[None, :, None, None]
-    return out
+            dx[:, :, di : di + stride * (oh - 1) + 1 : stride,
+               dj : dj + stride * (ow - 1) + 1 : stride] += d[..., di, dj].transpose(0, 3, 1, 2)
+    return dx
 
 
 def forward(net, inputs, mode="eval", rng=None):
     """Run the graph on named batched inputs; returns all layer records.
 
     Each record keeps the layer output plus whatever backward needs
-    (pre-activation, dropout mask, flattened inputs).
+    (pre-activation, dropout mask, the input as a matrix).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -260,21 +279,16 @@ def forward(net, inputs, mode="eval", rng=None):
             elif x.shape[0] != batch:
                 raise ShapeError("input streams disagree on batch size")
             rec["out"] = x
-        elif spec.kind == "dense":
+        elif spec.kind in ("dense", "conv2d"):
             up = acts[spec.input_refs[0]]["out"]
-            x = up.reshape(up.shape[0], -1)
             p = net.params[i]
-            pre = x @ p["W"].T
-            if "b" in p:
-                pre = pre + p["b"]
-            rec["x"] = x
-            rec["pre"] = pre
-            rec["out"] = _activate(pre, spec.activation)
-        elif spec.kind == "conv2d":
-            x = acts[spec.input_refs[0]]["out"]
-            p = net.params[i]
-            pre = _conv_forward(p["W"], p.get("b"), x, spec.stride)
-            rec["x"] = x
+            if spec.kind == "dense":
+                rec["x"] = up.reshape(up.shape[0], -1)
+                pre = rec["x"] @ p["W"].T
+                if "b" in p:
+                    pre = pre + p["b"]
+            else:  # rec["x"] is the window matrix, the input a dense layer would see
+                pre, rec["x"] = _conv_forward(p["W"], p.get("b"), up, spec.stride)
             rec["pre"] = pre
             rec["out"] = _activate(pre, spec.activation)
         elif spec.kind == "dropout":
@@ -329,39 +343,23 @@ def backward(net, acts, output_gradient):
         rec = acts[i]
         if spec.kind == "input":
             continue
-        if spec.kind in ("dense", "conv2d") and spec.activation == "rectify":
-            g = g * (rec["pre"] > 0)
-        if spec.kind == "dense":
+        if spec.kind in ("dense", "conv2d"):
             p = net.params[i]
-            x = rec["x"]
-            layer_grads = {"W": g.T @ x}
+            ref = spec.input_refs[0]
+            if spec.activation == "rectify":
+                g = g * (rec["pre"] > 0)
+            w = p["W"].reshape(len(p["W"]), -1)
+            if spec.kind == "conv2d":  # a dense layer over the window matrix
+                g = g.transpose(0, 2, 3, 1).reshape(-1, len(w))
+            grads[i] = {"W": (g.T @ rec["x"]).reshape(p["W"].shape)}
             if "b" in p:
-                layer_grads["b"] = g.sum(axis=0)
-            grads[i] = layer_grads
-            gx = (g @ p["W"]).reshape(acts[spec.input_refs[0]]["out"].shape)
-            _accumulate(spec.input_refs[0], gx)
-        elif spec.kind == "conv2d":
-            p = net.params[i]
-            x = rec["x"]
-            kern = p["W"]
-            f, c, k, _ = kern.shape
-            s = spec.stride
-            oh, ow = g.shape[2], g.shape[3]
-            dk = np.zeros_like(kern)
-            dx = np.zeros_like(x)
-            for di in range(k):
-                for dj in range(k):
-                    xs = x[:, :, di : di + s * (oh - 1) + 1 : s,
-                           dj : dj + s * (ow - 1) + 1 : s]
-                    dk[:, :, di, dj] = np.einsum("bfhw,bchw->fc", g, xs)
-                    dx[:, :, di : di + s * (oh - 1) + 1 : s,
-                       dj : dj + s * (ow - 1) + 1 : s] += np.einsum(
-                        "fc,bfhw->bchw", kern[:, :, di, dj], g)
-            layer_grads = {"W": dk}
-            if "b" in p:
-                layer_grads["b"] = g.sum(axis=(0, 2, 3))
-            grads[i] = layer_grads
-            _accumulate(spec.input_refs[0], dx)
+                grads[i]["b"] = g.sum(axis=0)
+            if net.layers[ref].kind != "input":  # an input's gradient is never read
+                gx = g @ w
+                up = acts[ref]["out"]
+                if spec.kind == "conv2d":
+                    gx = _col2im(gx, up, spec.kernel, spec.stride)
+                _accumulate(ref, gx.reshape(up.shape))
         elif spec.kind == "dropout":
             if "mask" in rec:
                 gx = g * rec["mask"]

@@ -98,6 +98,20 @@ def test_eval_corrupt_checkpoint_exit_1(tmp_path):
     assert main(["eval", "--checkpoint", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "2"],
+    ["--epsilon", "-0.1"],
+    ["--epsilon", "nan"],
+    ["--steps", "0"],
+    ["--steps", "-5"],
+])
+def test_eval_invalid_settings_exit_2(tmp_path, capsys, flags):
+    # Checked before the checkpoint is read: a missing file would be exit 1.
+    rc = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_eval_rejects_env_option(tmp_path):
     # A checkpoint's output layer fits only the game it was trained on.
     _, out = run_train(tmp_path)

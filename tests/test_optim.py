@@ -80,6 +80,42 @@ def test_rmsprop_shape_mismatch():
         rmsprop_step(net.params, grads, state)
 
 
+def test_rmsprop_matches_reference_expression_bitwise():
+    # The in-place update against the plain expression, on 32-bit nips
+    # parameters, with one layer receiving no gradient.
+    rng = np.random.default_rng(4)
+    net = build_architecture("nips", 3, screen_shape=(16, 16), rng=rng)
+    state = rmsprop_state_for(net, learning_rate=0.001)
+    ref_params = [None if p is None else {k: v.copy() for k, v in p.items()}
+                  for p in net.params]
+    ref_acc = [None if a is None else {k: v.copy() for k, v in a.items()}
+               for a in state.mean_square]
+    rho, eps, lr = state.decay_rho, state.stabilizer_eps, state.learning_rate
+    for _ in range(5):
+        grads = [None if p is None else
+                 {k: (0.1 * rng.standard_normal(v.shape)).astype(v.dtype) for k, v in p.items()}
+                 for p in net.params]
+        grads[-1] = None
+        rmsprop_step(net.params, grads, state)
+        for p, g, acc in zip(ref_params, grads, ref_acc):
+            if p is None:
+                continue
+            for key, val in p.items():
+                a = acc[key]
+                a *= rho
+                if g is None:
+                    continue
+                gk = g[key]
+                a += (1.0 - rho) * gk * gk
+                val -= lr * gk / np.sqrt(a + eps)
+    for got, want in zip(net.params + state.mean_square, ref_params + ref_acc):
+        if want is None:
+            continue
+        for key in want:
+            assert got[key].dtype == np.float32
+            np.testing.assert_array_equal(got[key], want[key])
+
+
 def test_q_loss_perfect_fit():
     q = np.array([[1.0, 5.0], [2.0, -3.0]])
     loss, grad = q_loss_grad(q, [1, 0], [5.0, 2.0])

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramdqn.tensor_core import (
@@ -16,7 +18,7 @@ from ramdqn.tensor_core import (
     make_network,
     param_count,
 )
-from ramdqn.agents import build_architecture
+from ramdqn.agents import ARCHITECTURES, build_architecture
 
 
 def ram_input():
@@ -100,6 +102,112 @@ def test_conv_window_sums():
 def test_conv_kernel_too_large():
     with pytest.raises(ShapeError):
         conv2d_apply(np.ones((1, 1, 5, 5)), np.zeros(1), np.ones((1, 1, 3, 3)))
+
+
+def naive_conv(x, w, b, stride):
+    """Valid cross-correlation by its definition, one output cell at a time."""
+    n_b, _, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = (h - k) // stride + 1, (wd - k) // stride + 1
+    out = np.zeros((n_b, f, oh, ow))
+    for n in range(n_b):
+        for o in range(f):
+            for i in range(oh):
+                for j in range(ow):
+                    window = x[n, :, i * stride : i * stride + k, j * stride : j * stride + k]
+                    out[n, o, i, j] = np.sum(window * w[o]) + b[o]
+    return out
+
+
+def naive_conv_grads(x, w, g, stride):
+    """dW, db and dx of sum(g * conv(x)), accumulated cell by cell."""
+    k = w.shape[2]
+    dw, dx = np.zeros_like(w), np.zeros_like(x)
+    for n, o, i, j in np.ndindex(*g.shape):
+        rows = slice(i * stride, i * stride + k)
+        cols = slice(j * stride, j * stride + k)
+        dw[o] += g[n, o, i, j] * x[n, :, rows, cols]
+        dx[n, :, rows, cols] += g[n, o, i, j] * w[o]
+    return dw, g.sum(axis=(0, 2, 3)), dx
+
+
+@st.composite
+def conv_cases(draw):
+    h = draw(st.integers(1, 9))
+    wd = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(h, wd)))
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, wd,
+            draw(st.integers(1, 3)), k, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)))
+
+
+# (batch, channels, H, W, filters, k, stride, seed)
+@example((2, 3, 6, 5, 2, 1, 1, 0))   # k = 1
+@example((1, 2, 5, 7, 3, 5, 1, 1))   # k = H
+@example((2, 2, 9, 8, 2, 3, 4, 2))   # stride 4 does not divide H - k = 6
+@example((3, 1, 8, 8, 2, 3, 2, 3))   # stride 2 does not divide H - k = 5
+@settings(max_examples=40, deadline=None)
+@given(conv_cases())
+def test_conv_forward_and_backward_match_definition(case):
+    n_b, c, h, wd, f, k, stride, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_b, c, h, wd))
+    w = rng.standard_normal((f, c, k, k))
+    b = rng.standard_normal(f)
+    want = naive_conv(x, w, b, stride)
+    np.testing.assert_allclose(conv2d_apply(w, b, x, stride=stride), want, rtol=1e-12, atol=1e-12)
+
+    # The conv under test (layer 2) reads a 1x1 conv (layer 1), so its input
+    # gradient is computed and shows in layer 1's gradients.
+    specs = [LayerSpec(kind="input", stream="screen", shape=(2, h, wd)),
+             LayerSpec(kind="conv2d", filters=c, kernel=1, input_refs=(0,)),
+             LayerSpec(kind="conv2d", filters=f, kernel=k, stride=stride, input_refs=(1,))]
+    net = make_network(specs, rng, dtype=np.float64)
+    net.params[2] = {"W": w, "b": b}
+    x0 = rng.standard_normal((n_b, 2, h, wd))
+    g = rng.standard_normal((n_b,) + net.out_shapes[2])
+    grads = backward(net, forward(net, {"screen": x0}), g)
+
+    x1 = naive_conv(x0, net.params[1]["W"], net.params[1]["b"], 1)
+    dw2, db2, dx2 = naive_conv_grads(x1, w, g, stride)
+    dw1, db1, _ = naive_conv_grads(x0, net.params[1]["W"], dx2, 1)
+    for got, ref in ((grads[2]["W"], dw2), (grads[2]["b"], db2),
+                     (grads[1]["W"], dw1), (grads[1]["b"], db1)):
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+
+
+def with_identity_after_inputs(net):
+    """The same network with a p=0 dropout between each input and its
+    readers, so that backward computes the first layers' input gradients.
+    Returns the twin and the twin's index of every original layer."""
+    specs, params, pos, src = [], [], {}, {}
+    for i, spec in enumerate(net.layers):
+        specs.append(replace(spec, input_refs=tuple(src[r] for r in spec.input_refs)))
+        params.append(net.params[i])
+        pos[i] = src[i] = len(specs) - 1
+        if spec.kind == "input":
+            specs.append(LayerSpec(kind="dropout", input_refs=(pos[i],)))
+            params.append(None)
+            src[i] = len(specs) - 1
+    twin = make_network(specs, np.random.default_rng(0), dtype=net.dtype)
+    twin.params = params
+    return twin, pos
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_skipping_input_gradients_keeps_param_gradients(arch):
+    rng = np.random.default_rng(7)
+    net = build_architecture(arch, 5, screen_shape=(20, 20), rng=rng)
+    twin, pos = with_identity_after_inputs(net)
+    inputs = {"ram": rng.random((4, 128)), "screen": rng.random((4, 4, 20, 20))}
+    inputs = {k: v for k, v in inputs.items() if k in net.input_streams}
+    g = rng.standard_normal((4, 5))
+    grads = backward(net, forward(net, inputs), g)
+    twin_grads = backward(twin, forward(twin, inputs), g)
+    for i, layer_grads in enumerate(grads):
+        if layer_grads is None:
+            continue
+        for key, value in layer_grads.items():
+            np.testing.assert_array_equal(value, twin_grads[pos[i]][key])
 
 
 def test_dropout_p_zero_is_identity():
