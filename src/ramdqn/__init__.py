@@ -28,7 +28,6 @@ from .envs import (
 )
 from .agents import (
     ARCHITECTURES,
-    EpsilonSchedule,
     HyperParams,
     architecture_streams,
     build_architecture,

@@ -37,8 +37,8 @@ class HyperParams:
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
-        if self.epsilon_min > self.epsilon_start:
-            raise ValueError("epsilon_min must not exceed epsilon_start")
+        if not 0.0 <= self.epsilon_min <= self.epsilon_start <= 1.0:
+            raise ValueError("epsilons must satisfy 0 <= epsilon_min <= epsilon_start <= 1")
         for name in ("minibatch_size", "replay_capacity", "phi_length",
                      "epsilon_decay_steps", "frame_skip", "steps_per_epoch",
                      "test_steps"):
@@ -55,24 +55,13 @@ class HyperParams:
             raise ValueError("test_epsilon must be in [0, 1]")
 
 
-@dataclass
-class EpsilonSchedule:
-    start: float = 1.0
-    min: float = 0.1
-    decay_steps: int = 1_000_000
-
-    @classmethod
-    def from_hyper(cls, hyper):
-        return cls(start=hyper.epsilon_start, min=hyper.epsilon_min,
-                   decay_steps=hyper.epsilon_decay_steps)
-
-
-def epsilon_at(schedule, step):
-    """Linear fade from start to min over decay_steps, clamped thereafter."""
-    if step >= schedule.decay_steps:
-        return schedule.min
-    frac = step / schedule.decay_steps
-    return schedule.start + (schedule.min - schedule.start) * frac
+def epsilon_at(hyper, step):
+    """Linear fade from epsilon_start to epsilon_min over epsilon_decay_steps,
+    clamped thereafter."""
+    if step >= hyper.epsilon_decay_steps:
+        return hyper.epsilon_min
+    frac = step / hyper.epsilon_decay_steps
+    return hyper.epsilon_start + (hyper.epsilon_min - hyper.epsilon_start) * frac
 
 
 def architecture_streams(name):

@@ -157,6 +157,9 @@ def gradcheck_architecture(name, seed=0, probes=100):
 
 
 def cmd_gradcheck(args):
+    if not args.tolerance > 0.0:
+        print(f"error: --tolerance must be positive, got {args.tolerance}", file=sys.stderr)
+        return EXIT_USAGE
     names = list(ARCHITECTURES) if args.arch == "all" else [args.arch]
     for name in names:
         if name not in ARCHITECTURES:
@@ -166,8 +169,8 @@ def cmd_gradcheck(args):
     for name in names:
         err = gradcheck_architecture(name, seed=args.seed)
         print(f"{name}: max relative error {err:.3e}")
-        worst = max(worst, err)
-    if worst >= args.tolerance:
+        worst = np.maximum(worst, err)  # unlike max(), keeps a NaN
+    if not worst < args.tolerance:
         print(f"FAIL: worst error {worst:.3e} exceeds tolerance {args.tolerance:g}",
               file=sys.stderr)
         return EXIT_FAILURE

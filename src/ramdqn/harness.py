@@ -3,8 +3,10 @@ checkpoints, and best-epoch selection."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import (
-    EpsilonSchedule,
     HyperParams,
     build_architecture,
     epsilon_at,
@@ -102,7 +103,6 @@ class TrainingState:
     def __init__(self, config):
         self.config = config
         self.hyper = config.hyper
-        self.schedule = EpsilonSchedule.from_hyper(self.hyper)
 
         ss = np.random.SeedSequence(config.seed)
         init_ss, explore_ss, dropout_ss, sample_ss, env_ss = ss.spawn(5)
@@ -144,7 +144,7 @@ def run_training_epoch(state, steps):
     hyper = state.hyper
     losses = []
     for _ in range(steps):
-        eps = epsilon_at(state.schedule, state.global_step)
+        eps = epsilon_at(hyper, state.global_step)
         action = select_action(state.net, state.current_inputs, eps,
                                state.explore_rng, state.episode.env.action_count)
         state._take_action(action)
@@ -253,14 +253,16 @@ def _read_array(f, shape):
     if len(raw) != 8:
         raise CheckpointError("corrupt checkpoint: truncated array header")
     (count,) = struct.unpack("<Q", raw)
-    expected = int(np.prod(shape)) if shape else 1
+    expected = math.prod(shape)  # exact: a crafted shape must not wrap around
     if count != expected:
         raise CheckpointError(
             f"corrupt checkpoint: array has {count} elements, expected {expected}")
-    data = f.read(8 * count)
-    if len(data) != 8 * count:
+    if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
         raise CheckpointError("corrupt checkpoint: truncated array data")
-    return np.frombuffer(data, dtype="<f8").reshape(shape)
+    try:
+        return np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"corrupt checkpoint: bad array shape {list(shape)}") from e
 
 
 def checkpoint_save(state, path, include_replay=False):
@@ -321,15 +323,22 @@ def checkpoint_save(state, path, include_replay=False):
         "replay": replay_meta,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    # Written beside `path` and renamed over it, so a failed save leaves the
+    # previous checkpoint whole.
+    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(path, "wb") as f:
+        with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
             for _, _, data in arrays:
                 _write_array(f, data)
+        os.replace(tmp, path)
     except OSError as e:
         raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def checkpoint_load(path):

@@ -9,7 +9,7 @@ independent oracle for the handwritten backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -172,44 +172,6 @@ def make_network(specs, init_rng, dtype=np.float32):
     )
 
 
-def dense_apply(W, b, x, activation="none"):
-    """y = act(W x + b) for a batch x of shape (B, in)."""
-    x = np.atleast_2d(x)
-    if W.shape[1] != x.shape[1]:
-        raise ShapeError(f"dense: weight expects {W.shape[1]} inputs, got {x.shape[1]}")
-    pre = x @ W.T
-    if b is not None:
-        pre = pre + b
-    return _activate(pre, activation)
-
-
-def conv2d_apply(kernels, biases, x, stride=1, activation="none"):
-    """Valid cross-correlation over a batch x of shape (B, C, H, W)."""
-    pre, _ = _conv_forward(kernels, biases, x, stride)
-    return _activate(pre, activation)
-
-
-def concat_apply(inputs):
-    """Concatenate per-sample flattened inputs in declared order."""
-    flats = [np.atleast_2d(a).reshape(np.atleast_2d(a).shape[0], -1) for a in inputs]
-    return np.concatenate(flats, axis=1)
-
-
-def dropout_apply(x, p, mode, rng=None):
-    """Dropout: train zeroes elements with probability p (mask returned),
-    eval scales by the keep probability 1-p."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("drop probability must be in [0,1)")
-    if mode == "eval" or p == 0.0:
-        if mode == "train" or p == 0.0:
-            return x.copy(), np.ones_like(x)
-        return x * (1.0 - p), None
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= p).astype(x.dtype)
-    return x * mask, mask
-
-
 def _activate(pre, activation):
     if activation == "rectify":
         return np.maximum(pre, 0)
@@ -225,12 +187,8 @@ def _conv_cols(x, k, stride, oh, ow):
 
 def _conv_forward(kernels, biases, x, stride):
     """Pre-activation (B, F, oh, ow) output and the window matrix behind it."""
-    f, c, k, _ = kernels.shape
-    b_, ci, h, w = x.shape
-    if ci != c:
-        raise ShapeError(f"conv2d: expected {c} channels, got {ci}")
-    if k > h or k > w:
-        raise ShapeError(f"conv2d: kernel {k} larger than input {h}x{w}")
+    f, _, k, _ = kernels.shape
+    b_, _, h, w = x.shape
     oh, ow = _conv_extent(h, k, stride), _conv_extent(w, k, stride)
     cols = _conv_cols(x, k, stride, oh, ow)
     out = cols @ kernels.reshape(f, -1).T
@@ -300,12 +258,12 @@ def forward(net, inputs, mode="eval", rng=None):
                 rec["mask"] = mask
                 rec["out"] = x * mask
             else:
-                scale = 1.0 if (mode == "train" or spec.drop_p == 0.0) else 1.0 - spec.drop_p
+                scale = 1.0 if mode == "train" else 1.0 - spec.drop_p
                 rec["scale"] = scale
                 rec["out"] = x * net.dtype.type(scale) if scale != 1.0 else x
         else:  # concat
-            ups = [acts[r]["out"] for r in spec.input_refs]
-            rec["out"] = concat_apply(ups)
+            rec["out"] = np.concatenate(
+                [acts[r]["out"].reshape(batch, -1) for r in spec.input_refs], axis=1)
         acts.append(rec)
     return acts
 
@@ -402,7 +360,8 @@ def gradient_check(net, inputs, probe_direction=None, step=1e-5, probes=100, rng
 
     The scalar under test is sum(probe . output) over the batch.  Samples
     `probes` random parameter coordinates and returns the worst relative
-    error |bp - fd| / max(|bp|, |fd|, 1).
+    error |bp - fd| / max(|bp|, |fd|, 1), or NaN as soon as a probed
+    gradient or finite difference is not finite.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -415,16 +374,9 @@ def gradient_check(net, inputs, probe_direction=None, step=1e-5, probes=100, rng
     # The finite-difference oracle runs on a float64 shadow of the network so
     # that a 32-bit backward pass is measured against a clean reference
     # instead of 32-bit finite-difference roundoff.
-    shadow = NetworkGraph(
-        layers=net.layers,
-        params=[None if p is None else {k: v.astype(np.float64) for k, v in p.items()}
-                for p in net.params],
-        out_shapes=net.out_shapes,
-        terminal=net.terminal,
-        output_dim=net.output_dim,
-        dtype=np.dtype(np.float64),
-        input_streams=net.input_streams,
-    )
+    shadow = replace(net, dtype=np.dtype(np.float64), params=[
+        None if p is None else {k: v.astype(np.float64) for k, v in p.items()}
+        for p in net.params])
 
     def scalar():
         out = forward(shadow, inputs, mode="eval")[shadow.terminal]["out"]
@@ -465,6 +417,8 @@ def gradient_check(net, inputs, probe_direction=None, step=1e-5, probes=100, rng
         fd = (f_plus - f_minus) / (2.0 * step)
         bp = float(grads[layer][key].reshape(-1)[idx])
         err = abs(bp - fd) / max(abs(bp), abs(fd), 1.0)
+        if not np.isfinite(err):  # a NaN or inf on either side; max() would drop it
+            return float("nan")
         worst = max(worst, err)
         checked += 1
     return worst

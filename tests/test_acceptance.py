@@ -7,7 +7,6 @@ import pytest
 
 from ramdqn.agents import (
     ARCHITECTURES,
-    EpsilonSchedule,
     HyperParams,
     build_architecture,
     epsilon_at,
@@ -23,7 +22,7 @@ from ramdqn.harness import (
 )
 from ramdqn.optim import rmsprop_state_for
 from ramdqn.replay import ReplayMemory, Transition
-from ramdqn.tensor_core import dropout_apply, forward, make_network, param_count
+from ramdqn.tensor_core import forward, make_network, param_count
 from ramdqn.tensor_core import LayerSpec
 
 
@@ -181,12 +180,11 @@ def test_architecture_fidelity():
 
 def test_protocol_fidelity():
     hyper = HyperParams()
-    sched = EpsilonSchedule.from_hyper(hyper)
-    assert epsilon_at(sched, 0) == 1.0
-    assert epsilon_at(sched, 1_000_000) == 0.1
-    assert epsilon_at(sched, 2_000_000) == 0.1
+    assert epsilon_at(hyper, 0) == 1.0
+    assert epsilon_at(hyper, 1_000_000) == 0.1
+    assert epsilon_at(hyper, 2_000_000) == 0.1
     for a, b in zip(range(0, 1_200_000, 50_000), range(50_000, 1_250_000, 50_000)):
-        assert epsilon_at(sched, b) <= epsilon_at(sched, a)
+        assert epsilon_at(hyper, b) <= epsilon_at(hyper, a)
 
     assert hyper.test_epsilon == 0.05
     assert hyper.test_steps == 10_000
@@ -259,16 +257,24 @@ def test_determinism_cli(tmp_path):
     report("determinism (byte-identical CSVs and checkpoints)")
 
 
+def dropout_net(p, width):
+    """The float64 network `input -> dropout(p)` on a `width`-wide stream "x"."""
+    specs = [LayerSpec(kind="input", stream="x", shape=(width,)),
+             LayerSpec(kind="dropout", drop_p=p, input_refs=(0,))]
+    return make_network(specs, np.random.default_rng(0), dtype=np.float64)
+
+
 def test_dropout_contract():
-    x = np.linspace(-3.0, 3.0, 1000)
-    out_eval, _ = dropout_apply(x, 0.5, "eval")
+    x = np.linspace(-3.0, 3.0, 1000)[None, :]
+    net = dropout_net(0.5, x.shape[1])
+    out_eval = forward(net, {"x": x}, "eval")[-1]["out"]
     np.testing.assert_array_equal(out_eval, x * 0.5)
 
     rng = np.random.default_rng(11)
     acc = np.zeros_like(x)
     n_masks = 10_000
     for _ in range(n_masks):
-        out, _ = dropout_apply(x, 0.5, "train", rng)
+        out = forward(net, {"x": x}, "train", rng)[-1]["out"]
         acc += out
     mc = acc / n_masks
     scale = np.mean(np.abs(out_eval)) + 1e-12

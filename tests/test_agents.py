@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramdqn.agents import (
-    EpsilonSchedule,
     HyperParams,
     build_architecture,
     compute_targets,
@@ -17,25 +16,21 @@ from ramdqn.replay import ReplayMemory, Transition
 from ramdqn.tensor_core import LayerSpec, forward, make_network
 
 
-def schedule():
-    return EpsilonSchedule(start=1.0, min=0.1, decay_steps=1_000_000)
-
-
 def test_epsilon_endpoints():
-    s = schedule()
+    s = HyperParams()
     assert epsilon_at(s, 0) == 1.0
     assert epsilon_at(s, 1_000_000) == 0.1
     assert epsilon_at(s, 5_000_000) == 0.1
 
 
 def test_epsilon_linear_midpoint():
-    assert abs(epsilon_at(schedule(), 250_000) - 0.775) < 1e-12
+    assert abs(epsilon_at(HyperParams(), 250_000) - 0.775) < 1e-12
 
 
 @given(st.integers(0, 3_000_000), st.integers(0, 3_000_000))
 @settings(max_examples=100, deadline=None)
 def test_epsilon_monotone_and_bounded(a, b):
-    s = schedule()
+    s = HyperParams()
     lo, hi = sorted((a, b))
     assert 0.1 <= epsilon_at(s, hi) <= epsilon_at(s, lo) <= 1.0
 
@@ -123,10 +118,24 @@ def test_hyper_rejects_test_epsilon_outside_unit_interval(eps):
         HyperParams(test_epsilon=eps)
 
 
+@pytest.mark.parametrize("start, low", [
+    (2.0, 1.5),           # both above 1: select_action would fail mid-epoch
+    (1.0, -0.1),
+    (0.5, 0.6),           # the fade would rise
+    (float("nan"), 0.1),
+    (1.0, float("nan")),
+])
+def test_hyper_rejects_epsilons_out_of_order(start, low):
+    with pytest.raises(ValueError, match="epsilon_min <= epsilon_start"):
+        HyperParams(epsilon_start=start, epsilon_min=low)
+
+
 def test_hyper_accepts_boundary_values():
     HyperParams(replay_capacity=100, minibatch_size=32, replay_start_size=100,
                 dropout_p=0.0, test_epsilon=1.0)
     HyperParams(test_epsilon=0.0, dropout_p=0.99)
+    HyperParams(epsilon_start=1.0, epsilon_min=1.0)
+    HyperParams(epsilon_start=0.0, epsilon_min=0.0)
 
 
 def test_terminal_layer_has_no_activation():

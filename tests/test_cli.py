@@ -4,8 +4,15 @@ import struct
 import numpy as np
 import pytest
 
+from ramdqn import tensor_core
 from ramdqn.cli import main, write_weight_heatmap
-from ramdqn.harness import CHECKPOINT_MAGIC, TrainingState, checkpoint_save
+from ramdqn.harness import (
+    CHECKPOINT_MAGIC,
+    CheckpointError,
+    TrainingState,
+    checkpoint_load,
+    checkpoint_save,
+)
 from ramdqn.agents import HyperParams
 from ramdqn.harness import ExperimentConfig
 
@@ -154,19 +161,53 @@ BAD_HEADERS = {
 }
 
 
+def small_state():
+    hyper = HyperParams(frame_skip=1, replay_capacity=200, replay_start_size=20,
+                        minibatch_size=8, steps_per_epoch=10, test_steps=10)
+    return TrainingState(ExperimentConfig("micro_catch", "just_ram", hyper=hyper))
+
+
+def command_args(command, tmp_path):
+    return ["--steps", "10"] if command == "eval" else ["--out", str(tmp_path / "x.ppm")]
+
+
 @pytest.mark.parametrize("command", ["eval", "visualize"])
 @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
 def test_bad_checkpoint_header_exit_1(tmp_path, capsys, command, case):
-    hyper = HyperParams(frame_skip=1, replay_capacity=200, replay_start_size=20,
-                        minibatch_size=8, steps_per_epoch=10, test_steps=10)
-    state = TrainingState(ExperimentConfig("micro_catch", "just_ram", hyper=hyper))
     path = tmp_path / "bad.ckpt"
-    checkpoint_save(state, path)
+    checkpoint_save(small_state(), path)
     rewrite_header(path, BAD_HEADERS[case])
-    extra = ["--steps", "10"] if command == "eval" else ["--out", str(tmp_path / "x.ppm")]
-    rc = main([command, "--checkpoint", str(path), *extra])
+    rc = main([command, "--checkpoint", str(path), *command_args(command, tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: corrupt checkpoint")
+
+
+def set_first_array(path, shape, count):
+    """Give the first array `shape` in the header and `count` in its
+    element-count prefix, so that the two still agree."""
+    rewrite_header(path, lambda h: h["arrays"][0].__setitem__("shape", shape))
+    data = bytearray(path.read_bytes())
+    start = len(CHECKPOINT_MAGIC) + 8
+    (hlen,) = struct.unpack("<Q", data[start - 8:start])
+    data[start + hlen:start + hlen + 8] = struct.pack("<Q", count)
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+def test_crafted_array_size_exit_1(tmp_path, capsys, command):
+    # 2**61 elements: more than the file holds.  2**32 x 2**32 with a count
+    # of 0: a 64-bit product of the shape wraps around to 0.  -2 x -3: a
+    # product that fits the data but no array shape.
+    state = small_state()
+    for shape, count in (([2**61], 2**61), ([2**32, 2**32], 0), ([-2, -3], 6)):
+        path = tmp_path / "crafted.ckpt"
+        checkpoint_save(state, path)
+        set_first_array(path, shape, count)
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+            checkpoint_load(path)
+        rc = main([command, "--checkpoint", str(path), *command_args(command, tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: corrupt checkpoint")
 
 
 def test_eval_large_step_override(tmp_path, capsys):
@@ -248,6 +289,27 @@ def test_gradcheck_single_arch(capsys):
 
 def test_gradcheck_unknown_arch():
     assert main(["gradcheck", "--arch", "mega_ram"]) == 2
+
+
+def test_gradcheck_nan_backward_exit_1(monkeypatch, capsys):
+    real = tensor_core.backward
+
+    def nan_backward(*args):
+        return [None if g is None else {k: np.full_like(v, np.nan) for k, v in g.items()}
+                for g in real(*args)]
+
+    monkeypatch.setattr(tensor_core, "backward", nan_backward)
+    rc = main(["gradcheck", "--arch", "just_ram"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "just_ram: max relative error nan" in captured.out
+    assert captured.err.startswith("FAIL:")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-0.5"])
+def test_gradcheck_bad_tolerance_exit_2(capsys, tolerance):
+    assert main(["gradcheck", "--arch", "just_ram", "--tolerance", tolerance]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gradcheck_deterministic(capsys):

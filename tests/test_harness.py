@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from ramdqn import harness
 from ramdqn.agents import HyperParams
 from ramdqn.harness import (
     CheckpointError,
@@ -171,6 +172,27 @@ def test_checkpoint_resume_reproduces_loss_sequence(tmp_path):
     restored = restore_training_state(checkpoint_load(path))
     resumed = [run_training_epoch(restored, 30) for _ in range(3)]
     assert continued == resumed
+
+
+def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    state = TrainingState(small_config())
+    path = tmp_path / "ck.ckpt"
+    checkpoint_save(state, path)
+    before = path.read_bytes()
+    run_training_epoch(state, 30)
+    real, calls = harness._write_array, []
+
+    def fail_second_call(f, arr):
+        calls.append(arr)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real(f, arr)
+
+    monkeypatch.setattr(harness, "_write_array", fail_second_call)
+    with pytest.raises(CheckpointError, match="disk full"):
+        checkpoint_save(state, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ck.ckpt"]
 
 
 def test_checkpoint_truncated_file(tmp_path):

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramdqn import tensor_core
 from ramdqn.tensor_core import (
     LayerSpec,
     ShapeError,
     backward,
-    concat_apply,
-    conv2d_apply,
-    dense_apply,
-    dropout_apply,
     forward,
     gradient_check,
     make_network,
@@ -61,47 +58,71 @@ def test_param_count_input_only():
     assert param_count(net) == 0
 
 
+def layer_net(spec, *in_shapes, params=None):
+    """The float64 network `inputs -> spec`: input i is stream f"x{i}" with
+    per-sample shape in_shapes[i], and `params`, when given, replace the
+    layer's initial weights."""
+    specs = [LayerSpec(kind="input", stream=f"x{i}", shape=s) for i, s in enumerate(in_shapes)]
+    specs.append(replace(spec, input_refs=tuple(range(len(in_shapes)))))
+    net = make_network(specs, np.random.default_rng(0), dtype=np.float64)
+    if params is not None:
+        net.params[-1] = params
+    return net
+
+
+def dense(W, b, activation="none"):
+    return layer_net(LayerSpec(kind="dense", units=len(W), activation=activation),
+                     (W.shape[1],), params={"W": W, "b": b})
+
+
+def conv(kernels, biases, in_shape, stride=1):
+    return layer_net(LayerSpec(kind="conv2d", filters=len(kernels), kernel=kernels.shape[2],
+                               stride=stride),
+                     in_shape, params={"W": kernels, "b": biases})
+
+
 def test_dense_identity():
     x = np.array([[1.0, -2.0, 3.0]])
-    y = dense_apply(np.eye(3), np.zeros(3), x, "none")
+    y = forward(dense(np.eye(3), np.zeros(3), "none"), {"x0": x})[-1]["out"]
     np.testing.assert_array_equal(y, x)
 
 
 def test_dense_rectify():
     x = np.array([[-1.0, 2.0]])
-    y = dense_apply(np.eye(2), np.zeros(2), x, "rectify")
+    y = forward(dense(np.eye(2), np.zeros(2), "rectify"), {"x0": x})[-1]["out"]
     np.testing.assert_array_equal(y, [[0.0, 2.0]])
 
 
 def test_dense_hand_arithmetic():
     W = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([1.0, 1.0])
-    y = dense_apply(W, b, np.array([[1.0, 1.0]]), "none")
+    y = forward(dense(W, b, "none"), {"x0": np.array([[1.0, 1.0]])})[-1]["out"]
     np.testing.assert_array_equal(y, [[4.0, 8.0]])
 
 
 def test_dense_shape_mismatch():
     with pytest.raises(ShapeError):
-        dense_apply(np.eye(3), np.zeros(3), np.ones((1, 2)))
+        forward(dense(np.eye(3), np.zeros(3)), {"x0": np.ones((1, 2))})
 
 
 def test_conv_identity_kernel():
     x = np.arange(16.0).reshape(1, 1, 4, 4)
     k = np.ones((1, 1, 1, 1))
-    y = conv2d_apply(k, np.zeros(1), x, stride=1)
+    y = forward(conv(k, np.zeros(1), (1, 4, 4), stride=1), {"x0": x})[-1]["out"]
     np.testing.assert_array_equal(y, x)
 
 
 def test_conv_window_sums():
     x = np.ones((1, 1, 4, 4))
     k = np.ones((1, 1, 2, 2))
-    y = conv2d_apply(k, np.zeros(1), x, stride=2)
+    y = forward(conv(k, np.zeros(1), (1, 4, 4), stride=2), {"x0": x})[-1]["out"]
     np.testing.assert_array_equal(y, np.full((1, 1, 2, 2), 4.0))
 
 
 def test_conv_kernel_too_large():
     with pytest.raises(ShapeError):
-        conv2d_apply(np.ones((1, 1, 5, 5)), np.zeros(1), np.ones((1, 1, 3, 3)))
+        forward(conv(np.ones((1, 1, 5, 5)), np.zeros(1), (1, 3, 3)),
+                {"x0": np.ones((1, 1, 3, 3))})
 
 
 def naive_conv(x, w, b, stride):
@@ -154,7 +175,8 @@ def test_conv_forward_and_backward_match_definition(case):
     w = rng.standard_normal((f, c, k, k))
     b = rng.standard_normal(f)
     want = naive_conv(x, w, b, stride)
-    np.testing.assert_allclose(conv2d_apply(w, b, x, stride=stride), want, rtol=1e-12, atol=1e-12)
+    got = forward(conv(w, b, (c, h, wd), stride=stride), {"x0": x})[-1]["out"]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     # The conv under test (layer 2) reads a 1x1 conv (layer 1), so its input
     # gradient is computed and shows in layer 1's gradients.
@@ -210,15 +232,19 @@ def test_backward_skipping_input_gradients_keeps_param_gradients(arch):
             np.testing.assert_array_equal(value, twin_grads[pos[i]][key])
 
 
+def dropout(p, width):
+    return layer_net(LayerSpec(kind="dropout", drop_p=p), (width,))
+
+
 def test_dropout_p_zero_is_identity():
     x = np.arange(6.0).reshape(2, 3)
     for mode in ("train", "eval"):
-        out, _ = dropout_apply(x, 0.0, mode, np.random.default_rng(0))
+        out = forward(dropout(0.0, 3), {"x0": x}, mode, np.random.default_rng(0))[-1]["out"]
         np.testing.assert_array_equal(out, x)
 
 
 def test_dropout_eval_scales_by_keep_probability():
-    out, _ = dropout_apply(np.array([2.0, 4.0]), 0.5, "eval")
+    out = forward(dropout(0.5, 2), {"x0": np.array([[2.0, 4.0]])}, "eval")[-1]["out"][0]
     np.testing.assert_array_equal(out, [1.0, 2.0])
 
 
@@ -226,21 +252,27 @@ def test_dropout_train_expectation_matches_eval():
     # Monte-Carlo oracle: mean over masks of the train output approaches the
     # eval output (x * (1-p)).
     rng = np.random.default_rng(42)
-    x = np.full(10_000, 2.0)
-    out, mask = dropout_apply(x, 0.5, "train", rng)
+    x = np.full((1, 10_000), 2.0)
+    rec = forward(dropout(0.5, 10_000), {"x0": x}, "train", rng)[-1]
+    out, mask = rec["out"], rec["mask"]
     assert abs(out.mean() - 1.0) < 0.05
     np.testing.assert_array_equal(out, x * mask)
 
 
+def concat(arrays):
+    net = layer_net(LayerSpec(kind="concat"), *(a.shape[1:] for a in arrays))
+    return forward(net, {f"x{i}": a for i, a in enumerate(arrays)})[-1]["out"]
+
+
 def test_concat_single_input_identity():
     x = np.array([[1.0, 2.0]])
-    np.testing.assert_array_equal(concat_apply([x]), x)
+    np.testing.assert_array_equal(concat([x]), x)
 
 
 def test_concat_definition():
     a = np.array([[1.0, 2.0]])
     b = np.array([[3.0]])
-    np.testing.assert_array_equal(concat_apply([a, b]), [[1.0, 2.0, 3.0]])
+    np.testing.assert_array_equal(concat([a, b]), [[1.0, 2.0, 3.0]])
 
 
 @given(st.lists(st.lists(st.floats(-10, 10), min_size=1, max_size=5),
@@ -248,7 +280,7 @@ def test_concat_definition():
 @settings(max_examples=50, deadline=None)
 def test_concat_length_additivity_and_order(pieces):
     arrays = [np.array([p]) for p in pieces]
-    out = concat_apply(arrays)
+    out = concat(arrays)
     assert out.shape[1] == sum(len(p) for p in pieces)
     flat = [v for p in pieces for v in p]
     np.testing.assert_array_equal(out[0], flat)
@@ -343,6 +375,20 @@ def test_gradient_check_just_ram():
     err = gradient_check(net, {"ram": rng.random((2, 128))}, step=1e-5,
                          probes=100, rng=rng)
     assert err < 1e-5
+
+
+def test_gradient_check_reports_nan_backward(monkeypatch):
+    real = tensor_core.backward
+
+    def nan_backward(*args):
+        return [None if g is None else {k: np.full_like(v, np.nan) for k, v in g.items()}
+                for g in real(*args)]
+
+    monkeypatch.setattr(tensor_core, "backward", nan_backward)
+    rng = np.random.default_rng(5)
+    net = build_architecture("just_ram", 4, rng=rng, dtype=np.float64)
+    err = gradient_check(net, {"ram": rng.random((2, 128))}, probes=10, rng=rng)
+    assert np.isnan(err)
 
 
 def test_gradient_check_big_mixed_ram_32bit():
