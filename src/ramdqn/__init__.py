@@ -16,7 +16,7 @@ from .tensor_core import (
     param_count,
 )
 from .optim import RmsPropState, q_loss_grad, rmsprop_state_for, rmsprop_step
-from .replay import ReplayMemory, Transition
+from .replay import Minibatch, ReplayMemory, Transition
 from .envs import (
     ENV_REGISTRY,
     EnvStepResult,
@@ -39,6 +39,7 @@ from .agents import (
 from .harness import (
     EpochReport,
     ExperimentConfig,
+    TrainingError,
     TrainingState,
     checkpoint_load,
     checkpoint_save,

@@ -171,22 +171,18 @@ def select_action(net, observation_inputs, epsilon, rng, action_count):
     return int(np.argmax(q))
 
 
-def _stack_states(states):
-    streams = states[0].keys()
-    return {k: np.stack([s[k] for s in states]) for k in streams}
-
-
 def compute_targets(net, minibatch, discount):
     """Bellman targets y_i = r_i (+ discount * max_a Q(s'_i, a) if non-terminal).
 
-    Uses the online network in eval mode; terminal next states are never read.
+    `minibatch` is a replay.Minibatch.  Uses the online network in eval mode;
+    terminal next states are never read.
     """
-    if not minibatch:
+    if not len(minibatch):
         raise ValueError("minibatch must be nonempty")
-    targets = np.array([t.reward for t in minibatch], dtype=np.float64)
-    live = [i for i, t in enumerate(minibatch) if not t.terminal]
-    if live and discount > 0.0:
-        batch = _stack_states([minibatch[i].next_state for i in live])
+    targets = np.array(minibatch.reward, dtype=np.float64)
+    live = np.flatnonzero(~minibatch.terminal)
+    if live.size and discount > 0.0:
+        batch = {k: v[live] for k, v in minibatch.next_state.items()}
         acts = forward(net, batch, mode="eval")
         q_next = acts[net.terminal]["out"]
         targets[live] += discount * q_next.max(axis=1)
@@ -197,12 +193,10 @@ def train_step(net, memory, optimizer_state, hyper, sample_rng, dropout_rng=None
     """One parameter update: sample, target, squared-loss gradient, rmsprop."""
     batch = memory.sample_minibatch(hyper.minibatch_size, sample_rng)
     targets = compute_targets(net, batch, hyper.discount)
-    states = _stack_states([t.state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.intp)
     mode = "train" if hyper.dropout_p > 0.0 else "eval"
-    acts = forward(net, states, mode=mode, rng=dropout_rng)
+    acts = forward(net, batch.state, mode=mode, rng=dropout_rng)
     q = acts[net.terminal]["out"]
-    loss, dq = q_loss_grad(q, actions, targets)
+    loss, dq = q_loss_grad(q, batch.action, targets)
     grads = backward(net, acts, dq)
     rmsprop_step(net.params, grads, optimizer_state)
     return loss

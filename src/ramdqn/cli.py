@@ -12,6 +12,7 @@ from .envs import ENV_REGISTRY
 from .harness import (
     CheckpointError,
     ExperimentConfig,
+    TrainingError,
     checkpoint_load,
     network_from_checkpoint,
     run_experiment,
@@ -83,7 +84,7 @@ def cmd_train(args):
 
     try:
         reports, best = run_experiment(config, progress=progress)
-    except (OSError, CheckpointError) as e:
+    except (OSError, CheckpointError, TrainingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
     print(f"best epoch {best} avg_score={reports[best - 1].avg_score:.3f} "

@@ -22,7 +22,7 @@ from .agents import (
 )
 from .envs import PhiBuffer, frame_skip_step, make_env, scale_ram
 from .optim import rmsprop_state_for
-from .replay import ReplayMemory, Transition
+from .replay import ReplayMemory
 from .tensor_core import ShapeError
 
 CHECKPOINT_MAGIC = b"RAMDQN1\n"
@@ -30,6 +30,10 @@ CHECKPOINT_MAGIC = b"RAMDQN1\n"
 
 class CheckpointError(RuntimeError):
     pass
+
+
+class TrainingError(RuntimeError):
+    """Training went wrong, e.g. the loss stopped being finite."""
 
 
 @dataclass
@@ -67,7 +71,8 @@ def build_network(arch, env, hyper, rng, dtype=np.float32):
 class EpisodePipeline:
     """Turns a game into network inputs: the env, the phi window over its
     screens, the frame skip, and the rng that seeds each episode's reset.
-    `streams` names the inputs to build ("ram", "screen")."""
+    `streams` names the inputs to build ("ram", "screen").  `raw` holds the
+    bytes of the latest observation of each of those streams."""
 
     def __init__(self, env, streams, hyper, seed_rng):
         self.env = env
@@ -75,6 +80,7 @@ class EpisodePipeline:
         self.phi = PhiBuffer(hyper.phi_length) if "screen" in streams else None
         self.frame_skip = hyper.frame_skip
         self.seed_rng = seed_rng
+        self.raw = {}
 
     def begin(self):
         """Reset the game; the first inputs of the new episode."""
@@ -89,10 +95,12 @@ class EpisodePipeline:
         return result.reward, result.terminal, self._inputs(result.observation)
 
     def _inputs(self, obs, fresh=False):
-        inputs = {}
+        inputs, self.raw = {}, {}
         if self.ram:
+            self.raw["ram"] = obs.ram
             inputs["ram"] = scale_ram(obs.ram)
         if self.phi is not None:
+            self.raw["screen"] = obs.screen
             inputs["screen"] = self.phi.stack() if fresh else self.phi.observe(obs.screen)
         return inputs
 
@@ -115,17 +123,23 @@ class TrainingState:
         self.episode = EpisodePipeline(env, self.net.input_streams, self.hyper,
                                        np.random.default_rng(env_ss))
         self.opt_state = rmsprop_state_for(self.net, learning_rate=self.hyper.learning_rate)
-        self.replay = ReplayMemory(self.hyper.replay_capacity)
         self.global_step = 0
         self.epochs_done = 0
         self.warmed = False
         self.current_inputs = self.episode.begin()
+        self.replay = ReplayMemory(self.hyper.replay_capacity,
+                                   streams={k: v.shape for k, v in self.episode.raw.items()},
+                                   phi_length=self.hyper.phi_length)
+        self.replay.start_episode(self.episode.raw)
 
     def _take_action(self, action):
         reward, terminal, next_inputs = self.episode.step(action)
-        self.replay.push(Transition(self.current_inputs, action, reward,
-                                    next_inputs, terminal))
-        self.current_inputs = self.episode.begin() if terminal else next_inputs
+        self.replay.push(action, reward, terminal, self.episode.raw)
+        if terminal:
+            self.current_inputs = self.episode.begin()
+            self.replay.start_episode(self.episode.raw)
+        else:
+            self.current_inputs = next_inputs
 
     def warmup(self):
         """Populate the replay memory with random-action transitions."""
@@ -137,9 +151,19 @@ class TrainingState:
         self.warmed = True
 
 
+def _first_nonfinite_layer(net):
+    for i, p in enumerate(net.params):
+        for key in sorted(p or {}):
+            if not np.isfinite(p[key]).all():
+                return f"layer {i} ({net.layers[i].kind}) has a non-finite {key}"
+    return "every parameter is finite"
+
+
 def run_training_epoch(state, steps):
     """Run `steps` frame-skip actions with annealing epsilon, training after
-    every action once the replay memory is warm; returns the mean loss."""
+    every action once the replay memory is warm; returns the mean loss.
+    A non-finite loss raises TrainingError naming the epoch and the first
+    layer with a non-finite parameter."""
     state.warmup()
     hyper = state.hyper
     losses = []
@@ -150,8 +174,12 @@ def run_training_epoch(state, steps):
         state._take_action(action)
         state.global_step += 1
         if len(state.replay) >= max(hyper.replay_start_size, hyper.minibatch_size):
-            losses.append(train_step(state.net, state.replay, state.opt_state,
-                                     hyper, state.sample_rng, state.dropout_rng))
+            loss = train_step(state.net, state.replay, state.opt_state,
+                              hyper, state.sample_rng, state.dropout_rng)
+            if not math.isfinite(loss):
+                raise TrainingError(f"epoch {state.epochs_done + 1}: training loss is "
+                                    f"{loss}; {_first_nonfinite_layer(state.net)}")
+            losses.append(loss)
     state.epochs_done += 1
     return float(np.mean(losses)) if losses else 0.0
 
@@ -240,15 +268,28 @@ def run_experiment(config, progress=None):
 
 # ---------------------------------------------------------------------------
 # Checkpoints: magic, length-prefixed JSON header, then element-count-prefixed
-# little-endian float64 arrays in the order listed by the header.
+# arrays in the order listed by the header: little-endian float64, or bytes
+# for uint8 and bool arrays (entries with "dtype": "u1").
+
+def _stored_dtype(arr):
+    return "u1" if arr.dtype in (np.uint8, np.bool_) else "<f8"
+
+
+def _array_entry(name, shape, data):
+    entry = {"name": name, "shape": shape}
+    if _stored_dtype(data) == "u1":
+        entry["dtype"] = "u1"
+    return entry
+
 
 def _write_array(f, arr):
-    a = np.ascontiguousarray(np.asarray(arr), dtype="<f8").reshape(-1)
+    arr = np.asarray(arr)
+    a = np.ascontiguousarray(arr, dtype=_stored_dtype(arr)).reshape(-1)
     f.write(struct.pack("<Q", a.size))
     f.write(a.tobytes())
 
 
-def _read_array(f, shape):
+def _read_array(f, shape, dtype):
     raw = f.read(8)
     if len(raw) != 8:
         raise CheckpointError("corrupt checkpoint: truncated array header")
@@ -257,10 +298,11 @@ def _read_array(f, shape):
     if count != expected:
         raise CheckpointError(
             f"corrupt checkpoint: array has {count} elements, expected {expected}")
-    if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
+    nbytes = np.dtype(dtype).itemsize * count
+    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
         raise CheckpointError("corrupt checkpoint: truncated array data")
     try:
-        return np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
+        return np.frombuffer(f.read(nbytes), dtype=dtype).reshape(shape)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt checkpoint: bad array shape {list(shape)}") from e
 
@@ -278,28 +320,20 @@ def checkpoint_save(state, path, include_replay=False):
         arr = state.current_inputs[stream]
         arrays.append((f"state_input/{stream}", list(arr.shape), arr))
     if state.episode.phi is not None:
-        frames = np.stack(state.episode.phi.frames)
+        # float64 like every array outside the replay section, which alone
+        # stores its uint8 and bool arrays as bytes
+        frames = np.stack(state.episode.phi.frames).astype(np.float64)
         arrays.append(("phi_frames", list(frames.shape), frames))
 
     replay_meta = None
-    if include_replay and len(state.replay) > 0:
-        items = state.replay.contents()
-        streams = sorted(items[0].state.keys())
+    if include_replay:
+        replay = state.replay
         replay_meta = {
-            "size": len(items),
-            "streams": {s: list(items[0].state[s].shape) for s in streams},
+            "pushes": replay.pushes,
+            "streams": {s: list(f.shape[1:]) for s, f in sorted(replay.frames.items())},
         }
-        for s in streams:
-            arrays.append((f"replay/state/{s}", [len(items)] + replay_meta["streams"][s],
-                           np.stack([t.state[s] for t in items])))
-            arrays.append((f"replay/next/{s}", [len(items)] + replay_meta["streams"][s],
-                           np.stack([t.next_state[s] for t in items])))
-        arrays.append(("replay/action", [len(items)],
-                       np.array([t.action for t in items], dtype=np.float64)))
-        arrays.append(("replay/reward", [len(items)],
-                       np.array([t.reward for t in items], dtype=np.float64)))
-        arrays.append(("replay/terminal", [len(items)],
-                       np.array([1.0 if t.terminal else 0.0 for t in items])))
+        for name, arr in sorted(replay.arrays().items()):
+            arrays.append((f"replay/{name}", list(arr.shape), arr))
 
     header = {
         "version": 1,
@@ -319,7 +353,7 @@ def checkpoint_save(state, path, include_replay=False):
             "env_seed": state.episode.seed_rng.bit_generator.state,
         },
         "env_state": state.episode.env.get_state(),
-        "arrays": [{"name": n, "shape": s} for n, s, _ in arrays],
+        "arrays": [_array_entry(*a) for a in arrays],
         "replay": replay_meta,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -370,9 +404,11 @@ def checkpoint_load(path):
         for entry in header["arrays"]:
             if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                     and isinstance(entry.get("shape"), list)
-                    and all(isinstance(n, int) for n in entry["shape"])):
+                    and all(isinstance(n, int) for n in entry["shape"])
+                    and entry.get("dtype", "<f8") in ("<f8", "u1")):
                 raise CheckpointError(f"corrupt checkpoint: bad array entry {entry!r}")
-            arrays[entry["name"]] = _read_array(f, tuple(entry["shape"]))
+            arrays[entry["name"]] = _read_array(f, tuple(entry["shape"]),
+                                                entry.get("dtype", "<f8"))
     return {"header": header, "arrays": arrays}
 
 
@@ -415,43 +451,77 @@ def network_from_checkpoint(ckpt):
     return net, h, hyper
 
 
+def _copy_into(target, src, name):
+    if src.shape != target.shape:
+        raise ValueError(f"{name} has shape {src.shape}, expected {target.shape}")
+    target[...] = src
+
+
+def _check_layout(value, like, name):
+    """Require `value` to have the keys of dict `like`, each holding the same
+    type of value (bool and int told apart)."""
+    if not isinstance(value, dict) or value.keys() != like.keys():
+        raise ValueError(f"{name} must be a dict with keys {sorted(like)}")
+    for key, v in value.items():
+        if type(v) is not type(like[key]):
+            raise ValueError(f"{name}[{key!r}] must be of type {type(like[key]).__name__}")
+
+
 def restore_training_state(ckpt):
-    """Rebuild a TrainingState from a checkpoint saved with replay included."""
+    """Rebuild a TrainingState from a checkpoint saved with replay included.
+
+    A header entry or array that does not fit the checkpoint's own
+    experiment, or a missing replay section, raises CheckpointError.
+    """
     h = ckpt["header"]
-    hyper = HyperParams(**h["hyper"])
-    config = ExperimentConfig(env_name=h["env"], arch=h["arch"], hyper=hyper,
-                              seed=h["seed"])
-    state = TrainingState(config)
-    load_params_into(state.net, ckpt)
-    for i, acc in enumerate(state.opt_state.mean_square):
-        if acc is None:
-            continue
-        for key in sorted(acc):
-            acc[key][...] = ckpt["arrays"][f"acc/{i}/{key}"].astype(state.net.dtype)
-    state.global_step = h["counters"]["global_step"]
-    state.epochs_done = h["counters"]["epochs_done"]
-    state.warmed = h["counters"]["warmed"]
-    state.explore_rng.bit_generator.state = h["rng"]["explore"]
-    state.dropout_rng.bit_generator.state = h["rng"]["dropout"]
-    state.sample_rng.bit_generator.state = h["rng"]["sample"]
-    state.episode.seed_rng.bit_generator.state = h["rng"]["env_seed"]
-    state.episode.env.set_state(h["env_state"])
-    state.current_inputs = {s: ckpt["arrays"][f"state_input/{s}"].astype(np.float32)
-                            for s in state.net.input_streams}
-    if state.episode.phi is not None:
-        state.episode.phi.frames = list(ckpt["arrays"]["phi_frames"].astype(np.uint8))
-    meta = h.get("replay")
-    if meta:
-        n = meta["size"]
-        streams = sorted(meta["streams"])
-        actions = ckpt["arrays"]["replay/action"]
-        rewards = ckpt["arrays"]["replay/reward"]
-        terminals = ckpt["arrays"]["replay/terminal"]
-        for i in range(n):
-            s = {k: ckpt["arrays"][f"replay/state/{k}"][i].astype(np.float32)
-                 for k in streams}
-            ns = {k: ckpt["arrays"][f"replay/next/{k}"][i].astype(np.float32)
-                  for k in streams}
-            state.replay.push(Transition(s, int(actions[i]), float(rewards[i]),
-                                         ns, bool(terminals[i])))
+    arrays = ckpt["arrays"]
+    try:
+        hyper = HyperParams(**h["hyper"])
+        config = ExperimentConfig(env_name=h["env"], arch=h["arch"], hyper=hyper,
+                                  seed=h["seed"])
+        state = TrainingState(config)
+        load_params_into(state.net, ckpt)
+        for i, acc in enumerate(state.opt_state.mean_square):
+            for key in sorted(acc or {}):
+                _copy_into(acc[key], arrays[f"acc/{i}/{key}"], f"acc/{i}/{key}")
+
+        counters = h["counters"]
+        _check_layout(counters, {"global_step": 0, "epochs_done": 0, "warmed": False},
+                      "counters")
+        if counters["global_step"] < 0 or counters["epochs_done"] < 0:
+            raise ValueError("counters must not be negative")
+        state.global_step = counters["global_step"]
+        state.epochs_done = counters["epochs_done"]
+        state.warmed = counters["warmed"]
+
+        rngs = {"explore": state.explore_rng, "dropout": state.dropout_rng,
+                "sample": state.sample_rng, "env_seed": state.episode.seed_rng}
+        _check_layout(h["rng"], {k: {} for k in rngs}, "rng")
+        for key, rng in rngs.items():
+            rng.bit_generator.state = h["rng"][key]
+
+        env, like = state.episode.env, state.episode.env.get_state()
+        _check_layout(h["env_state"], like, "env_state")
+        _check_layout(h["env_state"]["vars"], like["vars"], "env_state vars")
+        env.set_state(h["env_state"])
+
+        for s, inputs in state.current_inputs.items():
+            _copy_into(inputs, arrays[f"state_input/{s}"], f"state_input/{s}")
+        if state.episode.phi is not None:
+            frames = np.stack(state.episode.phi.frames)
+            _copy_into(frames, arrays["phi_frames"], "phi_frames")
+            state.episode.phi.frames = list(frames)
+
+        meta = h["replay"]
+        if meta is None:
+            raise ValueError("no replay section: save with include_replay=True")
+        streams = {s: list(f.shape[1:]) for s, f in state.replay.frames.items()}
+        _check_layout(meta, {"pushes": 0, "streams": {}}, "replay")
+        if meta["streams"] != streams:
+            raise ValueError(f"replay streams {meta['streams']} != {streams}")
+        prefix = "replay/"
+        state.replay.restore({n[len(prefix):]: a for n, a in arrays.items()
+                              if n.startswith(prefix)}, meta["pushes"])
+    except (KeyError, TypeError, ValueError, IndexError, ShapeError) as e:
+        raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e
     return state

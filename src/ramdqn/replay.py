@@ -1,16 +1,37 @@
-"""Bounded experience store with uniform minibatch sampling."""
+"""Bounded experience store: a uint8 ring of observations with uniform
+minibatch sampling."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
 
-@dataclass
+STACKED_STREAM = "screen"  # its states are the last phi_length frames
+
+
+def _scaled(raw):
+    """Observation bytes as network inputs in [0, 255/256], equal to those of
+    `envs.scale_ram` and `PhiBuffer`: scaling by a power of two is exact."""
+    out = raw.astype(np.float32)
+    out *= np.float32(1 / 256)
+    return out
+
+
+def _inputs_equal(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+@dataclass(eq=False)
 class Transition:
     """One (state, action, reward, next_state, terminal) record.
 
-    States are network-ready input dicts (stream name -> array).  The
-    next_state of a terminal transition is stored but never bootstrapped.
+    States are network-ready input dicts (stream name -> float32 array).  The
+    next_state of a terminal transition is never bootstrapped: the replay
+    ring may have overwritten it, in whole or in part, with the next
+    episode's first frame.
+    Transitions are equal when their fields are, arrays compared by value.
     """
 
     state: dict
@@ -19,35 +40,198 @@ class Transition:
     next_state: dict
     terminal: bool
 
+    def __eq__(self, other):
+        if not isinstance(other, Transition):
+            return NotImplemented
+        return ((self.action, self.reward, self.terminal)
+                == (other.action, other.reward, other.terminal)
+                and _inputs_equal(self.state, other.state)
+                and _inputs_equal(self.next_state, other.next_state))
 
-class ReplayMemory:
-    """FIFO ring buffer; uniform sampling with replacement."""
 
-    def __init__(self, capacity=100_000):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._ring = []
-        self._cursor = 0
+class _TransitionRows(Sequence):
+    """A sequence of Transitions; equal to any sequence of equal items."""
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
+@dataclass(eq=False)
+class Minibatch(_TransitionRows):
+    """Transitions as arrays, one row each: `state` and `next_state` map a
+    stream to a (n, ...) float32 array; `action` (intp), `reward` (float64)
+    and `terminal` (bool) are (n,).  Indexing gives row i as a Transition."""
+
+    state: dict
+    action: np.ndarray
+    reward: np.ndarray
+    next_state: dict
+    terminal: np.ndarray
 
     def __len__(self):
-        return len(self._ring)
+        return len(self.action)
 
-    def push(self, transition):
-        if len(self._ring) < self.capacity:
-            self._ring.append(transition)
-        else:
-            self._ring[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+    def __getitem__(self, i):
+        return Transition({k: v[i] for k, v in self.state.items()}, int(self.action[i]),
+                          float(self.reward[i]),
+                          {k: v[i] for k, v in self.next_state.items()},
+                          bool(self.terminal[i]))
+
+
+class _Contents(_TransitionRows):
+    """The stored transitions, oldest first, each built when it is read."""
+
+    def __init__(self, memory, numbers):
+        self._memory = memory
+        self._numbers = numbers
+
+    def __len__(self):
+        return len(self._numbers)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Contents(self._memory, self._numbers[i])
+        return self._memory._gather(np.atleast_1d(self._numbers[i]))[0]
+
+
+class ReplayMemory:
+    """FIFO store of the last `capacity` transitions; uniform sampling with
+    replacement.
+
+    Each step is stored once, as bytes, in a ring of capacity + phi_length
+    slots: slot j holds the uint8 observation of every stream (`streams`
+    maps a name to the shape of one observation), the action, reward and
+    terminal flag of the transition taken from it, and whether an episode
+    starts there.  Transition number k acts from slot k and leads to slot
+    k + 1 (mod the slot count).  The `screen` stream's states are stacks of
+    the last phi_length frames, the episode's first frame repeated where the
+    episode is younger, as `PhiBuffer` builds them; other streams' states
+    are the one observation.  Observations are scaled by 1/256 when read.
+
+    Episodes are written in order: `start_episode(obs)`, then one
+    `push(action, reward, terminal, next_obs)` per step, and a new
+    `start_episode` only after a terminal push, whose next observation it
+    overwrites.
+    """
+
+    def __init__(self, capacity=100_000, *, streams, phi_length=1):
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        if phi_length <= 0:
+            raise ValueError("phi_length must be positive")
+        self.capacity = capacity
+        self.phi_length = phi_length
+        self.pushes = 0
+        slots = capacity + phi_length  # the oldest stack survives a wrap
+        # np.zeros: Linux backs the pages lazily, so unused capacity costs no RSS.
+        self.frames = {name: np.zeros((slots,) + tuple(shape), dtype=np.uint8)
+                       for name, shape in streams.items()}
+        self.action = np.zeros(slots, dtype=np.int32)
+        self.reward = np.zeros(slots, dtype=np.float64)
+        self.terminal = np.zeros(slots, dtype=bool)
+        self.start = np.zeros(slots, dtype=bool)
+
+    def __len__(self):
+        return min(self.pushes, self.capacity)
+
+    def _write(self, slot, obs):
+        if obs.keys() != self.frames.keys():
+            raise ValueError(f"observation streams {sorted(obs)} != {sorted(self.frames)}")
+        for name, frames in self.frames.items():
+            frames[slot] = obs[name]
+
+    def start_episode(self, obs):
+        """Store the first observation of an episode (stream -> uint8 array)."""
+        slot = self.pushes % len(self.start)
+        if self.pushes and not self.terminal[slot - 1]:
+            raise ValueError("an episode can only start after a terminal transition")
+        self._write(slot, obs)
+        self.start[slot] = True
+
+    def push(self, action, reward, terminal, next_obs):
+        """Store the transition taken from the latest observation; `next_obs`
+        is the observation it led to."""
+        slots = len(self.start)
+        slot = self.pushes % slots
+        if not (self.start[slot] or (self.pushes and not self.terminal[slot - 1])):
+            raise ValueError("no episode in progress: call start_episode first")
+        self.action[slot] = action
+        self.reward[slot] = reward
+        self.terminal[slot] = terminal
+        after = (slot + 1) % slots
+        self._write(after, next_obs)
+        self.start[after] = False
+        self.pushes += 1
+
+    def _numbers(self, positions):
+        """Transition numbers at list positions: position p holds the latest
+        push whose number is p mod capacity, as a list ring written in push
+        order would."""
+        last = self.pushes - 1
+        return last - (last - positions) % self.capacity
+
+    def _walk(self, numbers):
+        """(n, phi_length + 1) slots, oldest first: the frames of the state
+        stacks of transitions `numbers`, then the slots they lead to.  The
+        walk back stops at an episode's first frame, which repeats."""
+        slots = len(self.start)
+        cols = [(numbers + 1) % slots, numbers % slots]
+        for _ in range(self.phi_length - 1):
+            prev = cols[-1]
+            cols.append(np.where(self.start[prev], prev, (prev - 1) % slots))
+        return np.stack(cols[::-1], axis=1)
+
+    def _gather(self, numbers):
+        # A next state is its state stack moved on by one frame, which for a
+        # terminal transition mixes two episodes; it is never bootstrapped.
+        walk = self._walk(numbers)
+        here = walk[:, -2]
+        state, next_state = {}, {}
+        for name, frames in self.frames.items():
+            if name == STACKED_STREAM:
+                raw = frames[walk]
+                state[name], next_state[name] = _scaled(raw[:, :-1]), _scaled(raw[:, 1:])
+            else:
+                raw = frames[walk[:, -2:]]
+                state[name], next_state[name] = _scaled(raw[:, 0]), _scaled(raw[:, 1])
+        return Minibatch(state, self.action[here].astype(np.intp), self.reward[here],
+                         next_state, self.terminal[here])
 
     def contents(self):
-        """Stored transitions, oldest first."""
-        return self._ring[self._cursor:] + self._ring[:self._cursor]
+        """Stored transitions, oldest first, as a sequence whose items are
+        built when read; it reads the ring, so take it again after a push."""
+        return _Contents(self, np.arange(self.pushes - len(self), self.pushes))
 
     def sample_minibatch(self, n, rng):
-        if n > len(self._ring):
+        """`n` transitions drawn uniformly with replacement, as a Minibatch."""
+        if n > len(self):
             raise ValueError(
-                f"cannot sample {n} transitions from a memory of size {len(self._ring)}"
+                f"cannot sample {n} transitions from a memory of size {len(self)}"
             )
-        idx = rng.integers(0, len(self._ring), size=n)
-        return [self._ring[i] for i in idx]
+        idx = rng.integers(0, len(self), size=n)
+        return self._gather(self._numbers(idx))
+
+    def arrays(self):
+        """The ring's arrays by name, for checkpoints."""
+        out = {f"frames/{name}": frames for name, frames in self.frames.items()}
+        out.update(action=self.action, reward=self.reward, terminal=self.terminal,
+                   start=self.start)
+        return out
+
+    def restore(self, arrays, pushes):
+        """Load arrays saved from `arrays()` and the push count; a missing,
+        extra or misshapen array or a bad count raises ValueError."""
+        if type(pushes) is not int or pushes < 0:
+            raise ValueError(f"push count must be an integer >= 0, got {pushes!r}")
+        mine = self.arrays()
+        if arrays.keys() != mine.keys():
+            raise ValueError(f"replay arrays {sorted(arrays)} != {sorted(mine)}")
+        for name, target in mine.items():
+            if arrays[name].shape != target.shape:
+                raise ValueError(f"replay array {name} has shape {arrays[name].shape}, "
+                                 f"expected {target.shape}")
+        for name, target in mine.items():
+            target[...] = arrays[name]
+        self.pushes = pushes

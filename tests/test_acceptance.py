@@ -106,13 +106,22 @@ def test_tabular_oracle_equivalence():
     net = make_network(specs, np.random.default_rng(0), dtype=np.float64)
     net.params[1]["W"][...] = 0.0
     opt = rmsprop_state_for(net, learning_rate=0.01)
-    mem = ReplayMemory(64)
+
+    def onehot_bytes(s):
+        ram = np.zeros(128, dtype=np.uint8)
+        ram[s] = 255  # onehot(s) once scaled
+        return {"ram": ram}
+
+    # Four episodes from state 3, each taking every (state, action) pair
+    # once: left down to 0, left again, then right into the terminal state.
+    mem = ReplayMemory(64, streams={"ram": (128,)})
     for _ in range(4):
-        for s in range(4):
-            for a in range(2):
-                ns = s + 1 if a == 1 else max(s - 1, 0)
-                mem.push(Transition(onehot(s), a, 1.0 if ns == 4 else 0.0,
-                                    onehot(min(ns, 4)), ns == 4))
+        s = 3
+        mem.start_episode(onehot_bytes(s))
+        for a in (0, 0, 0, 0, 1, 1, 1, 1):
+            ns = s + 1 if a == 1 else max(s - 1, 0)
+            mem.push(a, 1.0 if ns == 4 else 0.0, ns == 4, onehot_bytes(min(ns, 4)))
+            s = ns
     hyper = HyperParams(minibatch_size=32, replay_start_size=32, frame_skip=1,
                         discount=gamma, steps_per_epoch=1, test_steps=1)
     rng = np.random.default_rng(4)
@@ -191,18 +200,20 @@ def test_protocol_fidelity():
     assert hyper.replay_capacity == 100_000
     assert hyper.replay_start_size == 100
 
-    mem = ReplayMemory(hyper.replay_capacity)
-    t0 = Transition({"ram": np.zeros(1, np.float32)}, 0, 0.0,
-                    {"ram": np.zeros(1, np.float32)}, False)
+    zero = {"ram": np.zeros(1, np.uint8)}
+    mem = ReplayMemory(hyper.replay_capacity, streams={"ram": (1,)})
+    mem.start_episode(zero)
     for _ in range(hyper.replay_capacity + 1):
-        mem.push(t0)
+        mem.push(0, 0.0, False, zero)
     assert len(mem) == hyper.replay_capacity
 
-    small = ReplayMemory(3)
-    items = [Transition({"ram": np.full(1, i, np.float32)}, 0, float(i),
-                        {"ram": np.zeros(1, np.float32)}, False) for i in range(5)]
-    for t in items:
-        small.push(t)
+    small = ReplayMemory(3, streams={"ram": (1,)})
+    small.start_episode(zero)
+    items = [Transition({"ram": np.full(1, i / 256, np.float32)}, 0, float(i),
+                        {"ram": np.full(1, (i + 1) / 256, np.float32)}, False)
+             for i in range(5)]
+    for i in range(5):
+        small.push(0, float(i), False, {"ram": np.full(1, i + 1, np.uint8)})
     assert small.contents() == items[-3:]
 
     config = ExperimentConfig(

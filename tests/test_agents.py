@@ -12,7 +12,7 @@ from ramdqn.agents import (
     train_step,
 )
 from ramdqn.optim import rmsprop_state_for
-from ramdqn.replay import ReplayMemory, Transition
+from ramdqn.replay import Minibatch, ReplayMemory
 from ramdqn.tensor_core import LayerSpec, forward, make_network
 
 
@@ -197,35 +197,40 @@ def onehot_ram(i):
     return {"ram": ram}
 
 
+def ram_batch(rams, actions, rewards, next_rams, terminals):
+    """A Minibatch of the `ram` stream, one row per list entry."""
+    return Minibatch({"ram": np.array(rams)}, np.array(actions, dtype=np.intp),
+                     np.array(rewards, dtype=np.float64), {"ram": np.array(next_rams)},
+                     np.array(terminals, dtype=bool))
+
+
 def test_compute_targets_terminal_cutoff():
     net = fixed_q_net([100.0, 100.0])
-    t = Transition(state=onehot_ram(0), action=0, reward=5.0,
-                   next_state=onehot_ram(1), terminal=True)
-    targets = compute_targets(net, [t], 0.95)
+    batch = ram_batch([onehot_ram(0)["ram"]], [0], [5.0], [onehot_ram(1)["ram"]], [True])
+    targets = compute_targets(net, batch, 0.95)
     np.testing.assert_array_equal(targets, [5.0])
 
 
 def test_compute_targets_bellman_arithmetic():
     net = fixed_q_net([2.0, 1.0])
-    t = Transition(state={"ram": np.ones(3)}, action=0, reward=1.0,
-                   next_state={"ram": np.ones(3)}, terminal=False)
-    targets = compute_targets(net, [t], 0.95)
+    batch = ram_batch([np.ones(3)], [0], [1.0], [np.ones(3)], [False])
+    targets = compute_targets(net, batch, 0.95)
     np.testing.assert_allclose(targets, [1.0 + 0.95 * 2.0])
 
 
 def test_compute_targets_myopic_at_gamma_zero():
     net = fixed_q_net([50.0, -3.0])
-    batch = [Transition({"ram": np.ones(3)}, 0, float(r), {"ram": np.ones(3)}, False)
-             for r in range(4)]
+    batch = ram_batch([np.ones(3)] * 4, [0] * 4, [float(r) for r in range(4)],
+                      [np.ones(3)] * 4, [False] * 4)
     np.testing.assert_array_equal(compute_targets(net, batch, 0.0),
                                   [0.0, 1.0, 2.0, 3.0])
 
 
 def test_compute_targets_never_reads_terminal_next_state():
     net = fixed_q_net([1.0, 1.0])
-    poison = {"ram": np.full(3, np.nan)}
-    t = Transition({"ram": np.ones(3)}, 0, 2.0, poison, True)
-    targets = compute_targets(net, [t], 0.95)
+    poison = np.full(3, np.nan)
+    batch = ram_batch([np.ones(3)], [0], [2.0], [poison], [True])
+    targets = compute_targets(net, batch, 0.95)
     np.testing.assert_array_equal(targets, [2.0])
 
 
@@ -243,13 +248,17 @@ def test_train_step_deterministic():
         net = build_architecture("just_ram", 3, rng=np.random.default_rng(1),
                                  dtype=np.float64)
         opt = rmsprop_state_for(net)
-        mem = ReplayMemory(16)
+        mem = ReplayMemory(16, streams={"ram": (128,)})
         data_rng = np.random.default_rng(2)
+
+        def observe():
+            return {"ram": data_rng.integers(0, 256, 128, dtype=np.uint8)}
+
+        mem.start_episode(observe())
         for i in range(8):
-            mem.push(Transition({"ram": data_rng.random(128).astype(np.float32)},
-                                i % 3, float(i % 2),
-                                {"ram": data_rng.random(128).astype(np.float32)},
-                                i % 4 == 0))
+            mem.push(i % 3, float(i % 2), i % 4 == 0, observe())
+            if i % 4 == 0:
+                mem.start_episode(observe())
         losses.append(train_step(net, mem, opt, small_hyper(), rng))
     assert losses[0] == losses[1]
 
@@ -264,10 +273,11 @@ def test_train_step_perfect_fit_keeps_params():
             for v in p.values():
                 v[...] = 0.0
     opt = rmsprop_state_for(net)
-    mem = ReplayMemory(8)
-    s = {"ram": np.random.default_rng(0).random(128).astype(np.float32)}
+    mem = ReplayMemory(8, streams={"ram": (128,)})
+    s = {"ram": np.random.default_rng(0).integers(0, 256, 128, dtype=np.uint8)}
     for _ in range(4):
-        mem.push(Transition(s, 1, 0.0, s, True))
+        mem.start_episode(s)
+        mem.push(1, 0.0, True, s)
     loss = train_step(net, mem, opt, small_hyper(), np.random.default_rng(5))
     assert loss == 0.0
     for p in net.params:
@@ -280,10 +290,11 @@ def test_train_step_converges_on_single_transition():
     net = build_architecture("just_ram", 3, rng=np.random.default_rng(1),
                              dtype=np.float64)
     opt = rmsprop_state_for(net, learning_rate=0.001)
-    mem = ReplayMemory(8)
-    s = {"ram": np.random.default_rng(0).random(128).astype(np.float32)}
+    mem = ReplayMemory(8, streams={"ram": (128,)})
+    s = {"ram": np.random.default_rng(0).integers(0, 256, 128, dtype=np.uint8)}
     for _ in range(4):
-        mem.push(Transition(s, 2, 1.0, s, True))
+        mem.start_episode(s)
+        mem.push(2, 1.0, True, s)
     rng = np.random.default_rng(9)
     hyper = small_hyper()
     losses = [train_step(net, mem, opt, hyper, rng) for _ in range(500)]
@@ -322,14 +333,22 @@ def test_tabular_equivalence_with_value_iteration():
     net = make_network(specs, np.random.default_rng(0), dtype=np.float64)
     net.params[1]["W"][...] = 0.0
     opt = rmsprop_state_for(net, learning_rate=0.01)
-    mem = ReplayMemory(64)
+    def onehot_bytes(i):
+        ram = np.zeros(128, dtype=np.uint8)
+        ram[i] = 255  # onehot_ram(i) once scaled
+        return {"ram": ram}
+
+    # Four episodes from state 3, each taking every (state, action) pair
+    # once: left down to 0, left again, then right into the terminal state.
+    mem = ReplayMemory(64, streams={"ram": (128,)})
     for _ in range(4):
-        for s in range(4):
-            for a in range(2):
-                ns = min(s + 1, 4) if a == 1 else max(s - 1, 0)
-                r = 1.0 if ns == 4 else 0.0
-                mem.push(Transition(onehot_ram(s), a, r, onehot_ram(min(ns, 4)),
-                                    ns == 4))
+        s = 3
+        mem.start_episode(onehot_bytes(s))
+        for a in (0, 0, 0, 0, 1, 1, 1, 1):
+            ns = min(s + 1, 4) if a == 1 else max(s - 1, 0)
+            r = 1.0 if ns == 4 else 0.0
+            mem.push(a, r, ns == 4, onehot_bytes(min(ns, 4)))
+            s = ns
     hyper = small_hyper(minibatch_size=32, replay_start_size=32, discount=gamma)
     rng = np.random.default_rng(4)
     for _ in range(5000):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from ramdqn import tensor_core
+from ramdqn import harness, tensor_core
 from ramdqn.cli import main, write_weight_heatmap
 from ramdqn.harness import (
     CHECKPOINT_MAGIC,
@@ -35,6 +35,15 @@ def test_train_writes_csv_rows(tmp_path, capsys):
     lines = (out / "curve.csv").read_text().strip().split("\n")
     assert len(lines) == 3  # header + 2 epochs
     assert "best epoch" in capsys.readouterr().out
+
+
+def test_train_nonfinite_loss_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "train_step", lambda *args: float("nan"))
+    rc, out = run_train(tmp_path)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: epoch 1: training loss is nan; every parameter is finite")
+    assert not (out / "curve.csv").exists()
 
 
 def test_train_unknown_env_exit_2(tmp_path):

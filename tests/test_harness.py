@@ -10,6 +10,7 @@ from ramdqn.harness import (
     CheckpointError,
     EpochReport,
     ExperimentConfig,
+    TrainingError,
     TrainingState,
     best_epoch,
     checkpoint_load,
@@ -161,17 +162,22 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 
 
 def test_checkpoint_resume_reproduces_loss_sequence(tmp_path):
-    config = small_config()
-    state = TrainingState(config)
-    state.warmup()
-    run_training_epoch(state, 60)
-    path = tmp_path / "mid.ckpt"
-    checkpoint_save(state, path, include_replay=True)
+    # RAM only, and the screen (nips) with a replay ring that has wrapped
+    # around before the save.
+    for config in (small_config(),
+                   small_config(arch="nips", hyper=small_hyper(replay_capacity=40))):
+        state = TrainingState(config)
+        state.warmup()
+        run_training_epoch(state, 60)
+        if config.arch == "nips":
+            assert state.replay.pushes > state.replay.capacity
+        path = tmp_path / "mid.ckpt"
+        checkpoint_save(state, path, include_replay=True)
 
-    continued = [run_training_epoch(state, 30) for _ in range(3)]
-    restored = restore_training_state(checkpoint_load(path))
-    resumed = [run_training_epoch(restored, 30) for _ in range(3)]
-    assert continued == resumed
+        continued = [run_training_epoch(state, 30) for _ in range(3)]
+        restored = restore_training_state(checkpoint_load(path))
+        resumed = [run_training_epoch(restored, 30) for _ in range(3)]
+        assert continued == resumed
 
 
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
@@ -219,3 +225,110 @@ def test_checkpoint_load_into_mismatched_architecture(tmp_path):
     other = build_architecture("big_ram", 3, rng=np.random.default_rng(0))
     with pytest.raises(Exception, match="layer"):
         load_params_into(other, checkpoint_load(path))
+
+
+def _set(*keys, value):
+    def edit(ckpt):
+        d = ckpt["header"]
+        for k in keys[:-1]:
+            d = d[k]
+        d[keys[-1]] = value
+    return edit
+
+
+def _pop(*keys):
+    def edit(ckpt):
+        d = ckpt["header"]
+        for k in keys[:-1]:
+            d = d[k]
+        d.pop(keys[-1])
+    return edit
+
+
+def _replace_array(name, shape):
+    def edit(ckpt):
+        ckpt["arrays"][name] = np.zeros(shape, dtype=ckpt["arrays"][name].dtype)
+    return edit
+
+
+# One edit per header entry that only restore_training_state reads, and of
+# the replay arrays; small_config's ring has 500 + 4 slots of 128 RAM bytes.
+BAD_RESUME_EDITS = {
+    "no_counters": _pop("counters"),
+    "counters_not_dict": _set("counters", value=[0, 0, False]),
+    "counter_missing": _pop("counters", "global_step"),
+    "counter_negative": _set("counters", "epochs_done", value=-1),
+    "counter_float": _set("counters", "global_step", value=1.5),
+    "warmed_not_bool": _set("counters", "warmed", value=1),
+    "no_rng": _pop("rng"),
+    "rng_not_dict": _set("rng", value="pcg"),
+    "rng_stream_missing": _pop("rng", "sample"),
+    "rng_state_not_dict": _set("rng", "explore", value=7),
+    "rng_wrong_generator": _set("rng", "dropout", value={"bit_generator": "MT19937"}),
+    "no_env_state": _pop("env_state"),
+    "env_state_not_dict": _set("env_state", value=None),
+    "env_var_missing": _pop("env_state", "vars", "paddle"),
+    "env_var_wrong_type": _set("env_state", "vars", "paddle", value="left"),
+    "env_terminal_not_bool": _set("env_state", "terminal", value="no"),
+    "env_rng_bad": _set("env_state", "rng", value={}),
+    "no_replay_section": _set("replay", value=None),
+    "replay_not_dict": _set("replay", value=3),
+    "replay_streams_differ": _set("replay", "streams", value={"screen": [16, 16]}),
+    "replay_stream_shape": _set("replay", "streams", value={"ram": [64]}),
+    "pushes_missing": _pop("replay", "pushes"),
+    "pushes_negative": _set("replay", "pushes", value=-1),
+    "pushes_float": _set("replay", "pushes", value=2.5),
+    "pushes_bool": _set("replay", "pushes", value=True),
+    "frames_short": _replace_array("replay/frames/ram", (503, 128)),
+    "frames_narrow": _replace_array("replay/frames/ram", (504, 64)),
+    "flags_broadcastable": _replace_array("replay/start", (1,)),
+    "acc_broadcastable": _replace_array("acc/1/W", (1,)),
+    "state_input_shape": _replace_array("state_input/ram", (64,)),
+}
+
+
+@pytest.fixture(scope="module")
+def resumable_checkpoint(tmp_path_factory):
+    state = TrainingState(small_config())
+    state.warmup()
+    run_training_epoch(state, 30)
+    path = tmp_path_factory.mktemp("resume") / "r.ckpt"
+    checkpoint_save(state, path, include_replay=True)
+    return path
+
+
+def test_restore_accepts_unedited_checkpoint(resumable_checkpoint):
+    restored = restore_training_state(checkpoint_load(resumable_checkpoint))
+    assert restored.replay.pushes == 50 and restored.global_step == 30
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RESUME_EDITS))
+def test_restore_rejects_bad_resume_entries(resumable_checkpoint, case):
+    ckpt = checkpoint_load(resumable_checkpoint)
+    BAD_RESUME_EDITS[case](ckpt)
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        restore_training_state(ckpt)
+
+
+def test_replay_checkpoint_stores_bytes(tmp_path):
+    # The ring's observations are written as one byte each, not as float64.
+    state = TrainingState(small_config())
+    state.warmup()
+    with_replay, without = tmp_path / "r.ckpt", tmp_path / "n.ckpt"
+    checkpoint_save(state, with_replay, include_replay=True)
+    checkpoint_save(state, without)
+    ring_bytes = sum(a.nbytes for a in state.replay.arrays().values())
+    extra = with_replay.stat().st_size - without.stat().st_size
+    assert ring_bytes < extra < 2 * ring_bytes  # float64 frames: over 7 times
+    arrays = checkpoint_load(with_replay)["arrays"]
+    assert arrays["replay/frames/ram"].dtype == np.uint8
+
+
+def test_nonfinite_loss_names_epoch_and_layer():
+    state = TrainingState(small_config())
+    state.warmup()
+    run_training_epoch(state, 5)
+    state.net.params[1]["W"][0, 0] = np.nan
+    with pytest.raises(TrainingError, match=r"epoch 2: training loss is nan; "
+                                            r"layer 1 \(dense\) has a non-finite W"):
+        run_training_epoch(state, 5)

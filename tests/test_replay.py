@@ -4,68 +4,84 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ramdqn.envs import PhiBuffer, scale_ram
 from ramdqn.replay import ReplayMemory, Transition
 
 
+def ram_obs(tag):
+    return {"ram": np.full(4, tag, dtype=np.uint8)}
+
+
+def new_memory(capacity=100_000, first=0):
+    """A RAM-only memory whose one episode starts at observation `first`."""
+    mem = ReplayMemory(capacity, streams={"ram": (4,)})
+    mem.start_episode(ram_obs(first))
+    return mem
+
+
+def push(mem, tag):
+    """Step `tag` of the episode: from observation `tag` to `tag + 1`."""
+    mem.push(tag % 3, float(tag), False, ram_obs(tag + 1))
+
+
 def make_transition(tag):
-    return Transition(state={"ram": np.full(4, tag, dtype=np.float32)},
+    """What a memory returns for step `tag` of that episode."""
+    return Transition(state={"ram": np.full(4, tag / 256, dtype=np.float32)},
                       action=tag % 3, reward=float(tag),
-                      next_state={"ram": np.full(4, tag + 1, dtype=np.float32)},
+                      next_state={"ram": np.full(4, (tag + 1) / 256, dtype=np.float32)},
                       terminal=False)
 
 
 def test_push_to_empty():
-    mem = ReplayMemory(capacity=10)
-    mem.push(make_transition(0))
+    mem = new_memory(capacity=10)
+    push(mem, 0)
     assert len(mem) == 1
 
 
 def test_fifo_eviction():
-    mem = ReplayMemory(capacity=2)
+    mem = new_memory(capacity=2)
     a, b, c = (make_transition(i) for i in range(3))
-    mem.push(a)
-    mem.push(b)
-    mem.push(c)
+    for i in range(3):
+        push(mem, i)
     assert len(mem) == 2
     assert mem.contents() == [b, c]
 
 
 def test_default_capacity_bound():
-    mem = ReplayMemory()
-    t = make_transition(0)
+    mem = new_memory()
     for _ in range(100_001):
-        mem.push(t)
+        push(mem, 0)
     assert len(mem) == 100_000
 
 
 def test_sample_single():
-    mem = ReplayMemory(capacity=4)
+    mem = new_memory(capacity=4, first=7)
     t = make_transition(7)
-    mem.push(t)
+    push(mem, 7)
     assert mem.sample_minibatch(1, np.random.default_rng(0)) == [t]
 
 
 def test_sample_insufficient_contents():
-    mem = ReplayMemory(capacity=64)
+    mem = new_memory(capacity=64)
     for i in range(31):
-        mem.push(make_transition(i))
+        push(mem, i)
     with pytest.raises(ValueError):
         mem.sample_minibatch(32, np.random.default_rng(0))
 
 
 def test_sampling_does_not_mutate():
-    mem = ReplayMemory(capacity=8)
+    mem = new_memory(capacity=8)
     for i in range(8):
-        mem.push(make_transition(i))
-    before = mem.contents()
+        push(mem, i)
+    before = list(mem.contents())
     mem.sample_minibatch(8, np.random.default_rng(1))
     assert mem.contents() == before
 
 
 def test_sampling_deterministic_given_seed():
-    mem = ReplayMemory(capacity=16)
+    mem = new_memory(capacity=16)
     for i in range(16):
-        mem.push(make_transition(i))
+        push(mem, i)
     s1 = mem.sample_minibatch(8, np.random.default_rng(5))
     s2 = mem.sample_minibatch(8, np.random.default_rng(5))
     assert s1 == s2
@@ -74,9 +90,9 @@ def test_sampling_deterministic_given_seed():
 def test_chi_square_uniformity():
     # 1e5 draws over 10 items; chi-square test must not reject uniformity at
     # significance 0.001.
-    mem = ReplayMemory(capacity=10)
+    mem = new_memory(capacity=10)
     for i in range(10):
-        mem.push(make_transition(i))
+        push(mem, i)
     rng = np.random.default_rng(123)
     counts = np.zeros(10)
     for _ in range(10_000):
@@ -89,8 +105,123 @@ def test_chi_square_uniformity():
 @given(st.integers(1, 20), st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_contents_are_last_k_pushes_in_order(capacity, pushes):
-    mem = ReplayMemory(capacity=capacity)
+    mem = new_memory(capacity=capacity)
     items = [make_transition(i) for i in range(pushes)]
-    for t in items:
-        mem.push(t)
+    for i in range(pushes):
+        push(mem, i)
     assert mem.contents() == items[-capacity:]
+
+
+def test_contents_slices_like_a_list():
+    mem = new_memory(capacity=5)
+    for i in range(7):
+        push(mem, i)
+    items = [make_transition(i) for i in range(2, 7)]
+    assert mem.contents()[1:4] == items[1:4]
+    assert mem.contents()[-1] == items[-1]
+
+
+def test_push_needs_an_episode():
+    mem = ReplayMemory(4, streams={"ram": (4,)})
+    with pytest.raises(ValueError, match="start_episode"):
+        push(mem, 0)
+    mem.start_episode(ram_obs(0))
+    mem.push(0, 1.0, True, ram_obs(1))
+    with pytest.raises(ValueError, match="start_episode"):
+        push(mem, 1)
+
+
+def test_episode_starts_only_after_a_terminal_push():
+    mem = new_memory(capacity=4)
+    push(mem, 0)
+    with pytest.raises(ValueError, match="terminal"):
+        mem.start_episode(ram_obs(9))
+    assert mem.contents() == [make_transition(0)]
+
+
+def test_observation_streams_must_match():
+    mem = ReplayMemory(4, streams={"ram": (4,)})
+    with pytest.raises(ValueError, match="streams"):
+        mem.start_episode({"screen": np.zeros((2, 2), np.uint8)})
+
+
+# -- the ring against the list of transitions it replaces --------------------
+
+class ListMemory:
+    """Reference: a list ring of Transitions, written in push order, sampled
+    with the same draw as ReplayMemory."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self.cursor = 0
+
+    def push(self, t):
+        if len(self.items) < self.capacity:
+            self.items.append(t)
+        else:
+            self.items[self.cursor] = t
+            self.cursor = (self.cursor + 1) % self.capacity
+
+    def contents(self):
+        return self.items[self.cursor:] + self.items[:self.cursor]
+
+    def sample(self, n, rng):
+        idx = rng.integers(0, len(self.items), size=n)
+        return [self.items[i] for i in idx]
+
+
+def assert_same_transition(got, want):
+    """State, action, reward and terminal always; the next state only where
+    it is bootstrapped, i.e. for a non-terminal transition."""
+    assert (got.action, got.reward, got.terminal) == (want.action, want.reward, want.terminal)
+    pairs = [(got.state, want.state)]
+    if not want.terminal:
+        pairs.append((got.next_state, want.next_state))
+    for g, w in pairs:
+        assert g.keys() == w.keys()
+        for k in w:
+            assert g[k].dtype == w[k].dtype and g[k].shape == w[k].shape
+            np.testing.assert_array_equal(g[k], w[k])
+
+
+@given(capacity=st.integers(1, 20), phi_length=st.integers(1, 4), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ring_matches_list_of_transitions(capacity, phi_length, data):
+    pushes = data.draw(st.integers(1, 3 * capacity), label="pushes")
+    terminals = data.draw(st.lists(st.booleans(), min_size=pushes, max_size=pushes),
+                          label="terminals")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    obs_rng = np.random.default_rng(seed)
+    ring = ReplayMemory(capacity, streams={"ram": (3,), "screen": (2, 3)},
+                        phi_length=phi_length)
+    ref = ListMemory(capacity)
+    phi = PhiBuffer(phi_length)
+
+    def observe():
+        return {"ram": obs_rng.integers(0, 256, 3, dtype=np.uint8),
+                "screen": obs_rng.integers(0, 256, (2, 3), dtype=np.uint8)}
+
+    def begin():
+        obs = observe()
+        phi.reset(obs["screen"])
+        ring.start_episode(obs)
+        return {"ram": scale_ram(obs["ram"]), "screen": phi.stack()}
+
+    state = begin()
+    for i, terminal in enumerate(terminals):
+        obs = observe()
+        next_state = {"ram": scale_ram(obs["ram"]), "screen": phi.observe(obs["screen"])}
+        ring.push(i % 5, float(i) / 3, terminal, obs)
+        ref.push(Transition(state, i % 5, float(i) / 3, next_state, terminal))
+        state = begin() if terminal else next_state
+
+    contents = ring.contents()
+    assert len(contents) == len(ring) == len(ref.items)
+    for got, want in zip(contents, ref.contents()):
+        assert_same_transition(got, want)
+    for n in (1, len(ring)):
+        batch = ring.sample_minibatch(n, np.random.default_rng(seed))
+        assert batch.state["screen"].shape == (n, phi_length, 2, 3)
+        for got, want in zip(batch, ref.sample(n, np.random.default_rng(seed)), strict=True):
+            assert_same_transition(got, want)
