@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 import numpy as np
@@ -77,16 +78,33 @@ def cmd_train(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
+    completed = 0  # epochs whose checkpoints are written
+    received = signal.SIGINT  # the signal that interrupts the run
+
     def progress(report):
+        nonlocal completed
+        completed = report.epoch
         print(f"epoch {report.epoch}: avg_score={report.avg_score:.3f} "
               f"episodes={report.episodes} mean_loss={report.mean_loss:.6f}",
               file=sys.stderr)
 
+    def terminate(signum, frame):
+        nonlocal received
+        received = signum
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, terminate)
     try:
         reports, best = run_experiment(config, progress=progress)
     except (OSError, CheckpointError, TrainingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
+    except KeyboardInterrupt:  # Ctrl-C, or SIGTERM through `terminate`
+        print(f"interrupted: last completed epoch {completed} of {config.epochs}",
+              file=sys.stderr)
+        return 128 + int(received)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"best epoch {best} avg_score={reports[best - 1].avg_score:.3f} "
           f"env={args.env} arch={args.arch} frame_skip={hyper.frame_skip} "
           f"dropout={hyper.dropout_p} learning_rate={hyper.learning_rate} "

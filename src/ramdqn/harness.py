@@ -239,7 +239,8 @@ def best_epoch(reports):
 def run_experiment(config, progress=None):
     """Full protocol: epochs x (train epoch, test period), CSV + checkpoints.
 
-    Returns (reports, best_epoch_index).
+    Returns (reports, best_epoch_index).  A non-finite test score raises
+    TrainingError before the epoch's checkpoints and the CSV are written.
     """
     state = TrainingState(config)
     state.warmup()
@@ -253,6 +254,8 @@ def run_experiment(config, progress=None):
         test_seed = int(np.random.SeedSequence((config.seed, 7781, epoch)).generate_state(1)[0])
         report = run_test_period(state.net, config.env_name, config.hyper,
                                  seed=test_seed, epoch=epoch, mean_loss=mean_loss)
+        if not math.isfinite(report.avg_score):  # a NaN would freeze best-epoch selection
+            raise TrainingError(f"epoch {epoch}: test score is {report.avg_score}")
         reports.append(report)
         if out:
             checkpoint_save(state, os.path.join(out, "last.ckpt"))

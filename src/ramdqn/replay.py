@@ -213,25 +213,38 @@ class ReplayMemory:
         idx = rng.integers(0, len(self), size=n)
         return self._gather(self._numbers(idx))
 
-    def arrays(self):
-        """The ring's arrays by name, for checkpoints."""
+    def _ring(self):
         out = {f"frames/{name}": frames for name, frames in self.frames.items()}
         out.update(action=self.action, reward=self.reward, terminal=self.terminal,
                    start=self.start)
         return out
 
+    def _used(self, pushes):
+        """Slots written by `pushes` pushes; the rest of the ring is zeros."""
+        return min(pushes + 1, len(self.start))
+
+    def arrays(self):
+        """The ring's arrays by name, cut to the slots written so far, for
+        checkpoints."""
+        used = self._used(self.pushes)
+        return {name: a[:used] for name, a in self._ring().items()}
+
     def restore(self, arrays, pushes):
-        """Load arrays saved from `arrays()` and the push count; a missing,
-        extra or misshapen array or a bad count raises ValueError."""
+        """Load arrays saved from `arrays()` and the push count, and zero the
+        slots past them; a missing, extra or misshapen array or a bad count
+        raises ValueError."""
         if type(pushes) is not int or pushes < 0:
             raise ValueError(f"push count must be an integer >= 0, got {pushes!r}")
-        mine = self.arrays()
-        if arrays.keys() != mine.keys():
-            raise ValueError(f"replay arrays {sorted(arrays)} != {sorted(mine)}")
-        for name, target in mine.items():
-            if arrays[name].shape != target.shape:
+        ring, used = self._ring(), self._used(pushes)
+        if arrays.keys() != ring.keys():
+            raise ValueError(f"replay arrays {sorted(arrays)} != {sorted(ring)}")
+        for name, target in ring.items():
+            if arrays[name].shape != (used,) + target.shape[1:]:
                 raise ValueError(f"replay array {name} has shape {arrays[name].shape}, "
-                                 f"expected {target.shape}")
-        for name, target in mine.items():
-            target[...] = arrays[name]
+                                 f"expected {(used,) + target.shape[1:]}")
+        # Slots this memory never wrote are zeros already: leave their pages untouched.
+        written = self._used(self.pushes)
+        for name, target in ring.items():
+            target[:used] = arrays[name]
+            target[used:written] = 0
         self.pushes = pushes

@@ -10,6 +10,7 @@ independent oracle for the handwritten backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -178,11 +179,20 @@ def _activate(pre, activation):
     return pre
 
 
+@lru_cache(maxsize=None)
+def _window_index(shape, k, stride):
+    """Read-only flat positions in a (C, H, W) sample of each output cell's (C, k, k) window."""
+    win = sliding_window_view(np.arange(_flat(shape)).reshape(shape), (k, k), axis=(1, 2))
+    index = win[:, ::stride, ::stride].transpose(1, 2, 0, 3, 4).reshape(-1, shape[0] * k * k)
+    index.flags.writeable = False
+    return index
+
+
 def _conv_cols(x, k, stride, oh, ow):
     """Unrolled windows of x (B, C, H, W) (Chellapilla et al. 2006): a
     (B*oh*ow, C*k*k) matrix, one row per output cell in (B, oh, ow) order."""
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(x.shape[0] * oh * ow, -1)
+    index = _window_index(x.shape[1:], k, stride)
+    return x.reshape(len(x), -1).take(index, axis=1).reshape(len(x) * oh * ow, -1)
 
 
 def _conv_forward(kernels, biases, x, stride):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import signal
 import struct
 
 import numpy as np
@@ -12,6 +14,7 @@ from ramdqn.harness import (
     TrainingState,
     checkpoint_load,
     checkpoint_save,
+    network_from_checkpoint,
 )
 from ramdqn.agents import HyperParams
 from ramdqn.harness import ExperimentConfig
@@ -43,6 +46,48 @@ def test_train_nonfinite_loss_exit_1(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "error: epoch 1: training loss is nan; every parameter is finite")
+    assert not (out / "curve.csv").exists()
+
+
+def test_train_nonfinite_test_score_exit_1(tmp_path, capsys, monkeypatch):
+    real = harness.run_test_period
+
+    def nan_score(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), avg_score=float("nan"))
+
+    monkeypatch.setattr(harness, "run_test_period", nan_score)
+    rc, out = run_train(tmp_path)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: epoch 1: test score is nan\n"
+    assert not (out / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)])
+def test_train_interrupted_in_epoch_2(tmp_path, capsys, monkeypatch, signum, code):
+    real, calls = harness.run_training_epoch, []
+    default_sigterm = signal.getsignal(signal.SIGTERM)
+
+    def interrupt_second_epoch(state, steps):
+        calls.append(steps)
+        if len(calls) == 2:
+            if signum == signal.SIGINT:
+                raise KeyboardInterrupt  # what Python's own SIGINT handler raises
+            # Unhandled, SIGTERM would end the test run itself.
+            assert signal.getsignal(signal.SIGTERM) is not default_sigterm
+            signal.raise_signal(signum)
+        return real(state, steps)
+
+    monkeypatch.setattr(harness, "run_training_epoch", interrupt_second_epoch)
+    rc, out = run_train(tmp_path, extra=("--epochs", "3"))
+    assert rc == code
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("interrupted:")] == [
+        "interrupted: last completed epoch 1 of 3"]
+    assert "Traceback" not in err
+    assert signal.getsignal(signal.SIGTERM) is default_sigterm
+    ckpt = checkpoint_load(out / "last.ckpt")
+    assert ckpt["header"]["counters"]["epochs_done"] == 1
+    network_from_checkpoint(ckpt)
     assert not (out / "curve.csv").exists()
 
 

@@ -252,7 +252,8 @@ def _replace_array(name, shape):
 
 
 # One edit per header entry that only restore_training_state reads, and of
-# the replay arrays; small_config's ring has 500 + 4 slots of 128 RAM bytes.
+# the replay arrays; small_config's ring has 500 + 4 slots of 128 RAM bytes,
+# of which the checkpoint below holds the 51 written by its 50 pushes.
 BAD_RESUME_EDITS = {
     "no_counters": _pop("counters"),
     "counters_not_dict": _set("counters", value=[0, 0, False]),
@@ -279,8 +280,9 @@ BAD_RESUME_EDITS = {
     "pushes_negative": _set("replay", "pushes", value=-1),
     "pushes_float": _set("replay", "pushes", value=2.5),
     "pushes_bool": _set("replay", "pushes", value=True),
-    "frames_short": _replace_array("replay/frames/ram", (503, 128)),
-    "frames_narrow": _replace_array("replay/frames/ram", (504, 64)),
+    "frames_short": _replace_array("replay/frames/ram", (50, 128)),
+    "frames_narrow": _replace_array("replay/frames/ram", (51, 64)),
+    "frames_whole_ring": _replace_array("replay/frames/ram", (504, 128)),
     "flags_broadcastable": _replace_array("replay/start", (1,)),
     "acc_broadcastable": _replace_array("acc/1/W", (1,)),
     "state_input_shape": _replace_array("state_input/ram", (64,)),
@@ -322,6 +324,22 @@ def test_replay_checkpoint_stores_bytes(tmp_path):
     assert ring_bytes < extra < 2 * ring_bytes  # float64 frames: over 7 times
     arrays = checkpoint_load(with_replay)["arrays"]
     assert arrays["replay/frames/ram"].dtype == np.uint8
+
+
+def test_replay_checkpoint_holds_only_written_slots(tmp_path):
+    # Default capacity (100,000): the 101 slots written by the warm-up are
+    # saved, not the 100,004-slot ring.
+    state = TrainingState(ExperimentConfig("micro_diver", "big_mixed_ram", seed=1))
+    state.warmup()
+    with_replay, without = tmp_path / "r.ckpt", tmp_path / "n.ckpt"
+    checkpoint_save(state, with_replay, include_replay=True)
+    checkpoint_save(state, without)
+    slot_bytes = sum(a[0].nbytes for a in state.replay.arrays().values())
+    extra = with_replay.stat().st_size - without.stat().st_size
+    assert 101 * slot_bytes < extra < 101 * slot_bytes + 1_000  # + header entries
+    restored = restore_training_state(checkpoint_load(with_replay))
+    for name, arr in state.replay.arrays().items():
+        np.testing.assert_array_equal(restored.replay.arrays()[name], arr, err_msg=name)
 
 
 def test_nonfinite_loss_names_epoch_and_layer():

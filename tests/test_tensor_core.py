@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ramdqn import tensor_core
 from ramdqn.tensor_core import (
@@ -195,6 +196,45 @@ def test_conv_forward_and_backward_match_definition(case):
     for got, ref in ((grads[2]["W"], dw2), (grads[2]["b"], db2),
                      (grads[1]["W"], dw1), (grads[1]["b"], db1)):
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+
+
+def reference_cols(x, k, stride):
+    """The window matrix by strided windows: one row per output cell in
+    (B, oh, ow) order, one column per input cell in (C, k, k) order."""
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, x.shape[1] * k * k)
+
+
+# (batch, channels, H, W, filters, k, stride, seed); filters unused
+@example((1, 3, 6, 6, 1, 3, 2, 0))   # B = 1
+@example((2, 3, 6, 5, 1, 1, 1, 0))   # k = 1
+@example((1, 2, 5, 7, 1, 5, 1, 1))   # k = H
+@example((2, 2, 9, 8, 1, 3, 4, 2))   # stride 4 does not divide H - k = 6
+@example((3, 1, 8, 8, 1, 3, 2, 3))   # stride 2 does not divide H - k = 5
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_window_matrix_matches_strided_windows_and_col2im_is_its_adjoint(case):
+    n_b, c, h, wd, _, k, stride, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_b, c, h, wd))
+    oh, ow = (h - k) // stride + 1, (wd - k) // stride + 1
+    want = reference_cols(x, k, stride)
+    # A conv layer's output, and so the next conv's input, is channels-last in memory.
+    channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    for sample in (x, x.astype(np.float32), channels_last):
+        got = tensor_core._conv_cols(sample, k, stride, oh, ow)
+        assert got.shape == want.shape and got.dtype == sample.dtype
+        np.testing.assert_array_equal(got, want.astype(sample.dtype))
+
+    d = rng.standard_normal(want.shape)
+    lhs = np.vdot(tensor_core._conv_cols(x, k, stride, oh, ow), d)
+    rhs = np.vdot(x, tensor_core._col2im(d, x, k, stride))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    index = tensor_core._window_index((c, h, wd), k, stride)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
 
 
 def with_identity_after_inputs(net):

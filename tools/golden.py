@@ -1,0 +1,69 @@
+"""Golden outputs: run a fixed set of short `ramdqn train` and `eval` runs and
+print the sha256 of every output, one `sha256  run/file` line each.
+
+A change that must keep the arithmetic as it is shows it by giving the same
+lines as its parent commit; two runs of one commit must always agree.
+
+    python3 tools/golden.py > golden.txt
+
+It runs the package in this checkout's `src`, in fresh processes, in a
+temporary directory that it removes afterwards.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+PAIRS = (("micro_catch", "just_ram"), ("micro_breakout", "big_ram"),
+         ("micro_catch", "nips"), ("micro_diver", "mixed_ram"),
+         ("micro_diver", "big_mixed_ram"))
+SHORT = ("--epochs", "2", "--steps-per-epoch", "150", "--test-steps", "300",
+         "--frame-skip", "2", "--seed", "5")
+# 400 steps per epoch pass the 137-transition ring several times over.
+WRAPPING = ("--epochs", "2", "--steps-per-epoch", "400", "--test-steps", "200",
+            "--frame-skip", "1", "--replay-capacity", "137", "--seed", "7")
+EVAL = ("--steps", "300", "--seed", "3")
+
+
+def ramdqn(*args):
+    """stdout of one CLI run; a failed run stops the script."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "ramdqn.cli", *args], env=env,
+                          capture_output=True, check=False)
+    if done.returncode != 0:
+        sys.exit(f"ramdqn {' '.join(args)} exited {done.returncode}:\n"
+                 f"{done.stderr.decode(errors='replace')}")
+    return done.stdout
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    runs = [(f"{env}-{arch}", env, arch, SHORT, True) for env, arch in PAIRS]
+    runs += [(f"{env}-{arch}-wrapping", env, arch, WRAPPING, False) for env, arch in PAIRS]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, env, arch, settings, evaluate in runs:
+            out = os.path.join(tmp, name)
+            lines = {"train.stdout": digest(ramdqn("train", "--env", env, "--arch", arch,
+                                                   "--out", out, *settings))}
+            for file in ("curve.csv", "last.ckpt", "best.ckpt"):
+                with open(os.path.join(out, file), "rb") as f:
+                    lines[file] = digest(f.read())
+            if evaluate:
+                best = os.path.join(out, "best.ckpt")
+                lines["eval.stdout"] = digest(ramdqn("eval", "--checkpoint", best, *EVAL))
+            for file, sha in lines.items():
+                print(f"{sha}  {name}/{file}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
