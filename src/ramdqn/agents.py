@@ -42,8 +42,9 @@ class HyperParams:
         for name in ("minibatch_size", "replay_capacity", "phi_length",
                      "epsilon_decay_steps", "frame_skip", "steps_per_epoch",
                      "test_steps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.replay_capacity < max(self.minibatch_size, self.replay_start_size):
             raise ValueError("replay_capacity must be at least "
                              "max(minibatch_size, replay_start_size)")

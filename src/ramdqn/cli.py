@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import signal
 import sys
 
@@ -78,7 +80,7 @@ def cmd_train(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-    completed = 0  # epochs whose checkpoints are written
+    completed = 0  # epochs reported by `progress`
     received = signal.SIGINT  # the signal that interrupts the run
 
     def progress(report):
@@ -100,6 +102,11 @@ def cmd_train(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
     except KeyboardInterrupt:  # Ctrl-C, or SIGTERM through `terminate`
+        # last.ckpt may hold the next epoch, renamed into place before `progress` ran.
+        with contextlib.suppress(CheckpointError, KeyError, TypeError):
+            held = checkpoint_load(os.path.join(args.out, "last.ckpt"))["header"]["counters"]
+            if held["epochs_done"] == completed + 1:
+                completed += 1
         print(f"interrupted: last completed epoch {completed} of {config.epochs}",
               file=sys.stderr)
         return 128 + int(received)

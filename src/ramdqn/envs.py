@@ -31,13 +31,17 @@ class EnvStepResult:
     terminal: bool
 
 
-def scale_ram(ram):
-    """Scale RAM bytes by 256 so inputs lie in [0, 255/256]."""
-    return np.asarray(ram, dtype=np.float32) / 256.0
+def scale_ram(raw):
+    """Observation bytes (RAM or screen) as network inputs: float32 in
+    [0, 255/256].  Scaling by a power of two is exact."""
+    out = np.asarray(raw).astype(np.float32)  # a copy, scaled in place
+    out *= np.float32(1 / 256)
+    return out
 
 
 class PhiBuffer:
-    """Rolling window of the last `phi_length` screens, oldest first."""
+    """Rolling window of the last `phi_length` screens as bytes, oldest
+    first; `stack` and `observe` give it as network inputs."""
 
     def __init__(self, phi_length=4):
         if phi_length < 1:
@@ -46,19 +50,18 @@ class PhiBuffer:
         self.frames = []
 
     def reset(self, screen):
-        self.frames = [np.array(screen, dtype=np.uint8) for _ in range(self.phi_length)]
+        self.frames = [np.array(screen, dtype=np.uint8)] * self.phi_length
 
     def stack(self):
         if not self.frames:
             raise RuntimeError("PhiBuffer not initialized; call reset first")
-        return np.stack(self.frames).astype(np.float32) / 256.0
+        return scale_ram(np.stack(self.frames))
 
     def observe(self, new_screen):
         if not self.frames:
             raise RuntimeError("PhiBuffer not initialized; call reset first")
-        self.frames.pop(0)
-        self.frames.append(np.array(new_screen, dtype=np.uint8))
-        return np.stack(self.frames).astype(np.float32) / 256.0
+        self.frames = self.frames[1:] + [np.array(new_screen, dtype=np.uint8)]
+        return scale_ram(np.stack(self.frames))
 
 
 class MicroGame:

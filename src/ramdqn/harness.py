@@ -26,6 +26,7 @@ from .replay import ReplayMemory
 from .tensor_core import ShapeError
 
 CHECKPOINT_MAGIC = b"RAMDQN1\n"
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -69,40 +70,27 @@ def build_network(arch, env, hyper, rng, dtype=np.float32):
 
 
 class EpisodePipeline:
-    """Turns a game into network inputs: the env, the phi window over its
-    screens, the frame skip, and the rng that seeds each episode's reset.
-    `streams` names the inputs to build ("ram", "screen").  `raw` holds the
-    bytes of the latest observation of each of those streams."""
+    """Plays a game for an agent: the env, the frame skip, and the rng that
+    seeds each episode's reset.  Observations come as the bytes of each
+    stream in `streams` ("ram", "screen") that the agent reads."""
 
     def __init__(self, env, streams, hyper, seed_rng):
         self.env = env
-        self.ram = "ram" in streams
-        self.phi = PhiBuffer(hyper.phi_length) if "screen" in streams else None
+        self.streams = [s for s in ("ram", "screen") if s in streams]
         self.frame_skip = hyper.frame_skip
         self.seed_rng = seed_rng
-        self.raw = {}
 
     def begin(self):
-        """Reset the game; the first inputs of the new episode."""
-        obs = self.env.reset(int(self.seed_rng.integers(2**63)))
-        if self.phi is not None:
-            self.phi.reset(obs.screen)
-        return self._inputs(obs, fresh=True)
+        """Reset the game; the first observation of the new episode."""
+        return self._raw(self.env.reset(int(self.seed_rng.integers(2**63))))
 
     def step(self, action):
-        """Play `action` for one frame-skip step: (reward, terminal, inputs)."""
+        """Play `action` for one frame-skip step: (reward, terminal, observation)."""
         result = frame_skip_step(self.env, action, self.frame_skip)
-        return result.reward, result.terminal, self._inputs(result.observation)
+        return result.reward, result.terminal, self._raw(result.observation)
 
-    def _inputs(self, obs, fresh=False):
-        inputs, self.raw = {}, {}
-        if self.ram:
-            self.raw["ram"] = obs.ram
-            inputs["ram"] = scale_ram(obs.ram)
-        if self.phi is not None:
-            self.raw["screen"] = obs.screen
-            inputs["screen"] = self.phi.stack() if fresh else self.phi.observe(obs.screen)
-        return inputs
+    def _raw(self, obs):
+        return {s: getattr(obs, s) for s in self.streams}
 
 
 class TrainingState:
@@ -126,20 +114,19 @@ class TrainingState:
         self.global_step = 0
         self.epochs_done = 0
         self.warmed = False
-        self.current_inputs = self.episode.begin()
+        # The replay ring is the only store of observations: the agent acts
+        # from the state of its newest slot.
+        first = self.episode.begin()
         self.replay = ReplayMemory(self.hyper.replay_capacity,
-                                   streams={k: v.shape for k, v in self.episode.raw.items()},
+                                   streams={k: v.shape for k, v in first.items()},
                                    phi_length=self.hyper.phi_length)
-        self.replay.start_episode(self.episode.raw)
+        self.replay.start_episode(first)
 
     def _take_action(self, action):
-        reward, terminal, next_inputs = self.episode.step(action)
-        self.replay.push(action, reward, terminal, self.episode.raw)
+        reward, terminal, obs = self.episode.step(action)
+        self.replay.push(action, reward, terminal, obs)
         if terminal:
-            self.current_inputs = self.episode.begin()
-            self.replay.start_episode(self.episode.raw)
-        else:
-            self.current_inputs = next_inputs
+            self.replay.start_episode(self.episode.begin())
 
     def warmup(self):
         """Populate the replay memory with random-action transitions."""
@@ -169,7 +156,7 @@ def run_training_epoch(state, steps):
     losses = []
     for _ in range(steps):
         eps = epsilon_at(hyper, state.global_step)
-        action = select_action(state.net, state.current_inputs, eps,
+        action = select_action(state.net, state.replay.latest_state(), eps,
                                state.explore_rng, state.episode.env.action_count)
         state._take_action(action)
         state.global_step += 1
@@ -198,18 +185,28 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0,
     policy_rng = np.random.default_rng(policy_ss)
     episode = EpisodePipeline(make_env(env_name), net.input_streams, hyper,
                               np.random.default_rng(env_ss))
+    phi = PhiBuffer(hyper.phi_length)  # no replay here: the screens' own window
 
-    inputs = episode.begin()
+    def inputs(obs, fresh):
+        out = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
+        if "screen" in obs:
+            if fresh:
+                phi.reset(obs["screen"])
+            out["screen"] = phi.stack() if fresh else phi.observe(obs["screen"])
+        return out
+
+    state = inputs(episode.begin(), fresh=True)
     episode_scores = []
     current = 0.0
     for _ in range(steps):
-        action = select_action(net, inputs, epsilon, policy_rng, episode.env.action_count)
-        reward, terminal, inputs = episode.step(action)
+        action = select_action(net, state, epsilon, policy_rng, episode.env.action_count)
+        reward, terminal, obs = episode.step(action)
         current += reward
         if terminal:
             episode_scores.append(current)
             current = 0.0
-            inputs = episode.begin()
+            obs = episode.begin()
+        state = inputs(obs, fresh=terminal)
 
     if episode_scores:
         avg = sum(episode_scores) / len(episode_scores)
@@ -271,25 +268,14 @@ def run_experiment(config, progress=None):
 
 # ---------------------------------------------------------------------------
 # Checkpoints: magic, length-prefixed JSON header, then element-count-prefixed
-# arrays in the order listed by the header: little-endian float64, or bytes
-# for uint8 and bool arrays (entries with "dtype": "u1").
-
-def _stored_dtype(arr):
-    return "u1" if arr.dtype in (np.uint8, np.bool_) else "<f8"
-
-
-def _array_entry(name, shape, data):
-    entry = {"name": name, "shape": shape}
-    if _stored_dtype(data) == "u1":
-        entry["dtype"] = "u1"
-    return entry
+# arrays in the order listed by the header, each little-endian in the dtype
+# its header entry names, one of:
+CHECKPOINT_DTYPES = ("<f4", "<f8", "<i4", "|u1", "|b1")
 
 
 def _write_array(f, arr):
-    arr = np.asarray(arr)
-    a = np.ascontiguousarray(arr, dtype=_stored_dtype(arr)).reshape(-1)
-    f.write(struct.pack("<Q", a.size))
-    f.write(a.tobytes())
+    f.write(struct.pack("<Q", arr.size))
+    f.write(arr.tobytes())
 
 
 def _read_array(f, shape, dtype):
@@ -311,22 +297,15 @@ def _read_array(f, shape, dtype):
 
 
 def checkpoint_save(state, path, include_replay=False):
-    """Serialize a TrainingState; parameters and accumulators round-trip
-    bit-identically.  Replay contents are optional (resume support)."""
+    """Serialize a TrainingState, every array in its own dtype, so that
+    parameters and accumulators round-trip bit-identically.  Replay contents
+    are optional (resume support); the acting state is the ring's newest."""
     net = state.net
-    arrays = []  # (name, shape, data)
+    arrays = {}
     for prefix, layers in (("param", net.params), ("acc", state.opt_state.mean_square)):
         for i, p in enumerate(layers):
             for key in sorted(p or {}):
-                arrays.append((f"{prefix}/{i}/{key}", list(p[key].shape), p[key]))
-    for stream in sorted(state.current_inputs):
-        arr = state.current_inputs[stream]
-        arrays.append((f"state_input/{stream}", list(arr.shape), arr))
-    if state.episode.phi is not None:
-        # float64 like every array outside the replay section, which alone
-        # stores its uint8 and bool arrays as bytes
-        frames = np.stack(state.episode.phi.frames).astype(np.float64)
-        arrays.append(("phi_frames", list(frames.shape), frames))
+                arrays[f"{prefix}/{i}/{key}"] = p[key]
 
     replay_meta = None
     if include_replay:
@@ -336,10 +315,12 @@ def checkpoint_save(state, path, include_replay=False):
             "streams": {s: list(f.shape[1:]) for s, f in sorted(replay.frames.items())},
         }
         for name, arr in sorted(replay.arrays().items()):
-            arrays.append((f"replay/{name}", list(arr.shape), arr))
+            arrays[f"replay/{name}"] = arr
+    arrays = {name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
+              for name, a in arrays.items()}
 
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "arch": state.config.arch,
         "env": state.config.env_name,
         "output_dim": net.output_dim,
@@ -356,7 +337,8 @@ def checkpoint_save(state, path, include_replay=False):
             "env_seed": state.episode.seed_rng.bit_generator.state,
         },
         "env_state": state.episode.env.get_state(),
-        "arrays": [_array_entry(*a) for a in arrays],
+        "arrays": [{"name": name, "shape": list(a.shape), "dtype": a.dtype.str}
+                   for name, a in arrays.items()],
         "replay": replay_meta,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -368,8 +350,8 @@ def checkpoint_save(state, path, include_replay=False):
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
-            for _, _, data in arrays:
-                _write_array(f, data)
+            for arr in arrays.values():
+                _write_array(f, arr)
         os.replace(tmp, path)
     except OSError as e:
         raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
@@ -379,7 +361,9 @@ def checkpoint_save(state, path, include_replay=False):
 
 
 def checkpoint_load(path):
-    """Read a checkpoint into {'header': dict, 'arrays': name -> float64 array}."""
+    """Read a checkpoint into {'header': dict, 'arrays': name -> array}, each
+    array in the dtype it was saved in (read-only).  A file of another
+    format version, or one that does not parse, raises CheckpointError."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -392,15 +376,17 @@ def checkpoint_load(path):
         if len(raw) != 8:
             raise CheckpointError("corrupt checkpoint: truncated header length")
         (hlen,) = struct.unpack("<Q", raw)
-        blob = f.read(hlen)
-        if len(blob) != hlen:
+        if hlen > os.fstat(f.fileno()).st_size - f.tell():  # read() would allocate hlen
             raise CheckpointError("corrupt checkpoint: truncated header")
         try:
-            header = json.loads(blob)
+            header = json.loads(f.read(hlen))
         except ValueError as e:
             raise CheckpointError("corrupt checkpoint: bad header") from e
-        if not isinstance(header, dict) or header.get("version") != 1:
-            raise CheckpointError("corrupt checkpoint: unsupported version")
+        if not isinstance(header, dict):
+            raise CheckpointError("corrupt checkpoint: bad header")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}: "
+                                  f"only version {CHECKPOINT_VERSION} can be read")
         if not isinstance(header.get("arrays"), list):
             raise CheckpointError("corrupt checkpoint: header has no array list")
         arrays = {}
@@ -408,10 +394,9 @@ def checkpoint_load(path):
             if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                     and isinstance(entry.get("shape"), list)
                     and all(isinstance(n, int) for n in entry["shape"])
-                    and entry.get("dtype", "<f8") in ("<f8", "u1")):
+                    and entry.get("dtype") in CHECKPOINT_DTYPES):
                 raise CheckpointError(f"corrupt checkpoint: bad array entry {entry!r}")
-            arrays[entry["name"]] = _read_array(f, tuple(entry["shape"]),
-                                                entry.get("dtype", "<f8"))
+            arrays[entry["name"]] = _read_array(f, tuple(entry["shape"]), entry["dtype"])
     return {"header": header, "arrays": arrays}
 
 
@@ -430,7 +415,7 @@ def load_params_into(net, ckpt):
                 raise ShapeError(
                     f"layer {i}: checkpoint {key} shape {tuple(src.shape)} "
                     f"!= network shape {p[key].shape}")
-            p[key][...] = src.astype(net.dtype)
+            p[key][...] = src
 
 
 def network_from_checkpoint(ckpt):
@@ -449,15 +434,9 @@ def network_from_checkpoint(ckpt):
             raise TypeError(f"dtype {dtype.name} is not a float type")
         net = build_network(h["arch"], env, hyper, np.random.default_rng(0), dtype)
         load_params_into(net, ckpt)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, MemoryError) as e:  # MemoryError: huge shapes
         raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e
     return net, h, hyper
-
-
-def _copy_into(target, src, name):
-    if src.shape != target.shape:
-        raise ValueError(f"{name} has shape {src.shape}, expected {target.shape}")
-    target[...] = src
 
 
 def _check_layout(value, like, name):
@@ -486,7 +465,11 @@ def restore_training_state(ckpt):
         load_params_into(state.net, ckpt)
         for i, acc in enumerate(state.opt_state.mean_square):
             for key in sorted(acc or {}):
-                _copy_into(acc[key], arrays[f"acc/{i}/{key}"], f"acc/{i}/{key}")
+                src = arrays[f"acc/{i}/{key}"]
+                if src.shape != acc[key].shape:
+                    raise ValueError(f"acc/{i}/{key} has shape {src.shape}, "
+                                     f"expected {acc[key].shape}")
+                acc[key][...] = src
 
         counters = h["counters"]
         _check_layout(counters, {"global_step": 0, "epochs_done": 0, "warmed": False},
@@ -508,13 +491,6 @@ def restore_training_state(ckpt):
         _check_layout(h["env_state"]["vars"], like["vars"], "env_state vars")
         env.set_state(h["env_state"])
 
-        for s, inputs in state.current_inputs.items():
-            _copy_into(inputs, arrays[f"state_input/{s}"], f"state_input/{s}")
-        if state.episode.phi is not None:
-            frames = np.stack(state.episode.phi.frames)
-            _copy_into(frames, arrays["phi_frames"], "phi_frames")
-            state.episode.phi.frames = list(frames)
-
         meta = h["replay"]
         if meta is None:
             raise ValueError("no replay section: save with include_replay=True")
@@ -525,6 +501,6 @@ def restore_training_state(ckpt):
         prefix = "replay/"
         state.replay.restore({n[len(prefix):]: a for n, a in arrays.items()
                               if n.startswith(prefix)}, meta["pushes"])
-    except (KeyError, TypeError, ValueError, IndexError, ShapeError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, MemoryError) as e:
         raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e
     return state

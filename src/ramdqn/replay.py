@@ -8,15 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import scale_ram
+
 STACKED_STREAM = "screen"  # its states are the last phi_length frames
-
-
-def _scaled(raw):
-    """Observation bytes as network inputs in [0, 255/256], equal to those of
-    `envs.scale_ram` and `PhiBuffer`: scaling by a power of two is exact."""
-    out = raw.astype(np.float32)
-    out *= np.float32(1 / 256)
-    return out
 
 
 def _inputs_equal(a, b):
@@ -108,7 +102,9 @@ class ReplayMemory:
     k + 1 (mod the slot count).  The `screen` stream's states are stacks of
     the last phi_length frames, the episode's first frame repeated where the
     episode is younger, as `PhiBuffer` builds them; other streams' states
-    are the one observation.  Observations are scaled by 1/256 when read.
+    are the one observation.  Observations are scaled by `scale_ram` when
+    read.  The newest slot holds the observation the agent acts from, and
+    `latest_state` gives its state.
 
     Episodes are written in order: `start_episode(obs)`, then one
     `push(action, reward, terminal, next_obs)` per step, and a new
@@ -192,12 +188,26 @@ class ReplayMemory:
         for name, frames in self.frames.items():
             if name == STACKED_STREAM:
                 raw = frames[walk]
-                state[name], next_state[name] = _scaled(raw[:, :-1]), _scaled(raw[:, 1:])
+                state[name], next_state[name] = scale_ram(raw[:, :-1]), scale_ram(raw[:, 1:])
             else:
                 raw = frames[walk[:, -2:]]
-                state[name], next_state[name] = _scaled(raw[:, 0]), _scaled(raw[:, 1])
+                state[name], next_state[name] = scale_ram(raw[:, 0]), scale_ram(raw[:, 1])
         return Minibatch(state, self.action[here].astype(np.intp), self.reward[here],
                          next_state, self.terminal[here])
+
+    def latest_state(self):
+        """The state of the newest observation, the one the next push acts
+        from, as network inputs (stream -> float32 array).  The screen stack
+        walks back like `_walk`, with scalar indices: -1 is the last slot."""
+        slot = self.pushes % len(self.start)
+        state = {name: scale_ram(frames[slot]) for name, frames in self.frames.items()
+                 if name != STACKED_STREAM}
+        if STACKED_STREAM in self.frames:
+            slots = [slot]
+            for _ in range(self.phi_length - 1):
+                slots.append(slots[-1] - (not self.start[slots[-1]]))
+            state[STACKED_STREAM] = scale_ram(self.frames[STACKED_STREAM][slots[::-1]])
+        return state
 
     def contents(self):
         """Stored transitions, oldest first, as a sequence whose items are

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import signal
 import struct
 
@@ -89,6 +90,34 @@ def test_train_interrupted_in_epoch_2(tmp_path, capsys, monkeypatch, signum, cod
     assert ckpt["header"]["counters"]["epochs_done"] == 1
     network_from_checkpoint(ckpt)
     assert not (out / "curve.csv").exists()
+
+
+def test_train_interrupted_after_last_ckpt_names_its_epoch(tmp_path, capsys, monkeypatch):
+    # Ctrl-C after epoch 2's last.ckpt is renamed into place, before best.ckpt
+    # and the epoch's progress line: the message names the epoch last.ckpt holds.
+    real, saved = harness.checkpoint_save, []
+
+    def save_then_interrupt(state, path, *args, **kwargs):
+        real(state, path, *args, **kwargs)
+        saved.append(os.path.basename(path))
+        if saved.count("last.ckpt") == 2 and saved[-1] == "last.ckpt":
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "checkpoint_save", save_then_interrupt)
+    rc, out = run_train(tmp_path, extra=("--epochs", "3"))
+    assert rc == 130
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("interrupted:")] == [
+        "interrupted: last completed epoch 2 of 3"]
+    assert checkpoint_load(out / "last.ckpt")["header"]["counters"]["epochs_done"] == 2
+
+    # A last.ckpt left by an earlier run is not taken for this run's epoch.
+    def interrupt(state, steps):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_training_epoch", interrupt)
+    assert run_train(tmp_path, extra=("--epochs", "3"))[0] == 130
+    assert "interrupted: last completed epoch 0 of 3" in capsys.readouterr().err
 
 
 def test_train_unknown_env_exit_2(tmp_path):
@@ -262,6 +291,17 @@ def test_crafted_array_size_exit_1(tmp_path, capsys, command):
         rc = main([command, "--checkpoint", str(path), *command_args(command, tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: corrupt checkpoint")
+
+
+def test_eval_huge_phi_length_exit_1(tmp_path, capsys):
+    # A nips network over 10**12 frames would need petabytes.
+    hyper = HyperParams(frame_skip=1, replay_capacity=200, replay_start_size=20)
+    path = tmp_path / "nips.ckpt"
+    checkpoint_save(TrainingState(ExperimentConfig("micro_catch", "nips", hyper=hyper)), path)
+    rewrite_header(path, lambda h: h["hyper"].__setitem__("phi_length", 10**12))
+    rc = main(["eval", "--checkpoint", str(path), "--steps", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: corrupt checkpoint: MemoryError")
 
 
 def test_eval_large_step_override(tmp_path, capsys):

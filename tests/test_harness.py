@@ -1,12 +1,21 @@
+import contextlib
 import copy
+import json
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ramdqn import harness
 from ramdqn.agents import HyperParams
+from ramdqn.cli import main
+from ramdqn.envs import PhiBuffer, scale_ram
 from ramdqn.harness import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     EpochReport,
     ExperimentConfig,
@@ -16,6 +25,7 @@ from ramdqn.harness import (
     checkpoint_load,
     checkpoint_save,
     load_params_into,
+    network_from_checkpoint,
     restore_training_state,
     run_experiment,
     run_test_period,
@@ -211,6 +221,17 @@ def test_checkpoint_truncated_file(tmp_path):
         checkpoint_load(path)
 
 
+def test_checkpoint_header_length_past_the_file(tmp_path):
+    # Read as given, a length of 2**62 would make read() allocate 4 EiB.
+    path = tmp_path / "h.ckpt"
+    checkpoint_save(TrainingState(small_config()), path)
+    data = bytearray(path.read_bytes())
+    data[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 8] = struct.pack("<Q", 2**62)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="truncated header"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTADQN1" + b"\x00" * 64)
@@ -285,7 +306,6 @@ BAD_RESUME_EDITS = {
     "frames_whole_ring": _replace_array("replay/frames/ram", (504, 128)),
     "flags_broadcastable": _replace_array("replay/start", (1,)),
     "acc_broadcastable": _replace_array("acc/1/W", (1,)),
-    "state_input_shape": _replace_array("state_input/ram", (64,)),
 }
 
 
@@ -350,3 +370,166 @@ def test_nonfinite_loss_names_epoch_and_layer():
     with pytest.raises(TrainingError, match=r"epoch 2: training loss is nan; "
                                             r"layer 1 \(dense\) has a non-finite W"):
         run_training_epoch(state, 5)
+
+
+@pytest.mark.parametrize("env_name, arch", [("micro_catch", "just_ram"),
+                                            ("micro_catch", "nips"),
+                                            ("micro_diver", "big_mixed_ram")])
+def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, env_name, arch):
+    # Training acts from the replay ring's newest slots.  A 30-transition
+    # ring wraps several times in 200 steps, across episode ends; at every
+    # action the state must equal what a PhiBuffer and scale_ram build.
+    phi, expected, seen = PhiBuffer(small_hyper().phi_length), [], []
+
+    def reference(obs, fresh):
+        want = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
+        if "screen" in obs:
+            if fresh:
+                phi.reset(obs["screen"])
+            want["screen"] = phi.stack() if fresh else phi.observe(obs["screen"])
+        expected[:] = [want]
+
+    real_begin, real_step = harness.EpisodePipeline.begin, harness.EpisodePipeline.step
+
+    def begin(self):
+        obs = real_begin(self)
+        reference(obs, fresh=True)
+        return obs
+
+    def step(self, action):
+        reward, terminal, obs = real_step(self, action)
+        reference(obs, fresh=False)
+        seen.append(terminal)
+        return reward, terminal, obs
+
+    def select_action(net, inputs, *args):
+        assert inputs.keys() == expected[0].keys()
+        for key, want in expected[0].items():
+            assert inputs[key].dtype == np.float32 and inputs[key].shape == want.shape
+            assert inputs[key].tobytes() == want.tobytes(), (len(seen), key)
+        return real_select(net, inputs, *args)
+
+    real_select = harness.select_action
+    monkeypatch.setattr(harness.EpisodePipeline, "begin", begin)
+    monkeypatch.setattr(harness.EpisodePipeline, "step", step)
+    monkeypatch.setattr(harness, "select_action", select_action)
+    state = TrainingState(small_config(env_name=env_name, arch=arch,
+                                       hyper=small_hyper(replay_capacity=30)))
+    run_training_epoch(state, 200)
+    assert state.replay.pushes == 220 and sum(seen) >= 2
+
+
+def test_checkpoint_arrays_keep_their_dtypes(tmp_path):
+    state = TrainingState(small_config())
+    state.warmup()
+    path = tmp_path / "c.ckpt"
+    checkpoint_save(state, path, include_replay=True)
+    ckpt = checkpoint_load(path)
+    assert ckpt["header"]["version"] == 2
+    dtypes = {name: str(a.dtype) for name, a in ckpt["arrays"].items()}
+    assert {dtypes[n] for n in dtypes if n.startswith(("param/", "acc/"))} == {"float32"}
+    assert {n: dtypes[n] for n in dtypes if n.startswith("replay/")} == {
+        "replay/action": "int32", "replay/reward": "float64", "replay/terminal": "bool",
+        "replay/start": "bool", "replay/frames/ram": "uint8"}
+    assert all(n.startswith(("param/", "acc/", "replay/")) for n in dtypes)
+
+
+def test_version_1_checkpoint_refused(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    checkpoint_save(TrainingState(small_config()), path)
+    path.write_bytes(_edit_header(path.read_bytes(), ("version",), 1))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        checkpoint_load(path)
+
+
+def test_screen_checkpoint_holds_float32_parameters(tmp_path):
+    # Default nips on micro_catch: parameters and RMSprop accumulators at
+    # 4 bytes each, and nothing else but the header and count prefixes.
+    state = TrainingState(ExperimentConfig("micro_catch", "nips"))
+    path = tmp_path / "nips.ckpt"
+    checkpoint_save(state, path)
+    values = sum(a.size for p in state.net.params for a in (p or {}).values())
+    size = path.stat().st_size
+    assert 8 * values < size < 8 * values + 4_000
+    assert size < 2_450_000
+
+
+def test_restore_huge_replay_capacity_is_a_checkpoint_error(resumable_checkpoint):
+    ckpt = checkpoint_load(resumable_checkpoint)
+    ckpt["header"]["hyper"]["replay_capacity"] = 10**14  # an 11 PiB ring
+    with pytest.raises(CheckpointError, match="MemoryError"):
+        restore_training_state(ckpt)
+
+
+def _edit_header(data, path, value):
+    """Checkpoint bytes `data` with the header entry at `path` set to `value`."""
+    start = len(CHECKPOINT_MAGIC) + 8
+    (hlen,) = struct.unpack("<Q", data[start - 8:start])
+    header = json.loads(data[start:start + hlen])
+    node = header
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    blob = json.dumps(header).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + data[start + hlen:]
+
+
+def _header_paths(node, path=()):
+    """The path of every entry under a JSON node, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    return [p for key, v in items for p in [path + (key,)] + _header_paths(v, path + (key,))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A small just_ram checkpoint with a wrapped 30-transition ring."""
+    state = TrainingState(small_config(hyper=small_hyper(replay_capacity=30)))
+    state.warmup()
+    run_training_epoch(state, 20)
+    path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+    checkpoint_save(state, path, include_replay=True)
+    return path
+
+
+EDIT_VALUES = (10**14, 2**63, 10**400, -1, -(2**63), 0, 1.5, -0.5, 1e300, float("nan"),
+               "x", None, True, [], {}, [1, 2])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_checkpoint_raises_only_checkpoint_error(fuzz_checkpoint, data):
+    raw, header = fuzz_checkpoint.read_bytes(), checkpoint_load(fuzz_checkpoint)["header"]
+    header_end = len(CHECKPOINT_MAGIC) + 8 + len(json.dumps(header))
+    kind = data.draw(st.sampled_from(("truncate", "flip", "edit")), label="kind")
+    if kind == "truncate":
+        fuzzed = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    elif kind == "flip":  # half of the flips land in the magic, lengths or header
+        bit = data.draw(st.integers(0, 8 * header_end + 63) | st.integers(0, 8 * len(raw) - 1),
+                        label="bit")
+        fuzzed = bytearray(raw)
+        fuzzed[bit // 8] ^= 1 << bit % 8
+        fuzzed = bytes(fuzzed)
+    else:
+        path = data.draw(st.sampled_from(_header_paths(header)), label="path")
+        fuzzed = _edit_header(raw, path, data.draw(st.sampled_from(EDIT_VALUES), label="value"))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.ckpt")
+        with open(path, "wb") as f:
+            f.write(fuzzed)
+        evaluate = ["eval", "--checkpoint", path, "--steps", "10"]
+        try:
+            ckpt = checkpoint_load(path)
+        except CheckpointError:
+            assert main(evaluate) == 1
+            return
+        with contextlib.suppress(CheckpointError):
+            restore_training_state(ckpt)
+        try:
+            network_from_checkpoint(ckpt)
+        except CheckpointError:
+            assert main(evaluate) == 1
+            return
+        assert main(evaluate) == 0

@@ -269,3 +269,41 @@ def test_ring_matches_list_of_transitions(capacity, phi_length, data):
         assert batch.state["screen"].shape == (n, phi_length, 2, 3)
         for got, want in zip(batch, ref.sample(n, np.random.default_rng(seed)), strict=True):
             assert_same_transition(got, want)
+
+
+@given(capacity=st.integers(1, 8), phi_length=st.integers(1, 4), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_latest_state_is_the_phi_window(capacity, phi_length, data):
+    # The state the agent acts from, read back from the newest ring slots,
+    # after every start and push: across episode starts and ring wraps.
+    terminals = data.draw(st.lists(st.booleans(), max_size=4 * (capacity + phi_length)),
+                          label="terminals")
+    obs_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ring = ReplayMemory(capacity, streams={"ram": (3,), "screen": (2, 3)},
+                        phi_length=phi_length)
+    phi = PhiBuffer(phi_length)
+
+    def observe():
+        return {"ram": obs_rng.integers(0, 256, 3, dtype=np.uint8),
+                "screen": obs_rng.integers(0, 256, (2, 3), dtype=np.uint8)}
+
+    def check(obs, screen_stack):
+        got = ring.latest_state()
+        assert got.keys() == {"ram", "screen"}
+        for key, want in (("ram", scale_ram(obs["ram"])), ("screen", screen_stack)):
+            assert got[key].dtype == np.float32 and got[key].tobytes() == want.tobytes()
+
+    obs = observe()
+    ring.start_episode(obs)
+    phi.reset(obs["screen"])
+    check(obs, phi.stack())
+    for i, terminal in enumerate(terminals):
+        obs = observe()
+        ring.push(i % 3, 0.0, terminal, obs)
+        stack = phi.observe(obs["screen"])
+        if terminal:
+            obs = observe()
+            ring.start_episode(obs)
+            phi.reset(obs["screen"])
+            stack = phi.stack()
+        check(obs, stack)

@@ -1,6 +1,11 @@
 """Golden outputs: run a fixed set of short `ramdqn train` and `eval` runs and
 print the sha256 of every output, one `sha256  run/file` line each.
 
+Each checkpoint also gets a `sha256  run/file:params` line: the digest of the
+parameters as `network_from_checkpoint` loads them, each array's bytes in the
+network's dtype, in layer order.  It does not depend on the file format, so
+a change of format shows that the parameters stayed bitwise equal.
+
 A change that must keep the arithmetic as it is shows it by giving the same
 lines as its parent commit; two runs of one commit must always agree.
 
@@ -47,7 +52,19 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def params_digest(path):
+    """sha256 of the parameters that `network_from_checkpoint` loads from `path`."""
+    from ramdqn.harness import checkpoint_load, network_from_checkpoint
+    net, _, _ = network_from_checkpoint(checkpoint_load(path))
+    h = hashlib.sha256()
+    for p in net.params:
+        for key in sorted(p or {}):
+            h.update(p[key].tobytes())
+    return h.hexdigest()
+
+
 def main():
+    sys.path.insert(0, SRC)
     runs = [(f"{env}-{arch}", env, arch, SHORT, True) for env, arch in PAIRS]
     runs += [(f"{env}-{arch}-wrapping", env, arch, WRAPPING, False) for env, arch in PAIRS]
     with tempfile.TemporaryDirectory() as tmp:
@@ -58,6 +75,8 @@ def main():
             for file in ("curve.csv", "last.ckpt", "best.ckpt"):
                 with open(os.path.join(out, file), "rb") as f:
                     lines[file] = digest(f.read())
+            for file in ("last.ckpt", "best.ckpt"):
+                lines[f"{file}:params"] = params_digest(os.path.join(out, file))
             if evaluate:
                 best = os.path.join(out, "best.ckpt")
                 lines["eval.stdout"] = digest(ramdqn("eval", "--checkpoint", best, *EVAL))
