@@ -19,8 +19,6 @@ from .optim import RmsPropState, q_loss_grad, rmsprop_state_for, rmsprop_step
 from .replay import Minibatch, ReplayMemory, Transition
 from .envs import (
     ENV_REGISTRY,
-    EnvStepResult,
-    Observation,
     PhiBuffer,
     frame_skip_step,
     make_env,

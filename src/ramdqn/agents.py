@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,9 @@ class HyperParams:
         if self.replay_capacity < max(self.minibatch_size, self.replay_start_size):
             raise ValueError("replay_capacity must be at least "
                              "max(minibatch_size, replay_start_size)")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if not 0.0 <= self.test_epsilon <= 1.0:

@@ -126,6 +126,9 @@ def cmd_eval(args):
     if args.steps < 1:
         print(f"error: --steps must be at least 1, got {args.steps}", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print(f"error: --seed must not be negative, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         ckpt = checkpoint_load(args.checkpoint)
         net, header, hyper = network_from_checkpoint(ckpt)
@@ -185,6 +188,9 @@ def gradcheck_architecture(name, seed=0, probes=100):
 def cmd_gradcheck(args):
     if not args.tolerance > 0.0:
         print(f"error: --tolerance must be positive, got {args.tolerance}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"error: --seed must not be negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     names = list(ARCHITECTURES) if args.arch == "all" else [args.arch]
     for name in names:

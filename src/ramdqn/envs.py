@@ -1,34 +1,18 @@
 """Micro-game environments with Atari-style observations.
 
-Every environment emits an Observation pairing a 128-byte RAM vector with a
-small grayscale screen, advances exactly one frame per step, and is fully
-deterministic given (seed, action sequence).  The documented RAM maps are
-byte-exact mirrors of the internal game variables so that RAM-only agents
-have something real to learn from.
+Every environment advances exactly one frame per step and is fully
+deterministic given (seed, action sequence).  Like an Atari emulator, a
+step returns only the reward and whether the episode ended; the 128-byte
+RAM vector and the grayscale screen are built when `observe` asks for them.
+The documented RAM maps are byte-exact mirrors of the internal game
+variables so that RAM-only agents have something real to learn from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 RAM_SIZE = 128
-
-
-@dataclass
-class Observation:
-    """128-byte RAM vector plus a grayscale screen frame."""
-
-    ram: np.ndarray     # (128,) uint8
-    screen: np.ndarray  # (H, W) uint8
-
-
-@dataclass
-class EnvStepResult:
-    observation: Observation
-    reward: float
-    terminal: bool
 
 
 def scale_ram(raw):
@@ -65,7 +49,8 @@ class PhiBuffer:
 
 
 class MicroGame:
-    """Base class: RAM assembly, terminal bookkeeping, rng state plumbing."""
+    """Base class: terminal bookkeeping, rng state plumbing, and the
+    observation streams, built only when `observe` is called."""
 
     name = ""
     action_count = 0
@@ -79,23 +64,25 @@ class MicroGame:
         self._rng = np.random.default_rng(seed)
         self.terminal = False
         self._reset_game()
-        return self._observation()
 
     def step(self, action):
+        """Advance one frame: (reward, terminal)."""
         if self.terminal:
             raise RuntimeError(f"{self.name}: stepping a terminated episode")
         if not 0 <= action < self.action_count:
             raise ValueError(f"{self.name}: illegal action index {action}")
-        reward = self._advance(action)
-        return EnvStepResult(self._observation(), float(reward), self.terminal)
+        return float(self._advance(action)), self.terminal
 
     def ram(self):
         ram = np.zeros(RAM_SIZE, dtype=np.uint8)
         self._fill_ram(ram)
         return ram
 
-    def _observation(self):
-        return Observation(ram=self.ram(), screen=self._render())
+    def observe(self, streams):
+        """The current frame's streams named in `streams` ("ram", "screen"),
+        each a fresh uint8 array: {stream: array}."""
+        build = {"ram": self.ram, "screen": self._render}
+        return {s: build[s]() for s in streams}
 
     def get_state(self):
         return {
@@ -445,15 +432,14 @@ def make_env(name):
 
 
 def frame_skip_step(env, action, k):
-    """Repeat `action` for k frames (or until terminal); rewards are summed
-    and the final frame's observation is returned."""
+    """Repeat `action` for k frames (or until terminal): (summed reward,
+    terminal).  The frames in between are never observed."""
     if k < 1:
         raise ValueError("frame skip must be >= 1")
     total = 0.0
-    result = None
     for _ in range(k):
-        result = env.step(action)
-        total += result.reward
-        if result.terminal:
+        reward, terminal = env.step(action)
+        total += reward
+        if terminal:
             break
-    return EnvStepResult(result.observation, total, result.terminal)
+    return total, terminal

@@ -59,6 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def build_network(arch, env, hyper, rng, dtype=np.float32):
@@ -82,15 +84,13 @@ class EpisodePipeline:
 
     def begin(self):
         """Reset the game; the first observation of the new episode."""
-        return self._raw(self.env.reset(int(self.seed_rng.integers(2**63))))
+        self.env.reset(int(self.seed_rng.integers(2**63)))
+        return self.env.observe(self.streams)
 
     def step(self, action):
         """Play `action` for one frame-skip step: (reward, terminal, observation)."""
-        result = frame_skip_step(self.env, action, self.frame_skip)
-        return result.reward, result.terminal, self._raw(result.observation)
-
-    def _raw(self, obs):
-        return {s: getattr(obs, s) for s in self.streams}
+        reward, terminal = frame_skip_step(self.env, action, self.frame_skip)
+        return reward, terminal, self.env.observe(self.streams)
 
 
 class TrainingState:

@@ -57,15 +57,14 @@ def catch_learning_run():
 def greedy_oracle_score(seed):
     """Brute-force greedy play of micro_catch: walk toward the object."""
     env = make_env("micro_catch")
-    obs = env.reset(seed)
+    env.reset(seed)
     total = 0.0
     while True:
-        ram = obs.ram
+        ram = env.ram()
         action = 0 if ram[1] == ram[0] else (1 if ram[1] < ram[0] else 2)
-        res = env.step(action)
-        total += res.reward
-        obs = res.observation
-        if res.terminal:
+        reward, terminal = env.step(action)
+        total += reward
+        if terminal:
             return total
 
 
@@ -238,18 +237,19 @@ def test_frame_skip_semantics():
             env_a.reset(seed)
             env_b.reset(seed)
             for a in actions:
-                ra = frame_skip_step(env_a, a, k)
-                total, terminal, rb = 0.0, False, None
+                reward, terminal = frame_skip_step(env_a, a, k)
+                total, terminal_b = 0.0, False
                 for _ in range(k):
-                    rb = env_b.step(a)
-                    total += rb.reward
-                    if rb.terminal:
-                        terminal = True
+                    r, terminal_b = env_b.step(a)
+                    total += r
+                    if terminal_b:
                         break
-                assert ra.reward == total
-                assert ra.terminal == terminal
-                np.testing.assert_array_equal(ra.observation.ram,
-                                              rb.observation.ram)
+                assert reward == total
+                assert terminal == terminal_b
+                obs_a = env_a.observe(("ram", "screen"))
+                obs_b = env_b.observe(("ram", "screen"))
+                np.testing.assert_array_equal(obs_a["ram"], obs_b["ram"])
+                np.testing.assert_array_equal(obs_a["screen"], obs_b["screen"])
                 if terminal:
                     break
     report("frame-skip semantics (1000 random sequences per micro-game)")

@@ -100,7 +100,7 @@ def test_hyper_rejects_replay_smaller_than_start_size():
         HyperParams(replay_capacity=50, minibatch_size=8, replay_start_size=100)
 
 
-@pytest.mark.parametrize("lr", [0.0, -0.001, float("nan")])
+@pytest.mark.parametrize("lr", [0.0, -0.001, float("nan"), float("inf")])
 def test_hyper_rejects_nonpositive_learning_rate(lr):
     with pytest.raises(ValueError, match="learning_rate"):
         HyperParams(learning_rate=lr)

@@ -138,6 +138,8 @@ def test_train_unknown_arch_exit_2(tmp_path):
     ["--learning-rate", "0"],
     ["--dropout", "1.0"],
     ["--epochs", "0"],
+    ["--seed", "-1"],
+    ["--learning-rate", "inf"],
 ])
 def test_train_invalid_settings_exit_2(tmp_path, capsys, flags):
     rc = main(["train", "--env", "micro_catch", "--arch", "just_ram",
@@ -200,6 +202,13 @@ def test_eval_invalid_settings_exit_2(tmp_path, capsys, flags):
     rc = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), *flags])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_negative_seed_exit_2(tmp_path, capsys):
+    # Checked before the checkpoint is read: a missing file would be exit 1.
+    rc = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must not be negative, got -1\n"
 
 
 def test_eval_rejects_env_option(tmp_path):
@@ -404,6 +413,13 @@ def test_gradcheck_nan_backward_exit_1(monkeypatch, capsys):
 def test_gradcheck_bad_tolerance_exit_2(capsys, tolerance):
     assert main(["gradcheck", "--arch", "just_ram", "--tolerance", tolerance]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_gradcheck_negative_seed_exit_2(capsys):
+    assert main(["gradcheck", "--arch", "just_ram", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must not be negative, got -1\n"
 
 
 def test_gradcheck_deterministic(capsys):

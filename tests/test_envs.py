@@ -12,16 +12,19 @@ from ramdqn.envs import (
 GAMES = sorted(ENV_REGISTRY)
 
 
+STREAMS = ("ram", "screen")
+
+
 def random_rollout(name, seed, n_steps, rng):
     env = make_env(name)
-    obs = env.reset(seed)
-    trace = [obs]
+    env.reset(seed)
+    trace = [env.observe(STREAMS)]
     rewards = []
     for _ in range(n_steps):
-        res = env.step(int(rng.integers(env.action_count)))
-        trace.append(res.observation)
-        rewards.append(res.reward)
-        if res.terminal:
+        reward, terminal = env.step(int(rng.integers(env.action_count)))
+        trace.append(env.observe(STREAMS))
+        rewards.append(reward)
+        if terminal:
             break
     return trace, rewards
 
@@ -29,21 +32,26 @@ def random_rollout(name, seed, n_steps, rng):
 @pytest.mark.parametrize("name", GAMES)
 def test_reset_deterministic(name):
     env1, env2 = make_env(name), make_env(name)
-    o1, o2 = env1.reset(42), env2.reset(42)
-    np.testing.assert_array_equal(o1.ram, o2.ram)
-    np.testing.assert_array_equal(o1.screen, o2.screen)
+    env1.reset(42)
+    env2.reset(42)
+    o1, o2 = env1.observe(STREAMS), env2.observe(STREAMS)
+    np.testing.assert_array_equal(o1["ram"], o2["ram"])
+    np.testing.assert_array_equal(o1["screen"], o2["screen"])
 
 
 @pytest.mark.parametrize("name", GAMES)
 def test_ram_is_128_bytes(name):
-    obs = make_env(name).reset(0)
-    assert obs.ram.shape == (128,)
-    assert obs.ram.dtype == np.uint8
+    env = make_env(name)
+    env.reset(0)
+    ram = env.ram()
+    assert ram.shape == (128,)
+    assert ram.dtype == np.uint8
 
 
 def test_micro_catch_initial_score_zero():
-    obs = make_env("micro_catch").reset(3)
-    assert obs.ram[3] == 0
+    env = make_env("micro_catch")
+    env.reset(3)
+    assert env.ram()[3] == 0
 
 
 def test_micro_breakout_action_count():
@@ -61,8 +69,8 @@ def test_rollout_deterministic(name):
     t2, r2 = random_rollout(name, 17, 300, rng2)
     assert r1 == r2
     for o1, o2 in zip(t1, t2):
-        np.testing.assert_array_equal(o1.ram, o2.ram)
-        np.testing.assert_array_equal(o1.screen, o2.screen)
+        np.testing.assert_array_equal(o1["ram"], o2["ram"])
+        np.testing.assert_array_equal(o1["screen"], o2["screen"])
 
 
 @pytest.mark.parametrize("name", GAMES)
@@ -79,10 +87,10 @@ def test_step_after_terminal_rejected(name):
     env.reset(0)
     rng = np.random.default_rng(1)
     for _ in range(10_000):
-        res = env.step(int(rng.integers(env.action_count)))
-        if res.terminal:
+        _, terminal = env.step(int(rng.integers(env.action_count)))
+        if terminal:
             break
-    assert res.terminal
+    assert terminal
     with pytest.raises(RuntimeError):
         env.step(0)
 
@@ -94,9 +102,9 @@ def test_micro_catch_catch_reward():
     env.paddle = 7 * 16
     env.obj_x = 7 * 16
     env.obj_y = 224
-    res = env.step(0)
-    assert res.reward == 1.0
-    assert res.observation.ram[3] == 1
+    reward, _ = env.step(0)
+    assert reward == 1.0
+    assert env.ram()[3] == 1
 
 
 def test_micro_catch_miss_terminates():
@@ -105,9 +113,9 @@ def test_micro_catch_miss_terminates():
     env.paddle = 0
     env.obj_x = 240
     env.obj_y = 224
-    res = env.step(0)
-    assert res.reward == 0.0
-    assert res.terminal
+    reward, terminal = env.step(0)
+    assert reward == 0.0
+    assert terminal
 
 
 @pytest.mark.parametrize("name", GAMES)
@@ -116,8 +124,8 @@ def test_ram_map_fidelity(name):
     env.reset(11)
     rng = np.random.default_rng(2)
     for _ in range(200):
-        res = env.step(int(rng.integers(env.action_count)))
-        ram = res.observation.ram
+        _, terminal = env.step(int(rng.integers(env.action_count)))
+        ram = env.ram()
         if name == "micro_catch":
             assert ram[0] == env.paddle
             assert ram[1] == env.obj_x
@@ -143,7 +151,7 @@ def test_ram_map_fidelity(name):
             assert ram[4] == env.score % 256
             assert list(ram[5:13]) == [e + 1 for e in env.enemies]
             assert not ram[13:].any()
-        if res.terminal:
+        if terminal:
             env.reset(11)
 
 
@@ -154,33 +162,16 @@ def test_cumulative_reward_equals_score_counter(name):
     rng = np.random.default_rng(7)
     total = 0.0
     for _ in range(2000):
-        res = env.step(int(rng.integers(env.action_count)))
-        total += res.reward
-        if res.terminal:
+        reward, terminal = env.step(int(rng.integers(env.action_count)))
+        total += reward
+        if terminal:
             break
     score_cell = {"micro_catch": 3, "micro_breakout": 10, "micro_diver": 4}[name]
-    assert res.observation.ram[score_cell] == int(total) % 256
+    assert env.ram()[score_cell] == int(total) % 256
 
 
 @pytest.mark.parametrize("name", GAMES)
-def test_frame_skip_one_equals_step(name):
-    rng = np.random.default_rng(13)
-    actions = [int(rng.integers(ENV_REGISTRY[name].action_count)) for _ in range(100)]
-    env_a, env_b = make_env(name), make_env(name)
-    env_a.reset(21)
-    env_b.reset(21)
-    for a in actions:
-        ra = frame_skip_step(env_a, a, 1)
-        rb = env_b.step(a)
-        assert ra.reward == rb.reward
-        assert ra.terminal == rb.terminal
-        np.testing.assert_array_equal(ra.observation.ram, rb.observation.ram)
-        if ra.terminal:
-            break
-
-
-@pytest.mark.parametrize("name", GAMES)
-@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("k", [1, 2, 4])
 def test_frame_skip_matches_per_frame_simulation(name, k):
     rng = np.random.default_rng(31)
     for trial in range(20):
@@ -191,17 +182,18 @@ def test_frame_skip_matches_per_frame_simulation(name, k):
         env_a.reset(seed)
         env_b.reset(seed)
         for a in actions:
-            ra = frame_skip_step(env_a, a, k)
-            total, terminal = 0.0, False
+            reward, terminal = frame_skip_step(env_a, a, k)
+            total, terminal_b = 0.0, False
             for _ in range(k):
-                rb = env_b.step(a)
-                total += rb.reward
-                if rb.terminal:
-                    terminal = True
+                r, terminal_b = env_b.step(a)
+                total += r
+                if terminal_b:
                     break
-            assert ra.reward == total
-            assert ra.terminal == terminal
-            np.testing.assert_array_equal(ra.observation.ram, rb.observation.ram)
+            assert reward == total
+            assert terminal == terminal_b
+            obs_a, obs_b = env_a.observe(STREAMS), env_b.observe(STREAMS)
+            np.testing.assert_array_equal(obs_a["ram"], obs_b["ram"])
+            np.testing.assert_array_equal(obs_a["screen"], obs_b["screen"])
             if terminal:
                 break
 
@@ -214,14 +206,13 @@ def test_frame_skip_reward_summation():
             self.i = 0
 
         def step(self, action):
-            from ramdqn.envs import EnvStepResult, Observation
             r = self.rewards[self.i]
             self.i += 1
-            obs = Observation(np.zeros(128, np.uint8), np.zeros((2, 2), np.uint8))
-            return EnvStepResult(obs, r, False)
+            return r, False
 
-    res = frame_skip_step(Scripted(), 0, 4)
-    assert res.reward == 3.0
+    reward, terminal = frame_skip_step(Scripted(), 0, 4)
+    assert reward == 3.0
+    assert not terminal
 
 
 def test_frame_skip_stops_at_terminal():
@@ -230,16 +221,14 @@ def test_frame_skip_stops_at_terminal():
             self.i = 0
 
         def step(self, action):
-            from ramdqn.envs import EnvStepResult, Observation
             self.i += 1
-            obs = Observation(np.zeros(128, np.uint8), np.zeros((2, 2), np.uint8))
-            return EnvStepResult(obs, 1.0, self.i == 2)
+            return 1.0, self.i == 2
 
     env = Scripted()
-    res = frame_skip_step(env, 0, 4)
+    reward, terminal = frame_skip_step(env, 0, 4)
     assert env.i == 2
-    assert res.terminal
-    assert res.reward == 2.0
+    assert terminal
+    assert reward == 2.0
 
 
 def test_scale_ram_values():

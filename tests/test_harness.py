@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ramdqn import harness
 from ramdqn.agents import HyperParams
 from ramdqn.cli import main
-from ramdqn.envs import PhiBuffer, scale_ram
+from ramdqn.envs import ENV_REGISTRY, PhiBuffer, make_env, scale_ram
 from ramdqn.harness import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -417,6 +417,46 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
                                        hyper=small_hyper(replay_capacity=30)))
     run_training_epoch(state, 200)
     assert state.replay.pushes == 220 and sum(seen) >= 2
+
+
+@pytest.mark.parametrize("env_name, arch, built", [
+    ("micro_diver", "big_mixed_ram", ("ram", "screen")),
+    ("micro_catch", "just_ram", ("ram",)),
+    ("micro_catch", "nips", ("screen",)),
+])
+def test_pipeline_observes_each_read_stream_once_per_action(monkeypatch, env_name, arch, built):
+    # At frame skip 4 the frames in between are never observed, and a stream
+    # the network does not read is never built: just_ram renders no screen,
+    # nips fills no RAM.
+    game = ENV_REGISTRY[env_name]
+    calls = {"frames": 0, "ram": 0, "screen": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(game, "step", counted("frames", game.step))
+    monkeypatch.setattr(game, "ram", counted("ram", game.ram))
+    monkeypatch.setattr(game, "_render", counted("screen", game._render))
+    hyper = small_hyper(frame_skip=4)
+    env = make_env(env_name)
+    net = harness.build_network(arch, env, hyper, np.random.default_rng(0))
+    episode = harness.EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    episode.begin()
+    observed = 1
+    for _ in range(300):
+        _, terminal, obs = episode.step(int(rng.integers(env.action_count)))
+        assert sorted(obs) == sorted(built)
+        observed += 1
+        if terminal:
+            episode.begin()
+            observed += 1
+    assert calls["frames"] > 2 * 300  # most actions passed over frames
+    assert calls["ram"] == (observed if "ram" in built else 0)
+    assert calls["screen"] == (observed if "screen" in built else 0)
 
 
 def test_checkpoint_arrays_keep_their_dtypes(tmp_path):
