@@ -46,6 +46,9 @@ class HyperParams:
             value = getattr(self, name)
             if type(value) is not int or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if type(self.replay_start_size) is not int or self.replay_start_size < 0:
+            raise ValueError(f"replay_start_size must be an integer >= 0, "
+                             f"got {self.replay_start_size!r}")
         if self.replay_capacity < max(self.minibatch_size, self.replay_start_size):
             raise ValueError("replay_capacity must be at least "
                              "max(minibatch_size, replay_start_size)")
@@ -162,12 +165,13 @@ def build_architecture(name, output_dim, screen_shape=None, phi_length=4,
     return make_network(specs, rng, dtype=dtype)
 
 
-def select_action(net, observation_inputs, epsilon, rng, action_count):
-    """Epsilon-greedy over Q(observation); argmax ties break to lowest index."""
+def select_action(net, observation_inputs, epsilon, rng):
+    """Epsilon-greedy over Q(observation), one of the network's
+    `output_dim` actions; argmax ties break to lowest index."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
-        return int(rng.integers(action_count))
+        return int(rng.integers(net.output_dim))
     batch = {k: v[None, ...] for k, v in observation_inputs.items()}
     acts = forward(net, batch, mode="eval")
     q = acts[net.terminal]["out"][0]

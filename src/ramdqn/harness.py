@@ -57,8 +57,8 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
+        if type(self.epochs) is not int or self.epochs < 1:
+            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -88,9 +88,12 @@ class EpisodePipeline:
         return self.env.observe(self.streams)
 
     def step(self, action):
-        """Play `action` for one frame-skip step: (reward, terminal, observation)."""
+        """Play `action` for one frame-skip step: (reward, terminal,
+        observation).  A terminal step resets the game, and its observation
+        is the next episode's first; the terminal frame is never built."""
         reward, terminal = frame_skip_step(self.env, action, self.frame_skip)
-        return reward, terminal, self.env.observe(self.streams)
+        obs = self.begin() if terminal else self.env.observe(self.streams)
+        return reward, terminal, obs
 
 
 class TrainingState:
@@ -116,17 +119,11 @@ class TrainingState:
         self.warmed = False
         # The replay ring is the only store of observations: the agent acts
         # from the state of its newest slot.
-        first = self.episode.begin()
-        self.replay = ReplayMemory(self.hyper.replay_capacity,
-                                   streams={k: v.shape for k, v in first.items()},
+        self.replay = ReplayMemory(self.hyper.replay_capacity, self.episode.begin(),
                                    phi_length=self.hyper.phi_length)
-        self.replay.start_episode(first)
 
     def _take_action(self, action):
-        reward, terminal, obs = self.episode.step(action)
-        self.replay.push(action, reward, terminal, obs)
-        if terminal:
-            self.replay.start_episode(self.episode.begin())
+        self.replay.push(action, *self.episode.step(action))
 
     def warmup(self):
         """Populate the replay memory with random-action transitions."""
@@ -157,7 +154,7 @@ def run_training_epoch(state, steps):
     for _ in range(steps):
         eps = epsilon_at(hyper, state.global_step)
         action = select_action(state.net, state.replay.latest_state(), eps,
-                               state.explore_rng, state.episode.env.action_count)
+                               state.explore_rng)
         state._take_action(action)
         state.global_step += 1
         if len(state.replay) >= max(hyper.replay_start_size, hyper.minibatch_size):
@@ -199,13 +196,12 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0,
     episode_scores = []
     current = 0.0
     for _ in range(steps):
-        action = select_action(net, state, epsilon, policy_rng, episode.env.action_count)
+        action = select_action(net, state, epsilon, policy_rng)
         reward, terminal, obs = episode.step(action)
         current += reward
         if terminal:
             episode_scores.append(current)
             current = 0.0
-            obs = episode.begin()
         state = inputs(obs, fresh=terminal)
 
     if episode_scores:
@@ -224,20 +220,13 @@ def write_curve_csv(path, reports):
         f.write("\n".join(lines) + "\n")
 
 
-def best_epoch(reports):
-    """1-based index of the highest average score; ties go to the earliest."""
-    best = 0
-    for i, r in enumerate(reports):
-        if r.avg_score > reports[best].avg_score:
-            best = i
-    return reports[best].epoch
-
-
 def run_experiment(config, progress=None):
     """Full protocol: epochs x (train epoch, test period), CSV + checkpoints.
 
-    Returns (reports, best_epoch_index).  A non-finite test score raises
-    TrainingError before the epoch's checkpoints and the CSV are written.
+    Returns (reports, best): `best` is the epoch with the highest average
+    score, ties going to the earliest, whose state `best.ckpt` holds.  A
+    non-finite test score raises TrainingError before the epoch's
+    checkpoints and the CSV are written.
     """
     state = TrainingState(config)
     state.warmup()
@@ -245,7 +234,7 @@ def run_experiment(config, progress=None):
     if out:
         os.makedirs(out, exist_ok=True)
     reports = []
-    best_score = None
+    best = None
     for epoch in range(1, config.epochs + 1):
         mean_loss = run_training_epoch(state, config.hyper.steps_per_epoch)
         test_seed = int(np.random.SeedSequence((config.seed, 7781, epoch)).generate_state(1)[0])
@@ -254,16 +243,18 @@ def run_experiment(config, progress=None):
         if not math.isfinite(report.avg_score):  # a NaN would freeze best-epoch selection
             raise TrainingError(f"epoch {epoch}: test score is {report.avg_score}")
         reports.append(report)
+        improved = best is None or report.avg_score > reports[best - 1].avg_score
+        if improved:
+            best = epoch
         if out:
             checkpoint_save(state, os.path.join(out, "last.ckpt"))
-            if best_score is None or report.avg_score > best_score:
-                best_score = report.avg_score
+            if improved:
                 checkpoint_save(state, os.path.join(out, "best.ckpt"))
         if progress is not None:
             progress(report)
     if out:
         write_curve_csv(os.path.join(out, "curve.csv"), reports)
-    return reports, best_epoch(reports)
+    return reports, best
 
 
 # ---------------------------------------------------------------------------

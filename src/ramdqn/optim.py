@@ -8,22 +8,23 @@ import numpy as np
 
 from .tensor_core import ShapeError
 
+DECAY_RHO = 0.95  # RMSprop's mean-square decay
+STABILIZER_EPS = 1e-6  # added to the mean square under the square root
+
 
 @dataclass
 class RmsPropState:
-    """Per-parameter mean-square accumulators plus the update constants.
+    """Per-parameter mean-square accumulators plus the learning rate.
 
     `scratch` holds one work array per parameter, made on the first step, so
     that an update allocates no full-size temporaries."""
 
     mean_square: list
-    decay_rho: float = 0.95
-    stabilizer_eps: float = 1e-6
     learning_rate: float = 0.0002
     scratch: list = field(default=None, repr=False, compare=False)
 
 
-def rmsprop_state_for(net, learning_rate=0.0002, decay_rho=0.95, stabilizer_eps=1e-6):
+def rmsprop_state_for(net, learning_rate=0.0002):
     """Fresh zeroed accumulators mirroring a network's parameter layout."""
     acc = []
     for p in net.params:
@@ -31,12 +32,7 @@ def rmsprop_state_for(net, learning_rate=0.0002, decay_rho=0.95, stabilizer_eps=
             acc.append(None)
         else:
             acc.append({k: np.zeros_like(v) for k, v in p.items()})
-    return RmsPropState(
-        mean_square=acc,
-        decay_rho=decay_rho,
-        stabilizer_eps=stabilizer_eps,
-        learning_rate=learning_rate,
-    )
+    return RmsPropState(mean_square=acc, learning_rate=learning_rate)
 
 
 def rmsprop_step(params, grads, state):
@@ -45,9 +41,7 @@ def rmsprop_step(params, grads, state):
     `grads` entries may be None (no gradient reached that layer); the matching
     accumulators still decay so repeated zero-gradient steps are well defined.
     """
-    rho = state.decay_rho
-    eps = state.stabilizer_eps
-    lr = state.learning_rate
+    rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
     if len(params) != len(state.mean_square):
         raise ShapeError("optimizer state does not match parameter layout")
     if state.scratch is None:

@@ -23,8 +23,7 @@ class Transition:
 
     States are network-ready input dicts (stream name -> float32 array).  The
     next_state of a terminal transition is never bootstrapped: the replay
-    ring may have overwritten it, in whole or in part, with the next
-    episode's first frame.
+    ring builds it from the next episode's first frame.
     Transitions are equal when their fields are, arrays compared by value.
     """
 
@@ -95,24 +94,22 @@ class ReplayMemory:
     replacement.
 
     Each step is stored once, as bytes, in a ring of capacity + phi_length
-    slots: slot j holds the uint8 observation of every stream (`streams`
-    maps a name to the shape of one observation), the action, reward and
-    terminal flag of the transition taken from it, and whether an episode
-    starts there.  Transition number k acts from slot k and leads to slot
-    k + 1 (mod the slot count).  The `screen` stream's states are stacks of
+    slots: slot j holds the uint8 observation of every stream, the action,
+    reward and terminal flag of the transition taken from it, and whether an
+    episode starts there.  Transition number k acts from slot k and leads
+    to slot k + 1 (mod the slot count).  The `screen` stream's states are stacks of
     the last phi_length frames, the episode's first frame repeated where the
     episode is younger, as `PhiBuffer` builds them; other streams' states
     are the one observation.  Observations are scaled by `scale_ram` when
     read.  The newest slot holds the observation the agent acts from, and
     `latest_state` gives its state.
 
-    Episodes are written in order: `start_episode(obs)`, then one
-    `push(action, reward, terminal, next_obs)` per step, and a new
-    `start_episode` only after a terminal push, whose next observation it
-    overwrites.
+    `first_obs` (stream -> uint8 array) starts the first episode in slot 0
+    and sets each stream's shape.  After that `push` is the only write: the
+    next observation of a terminal transition is the next episode's first.
     """
 
-    def __init__(self, capacity=100_000, *, streams, phi_length=1):
+    def __init__(self, capacity, first_obs, *, phi_length=1):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if phi_length <= 0:
@@ -122,12 +119,14 @@ class ReplayMemory:
         self.pushes = 0
         slots = capacity + phi_length  # the oldest stack survives a wrap
         # np.zeros: Linux backs the pages lazily, so unused capacity costs no RSS.
-        self.frames = {name: np.zeros((slots,) + tuple(shape), dtype=np.uint8)
-                       for name, shape in streams.items()}
+        self.frames = {name: np.zeros((slots,) + obs.shape, dtype=np.uint8)
+                       for name, obs in first_obs.items()}
         self.action = np.zeros(slots, dtype=np.int32)
         self.reward = np.zeros(slots, dtype=np.float64)
         self.terminal = np.zeros(slots, dtype=bool)
         self.start = np.zeros(slots, dtype=bool)
+        self._write(0, first_obs)
+        self.start[0] = True
 
     def __len__(self):
         return min(self.pushes, self.capacity)
@@ -138,27 +137,18 @@ class ReplayMemory:
         for name, frames in self.frames.items():
             frames[slot] = obs[name]
 
-    def start_episode(self, obs):
-        """Store the first observation of an episode (stream -> uint8 array)."""
-        slot = self.pushes % len(self.start)
-        if self.pushes and not self.terminal[slot - 1]:
-            raise ValueError("an episode can only start after a terminal transition")
-        self._write(slot, obs)
-        self.start[slot] = True
-
     def push(self, action, reward, terminal, next_obs):
         """Store the transition taken from the latest observation; `next_obs`
-        is the observation it led to."""
+        is the observation it led to, or after a terminal transition the
+        first observation of the next episode."""
         slots = len(self.start)
         slot = self.pushes % slots
-        if not (self.start[slot] or (self.pushes and not self.terminal[slot - 1])):
-            raise ValueError("no episode in progress: call start_episode first")
+        after = (slot + 1) % slots
+        self._write(after, next_obs)
         self.action[slot] = action
         self.reward[slot] = reward
         self.terminal[slot] = terminal
-        after = (slot + 1) % slots
-        self._write(after, next_obs)
-        self.start[after] = False
+        self.start[after] = terminal
         self.pushes += 1
 
     def _numbers(self, positions):

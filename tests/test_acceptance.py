@@ -112,14 +112,14 @@ def test_tabular_oracle_equivalence():
         return {"ram": ram}
 
     # Four episodes from state 3, each taking every (state, action) pair
-    # once: left down to 0, left again, then right into the terminal state.
-    mem = ReplayMemory(64, streams={"ram": (128,)})
+    # once: left down to 0, left again, then right into the terminal state,
+    # whose next observation is the next episode's first.
+    mem = ReplayMemory(64, onehot_bytes(3))
     for _ in range(4):
         s = 3
-        mem.start_episode(onehot_bytes(s))
         for a in (0, 0, 0, 0, 1, 1, 1, 1):
             ns = s + 1 if a == 1 else max(s - 1, 0)
-            mem.push(a, 1.0 if ns == 4 else 0.0, ns == 4, onehot_bytes(min(ns, 4)))
+            mem.push(a, 1.0 if ns == 4 else 0.0, ns == 4, onehot_bytes(3 if ns == 4 else ns))
             s = ns
     hyper = HyperParams(minibatch_size=32, replay_start_size=32, frame_skip=1,
                         discount=gamma, steps_per_epoch=1, test_steps=1)
@@ -200,14 +200,12 @@ def test_protocol_fidelity():
     assert hyper.replay_start_size == 100
 
     zero = {"ram": np.zeros(1, np.uint8)}
-    mem = ReplayMemory(hyper.replay_capacity, streams={"ram": (1,)})
-    mem.start_episode(zero)
+    mem = ReplayMemory(hyper.replay_capacity, zero)
     for _ in range(hyper.replay_capacity + 1):
         mem.push(0, 0.0, False, zero)
     assert len(mem) == hyper.replay_capacity
 
-    small = ReplayMemory(3, streams={"ram": (1,)})
-    small.start_episode(zero)
+    small = ReplayMemory(3, zero)
     items = [Transition({"ram": np.full(1, i / 256, np.float32)}, 0, float(i),
                         {"ram": np.full(1, (i + 1) / 256, np.float32)}, False)
              for i in range(5)]

@@ -158,23 +158,23 @@ def fixed_q_net(q_values):
 def test_select_action_argmax():
     net = fixed_q_net([1.0, 3.0, 2.0])
     obs = {"ram": np.ones(3)}
-    a = select_action(net, obs, 0.0, np.random.default_rng(0), 3)
+    a = select_action(net, obs, 0.0, np.random.default_rng(0))
     assert a == 1
 
 
 def test_select_action_tie_breaks_low():
     net = fixed_q_net([5.0, 5.0, 0.0])
-    a = select_action(net, {"ram": np.ones(3)}, 0.0, np.random.default_rng(0), 3)
+    a = select_action(net, {"ram": np.ones(3)}, 0.0, np.random.default_rng(0))
     assert a == 0
 
 
 def test_select_action_constant_shift_invariance():
     base = [0.3, -1.2, 0.9, 0.1]
     a1 = select_action(fixed_q_net(base), {"ram": np.ones(3)}, 0.0,
-                       np.random.default_rng(0), 4)
+                       np.random.default_rng(0))
     shifted = [v + 17.5 for v in base]
     a2 = select_action(fixed_q_net(shifted), {"ram": np.ones(3)}, 0.0,
-                       np.random.default_rng(0), 4)
+                       np.random.default_rng(0))
     assert a1 == a2
 
 
@@ -185,7 +185,7 @@ def test_select_action_uniform_at_epsilon_one():
     counts = np.zeros(3)
     obs = {"ram": np.ones(3)}
     for _ in range(n):
-        counts[select_action(net, obs, 1.0, rng, 3)] += 1
+        counts[select_action(net, obs, 1.0, rng)] += 1
     expected = n / 3
     sigma = np.sqrt(n * (1 / 3) * (2 / 3))
     assert np.all(np.abs(counts - expected) < 3 * sigma)
@@ -248,17 +248,14 @@ def test_train_step_deterministic():
         net = build_architecture("just_ram", 3, rng=np.random.default_rng(1),
                                  dtype=np.float64)
         opt = rmsprop_state_for(net)
-        mem = ReplayMemory(16, streams={"ram": (128,)})
         data_rng = np.random.default_rng(2)
 
         def observe():
             return {"ram": data_rng.integers(0, 256, 128, dtype=np.uint8)}
 
-        mem.start_episode(observe())
+        mem = ReplayMemory(16, observe())
         for i in range(8):
             mem.push(i % 3, float(i % 2), i % 4 == 0, observe())
-            if i % 4 == 0:
-                mem.start_episode(observe())
         losses.append(train_step(net, mem, opt, small_hyper(), rng))
     assert losses[0] == losses[1]
 
@@ -273,10 +270,9 @@ def test_train_step_perfect_fit_keeps_params():
             for v in p.values():
                 v[...] = 0.0
     opt = rmsprop_state_for(net)
-    mem = ReplayMemory(8, streams={"ram": (128,)})
     s = {"ram": np.random.default_rng(0).integers(0, 256, 128, dtype=np.uint8)}
+    mem = ReplayMemory(8, s)
     for _ in range(4):
-        mem.start_episode(s)
         mem.push(1, 0.0, True, s)
     loss = train_step(net, mem, opt, small_hyper(), np.random.default_rng(5))
     assert loss == 0.0
@@ -290,10 +286,9 @@ def test_train_step_converges_on_single_transition():
     net = build_architecture("just_ram", 3, rng=np.random.default_rng(1),
                              dtype=np.float64)
     opt = rmsprop_state_for(net, learning_rate=0.001)
-    mem = ReplayMemory(8, streams={"ram": (128,)})
     s = {"ram": np.random.default_rng(0).integers(0, 256, 128, dtype=np.uint8)}
+    mem = ReplayMemory(8, s)
     for _ in range(4):
-        mem.start_episode(s)
         mem.push(2, 1.0, True, s)
     rng = np.random.default_rng(9)
     hyper = small_hyper()
@@ -339,15 +334,15 @@ def test_tabular_equivalence_with_value_iteration():
         return {"ram": ram}
 
     # Four episodes from state 3, each taking every (state, action) pair
-    # once: left down to 0, left again, then right into the terminal state.
-    mem = ReplayMemory(64, streams={"ram": (128,)})
+    # once: left down to 0, left again, then right into the terminal state,
+    # whose next observation is the next episode's first.
+    mem = ReplayMemory(64, onehot_bytes(3))
     for _ in range(4):
         s = 3
-        mem.start_episode(onehot_bytes(s))
         for a in (0, 0, 0, 0, 1, 1, 1, 1):
             ns = min(s + 1, 4) if a == 1 else max(s - 1, 0)
             r = 1.0 if ns == 4 else 0.0
-            mem.push(a, r, ns == 4, onehot_bytes(min(ns, 4)))
+            mem.push(a, r, ns == 4, onehot_bytes(3 if ns == 4 else ns))
             s = ns
     hyper = small_hyper(minibatch_size=32, replay_start_size=32, discount=gamma)
     rng = np.random.default_rng(4)

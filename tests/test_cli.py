@@ -246,6 +246,9 @@ BAD_HEADERS = {
     "unknown_env": set_key("env", "nope"),
     "other_env": set_key("env", "micro_diver"),
     "invalid_hyper": lambda h: h["hyper"].__setitem__("frame_skip", 0),
+    "start_size_negative": lambda h: h["hyper"].__setitem__("replay_start_size", -5),
+    "start_size_float": lambda h: h["hyper"].__setitem__("replay_start_size", 2.5),
+    "start_size_bool": lambda h: h["hyper"].__setitem__("replay_start_size", True),
     "unknown_hyper": lambda h: h["hyper"].__setitem__("momentum", 0.9),
     "hyper_not_dict": set_key("hyper", [1, 2]),
     "unknown_dtype": set_key("dtype", "nope"),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ramdqn import harness
 from ramdqn.agents import HyperParams
 from ramdqn.cli import main
-from ramdqn.envs import ENV_REGISTRY, PhiBuffer, make_env, scale_ram
+from ramdqn.envs import ENV_REGISTRY, MicroGame, PhiBuffer, make_env, scale_ram
 from ramdqn.harness import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -21,7 +21,6 @@ from ramdqn.harness import (
     ExperimentConfig,
     TrainingError,
     TrainingState,
-    best_epoch,
     checkpoint_load,
     checkpoint_save,
     load_params_into,
@@ -121,11 +120,25 @@ def test_test_period_truncated_episode_flagged():
     assert report.episodes == 1
 
 
-def test_best_epoch_tie_to_earliest():
-    reports = [EpochReport(1, 10.0, 1, 10, 0.0),
-               EpochReport(2, 50.0, 1, 10, 0.0),
-               EpochReport(3, 50.0, 1, 10, 0.0)]
-    assert best_epoch(reports) == 2
+def test_run_experiment_best_tie_to_earliest(tmp_path, monkeypatch):
+    scores = iter([10.0, 50.0, 50.0])
+
+    def test_period(net, env_name, hyper, seed, epoch, mean_loss):
+        return EpochReport(epoch, next(scores), 1, 10, mean_loss)
+
+    monkeypatch.setattr(harness, "run_test_period", test_period)
+    reports, best = run_experiment(small_config(tmp_path, epochs=3,
+                                                hyper=small_hyper(steps_per_epoch=5)))
+    assert [r.avg_score for r in reports] == [10.0, 50.0, 50.0]
+    assert best == 2
+    ckpt = checkpoint_load(tmp_path / "best.ckpt")
+    assert ckpt["header"]["counters"]["epochs_done"] == best
+
+
+@pytest.mark.parametrize("epochs", [0, 1.5, True])
+def test_config_rejects_bad_epochs(epochs):
+    with pytest.raises(ValueError, match="epochs must be a positive integer"):
+        small_config(epochs=epochs)
 
 
 def test_run_experiment_single_epoch(tmp_path):
@@ -272,10 +285,12 @@ def _replace_array(name, shape):
     return edit
 
 
-# One edit per header entry that only restore_training_state reads, and of
-# the replay arrays; small_config's ring has 500 + 4 slots of 128 RAM bytes,
-# of which the checkpoint below holds the 51 written by its 50 pushes.
+# One edit per header entry that only restore_training_state reads, of a
+# hyperparameter that only training reads, and of the replay arrays;
+# small_config's ring has 500 + 4 slots of 128 RAM bytes, of which the
+# checkpoint below holds the 51 written by its 50 pushes.
 BAD_RESUME_EDITS = {
+    "start_size_float": _set("hyper", "replay_start_size", value=2.5),
     "no_counters": _pop("counters"),
     "counters_not_dict": _set("counters", value=[0, 0, False]),
     "counter_missing": _pop("counters", "global_step"),
@@ -398,7 +413,7 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
 
     def step(self, action):
         reward, terminal, obs = real_step(self, action)
-        reference(obs, fresh=False)
+        reference(obs, fresh=terminal)  # after a terminal step: the next episode's first
         seen.append(terminal)
         return reward, terminal, obs
 
@@ -446,17 +461,46 @@ def test_pipeline_observes_each_read_stream_once_per_action(monkeypatch, env_nam
     episode = harness.EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     episode.begin()
-    observed = 1
     for _ in range(300):
         _, terminal, obs = episode.step(int(rng.integers(env.action_count)))
         assert sorted(obs) == sorted(built)
-        observed += 1
-        if terminal:
-            episode.begin()
-            observed += 1
     assert calls["frames"] > 2 * 300  # most actions passed over frames
-    assert calls["ram"] == (observed if "ram" in built else 0)
-    assert calls["screen"] == (observed if "screen" in built else 0)
+    assert calls["ram"] == (1 + 300 if "ram" in built else 0)
+    assert calls["screen"] == (1 + 300 if "screen" in built else 0)
+
+
+@pytest.mark.parametrize("env_name", sorted(ENV_REGISTRY))
+def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
+    # One observation per action, also across episode ends: a terminal step
+    # resets the game, and its observation is the one a new pipeline on the
+    # same seed stream begins with.  The terminal frame is never built.
+    observed = []
+    real_observe = MicroGame.observe
+
+    def observe(self, streams):
+        observed.append(streams)
+        return real_observe(self, streams)
+
+    monkeypatch.setattr(MicroGame, "observe", observe)
+    hyper = small_hyper()
+    streams = ("ram", "screen")
+    episode = harness.EpisodePipeline(make_env(env_name), streams, hyper,
+                                      np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    episode.begin()
+    ends = 0
+    for _ in range(400):
+        seeds, calls = copy.deepcopy(episode.seed_rng), len(observed)
+        _, terminal, obs = episode.step(int(rng.integers(episode.env.action_count)))
+        assert len(observed) == calls + 1
+        if terminal:
+            ends += 1
+            twin = harness.EpisodePipeline(make_env(env_name), streams, hyper, seeds)
+            first = twin.begin()
+            assert obs.keys() == first.keys()
+            for key in first:
+                np.testing.assert_array_equal(obs[key], first[key])
+    assert ends >= 3
 
 
 def test_checkpoint_arrays_keep_their_dtypes(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ramdqn.agents import build_architecture
-from ramdqn.optim import q_loss_grad, rmsprop_state_for, rmsprop_step
+from ramdqn.optim import (DECAY_RHO, STABILIZER_EPS, q_loss_grad, rmsprop_state_for,
+                          rmsprop_step)
 from ramdqn.tensor_core import ShapeError
 
 
@@ -90,7 +91,7 @@ def test_rmsprop_matches_reference_expression_bitwise():
                   for p in net.params]
     ref_acc = [None if a is None else {k: v.copy() for k, v in a.items()}
                for a in state.mean_square]
-    rho, eps, lr = state.decay_rho, state.stabilizer_eps, state.learning_rate
+    rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
     for _ in range(5):
         grads = [None if p is None else
                  {k: (0.1 * rng.standard_normal(v.shape)).astype(v.dtype) for k, v in p.items()}

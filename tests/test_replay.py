@@ -14,9 +14,7 @@ def ram_obs(tag):
 
 def new_memory(capacity=100_000, first=0):
     """A RAM-only memory whose one episode starts at observation `first`."""
-    mem = ReplayMemory(capacity, streams={"ram": (4,)})
-    mem.start_episode(ram_obs(first))
-    return mem
+    return ReplayMemory(capacity, ram_obs(first))
 
 
 def push(mem, tag):
@@ -165,28 +163,12 @@ def test_restore_requires_exactly_the_written_slots():
         new_memory(capacity=10).restore(mem.arrays(), 4)
 
 
-def test_push_needs_an_episode():
-    mem = ReplayMemory(4, streams={"ram": (4,)})
-    with pytest.raises(ValueError, match="start_episode"):
-        push(mem, 0)
-    mem.start_episode(ram_obs(0))
-    mem.push(0, 1.0, True, ram_obs(1))
-    with pytest.raises(ValueError, match="start_episode"):
-        push(mem, 1)
-
-
-def test_episode_starts_only_after_a_terminal_push():
+def test_observation_streams_must_match():
     mem = new_memory(capacity=4)
     push(mem, 0)
-    with pytest.raises(ValueError, match="terminal"):
-        mem.start_episode(ram_obs(9))
-    assert mem.contents() == [make_transition(0)]
-
-
-def test_observation_streams_must_match():
-    mem = ReplayMemory(4, streams={"ram": (4,)})
     with pytest.raises(ValueError, match="streams"):
-        mem.start_episode({"screen": np.zeros((2, 2), np.uint8)})
+        mem.push(1, 1.0, False, {"screen": np.zeros((2, 2), np.uint8)})
+    assert mem.contents() == [make_transition(0)]  # the failed push wrote nothing
 
 
 # -- the ring against the list of transitions it replaces --------------------
@@ -237,8 +219,6 @@ def test_ring_matches_list_of_transitions(capacity, phi_length, data):
                           label="terminals")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     obs_rng = np.random.default_rng(seed)
-    ring = ReplayMemory(capacity, streams={"ram": (3,), "screen": (2, 3)},
-                        phi_length=phi_length)
     ref = ListMemory(capacity)
     phi = PhiBuffer(phi_length)
 
@@ -246,19 +226,21 @@ def test_ring_matches_list_of_transitions(capacity, phi_length, data):
         return {"ram": obs_rng.integers(0, 256, 3, dtype=np.uint8),
                 "screen": obs_rng.integers(0, 256, (2, 3), dtype=np.uint8)}
 
-    def begin():
-        obs = observe()
+    def begin(obs):
         phi.reset(obs["screen"])
-        ring.start_episode(obs)
         return {"ram": scale_ram(obs["ram"]), "screen": phi.stack()}
 
-    state = begin()
+    first = observe()
+    ring = ReplayMemory(capacity, first, phi_length=phi_length)
+    state = begin(first)
     for i, terminal in enumerate(terminals):
+        # After a terminal step, `obs` is the next episode's first
+        # observation, and the reference's next state is never compared.
         obs = observe()
         next_state = {"ram": scale_ram(obs["ram"]), "screen": phi.observe(obs["screen"])}
         ring.push(i % 5, float(i) / 3, terminal, obs)
         ref.push(Transition(state, i % 5, float(i) / 3, next_state, terminal))
-        state = begin() if terminal else next_state
+        state = begin(obs) if terminal else next_state
 
     contents = ring.contents()
     assert len(contents) == len(ring) == len(ref.items)
@@ -275,12 +257,11 @@ def test_ring_matches_list_of_transitions(capacity, phi_length, data):
 @settings(max_examples=100, deadline=None)
 def test_latest_state_is_the_phi_window(capacity, phi_length, data):
     # The state the agent acts from, read back from the newest ring slots,
-    # after every start and push: across episode starts and ring wraps.
+    # after the first observation and every push: across episode starts and
+    # ring wraps.
     terminals = data.draw(st.lists(st.booleans(), max_size=4 * (capacity + phi_length)),
                           label="terminals")
     obs_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    ring = ReplayMemory(capacity, streams={"ram": (3,), "screen": (2, 3)},
-                        phi_length=phi_length)
     phi = PhiBuffer(phi_length)
 
     def observe():
@@ -294,16 +275,15 @@ def test_latest_state_is_the_phi_window(capacity, phi_length, data):
             assert got[key].dtype == np.float32 and got[key].tobytes() == want.tobytes()
 
     obs = observe()
-    ring.start_episode(obs)
+    ring = ReplayMemory(capacity, obs, phi_length=phi_length)
     phi.reset(obs["screen"])
     check(obs, phi.stack())
     for i, terminal in enumerate(terminals):
-        obs = observe()
+        obs = observe()  # after a terminal step, the next episode's first
         ring.push(i % 3, 0.0, terminal, obs)
-        stack = phi.observe(obs["screen"])
         if terminal:
-            obs = observe()
-            ring.start_episode(obs)
             phi.reset(obs["screen"])
             stack = phi.stack()
+        else:
+            stack = phi.observe(obs["screen"])
         check(obs, stack)
