@@ -167,11 +167,15 @@ def build_architecture(name, output_dim, screen_shape=None, phi_length=4,
 
 def select_action(net, observation_inputs, epsilon, rng):
     """Epsilon-greedy over Q(observation), one of the network's
-    `output_dim` actions; argmax ties break to lowest index."""
+    `output_dim` actions; argmax ties break to lowest index.
+    `observation_inputs` is the network's inputs for one observation, or a
+    function returning them, called only for a greedy action."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
         return int(rng.integers(net.output_dim))
+    if callable(observation_inputs):
+        observation_inputs = observation_inputs()
     batch = {k: v[None, ...] for k, v in observation_inputs.items()}
     acts = forward(net, batch, mode="eval")
     q = acts[net.terminal]["out"][0]
@@ -189,7 +193,9 @@ def compute_targets(net, minibatch, discount):
     targets = np.array(minibatch.reward, dtype=np.float64)
     live = np.flatnonzero(~minibatch.terminal)
     if live.size and discount > 0.0:
-        batch = {k: v[live] for k, v in minibatch.next_state.items()}
+        batch = minibatch.next_state
+        if live.size < len(targets):
+            batch = {k: v[live] for k, v in batch.items()}
         acts = forward(net, batch, mode="eval")
         q_next = acts[net.terminal]["out"]
         targets[live] += discount * q_next.max(axis=1)
@@ -204,6 +210,6 @@ def train_step(net, memory, optimizer_state, hyper, sample_rng, dropout_rng=None
     acts = forward(net, batch.state, mode=mode, rng=dropout_rng)
     q = acts[net.terminal]["out"]
     loss, dq = q_loss_grad(q, batch.action, targets)
-    grads = backward(net, acts, dq)
-    rmsprop_step(net.params, grads, optimizer_state)
+    grads = backward(net, acts, dq, optimizer_state.grads)
+    rmsprop_step(net, grads, optimizer_state)
     return loss

@@ -153,8 +153,7 @@ def run_training_epoch(state, steps):
     losses = []
     for _ in range(steps):
         eps = epsilon_at(hyper, state.global_step)
-        action = select_action(state.net, state.replay.latest_state(), eps,
-                               state.explore_rng)
+        action = select_action(state.net, state.replay.latest_state, eps, state.explore_rng)
         state._take_action(action)
         state.global_step += 1
         if len(state.replay) >= max(hyper.replay_start_size, hyper.minibatch_size):
@@ -425,7 +424,8 @@ def network_from_checkpoint(ckpt):
             raise TypeError(f"dtype {dtype.name} is not a float type")
         net = build_network(h["arch"], env, hyper, np.random.default_rng(0), dtype)
         load_params_into(net, ckpt)
-    except (KeyError, TypeError, ValueError, MemoryError) as e:  # MemoryError: huge shapes
+    # MemoryError: huge shapes; OverflowError: an int too large for a float
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as e:
         raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e
     return net, h, hyper
 

@@ -6,68 +6,66 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import ShapeError
+from .tensor_core import ShapeError, param_views
 
 DECAY_RHO = 0.95  # RMSprop's mean-square decay
 STABILIZER_EPS = 1e-6  # added to the mean square under the square root
 
 
-@dataclass
+@dataclass(eq=False)
 class RmsPropState:
-    """Per-parameter mean-square accumulators plus the learning rate.
+    """RMSprop's learning rate and two vectors laid out as the network's
+    parameter vector: the mean-square accumulators and the gradient the
+    next step applies.  `mean_square` and `grads` are per-layer views of
+    them, shaped as the network's `params`; `backward` writes its gradients
+    into `grads`."""
 
-    `scratch` holds one work array per parameter, made on the first step, so
-    that an update allocates no full-size temporaries."""
-
-    mean_square: list
+    accumulator: np.ndarray
+    gradient: np.ndarray
+    mean_square: list = field(repr=False)
+    grads: list = field(repr=False)
     learning_rate: float = 0.0002
-    scratch: list = field(default=None, repr=False, compare=False)
 
 
 def rmsprop_state_for(net, learning_rate=0.0002):
-    """Fresh zeroed accumulators mirroring a network's parameter layout."""
-    acc = []
-    for p in net.params:
-        if p is None:
-            acc.append(None)
-        else:
-            acc.append({k: np.zeros_like(v) for k, v in p.items()})
-    return RmsPropState(mean_square=acc, learning_rate=learning_rate)
+    """Zeroed accumulators and gradient mirroring a network's parameters."""
+    acc, grad = np.zeros_like(net.flat), np.zeros_like(net.flat)
+    return RmsPropState(acc, grad, param_views(net.params, acc), param_views(net.params, grad),
+                        learning_rate)
 
 
-def rmsprop_step(params, grads, state):
-    """In-place update: acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
+def rmsprop_step(net, grads, state):
+    """One in-place pass over the whole parameter vector:
+    acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
 
-    `grads` entries may be None (no gradient reached that layer); the matching
-    accumulators still decay so repeated zero-gradient steps are well defined.
+    `grads` is per-layer, as `backward` returns it.  The state's own `grads`
+    are used where they lie; others are copied into them first, a None
+    entry (no gradient reached that layer) as zeros, so that its
+    accumulators only decay.  The step leaves the gradient scaled by lr.
+
+    Its one scratch vector is made per step: freed, its memory serves the
+    next large allocation, where a kept one would add to the peak RSS.
     """
     rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
-    if len(params) != len(state.mean_square):
+    if net.flat.shape != state.accumulator.shape or len(grads) != len(state.grads):
         raise ShapeError("optimizer state does not match parameter layout")
-    if state.scratch is None:
-        state.scratch = [None if acc is None else {k: np.empty_like(a) for k, a in acc.items()}
-                         for acc in state.mean_square]
-    for p, g, acc, scratch in zip(params, grads, state.mean_square, state.scratch):
-        if p is None:
-            continue
-        for key, val in p.items():
-            gk = None if g is None else g.get(key)
-            a = acc[key]
-            if gk is None:
-                a *= rho
-                continue
-            if gk.shape != val.shape:
-                raise ShapeError(f"gradient shape {gk.shape} != param shape {val.shape}")
-            gk = gk.astype(val.dtype, copy=False)
-            t = scratch[key]
-            np.multiply(gk, 1.0 - rho, out=t)
-            t *= gk
-            a *= rho
-            a += t
-            np.add(a, eps, out=t)
-            np.sqrt(t, out=t)
-            np.divide(gk * lr, t, out=t)
-            val -= t
+    if grads is not state.grads:
+        for views, g in zip(state.grads, grads):
+            for key, view in (views or {}).items():
+                gk = None if g is None else g.get(key)
+                if gk is not None and gk.shape != view.shape:
+                    raise ShapeError(f"gradient shape {gk.shape} != param shape {view.shape}")
+                view[...] = 0 if gk is None else gk
+    g, a, t = state.gradient, state.accumulator, np.empty_like(state.gradient)
+    np.multiply(g, 1.0 - rho, out=t)
+    t *= g
+    a *= rho
+    a += t
+    np.add(a, eps, out=t)
+    np.sqrt(t, out=t)
+    g *= lr
+    np.divide(g, t, out=t)
+    net.flat -= t
 
 
 def q_loss_grad(q_values, actions, targets):
@@ -82,11 +80,13 @@ def q_loss_grad(q_values, actions, targets):
     batch, n_actions = q.shape
     if actions.shape != (batch,) or targets.shape != (batch,):
         raise ShapeError("actions/targets must be one entry per batch row")
-    if np.any(actions < 0) or np.any(actions >= n_actions):
+    if actions.view(np.uintp).max(initial=0) >= n_actions:  # a negative one wraps to a huge one
         raise IndexError("action index out of range")
-    chosen = q[np.arange(batch), actions]
-    diff = targets - chosen
-    loss = float(np.mean(diff * diff))
-    grad = np.zeros_like(q)
-    grad[np.arange(batch), actions] = -2.0 * diff / batch
+    rows = np.arange(batch)
+    diff = targets - q[rows, actions]
+    total = np.add.reduce(diff * diff, axis=None)
+    # np.mean's arithmetic: the sum in q's dtype, over the count in float64, rounded back
+    loss = float(total.dtype.type(float(total) / batch))
+    grad = np.zeros(q.shape, q.dtype)
+    grad[rows, actions] = -2.0 * diff / batch
     return loss, grad

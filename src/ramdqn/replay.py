@@ -119,8 +119,9 @@ class ReplayMemory:
         self.pushes = 0
         slots = capacity + phi_length  # the oldest stack survives a wrap
         # np.zeros: Linux backs the pages lazily, so unused capacity costs no RSS.
-        self.frames = {name: np.zeros((slots,) + obs.shape, dtype=np.uint8)
+        self.frames = {name: np.zeros((slots,) + np.shape(obs), dtype=np.uint8)
                        for name, obs in first_obs.items()}
+        self._slot_shapes = {name: frames.shape[1:] for name, frames in self.frames.items()}
         self.action = np.zeros(slots, dtype=np.int32)
         self.reward = np.zeros(slots, dtype=np.float64)
         self.terminal = np.zeros(slots, dtype=bool)
@@ -132,8 +133,15 @@ class ReplayMemory:
         return min(self.pushes, self.capacity)
 
     def _write(self, slot, obs):
+        """Store `obs` in `slot`; a wrong stream, shape or dtype raises
+        ValueError and writes nothing."""
         if obs.keys() != self.frames.keys():
             raise ValueError(f"observation streams {sorted(obs)} != {sorted(self.frames)}")
+        for name, shape in self._slot_shapes.items():
+            o = np.asarray(obs[name])
+            if o.dtype != np.uint8 or o.shape != shape:
+                raise ValueError(f"observation {name!r} is {o.dtype} {o.shape}, "
+                                 f"expected uint8 {shape}")
         for name, frames in self.frames.items():
             frames[slot] = obs[name]
 
@@ -158,12 +166,13 @@ class ReplayMemory:
         last = self.pushes - 1
         return last - (last - positions) % self.capacity
 
-    def _walk(self, numbers):
+    def _walk(self, here, after):
         """(n, phi_length + 1) slots, oldest first: the frames of the state
-        stacks of transitions `numbers`, then the slots they lead to.  The
-        walk back stops at an episode's first frame, which repeats."""
+        stacks of transitions that act from slots `here`, then the slots
+        `after` they lead to.  The walk back stops at an episode's first
+        frame, which repeats."""
         slots = len(self.start)
-        cols = [(numbers + 1) % slots, numbers % slots]
+        cols = [after, here]
         for _ in range(self.phi_length - 1):
             prev = cols[-1]
             cols.append(np.where(self.start[prev], prev, (prev - 1) % slots))
@@ -172,16 +181,15 @@ class ReplayMemory:
     def _gather(self, numbers):
         # A next state is its state stack moved on by one frame, which for a
         # terminal transition mixes two episodes; it is never bootstrapped.
-        walk = self._walk(numbers)
-        here = walk[:, -2]
+        slots = len(self.start)
+        here, after = numbers % slots, (numbers + 1) % slots
         state, next_state = {}, {}
         for name, frames in self.frames.items():
             if name == STACKED_STREAM:
-                raw = frames[walk]
+                raw = frames[self._walk(here, after)]
                 state[name], next_state[name] = scale_ram(raw[:, :-1]), scale_ram(raw[:, 1:])
             else:
-                raw = frames[walk[:, -2:]]
-                state[name], next_state[name] = scale_ram(raw[:, 0]), scale_ram(raw[:, 1])
+                state[name], next_state[name] = scale_ram(frames[here]), scale_ram(frames[after])
         return Minibatch(state, self.action[here].astype(np.intp), self.reward[here],
                          next_state, self.terminal[here])
 

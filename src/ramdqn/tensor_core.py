@@ -9,6 +9,7 @@ independent oracle for the handwritten backward pass.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -50,9 +51,11 @@ class LayerSpec:
 class NetworkGraph:
     """Ordered layer composition with parameters.
 
-    params[i] is None for parameterless layers, otherwise a dict with "W"
-    and (optionally) "b" arrays.  out_shapes holds the per-sample output
-    shape of every layer; terminal is the index of the unique output layer.
+    `flat` is the one vector holding every parameter, layer by layer with
+    keys sorted; params[i] is None for parameterless layers, otherwise a
+    dict with "W" and (optionally) "b" views of it.  out_shapes holds the
+    per-sample output shape of every layer; terminal is the index of the
+    unique output layer.
     """
 
     layers: list
@@ -61,11 +64,39 @@ class NetworkGraph:
     terminal: int
     output_dim: int
     dtype: np.dtype
+    flat: np.ndarray
     input_streams: dict = field(default_factory=dict)
+
+    def __deepcopy__(self, memo):
+        # Each parameter byte is copied once, into the copy's own vector.
+        flat, params = _pack(self.params, self.dtype)
+        rest = copy.deepcopy({"layers": self.layers, "out_shapes": self.out_shapes,
+                              "input_streams": self.input_streams}, memo)
+        return replace(self, flat=flat, params=params, **rest)
 
 
 def _flat(shape):
     return int(np.prod(shape)) if shape else 1
+
+
+def param_views(params, vector):
+    """Per-layer dicts shaped as `params`, viewing consecutive pieces of
+    `vector` layer by layer with keys sorted."""
+    views, offset = [], 0
+    for p in params:
+        views.append(None if p is None else {})
+        for key in sorted(p or {}):
+            n = p[key].size
+            views[-1][key] = vector[offset : offset + n].reshape(p[key].shape)
+            offset += n
+    return views
+
+
+def _pack(params, dtype):
+    """`params` copied into one new `dtype` vector, and per-layer views of it."""
+    flat = np.concatenate([np.zeros(0, dtype)] + [p[k].ravel() for p in params if p
+                                                 for k in sorted(p)], dtype=dtype)
+    return flat, param_views(params, flat)
 
 
 def _conv_extent(size, kernel, stride):
@@ -97,6 +128,7 @@ def make_network(specs, init_rng, dtype=np.float32):
                 raise ShapeError(f"layer {i}: bad input ref {r}")
             referenced.add(r)
 
+        weights = None
         if spec.kind == "input":
             if spec.input_refs:
                 raise ShapeError(f"layer {i}: input layer takes no refs")
@@ -106,19 +138,12 @@ def make_network(specs, init_rng, dtype=np.float32):
                 raise ShapeError(f"layer {i}: duplicate input stream {spec.stream!r}")
             streams[spec.stream] = i
             out_shapes.append(tuple(spec.shape))
-            params.append(None)
         elif spec.kind == "dense":
             if len(spec.input_refs) != 1:
                 raise ShapeError(f"layer {i}: dense takes exactly one input")
             if spec.units <= 0:
                 raise ShapeError(f"layer {i}: dense needs positive units")
-            fan_in = _flat(out_shapes[spec.input_refs[0]])
-            w = init_rng.uniform(-1.0, 1.0, size=(spec.units, fan_in))
-            w = (w / np.sqrt(fan_in)).astype(dtype)
-            p = {"W": w}
-            if spec.bias:
-                p["b"] = np.zeros(spec.units, dtype=dtype)
-            params.append(p)
+            weights = (spec.units, _flat(out_shapes[spec.input_refs[0]]))
             out_shapes.append((spec.units,))
         elif spec.kind == "conv2d":
             if len(spec.input_refs) != 1:
@@ -135,48 +160,38 @@ def make_network(specs, init_rng, dtype=np.float32):
             oh, ow = _conv_extent(h, k, s), _conv_extent(w, k, s)
             if oh < 1 or ow < 1:
                 raise ShapeError(f"layer {i}: empty conv2d output")
-            fan_in = c * k * k
-            kern = init_rng.uniform(-1.0, 1.0, size=(spec.filters, c, k, k))
-            kern = (kern / np.sqrt(fan_in)).astype(dtype)
-            p = {"W": kern}
-            if spec.bias:
-                p["b"] = np.zeros(spec.filters, dtype=dtype)
-            params.append(p)
+            weights = (spec.filters, c, k, k)
             out_shapes.append((spec.filters, oh, ow))
         elif spec.kind == "dropout":
             if len(spec.input_refs) != 1:
                 raise ShapeError(f"layer {i}: dropout takes exactly one input")
             if not 0.0 <= spec.drop_p < 1.0:
                 raise ShapeError(f"layer {i}: drop probability must be in [0,1)")
-            params.append(None)
             out_shapes.append(out_shapes[spec.input_refs[0]])
         else:  # concat
             if not spec.input_refs:
                 raise ShapeError(f"layer {i}: concat needs at least one input")
-            total = sum(_flat(out_shapes[r]) for r in spec.input_refs)
-            params.append(None)
-            out_shapes.append((total,))
+            out_shapes.append((sum(_flat(out_shapes[r]) for r in spec.input_refs),))
+        params.append(None)
+        if weights is not None:  # (fan-out, fan-in...)
+            fan_in = _flat(weights[1:])
+            w = init_rng.uniform(-1.0, 1.0, size=weights) / np.sqrt(fan_in)
+            params[i] = {"W": w.astype(dtype)}
+            if spec.bias:
+                params[i]["b"] = np.zeros(weights[0], dtype=dtype)
 
     terminals = [i for i in range(len(specs)) if i not in referenced]
     if len(terminals) != 1:
         raise ShapeError(f"expected exactly one output layer, found {len(terminals)}")
     terminal = terminals[0]
-    output_dim = _flat(out_shapes[terminal])
-    return NetworkGraph(
-        layers=specs,
-        params=params,
-        out_shapes=out_shapes,
-        terminal=terminal,
-        output_dim=output_dim,
-        dtype=dtype,
-        input_streams=streams,
-    )
+    flat, params = _pack(params, dtype)
+    return NetworkGraph(layers=specs, params=params, out_shapes=out_shapes, terminal=terminal,
+                        output_dim=_flat(out_shapes[terminal]), dtype=dtype, flat=flat,
+                        input_streams=streams)
 
 
 def _activate(pre, activation):
-    if activation == "rectify":
-        return np.maximum(pre, 0)
-    return pre
+    return np.maximum(pre, 0) if activation == "rectify" else pre
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +269,7 @@ def forward(net, inputs, mode="eval", rng=None):
                 rec["x"] = up.reshape(up.shape[0], -1)
                 pre = rec["x"] @ p["W"].T
                 if "b" in p:
-                    pre = pre + p["b"]
+                    pre += p["b"]
             else:  # rec["x"] is the window matrix, the input a dense layer would see
                 pre, rec["x"] = _conv_forward(p["W"], p.get("b"), up, spec.stride)
             rec["pre"] = pre
@@ -278,8 +293,10 @@ def forward(net, inputs, mode="eval", rng=None):
     return acts
 
 
-def backward(net, acts, output_gradient):
-    """Exact reverse-mode gradients for every parameter.
+def backward(net, acts, output_gradient, grads=None):
+    """Exact reverse-mode gradients for every parameter, written into
+    `grads` (per-layer dicts of arrays shaped as `net.params`, such as an
+    optimizer's views of its gradient vector) or into new arrays; returns them.
 
     Requires the activation records produced by a matching `forward` call;
     shape drift between the two is rejected.
@@ -295,13 +312,12 @@ def backward(net, acts, output_gradient):
 
     gouts = [None] * len(net.layers)
     gouts[net.terminal] = g_out
-    grads = [None] * len(net.layers)
+    if grads is None:  # every parameter layer feeds the output, so each is written
+        grads = [None if p is None else {k: np.empty(v.shape, net.dtype) for k, v in p.items()}
+                 for p in net.params]
 
     def _accumulate(ref, g):
-        if gouts[ref] is None:
-            gouts[ref] = g
-        else:
-            gouts[ref] = gouts[ref] + g
+        gouts[ref] = g if gouts[ref] is None else gouts[ref] + g
 
     for i in range(len(net.layers) - 1, -1, -1):
         g = gouts[i]
@@ -319,9 +335,9 @@ def backward(net, acts, output_gradient):
             w = p["W"].reshape(len(p["W"]), -1)
             if spec.kind == "conv2d":  # a dense layer over the window matrix
                 g = g.transpose(0, 2, 3, 1).reshape(-1, len(w))
-            grads[i] = {"W": (g.T @ rec["x"]).reshape(p["W"].shape)}
+            np.matmul(g.T, rec["x"], out=grads[i]["W"].reshape(len(w), -1))
             if "b" in p:
-                grads[i]["b"] = g.sum(axis=0)
+                g.sum(axis=0, out=grads[i]["b"])
             if net.layers[ref].kind != "input":  # an input's gradient is never read
                 gx = g @ w
                 up = acts[ref]["out"]
@@ -347,22 +363,7 @@ def backward(net, acts, output_gradient):
 
 def param_count(net):
     """Total scalar count across all weights and biases."""
-    total = 0
-    for p in net.params:
-        if p is None:
-            continue
-        total += sum(int(a.size) for a in p.values())
-    return total
-
-
-def _param_coords(net):
-    coords = []
-    for i, p in enumerate(net.params):
-        if p is None:
-            continue
-        for key in sorted(p):
-            coords.append((i, key, int(p[key].size)))
-    return coords
+    return int(net.flat.size)
 
 
 def gradient_check(net, inputs, probe_direction=None, step=1e-5, probes=100, rng=None):
@@ -384,9 +385,8 @@ def gradient_check(net, inputs, probe_direction=None, step=1e-5, probes=100, rng
     # The finite-difference oracle runs on a float64 shadow of the network so
     # that a 32-bit backward pass is measured against a clean reference
     # instead of 32-bit finite-difference roundoff.
-    shadow = replace(net, dtype=np.dtype(np.float64), params=[
-        None if p is None else {k: v.astype(np.float64) for k, v in p.items()}
-        for p in net.params])
+    shadow_flat, shadow_params = _pack(net.params, np.float64)
+    shadow = replace(net, dtype=np.dtype(np.float64), flat=shadow_flat, params=shadow_params)
 
     def scalar():
         out = forward(shadow, inputs, mode="eval")[shadow.terminal]["out"]
@@ -397,7 +397,7 @@ def gradient_check(net, inputs, probe_direction=None, step=1e-5, probes=100, rng
     gout = np.tile(probe.astype(net.dtype), (batch, 1))
     grads = backward(net, acts, gout)
 
-    coords = _param_coords(net)
+    coords = [(i, k, p[k].size) for i, p in enumerate(net.params) if p for k in sorted(p)]
     if not coords:
         return 0.0
     f_base = scalar()

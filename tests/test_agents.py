@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramdqn import agents
 from ramdqn.agents import (
     HyperParams,
     build_architecture,
@@ -191,6 +194,50 @@ def test_select_action_uniform_at_epsilon_one():
     assert np.all(np.abs(counts - expected) < 3 * sigma)
 
 
+def test_select_action_builds_inputs_only_for_greedy_actions():
+    net = fixed_q_net([1.0, 3.0, 2.0])
+    built = []
+
+    def inputs():
+        built.append(1)
+        return {"ram": np.ones(3)}
+
+    for epsilon, greedy in ((0.0, 200), (0.3, None), (1.0, 0)):
+        lazy_rng, eager_rng = np.random.default_rng(11), np.random.default_rng(11)
+        built.clear()
+        lazy = [select_action(net, inputs, epsilon, lazy_rng) for _ in range(200)]
+        eager = [select_action(net, {"ram": np.ones(3)}, epsilon, eager_rng) for _ in range(200)]
+        assert lazy == eager  # the same rng draws, in the same order
+        if greedy is None:  # replay the epsilon draws to count the greedy actions
+            draws, greedy = np.random.default_rng(11), 0
+            for _ in range(200):
+                if draws.random() < epsilon:
+                    draws.integers(3)
+                else:
+                    greedy += 1
+            assert 0 < greedy < 200
+        assert len(built) == greedy
+
+
+def test_compute_targets_reads_next_states_in_place_when_every_row_is_live(monkeypatch):
+    net = fixed_q_net([1.0, 3.0, 2.0])
+    seen = []
+    real = agents.forward
+
+    def recording_forward(graph, inputs, *args, **kwargs):
+        seen.append(inputs)
+        return real(graph, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(agents, "forward", recording_forward)
+    batch = Minibatch({"ram": np.ones((2, 3))}, np.zeros(2, np.intp), np.array([0.5, 1.0]),
+                      {"ram": np.ones((2, 3))}, np.zeros(2, bool))
+    np.testing.assert_array_equal(compute_targets(net, batch, 0.5), [2.0, 2.5])
+    assert seen[-1] is batch.next_state
+    batch.terminal[0] = True
+    np.testing.assert_array_equal(compute_targets(net, batch, 0.5), [0.5, 2.5])
+    assert seen[-1]["ram"].shape == (1, 3)
+
+
 def onehot_ram(i):
     ram = np.zeros(128, dtype=np.float32)
     ram[i] = np.float32(255 / 256)
@@ -297,6 +344,30 @@ def test_train_step_converges_on_single_transition():
     # than converging exactly, so check for a large relative reduction.
     assert np.mean(losses[-50:]) < 0.02 * losses[0]
     assert np.median(losses[250:]) <= np.median(losses[:50])
+
+
+def test_training_a_deep_copy_leaves_the_original_unchanged():
+    net = build_architecture("just_ram", 3, rng=np.random.default_rng(1))
+    twin = copy.deepcopy(net)
+    before = net.flat.copy()
+    data_rng = np.random.default_rng(2)
+
+    def observe():
+        return {"ram": data_rng.integers(0, 256, 128, dtype=np.uint8)}
+
+    mem = ReplayMemory(16, observe())
+    for i in range(8):
+        mem.push(i % 3, float(i % 2), i % 4 == 0, observe())
+    opt, rng = rmsprop_state_for(twin), np.random.default_rng(3)
+    for _ in range(5):
+        train_step(twin, mem, opt, small_hyper(), rng)
+    assert net.flat.tobytes() == before.tobytes()
+    assert twin.flat.tobytes() != before.tobytes()
+    for p, q in zip(twin.params, net.params):
+        for key in p or {}:
+            assert np.shares_memory(p[key], twin.flat)
+            assert not np.shares_memory(p[key], net.flat)
+            assert not np.shares_memory(q[key], twin.flat)
 
 
 def value_iteration_chain(gamma=0.95, tol=1e-12):

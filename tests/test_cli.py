@@ -249,6 +249,7 @@ BAD_HEADERS = {
     "start_size_negative": lambda h: h["hyper"].__setitem__("replay_start_size", -5),
     "start_size_float": lambda h: h["hyper"].__setitem__("replay_start_size", 2.5),
     "start_size_bool": lambda h: h["hyper"].__setitem__("replay_start_size", True),
+    "learning_rate_huge_int": lambda h: h["hyper"].__setitem__("learning_rate", 10**400),
     "unknown_hyper": lambda h: h["hyper"].__setitem__("momentum", 0.9),
     "hyper_not_dict": set_key("hyper", [1, 2]),
     "unknown_dtype": set_key("dtype", "nope"),

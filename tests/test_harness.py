@@ -418,6 +418,7 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
         return reward, terminal, obs
 
     def select_action(net, inputs, *args):
+        inputs = inputs()  # training passes the ring's latest_state, built on demand
         assert inputs.keys() == expected[0].keys()
         for key, want in expected[0].items():
             assert inputs[key].dtype == np.float32 and inputs[key].shape == want.shape

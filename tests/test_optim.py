@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramdqn.agents import build_architecture
 from ramdqn.optim import (DECAY_RHO, STABILIZER_EPS, q_loss_grad, rmsprop_state_for,
@@ -23,7 +25,7 @@ def test_zero_gradient_leaves_params_and_decays_acc():
     state.mean_square[1]["W"][...] = 1.0
     before = {i: {k: v.copy() for k, v in p.items()}
               for i, p in enumerate(net.params) if p is not None}
-    rmsprop_step(net.params, zero_grads_like(net.params), state)
+    rmsprop_step(net, zero_grads_like(net.params), state)
     for i, p in enumerate(net.params):
         if p is None:
             continue
@@ -39,7 +41,7 @@ def test_fresh_state_step_magnitude():
     before = net.params[1]["W"].copy()
     grads = zero_grads_like(net.params)
     grads[1]["W"][...] = 1.0
-    rmsprop_step(net.params, grads, state)
+    rmsprop_step(net, grads, state)
     step = before - net.params[1]["W"]
     expected = 0.0002 / np.sqrt(0.05 + 1e-6)
     np.testing.assert_allclose(step, expected, rtol=1e-12)
@@ -54,7 +56,7 @@ def test_rmsprop_deterministic():
         grads = zero_grads_like(net.params)
         grads[1]["W"][...] = 0.3
         grads[2]["b"][...] = -1.5
-        rmsprop_step(net.params, grads, state)
+        rmsprop_step(net, grads, state)
         results.append(net.params[1]["W"].copy())
     np.testing.assert_array_equal(results[0], results[1])
 
@@ -66,7 +68,7 @@ def test_rmsprop_opposes_gradient_sign():
     grads = zero_grads_like(net.params)
     grads[1]["W"][...] = rng.standard_normal(grads[1]["W"].shape)
     before = net.params[1]["W"].copy()
-    rmsprop_step(net.params, grads, state)
+    rmsprop_step(net, grads, state)
     delta = net.params[1]["W"] - before
     moved = grads[1]["W"] != 0
     assert np.all(np.sign(delta[moved]) == -np.sign(grads[1]["W"][moved]))
@@ -78,7 +80,7 @@ def test_rmsprop_shape_mismatch():
     grads = zero_grads_like(net.params)
     grads[1]["W"] = np.zeros((2, 2))
     with pytest.raises(ShapeError):
-        rmsprop_step(net.params, grads, state)
+        rmsprop_step(net, grads, state)
 
 
 def test_rmsprop_matches_reference_expression_bitwise():
@@ -97,7 +99,7 @@ def test_rmsprop_matches_reference_expression_bitwise():
                  {k: (0.1 * rng.standard_normal(v.shape)).astype(v.dtype) for k, v in p.items()}
                  for p in net.params]
         grads[-1] = None
-        rmsprop_step(net.params, grads, state)
+        rmsprop_step(net, grads, state)
         for p, g, acc in zip(ref_params, grads, ref_acc):
             if p is None:
                 continue
@@ -170,3 +172,23 @@ def test_q_loss_grad_matches_finite_differences():
             lm, _ = q_loss_grad(qm, actions, targets)
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grad[i, j]) <= 1e-8 * max(1.0, abs(fd))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 64), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_q_loss_equals_np_mean_bitwise(dtype, batch, n_actions, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4)
+    q = (scale * rng.standard_normal((batch, n_actions))).astype(dtype)
+    actions = rng.integers(0, n_actions, size=batch)
+    targets = scale * rng.standard_normal(batch)
+    loss, _ = q_loss_grad(q, actions, targets)
+    diff = targets.astype(dtype) - q[np.arange(batch), actions]
+    want = float(np.mean(diff * diff))
+    assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+    for bad in (-1, -n_actions, n_actions, n_actions + 7, np.iinfo(np.intp).min):
+        wrong = actions.copy()
+        wrong[rng.integers(batch)] = bad
+        with pytest.raises(IndexError):
+            q_loss_grad(q, wrong, targets)

@@ -171,6 +171,29 @@ def test_observation_streams_must_match():
     assert mem.contents() == [make_transition(0)]  # the failed push wrote nothing
 
 
+@pytest.mark.parametrize("obs, match", [
+    (np.array([7], np.uint8), r"uint8 \(1,\)"),                   # was broadcast to [7 7 7 7]
+    (np.array([1.5, 300.7, -1, 2]), r"float64 \(4,\)"),          # was cast to [1 44 255 2]
+    (np.zeros((1, 4), np.uint8), r"uint8 \(1, 4\)"),
+    ([7, 7, 7, 7], r"int\d+ \(4,\)"),                           # not an array at all
+])
+def test_observation_shape_and_dtype_must_match_the_ring(obs, match):
+    mem = new_memory(capacity=4)
+    push(mem, 0)
+    before = {name: a.copy() for name, a in mem.arrays().items()}
+    with pytest.raises(ValueError, match=match):
+        mem.push(1, 1.0, False, {"ram": obs})
+    assert mem.pushes == 1
+    after = mem.arrays()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
+@pytest.mark.parametrize("first", [np.array([1.5, 300.7, -1, 2]), [7, 7, 7, 7]])
+def test_first_observation_must_be_bytes(first):
+    with pytest.raises(ValueError, match="expected uint8"):
+        ReplayMemory(4, {"ram": first})
+
+
 # -- the ring against the list of transitions it replaces --------------------
 
 class ListMemory:

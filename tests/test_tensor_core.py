@@ -1,3 +1,5 @@
+import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -455,3 +457,72 @@ def test_dropout_layer_blocks_gradient():
     for unit in np.flatnonzero(mask == 0.0):
         np.testing.assert_array_equal(grads[1]["W"][unit], np.zeros(128))
         assert grads[1]["b"][unit] == 0.0
+
+
+def views_alias(net):
+    """True when every parameter of `net` is a view of its own vector."""
+    return all(np.shares_memory(v, net.flat) for p in net.params for v in (p or {}).values())
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_parameters_are_views_of_one_vector(arch):
+    net = build_architecture(arch, 5, screen_shape=(20, 20), rng=np.random.default_rng(3))
+    assert views_alias(net) and net.flat.size == param_count(net)
+    pieces = [p[k].ravel() for p in net.params if p for k in sorted(p)]
+    np.testing.assert_array_equal(np.concatenate(pieces), net.flat)
+
+
+def test_deep_copy_holds_one_copy_of_each_parameter_byte():
+    net = build_architecture("nips", 3, screen_shape=(24, 24), rng=np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        twin = copy.deepcopy(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The copy's own vector, plus a little for the dicts, specs and views.
+    assert net.flat.nbytes <= peak < net.flat.nbytes + 64 * 1024
+    assert views_alias(twin) and not np.shares_memory(twin.flat, net.flat)
+    assert twin.flat.dtype == net.flat.dtype and twin.flat.tobytes() == net.flat.tobytes()
+    twin.params[1]["W"][...] = np.nan
+    assert np.isnan(twin.flat).any() and np.isfinite(net.flat).all()
+    assert twin.layers == net.layers and twin.layers is not net.layers
+
+
+def test_gradient_check_shadow_does_not_carry_the_float32_vector(monkeypatch):
+    net = build_architecture("just_ram", 4, rng=np.random.default_rng(5))
+    seen = []
+    real = tensor_core.forward
+
+    def recording_forward(graph, *args, **kwargs):
+        seen.append(graph)
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_core, "forward", recording_forward)
+    inputs = {"ram": np.random.default_rng(6).random((2, 128))}
+    assert gradient_check(net, inputs, probes=5, rng=np.random.default_rng(7)) < 1e-5
+    shadows = [g for g in seen if g is not net]
+    assert shadows and all(g is shadows[0] for g in shadows)
+    shadow = shadows[0]
+    assert shadow.dtype == np.float64 and shadow.flat.dtype == np.float64
+    assert views_alias(shadow) and not np.shares_memory(shadow.flat, net.flat)
+    np.testing.assert_array_equal(shadow.flat, net.flat.astype(np.float64))
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_writes_into_given_gradient_views(arch):
+    rng = np.random.default_rng(8)
+    net = build_architecture(arch, 5, screen_shape=(20, 20), rng=rng)
+    inputs = {"ram": rng.random((3, 128)), "screen": rng.random((3, 4, 20, 20))}
+    inputs = {k: v for k, v in inputs.items() if k in net.input_streams}
+    g = rng.standard_normal((3, 5))
+    acts = forward(net, inputs)
+    fresh = backward(net, acts, g)
+    vector = np.full_like(net.flat, np.nan)
+    views = tensor_core.param_views(net.params, vector)
+    assert backward(net, acts, g, views) is views
+    assert not np.isnan(vector).any()  # every parameter's gradient was written
+    for got, want in zip(views, fresh):
+        assert (got is None) == (want is None)
+        for key in want or {}:
+            assert got[key].tobytes() == want[key].tobytes()
