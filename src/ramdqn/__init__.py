@@ -27,7 +27,6 @@ from .envs import (
 from .agents import (
     ARCHITECTURES,
     HyperParams,
-    architecture_streams,
     build_architecture,
     compute_targets,
     epsilon_at,

@@ -10,7 +10,9 @@ import numpy as np
 from .optim import q_loss_grad, rmsprop_step
 from .tensor_core import LayerSpec, ShapeError, backward, forward, make_network
 
-ARCHITECTURES = ("just_ram", "big_ram", "nips", "mixed_ram", "big_mixed_ram")
+# Each architecture and the input streams it reads.
+ARCHITECTURES = {"just_ram": ("ram",), "big_ram": ("ram",), "nips": ("screen",),
+                 "mixed_ram": ("ram", "screen"), "big_mixed_ram": ("ram", "screen")}
 
 # (filters, kernel, stride) per conv layer; the full-scale pair is inherited
 # from the benchmark lineage, the micro pair keeps tiny screens viable.
@@ -70,17 +72,6 @@ def epsilon_at(hyper, step):
     return hyper.epsilon_start + (hyper.epsilon_min - hyper.epsilon_start) * frac
 
 
-def architecture_streams(name):
-    """Which input streams an architecture consumes: (needs_ram, needs_screen)."""
-    if name in ("just_ram", "big_ram"):
-        return True, False
-    if name == "nips":
-        return False, True
-    if name in ("mixed_ram", "big_mixed_ram"):
-        return True, True
-    raise ValueError(f"unknown architecture {name!r}")
-
-
 def _conv_plan(screen_shape):
     """Full-scale conv hyperparameters when they fit, micro ones otherwise."""
     for plan in (CONV_FULL, CONV_MICRO):
@@ -104,8 +95,10 @@ def build_architecture(name, output_dim, screen_shape=None, phi_length=4,
     screen_shape is the (H, W) of a single frame; screen networks receive a
     phi_length-channel stack.
     """
-    needs_ram, needs_screen = architecture_streams(name)
-    if needs_screen and screen_shape is None:
+    streams = ARCHITECTURES.get(name)
+    if streams is None:
+        raise ValueError(f"unknown architecture {name!r}")
+    if "screen" in streams and screen_shape is None:
         raise ValueError(f"{name} needs a screen_shape")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -123,9 +116,9 @@ def build_architecture(name, output_dim, screen_shape=None, phi_length=4,
         return idx
 
     ram_idx = screen_tail = None
-    if needs_ram:
+    if "ram" in streams:
         ram_idx = add(LayerSpec(kind="input", stream="ram", shape=(128,)))
-    if needs_screen:
+    if "screen" in streams:
         s_in = add(LayerSpec(kind="input", stream="screen",
                              shape=(phi_length,) + tuple(screen_shape)))
         prev = s_in
@@ -210,6 +203,6 @@ def train_step(net, memory, optimizer_state, hyper, sample_rng, dropout_rng=None
     acts = forward(net, batch.state, mode=mode, rng=dropout_rng)
     q = acts[net.terminal]["out"]
     loss, dq = q_loss_grad(q, batch.action, targets)
-    grads = backward(net, acts, dq, optimizer_state.grads)
-    rmsprop_step(net, grads, optimizer_state)
+    backward(net, acts, dq, optimizer_state.grads)
+    rmsprop_step(net, optimizer_state)
     return loss

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .agents import ARCHITECTURES, HyperParams, architecture_streams, build_architecture
+from .agents import ARCHITECTURES, HyperParams, build_architecture
 from .envs import ENV_REGISTRY
 from .harness import (
     CheckpointError,
@@ -171,17 +171,9 @@ def gradcheck_architecture(name, seed=0, probes=100):
     """Max relative backward-vs-finite-difference error for one architecture
     at reduced scale, in 64-bit arithmetic."""
     rng = np.random.default_rng(seed)
-    needs_ram, needs_screen = architecture_streams(name)
-    net = build_architecture(
-        name, output_dim=6,
-        screen_shape=GRADCHECK_SCREEN if needs_screen else None,
-        rng=rng, dtype=np.float64,
-    )
-    inputs = {}
-    if needs_ram:
-        inputs["ram"] = rng.random((2, 128))
-    if needs_screen:
-        inputs["screen"] = rng.random((2, 4) + GRADCHECK_SCREEN)
+    net = build_architecture(name, output_dim=6, screen_shape=GRADCHECK_SCREEN, rng=rng,
+                             dtype=np.float64)
+    inputs = {s: rng.random((2,) + net.out_shapes[i]) for s, i in net.input_streams.items()}
     return gradient_check(net, inputs, step=1e-5, probes=probes, rng=rng)
 
 

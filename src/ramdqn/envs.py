@@ -10,6 +10,8 @@ variables so that RAM-only agents have something real to learn from.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 RAM_SIZE = 128
@@ -50,11 +52,13 @@ class PhiBuffer:
 
 class MicroGame:
     """Base class: terminal bookkeeping, rng state plumbing, and the
-    observation streams, built only when `observe` is called."""
+    observation streams, built only when `observe` is called.  A game names
+    the attributes that hold its state, once, in `state_vars`."""
 
     name = ""
     action_count = 0
     screen_shape = (0, 0)
+    state_vars = ()
 
     def __init__(self):
         self._rng = None
@@ -85,17 +89,21 @@ class MicroGame:
         return {s: build[s]() for s in streams}
 
     def get_state(self):
+        """The game as JSON-ready values: a copy of each of `state_vars`,
+        the terminal flag and the rng state."""
         return {
-            "vars": self._game_state(),
+            "vars": {name: copy.deepcopy(getattr(self, name)) for name in self.state_vars},
             "terminal": self.terminal,
             "rng": self._rng.bit_generator.state,
         }
 
     def set_state(self, state):
+        """Continue from a `get_state` result; nothing of it is shared."""
         self._rng = np.random.default_rng()
         self._rng.bit_generator.state = state["rng"]
         self.terminal = state["terminal"]
-        self._set_game_state(state["vars"])
+        for name in self.state_vars:
+            setattr(self, name, copy.deepcopy(state["vars"][name]))
 
 
 class MicroCatch(MicroGame):
@@ -118,6 +126,7 @@ class MicroCatch(MicroGame):
     screen_shape = (16, 16)
     max_catches = 10
     spawn_window = 5  # columns either side of the paddle
+    state_vars = ("paddle", "obj_x", "obj_y", "score", "frame", "catches")
 
     def _reset_game(self):
         self.paddle = 7 * 16
@@ -166,20 +175,6 @@ class MicroCatch(MicroGame):
         screen[15, max(col - 1, 0) : min(col + 1, 15) + 1] = 255
         return screen
 
-    def _game_state(self):
-        return {
-            "paddle": self.paddle, "obj_x": self.obj_x, "obj_y": self.obj_y,
-            "score": self.score, "frame": self.frame, "catches": self.catches,
-        }
-
-    def _set_game_state(self, v):
-        self.paddle = v["paddle"]
-        self.obj_x = v["obj_x"]
-        self.obj_y = v["obj_y"]
-        self.score = v["score"]
-        self.frame = v["frame"]
-        self.catches = v["catches"]
-
 
 class MicroBreakout(MicroGame):
     """Single-ball brick breaker on a 20x16 grid.
@@ -198,6 +193,7 @@ class MicroBreakout(MicroGame):
     action_count = 4  # noop / fire / left / right
     screen_shape = (20, 16)
     brick_rows = (2, 3, 4)
+    state_vars = ("paddle", "ball_x", "ball_y", "dx", "dy", "launched", "score", "bricks")
 
     def _reset_game(self):
         self.paddle = 8
@@ -284,23 +280,6 @@ class MicroBreakout(MicroGame):
         screen[min(self.ball_y, 19), self.ball_x] = 255
         return screen
 
-    def _game_state(self):
-        return {
-            "paddle": self.paddle, "ball_x": self.ball_x, "ball_y": self.ball_y,
-            "dx": self.dx, "dy": self.dy, "launched": self.launched,
-            "score": self.score, "bricks": [list(r) for r in self.bricks],
-        }
-
-    def _set_game_state(self, v):
-        self.paddle = v["paddle"]
-        self.ball_x = v["ball_x"]
-        self.ball_y = v["ball_y"]
-        self.dx = v["dx"]
-        self.dy = v["dy"]
-        self.launched = v["launched"]
-        self.score = v["score"]
-        self.bricks = [list(r) for r in v["bricks"]]
-
 
 class MicroDiver(MicroGame):
     """Submarine game on a 20x20 grid with an oxygen clock.
@@ -322,6 +301,8 @@ class MicroDiver(MicroGame):
     screen_shape = (20, 20)
     n_slots = 8
     max_divers = 6
+    state_vars = ("sub_x", "sub_y", "oxygen", "divers", "score", "enemies",
+                  "diver_x", "diver_y")
 
     @staticmethod
     def slot_row(slot):
@@ -397,24 +378,6 @@ class MicroDiver(MicroGame):
             screen[self.slot_row(slot), ex] = 128
         screen[self.sub_y, self.sub_x] = 255
         return screen
-
-    def _game_state(self):
-        return {
-            "sub_x": self.sub_x, "sub_y": self.sub_y, "oxygen": self.oxygen,
-            "divers": self.divers, "score": self.score,
-            "enemies": list(self.enemies),
-            "diver_x": self.diver_x, "diver_y": self.diver_y,
-        }
-
-    def _set_game_state(self, v):
-        self.sub_x = v["sub_x"]
-        self.sub_y = v["sub_y"]
-        self.oxygen = v["oxygen"]
-        self.divers = v["divers"]
-        self.score = v["score"]
-        self.enemies = list(v["enemies"])
-        self.diver_x = v["diver_x"]
-        self.diver_y = v["diver_y"]
 
 
 ENV_REGISTRY = {

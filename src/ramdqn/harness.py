@@ -390,22 +390,25 @@ def checkpoint_load(path):
     return {"header": header, "arrays": arrays}
 
 
-def load_params_into(net, ckpt):
-    """Copy checkpointed parameters into an existing network; shape drift is
-    rejected with the offending layer named."""
-    for i, p in enumerate(net.params):
-        if p is None:
-            continue
-        for key in sorted(p):
-            name = f"param/{i}/{key}"
-            if name not in ckpt["arrays"]:
-                raise ShapeError(f"layer {i}: checkpoint has no parameter {key!r}")
-            src = ckpt["arrays"][name]
-            if tuple(src.shape) != p[key].shape:
-                raise ShapeError(
-                    f"layer {i}: checkpoint {key} shape {tuple(src.shape)} "
-                    f"!= network shape {p[key].shape}")
+def _load_layers(layers, arrays, prefix):
+    """Copy the checkpoint arrays `prefix/i/key` into per-layer dicts shaped
+    as a network's params.  A missing array, or one of another shape or
+    dtype (byte order aside), raises ShapeError naming the layer."""
+    for i, p in enumerate(layers):
+        for key in sorted(p or {}):
+            src = arrays.get(f"{prefix}/{i}/{key}")
+            if src is None:
+                raise ShapeError(f"layer {i}: checkpoint has no {prefix} {key!r}")
+            if src.shape != p[key].shape or not np.can_cast(src.dtype, p[key].dtype, "equiv"):
+                raise ShapeError(f"layer {i}: checkpoint {prefix} {key} is {src.dtype} "
+                                 f"{src.shape}, expected {p[key].dtype} {p[key].shape}")
             p[key][...] = src
+
+
+def load_params_into(net, ckpt):
+    """Copy checkpointed parameters into an existing network; a missing
+    array, or shape or dtype drift, is rejected with the layer named."""
+    _load_layers(net.params, ckpt["arrays"], "param")
 
 
 def network_from_checkpoint(ckpt):
@@ -431,13 +434,18 @@ def network_from_checkpoint(ckpt):
 
 
 def _check_layout(value, like, name):
-    """Require `value` to have the keys of dict `like`, each holding the same
-    type of value (bool and int told apart)."""
-    if not isinstance(value, dict) or value.keys() != like.keys():
-        raise ValueError(f"{name} must be a dict with keys {sorted(like)}")
-    for key, v in value.items():
-        if type(v) is not type(like[key]):
-            raise ValueError(f"{name}[{key!r}] must be of type {type(like[key]).__name__}")
+    """Require `value` to be laid out as the JSON-ready value `like`: of the
+    same type (bool and int told apart), a dict with the same keys or a list
+    of the same length, and each entry laid out as `like`'s in turn."""
+    if type(value) is not type(like):
+        raise ValueError(f"{name} must be of type {type(like).__name__}")
+    if type(like) is list:
+        value, like = dict(enumerate(value)), dict(enumerate(like))
+    if type(like) is dict:
+        if value.keys() != like.keys():
+            raise ValueError(f"{name} must have the entries {sorted(like)}")
+        for key in like:
+            _check_layout(value[key], like[key], f"{name}[{key!r}]")
 
 
 def restore_training_state(ckpt):
@@ -454,13 +462,7 @@ def restore_training_state(ckpt):
                                   seed=h["seed"])
         state = TrainingState(config)
         load_params_into(state.net, ckpt)
-        for i, acc in enumerate(state.opt_state.mean_square):
-            for key in sorted(acc or {}):
-                src = arrays[f"acc/{i}/{key}"]
-                if src.shape != acc[key].shape:
-                    raise ValueError(f"acc/{i}/{key} has shape {src.shape}, "
-                                     f"expected {acc[key].shape}")
-                acc[key][...] = src
+        _load_layers(state.opt_state.mean_square, arrays, "acc")
 
         counters = h["counters"]
         _check_layout(counters, {"global_step": 0, "epochs_done": 0, "warmed": False},
@@ -473,25 +475,26 @@ def restore_training_state(ckpt):
 
         rngs = {"explore": state.explore_rng, "dropout": state.dropout_rng,
                 "sample": state.sample_rng, "env_seed": state.episode.seed_rng}
-        _check_layout(h["rng"], {k: {} for k in rngs}, "rng")
+        _check_layout(h["rng"], {k: rng.bit_generator.state for k, rng in rngs.items()}, "rng")
         for key, rng in rngs.items():
             rng.bit_generator.state = h["rng"][key]
 
-        env, like = state.episode.env, state.episode.env.get_state()
-        _check_layout(h["env_state"], like, "env_state")
-        _check_layout(h["env_state"]["vars"], like["vars"], "env_state vars")
+        env = state.episode.env
+        _check_layout(h["env_state"], env.get_state(), "env_state")
         env.set_state(h["env_state"])
 
         meta = h["replay"]
         if meta is None:
             raise ValueError("no replay section: save with include_replay=True")
         streams = {s: list(f.shape[1:]) for s, f in state.replay.frames.items()}
-        _check_layout(meta, {"pushes": 0, "streams": {}}, "replay")
+        _check_layout(meta, {"pushes": 0, "streams": streams}, "replay")
         if meta["streams"] != streams:
             raise ValueError(f"replay streams {meta['streams']} != {streams}")
         prefix = "replay/"
         state.replay.restore({n[len(prefix):]: a for n, a in arrays.items()
                               if n.startswith(prefix)}, meta["pushes"])
+        if state.replay.action.min() < 0 or state.replay.action.max() >= env.action_count:
+            raise ValueError(f"replay actions must be in [0, {env.action_count})")
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, MemoryError) as e:
         raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e
     return state

@@ -34,28 +34,18 @@ def rmsprop_state_for(net, learning_rate=0.0002):
                         learning_rate)
 
 
-def rmsprop_step(net, grads, state):
-    """One in-place pass over the whole parameter vector:
+def rmsprop_step(net, state):
+    """One in-place pass over the whole parameter vector with the gradient
+    that `backward` wrote through `state.grads`:
     acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
-
-    `grads` is per-layer, as `backward` returns it.  The state's own `grads`
-    are used where they lie; others are copied into them first, a None
-    entry (no gradient reached that layer) as zeros, so that its
-    accumulators only decay.  The step leaves the gradient scaled by lr.
+    The step leaves the gradient scaled by lr.
 
     Its one scratch vector is made per step: freed, its memory serves the
     next large allocation, where a kept one would add to the peak RSS.
     """
     rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
-    if net.flat.shape != state.accumulator.shape or len(grads) != len(state.grads):
+    if net.flat.shape != state.accumulator.shape:
         raise ShapeError("optimizer state does not match parameter layout")
-    if grads is not state.grads:
-        for views, g in zip(state.grads, grads):
-            for key, view in (views or {}).items():
-                gk = None if g is None else g.get(key)
-                if gk is not None and gk.shape != view.shape:
-                    raise ShapeError(f"gradient shape {gk.shape} != param shape {view.shape}")
-                view[...] = 0 if gk is None else gk
     g, a, t = state.gradient, state.accumulator, np.empty_like(state.gradient)
     np.multiply(g, 1.0 - rho, out=t)
     t *= g

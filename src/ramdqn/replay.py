@@ -239,17 +239,18 @@ class ReplayMemory:
 
     def restore(self, arrays, pushes):
         """Load arrays saved from `arrays()` and the push count, and zero the
-        slots past them; a missing, extra or misshapen array or a bad count
-        raises ValueError."""
+        slots past them; a missing or extra array, one of another shape or
+        dtype (byte order aside), or a bad count raises ValueError."""
         if type(pushes) is not int or pushes < 0:
             raise ValueError(f"push count must be an integer >= 0, got {pushes!r}")
         ring, used = self._ring(), self._used(pushes)
         if arrays.keys() != ring.keys():
             raise ValueError(f"replay arrays {sorted(arrays)} != {sorted(ring)}")
         for name, target in ring.items():
-            if arrays[name].shape != (used,) + target.shape[1:]:
-                raise ValueError(f"replay array {name} has shape {arrays[name].shape}, "
-                                 f"expected {(used,) + target.shape[1:]}")
+            src, shape = arrays[name], (used,) + target.shape[1:]
+            if src.shape != shape or not np.can_cast(src.dtype, target.dtype, "equiv"):
+                raise ValueError(f"replay array {name} has shape {src.shape} and dtype "
+                                 f"{src.dtype}, expected {shape} {target.dtype}")
         # Slots this memory never wrote are zeros already: leave their pages untouched.
         written = self._used(self.pushes)
         for name, target in ring.items():

@@ -254,6 +254,7 @@ BAD_HEADERS = {
     "hyper_not_dict": set_key("hyper", [1, 2]),
     "unknown_dtype": set_key("dtype", "nope"),
     "int_dtype": set_key("dtype", "int32"),
+    "other_float_dtype": set_key("dtype", "float64"),  # the arrays are float32
 }
 
 
@@ -276,6 +277,33 @@ def test_bad_checkpoint_header_exit_1(tmp_path, capsys, command, case):
     rc = main([command, "--checkpoint", str(path), *command_args(command, tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: corrupt checkpoint")
+
+
+def write_checkpoint(path, header, arrays):
+    """A checkpoint file of `header` and `arrays`, each array in its own dtype."""
+    entries = [{"name": n, "shape": list(a.shape), "dtype": a.dtype.str} for n, a in arrays.items()]
+    blob = json.dumps(dict(header, arrays=entries)).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+                     + b"".join(struct.pack("<Q", a.size) + a.tobytes() for a in arrays.values()))
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+@pytest.mark.parametrize("dtype", ["|u1", "|b1", "<f8", "<i4"])
+def test_parameters_of_another_dtype_exit_1(tmp_path, capsys, command, dtype):
+    # A float32 network's weights saved as bytes of 7 would load as 7.0.
+    path = tmp_path / "cast.ckpt"
+    checkpoint_save(small_state(), path)
+    ckpt = checkpoint_load(path)
+    write_checkpoint(path, ckpt["header"], ckpt["arrays"])
+    assert main([command, "--checkpoint", str(path), *command_args(command, tmp_path)]) == 0
+    arrays = dict(ckpt["arrays"])
+    arrays["param/1/W"] = np.full(arrays["param/1/W"].shape, 7, dtype)
+    write_checkpoint(path, ckpt["header"], arrays)
+    capsys.readouterr()
+    rc = main([command, "--checkpoint", str(path), *command_args(command, tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: corrupt checkpoint: ShapeError: layer 1: checkpoint param W is {np.dtype(dtype)}")
 
 
 def set_first_array(path, shape, count):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,41 @@ def test_reset_deterministic(name):
     o1, o2 = env1.observe(STREAMS), env2.observe(STREAMS)
     np.testing.assert_array_equal(o1["ram"], o2["ram"])
     np.testing.assert_array_equal(o1["screen"], o2["screen"])
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_restored_game_plays_on_identically(name):
+    # A game saved partway into an episode, passed through JSON as a
+    # checkpoint header holds it, and set into a fresh game: the two then
+    # give the same rewards, terminal flags and observation bytes.
+    rng = np.random.default_rng(8)
+    game = make_env(name)
+    game.reset(3)
+    steps_in = 0
+    while steps_in < 12:
+        _, terminal = game.step(int(rng.integers(game.action_count)))
+        steps_in = 0 if terminal else steps_in + 1
+        if terminal:
+            game.reset(int(rng.integers(1000)))
+    state = json.loads(json.dumps(game.get_state()))
+    twin = make_env(name)
+    twin.set_state(state)
+    assert twin.get_state() == game.get_state()
+    for value in state["vars"].values():  # the twin holds copies, not these lists
+        if isinstance(value, list):
+            value.clear()
+    ends = 0
+    for i in range(200):
+        action = int(rng.integers(game.action_count))
+        assert game.step(action) == twin.step(action), i
+        got, want = twin.observe(STREAMS), game.observe(STREAMS)
+        for stream in STREAMS:
+            assert got[stream].tobytes() == want[stream].tobytes(), (i, stream)
+        if game.terminal:
+            ends += 1
+            game.reset(100 + i)
+            twin.reset(100 + i)
+    assert ends >= 1
 
 
 @pytest.mark.parametrize("name", GAMES)

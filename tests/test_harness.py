@@ -285,10 +285,30 @@ def _replace_array(name, shape):
     return edit
 
 
+def _recast_array(name, dtype, value):
+    """Replace an array with one of its shape, all `value`, in `dtype`."""
+    def edit(ckpt):
+        ckpt["arrays"][name] = np.full(ckpt["arrays"][name].shape, value, dtype)
+    return edit
+
+
+def _poke_array(name, index, value):
+    def edit(ckpt):
+        ckpt["arrays"][name] = ckpt["arrays"][name].copy()
+        ckpt["arrays"][name][index] = value
+    return edit
+
+
+def _on(env_name, edit):
+    """`edit`, made on a checkpoint of `env_name` instead of micro_catch."""
+    edit.env_name = env_name
+    return edit
+
+
 # One edit per header entry that only restore_training_state reads, of a
-# hyperparameter that only training reads, and of the replay arrays;
-# small_config's ring has 500 + 4 slots of 128 RAM bytes, of which the
-# checkpoint below holds the 51 written by its 50 pushes.
+# hyperparameter that only training reads, and of the layer and replay
+# arrays; small_config's ring has 500 + 4 slots of 128 RAM bytes, of which
+# the checkpoint below holds the 51 written by its 50 pushes.
 BAD_RESUME_EDITS = {
     "start_size_float": _set("hyper", "replay_start_size", value=2.5),
     "no_counters": _pop("counters"),
@@ -321,17 +341,47 @@ BAD_RESUME_EDITS = {
     "frames_whole_ring": _replace_array("replay/frames/ram", (504, 128)),
     "flags_broadcastable": _replace_array("replay/start", (1,)),
     "acc_broadcastable": _replace_array("acc/1/W", (1,)),
+    "param_missing": lambda ckpt: ckpt["arrays"].pop("param/3/b"),
+    "acc_missing": lambda ckpt: ckpt["arrays"].pop("acc/3/W"),
+    "param_bytes": _recast_array("param/1/W", np.uint8, 7),  # loaded as 7.0
+    "param_float64": _recast_array("param/1/W", np.float64, 0.5),
+    "acc_bool": _recast_array("acc/1/W", bool, True),  # loaded as 1.0
+    "reward_bytes": _recast_array("replay/reward", np.uint8, 7),  # loaded as 7.0
+    "action_float": _recast_array("replay/action", np.float32, 1),
+    "action_out_of_range": _poke_array("replay/action", 3, 99),  # micro_catch has 3
+    "action_negative": _poke_array("replay/action", 3, -1),
+    "breakout_row_not_list": _on("micro_breakout", _set("env_state", "vars", "bricks", 1,
+                                                        value=7)),
+    "breakout_row_short": _on("micro_breakout", _set("env_state", "vars", "bricks", 1,
+                                                     value=[1] * 15)),
+    "breakout_brick_float": _on("micro_breakout", _set("env_state", "vars", "bricks", 0,
+                                                       value=[1.0] * 16)),
+    "diver_enemies_strings": _on("micro_diver", _set("env_state", "vars", "enemies",
+                                                     value=["a"] * 8)),
+    "diver_enemies_long": _on("micro_diver", _set("env_state", "vars", "enemies",
+                                                  value=[0] * 9)),
 }
 
 
 @pytest.fixture(scope="module")
-def resumable_checkpoint(tmp_path_factory):
-    state = TrainingState(small_config())
-    state.warmup()
-    run_training_epoch(state, 30)
-    path = tmp_path_factory.mktemp("resume") / "r.ckpt"
-    checkpoint_save(state, path, include_replay=True)
-    return path
+def resumable_checkpoints(tmp_path_factory):
+    """The path of a small resumable checkpoint of a game, saved on first use."""
+    paths = {}
+
+    def checkpoint(env_name):
+        if env_name not in paths:
+            state = TrainingState(small_config(env_name=env_name))
+            state.warmup()
+            run_training_epoch(state, 30)
+            paths[env_name] = tmp_path_factory.mktemp("resume") / "r.ckpt"
+            checkpoint_save(state, paths[env_name], include_replay=True)
+        return paths[env_name]
+    return checkpoint
+
+
+@pytest.fixture(scope="module")
+def resumable_checkpoint(resumable_checkpoints):
+    return resumable_checkpoints("micro_catch")
 
 
 def test_restore_accepts_unedited_checkpoint(resumable_checkpoint):
@@ -340,9 +390,11 @@ def test_restore_accepts_unedited_checkpoint(resumable_checkpoint):
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RESUME_EDITS))
-def test_restore_rejects_bad_resume_entries(resumable_checkpoint, case):
-    ckpt = checkpoint_load(resumable_checkpoint)
-    BAD_RESUME_EDITS[case](ckpt)
+def test_restore_rejects_bad_resume_entries(resumable_checkpoints, case):
+    edit = BAD_RESUME_EDITS[case]
+    ckpt = checkpoint_load(resumable_checkpoints(getattr(edit, "env_name", "micro_catch")))
+    restore_training_state(ckpt)  # the unedited checkpoint restores
+    edit(ckpt)
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
         restore_training_state(ckpt)
 

@@ -14,18 +14,13 @@ def tiny_net():
                               dtype=np.float64)
 
 
-def zero_grads_like(params):
-    return [None if p is None else {k: np.zeros_like(v) for k, v in p.items()}
-            for p in params]
-
-
 def test_zero_gradient_leaves_params_and_decays_acc():
     net = tiny_net()
-    state = rmsprop_state_for(net)
+    state = rmsprop_state_for(net)  # its gradient starts as zeros
     state.mean_square[1]["W"][...] = 1.0
     before = {i: {k: v.copy() for k, v in p.items()}
               for i, p in enumerate(net.params) if p is not None}
-    rmsprop_step(net, zero_grads_like(net.params), state)
+    rmsprop_step(net, state)
     for i, p in enumerate(net.params):
         if p is None:
             continue
@@ -39,9 +34,8 @@ def test_fresh_state_step_magnitude():
     net = tiny_net()
     state = rmsprop_state_for(net, learning_rate=0.0002)
     before = net.params[1]["W"].copy()
-    grads = zero_grads_like(net.params)
-    grads[1]["W"][...] = 1.0
-    rmsprop_step(net, grads, state)
+    state.grads[1]["W"][...] = 1.0
+    rmsprop_step(net, state)
     step = before - net.params[1]["W"]
     expected = 0.0002 / np.sqrt(0.05 + 1e-6)
     np.testing.assert_allclose(step, expected, rtol=1e-12)
@@ -53,10 +47,9 @@ def test_rmsprop_deterministic():
     for _ in range(2):
         net = tiny_net()
         state = rmsprop_state_for(net)
-        grads = zero_grads_like(net.params)
-        grads[1]["W"][...] = 0.3
-        grads[2]["b"][...] = -1.5
-        rmsprop_step(net, grads, state)
+        state.grads[1]["W"][...] = 0.3
+        state.grads[2]["b"][...] = -1.5
+        rmsprop_step(net, state)
         results.append(net.params[1]["W"].copy())
     np.testing.assert_array_equal(results[0], results[1])
 
@@ -65,27 +58,26 @@ def test_rmsprop_opposes_gradient_sign():
     net = tiny_net()
     state = rmsprop_state_for(net)
     rng = np.random.default_rng(3)
-    grads = zero_grads_like(net.params)
-    grads[1]["W"][...] = rng.standard_normal(grads[1]["W"].shape)
+    grad = rng.standard_normal(state.grads[1]["W"].shape)
+    state.grads[1]["W"][...] = grad
     before = net.params[1]["W"].copy()
-    rmsprop_step(net, grads, state)
+    rmsprop_step(net, state)
     delta = net.params[1]["W"] - before
-    moved = grads[1]["W"] != 0
-    assert np.all(np.sign(delta[moved]) == -np.sign(grads[1]["W"][moved]))
+    moved = grad != 0
+    assert np.all(np.sign(delta[moved]) == -np.sign(grad[moved]))
 
 
 def test_rmsprop_shape_mismatch():
+    # A state built for another network does not fit this one's parameters.
     net = tiny_net()
-    state = rmsprop_state_for(net)
-    grads = zero_grads_like(net.params)
-    grads[1]["W"] = np.zeros((2, 2))
+    other = build_architecture("just_ram", 5, rng=np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ShapeError):
-        rmsprop_step(net, grads, state)
+        rmsprop_step(net, rmsprop_state_for(other))
 
 
 def test_rmsprop_matches_reference_expression_bitwise():
     # The in-place update against the plain expression, on 32-bit nips
-    # parameters, with one layer receiving no gradient.
+    # parameters, with one layer receiving no gradient (zeros).
     rng = np.random.default_rng(4)
     net = build_architecture("nips", 3, screen_shape=(16, 16), rng=rng)
     state = rmsprop_state_for(net, learning_rate=0.001)
@@ -99,7 +91,10 @@ def test_rmsprop_matches_reference_expression_bitwise():
                  {k: (0.1 * rng.standard_normal(v.shape)).astype(v.dtype) for k, v in p.items()}
                  for p in net.params]
         grads[-1] = None
-        rmsprop_step(net, grads, state)
+        for views, g in zip(state.grads, grads):
+            for key, view in (views or {}).items():
+                view[...] = 0 if g is None else g[key]
+        rmsprop_step(net, state)
         for p, g, acc in zip(ref_params, grads, ref_acc):
             if p is None:
                 continue
