@@ -175,11 +175,11 @@ def select_action(net, observation_inputs, epsilon, rng):
     return int(np.argmax(q))
 
 
-def compute_targets(net, minibatch, discount):
+def compute_targets(net, minibatch, discount, workspace=None):
     """Bellman targets y_i = r_i (+ discount * max_a Q(s'_i, a) if non-terminal).
 
-    `minibatch` is a replay.Minibatch.  Uses the online network in eval mode;
-    terminal next states are never read.
+    `minibatch` is a replay.Minibatch.  Uses the online network in eval mode,
+    in `workspace`'s arrays if given; terminal next states are never read.
     """
     if not len(minibatch):
         raise ValueError("minibatch must be nonempty")
@@ -187,22 +187,23 @@ def compute_targets(net, minibatch, discount):
     live = np.flatnonzero(~minibatch.terminal)
     if live.size and discount > 0.0:
         batch = minibatch.next_state
-        if live.size < len(targets):
-            batch = {k: v[live] for k, v in batch.items()}
-        acts = forward(net, batch, mode="eval")
+        if live.size < len(targets):  # the live rows, in the workspace's first rows
+            batch = {k: v.take(live, 0, workspace and workspace.take(
+                "live", k, v.shape, v.dtype)[: live.size], "clip") for k, v in batch.items()}
+        acts = forward(net, batch, mode="eval", workspace=workspace)
         q_next = acts[net.terminal]["out"]
         targets[live] += discount * q_next.max(axis=1)
     return targets
 
 
-def train_step(net, memory, optimizer_state, hyper, sample_rng, dropout_rng=None):
+def train_step(net, memory, optimizer_state, hyper, sample_rng, dropout_rng=None, workspace=None):
     """One parameter update: sample, target, squared-loss gradient, rmsprop."""
     batch = memory.sample_minibatch(hyper.minibatch_size, sample_rng)
-    targets = compute_targets(net, batch, hyper.discount)
+    targets = compute_targets(net, batch, hyper.discount, workspace)
     mode = "train" if hyper.dropout_p > 0.0 else "eval"
-    acts = forward(net, batch.state, mode=mode, rng=dropout_rng)
+    acts = forward(net, batch.state, mode=mode, rng=dropout_rng, workspace=workspace)
     q = acts[net.terminal]["out"]
     loss, dq = q_loss_grad(q, batch.action, targets)
-    backward(net, acts, dq, optimizer_state.grads)
+    backward(net, acts, dq, optimizer_state.grads, workspace)
     rmsprop_step(net, optimizer_state)
     return loss

@@ -50,15 +50,23 @@ class PhiBuffer:
         return scale_ram(np.stack(self.frames))
 
 
+def _within(value, allowed):
+    """Whether the int `value`, or each entry of a list of them, is in the range `allowed`."""
+    if isinstance(value, list):
+        return all(_within(v, allowed) for v in value)
+    return isinstance(value, int) and value in allowed  # in a range, at once for an int
+
+
 class MicroGame:
     """Base class: terminal bookkeeping, rng state plumbing, and the
     observation streams, built only when `observe` is called.  A game names
-    the attributes that hold its state, once, in `state_vars`."""
+    the attributes that hold its state, once, in `state_vars`, each with the
+    range of values that it, or each entry of it, can take."""
 
     name = ""
     action_count = 0
     screen_shape = (0, 0)
-    state_vars = ()
+    state_vars = {}
 
     def __init__(self):
         self._rng = None
@@ -98,7 +106,11 @@ class MicroGame:
         }
 
     def set_state(self, state):
-        """Continue from a `get_state` result; nothing of it is shared."""
+        """Continue from a `get_state` result; nothing of it is shared.  A
+        variable outside its range raises ValueError, changing nothing."""
+        for name, allowed in self.state_vars.items():
+            if not _within(state["vars"][name], allowed):
+                raise ValueError(f"{self.name}: {name} {state['vars'][name]!r} not in {allowed}")
         self._rng = np.random.default_rng()
         self._rng.bit_generator.state = state["rng"]
         self.terminal = state["terminal"]
@@ -126,7 +138,9 @@ class MicroCatch(MicroGame):
     screen_shape = (16, 16)
     max_catches = 10
     spawn_window = 5  # columns either side of the paddle
-    state_vars = ("paddle", "obj_x", "obj_y", "score", "frame", "catches")
+    state_vars = {"paddle": range(0, 241, 16), "obj_x": range(0, 241, 16),
+                  "obj_y": range(0, 241, 16), "score": range(256),
+                  "frame": range(2**63), "catches": range(max_catches + 1)}
 
     def _reset_game(self):
         self.paddle = 7 * 16
@@ -193,7 +207,9 @@ class MicroBreakout(MicroGame):
     action_count = 4  # noop / fire / left / right
     screen_shape = (20, 16)
     brick_rows = (2, 3, 4)
-    state_vars = ("paddle", "ball_x", "ball_y", "dx", "dy", "launched", "score", "bricks")
+    state_vars = {"paddle": range(1, 15), "ball_x": range(16), "ball_y": range(20),
+                  "dx": range(-1, 2), "dy": range(-1, 2), "launched": range(2),
+                  "score": range(256), "bricks": range(2)}
 
     def _reset_game(self):
         self.paddle = 8
@@ -301,8 +317,9 @@ class MicroDiver(MicroGame):
     screen_shape = (20, 20)
     n_slots = 8
     max_divers = 6
-    state_vars = ("sub_x", "sub_y", "oxygen", "divers", "score", "enemies",
-                  "diver_x", "diver_y")
+    state_vars = {"sub_x": range(20), "sub_y": range(20), "oxygen": range(256),
+                  "divers": range(max_divers + 1), "score": range(256),
+                  "enemies": range(20), "diver_x": range(20), "diver_y": range(1, 20)}
 
     @staticmethod
     def slot_row(slot):

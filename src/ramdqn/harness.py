@@ -23,7 +23,7 @@ from .agents import (
 from .envs import PhiBuffer, frame_skip_step, make_env, scale_ram
 from .optim import rmsprop_state_for
 from .replay import ReplayMemory
-from .tensor_core import ShapeError
+from .tensor_core import ShapeError, Workspace
 
 CHECKPOINT_MAGIC = b"RAMDQN1\n"
 CHECKPOINT_VERSION = 2
@@ -151,14 +151,15 @@ def run_training_epoch(state, steps):
     state.warmup()
     hyper = state.hyper
     losses = []
+    workspace = Workspace()  # freed with the epoch, for test periods and checkpoints to reuse
     for _ in range(steps):
         eps = epsilon_at(hyper, state.global_step)
         action = select_action(state.net, state.replay.latest_state, eps, state.explore_rng)
         state._take_action(action)
         state.global_step += 1
         if len(state.replay) >= max(hyper.replay_start_size, hyper.minibatch_size):
-            loss = train_step(state.net, state.replay, state.opt_state,
-                              hyper, state.sample_rng, state.dropout_rng)
+            loss = train_step(state.net, state.replay, state.opt_state, hyper,
+                              state.sample_rng, state.dropout_rng, workspace)
             if not math.isfinite(loss):
                 raise TrainingError(f"epoch {state.epochs_done + 1}: training loss is "
                                     f"{loss}; {_first_nonfinite_layer(state.net)}")

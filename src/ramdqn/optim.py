@@ -10,6 +10,7 @@ from .tensor_core import ShapeError, param_views
 
 DECAY_RHO = 0.95  # RMSprop's mean-square decay
 STABILIZER_EPS = 1e-6  # added to the mean square under the square root
+CHUNK = 65_536  # parameters per RMSprop pass: a chunk's slices stay in cache
 
 
 @dataclass(eq=False)
@@ -18,44 +19,44 @@ class RmsPropState:
     parameter vector: the mean-square accumulators and the gradient the
     next step applies.  `mean_square` and `grads` are per-layer views of
     them, shaped as the network's `params`; `backward` writes its gradients
-    into `grads`."""
+    into `grads`.  `scratch` holds the working chunk of a step."""
 
     accumulator: np.ndarray
     gradient: np.ndarray
     mean_square: list = field(repr=False)
     grads: list = field(repr=False)
     learning_rate: float = 0.0002
+    scratch: np.ndarray = field(default=None, repr=False)
 
 
 def rmsprop_state_for(net, learning_rate=0.0002):
     """Zeroed accumulators and gradient mirroring a network's parameters."""
     acc, grad = np.zeros_like(net.flat), np.zeros_like(net.flat)
     return RmsPropState(acc, grad, param_views(net.params, acc), param_views(net.params, grad),
-                        learning_rate)
+                        learning_rate, np.empty(min(CHUNK, acc.size), acc.dtype))
 
 
 def rmsprop_step(net, state):
-    """One in-place pass over the whole parameter vector with the gradient
-    that `backward` wrote through `state.grads`:
+    """One in-place pass over the whole parameter vector, CHUNK entries at
+    a time, with the gradient that `backward` wrote through `state.grads`:
     acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
     The step leaves the gradient scaled by lr.
-
-    Its one scratch vector is made per step: freed, its memory serves the
-    next large allocation, where a kept one would add to the peak RSS.
     """
     rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
     if net.flat.shape != state.accumulator.shape:
         raise ShapeError("optimizer state does not match parameter layout")
-    g, a, t = state.gradient, state.accumulator, np.empty_like(state.gradient)
-    np.multiply(g, 1.0 - rho, out=t)
-    t *= g
-    a *= rho
-    a += t
-    np.add(a, eps, out=t)
-    np.sqrt(t, out=t)
-    g *= lr
-    np.divide(g, t, out=t)
-    net.flat -= t
+    for lo in range(0, net.flat.size, CHUNK):
+        g, a = state.gradient[lo : lo + CHUNK], state.accumulator[lo : lo + CHUNK]
+        t = state.scratch[: len(g)]
+        np.multiply(g, 1.0 - rho, out=t)
+        t *= g
+        a *= rho
+        a += t
+        np.add(a, eps, out=t)
+        np.sqrt(t, out=t)
+        g *= lr
+        np.divide(g, t, out=t)
+        net.flat[lo : lo + CHUNK] -= t
 
 
 def q_loss_grad(q_values, actions, targets):

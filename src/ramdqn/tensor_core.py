@@ -190,8 +190,24 @@ def make_network(specs, init_rng, dtype=np.float32):
                         input_streams=streams)
 
 
-def _activate(pre, activation):
-    return np.maximum(pre, 0) if activation == "rectify" else pre
+class Workspace:
+    """Arrays one network's train steps write into, kept between them: a flat
+    buffer per layer and role, made on first use, whose head serves fewer rows."""
+
+    def __init__(self):
+        self.buffers, self.views = {}, {}
+
+    def take(self, layer, role, shape, dtype):
+        """A `shape` array of `dtype` on the buffer of `layer`'s `role`; stale contents."""
+        view = self.views.get((layer, role, shape))
+        if view is None:
+            size = _flat(shape)
+            buf = self.buffers.get((layer, role))
+            if buf is None or buf.size < size or buf.dtype != dtype:
+                buf = self.buffers[layer, role] = np.empty(size, dtype)
+                self.views.clear()  # some were views of the old buffer
+            view = self.views[layer, role, shape] = buf[:size].reshape(shape)
+        return view
 
 
 @lru_cache(maxsize=None)
@@ -203,32 +219,40 @@ def _window_index(shape, k, stride):
     return index
 
 
-def _conv_cols(x, k, stride, oh, ow):
+def _conv_cols(x, k, stride, oh, ow, out=None):
     """Unrolled windows of x (B, C, H, W) (Chellapilla et al. 2006): a
-    (B*oh*ow, C*k*k) matrix, one row per output cell in (B, oh, ow) order."""
+    (B*oh*ow, C*k*k) matrix, one row per output cell in (B, oh, ow) order,
+    written into `out` (B, oh*ow, C*k*k) if given."""
     index = _window_index(x.shape[1:], k, stride)
-    return x.reshape(len(x), -1).take(index, axis=1).reshape(len(x) * oh * ow, -1)
+    # The indices are in range: "clip" only lets take write into `out` unbuffered.
+    cols = x.reshape(len(x), -1).take(index, 1, out, "clip")
+    return cols.reshape(len(x) * oh * ow, -1)
 
 
-def _conv_forward(kernels, biases, x, stride):
+def _conv_forward(kernels, biases, x, stride, ws, i):
     """Pre-activation (B, F, oh, ow) output and the window matrix behind it."""
-    f, _, k, _ = kernels.shape
+    f, c, k, _ = kernels.shape
     b_, _, h, w = x.shape
     oh, ow = _conv_extent(h, k, stride), _conv_extent(w, k, stride)
-    cols = _conv_cols(x, k, stride, oh, ow)
-    out = cols @ kernels.reshape(f, -1).T
+    cols = _conv_cols(x, k, stride, oh, ow, ws and ws.take(i, "x", (b_, oh * ow, c * k * k),
+                                                           x.dtype))
+    # cols @ W.T: the dense layers' swapped order is about 1.6x slower here.
+    out = np.matmul(cols, kernels.reshape(f, -1).T,
+                    out=ws and ws.take(i, "pre", (len(cols), f), x.dtype))
     if biases is not None:
         out += biases
     return out.reshape(b_, oh, ow, f).transpose(0, 3, 1, 2), cols
 
 
-def _col2im(dcols, x, k, stride):
+def _col2im(dcols, x, k, stride, out=None):
     """Adjoint of `_conv_cols`: the gradient w.r.t. x (B, C, H, W) from the
-    gradient w.r.t. its window matrix, one strided slice-add per offset."""
+    gradient w.r.t. its window matrix, one strided slice-add per offset,
+    summed in `out` if given."""
     b_, c, h, w = x.shape
     oh, ow = _conv_extent(h, k, stride), _conv_extent(w, k, stride)
     d = dcols.reshape(b_, oh, ow, c, k, k)
-    dx = np.zeros_like(x)
+    dx = np.empty_like(x) if out is None else out
+    dx.fill(0)
     for di in range(k):
         for dj in range(k):
             dx[:, :, di : di + stride * (oh - 1) + 1 : stride,
@@ -236,14 +260,15 @@ def _col2im(dcols, x, k, stride):
     return dx
 
 
-def forward(net, inputs, mode="eval", rng=None):
+def forward(net, inputs, mode="eval", rng=None, workspace=None):
     """Run the graph on named batched inputs; returns all layer records.
 
-    Each record keeps the layer output plus whatever backward needs
-    (pre-activation, dropout mask, the input as a matrix).
+    Each record keeps the layer output plus whatever backward needs (dropout
+    mask, the input as a matrix), in new arrays or in `workspace`'s.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
+    ws, dtype = workspace, net.dtype
     batch = None
     acts = []
     for i, spec in enumerate(net.layers):
@@ -251,7 +276,7 @@ def forward(net, inputs, mode="eval", rng=None):
         if spec.kind == "input":
             if spec.stream not in inputs:
                 raise ShapeError(f"missing input stream {spec.stream!r}")
-            x = np.asarray(inputs[spec.stream], dtype=net.dtype)
+            x = np.ascontiguousarray(inputs[spec.stream], dtype=dtype)
             if x.shape[1:] != net.out_shapes[i]:
                 raise ShapeError(
                     f"layer {i}: input {spec.stream!r} has per-sample shape "
@@ -264,42 +289,52 @@ def forward(net, inputs, mode="eval", rng=None):
             rec["out"] = x
         elif spec.kind in ("dense", "conv2d"):
             up = acts[spec.input_refs[0]]["out"]
+            if ws and not up.flags.c_contiguous:  # a conv's channels-last output: a copy
+                up = np.positive(up, out=ws.take(i, "in", up.shape, dtype))
             p = net.params[i]
             if spec.kind == "dense":
-                rec["x"] = up.reshape(up.shape[0], -1)
-                pre = rec["x"] @ p["W"].T
+                # (W @ x.T).T: x @ W.T's bits, for a sample-major x, at BLAS's fast
+                # operand order.  Acting, one row and no workspace, both cost the same.
+                rec["x"] = x = up.reshape(batch, -1)
+                pre = x @ p["W"].T if ws is None else np.matmul(
+                    p["W"], x.T, out=ws.take(i, "pre.T", (len(p["W"]), batch), dtype)).T
                 if "b" in p:
                     pre += p["b"]
             else:  # rec["x"] is the window matrix, the input a dense layer would see
-                pre, rec["x"] = _conv_forward(p["W"], p.get("b"), up, spec.stride)
-            rec["pre"] = pre
-            rec["out"] = _activate(pre, spec.activation)
+                pre, rec["x"] = _conv_forward(p["W"], p.get("b"), up, spec.stride, ws, i)
+            # In place, but a dense layer's workspace output is sample-major for the next
+            # (W @ x.T).T.  A conv's stays channels-last, the order col2im reads fast.
+            out = ws.take(i, "out", pre.shape, dtype) if ws and spec.kind == "dense" else pre
+            rec["out"] = (np.maximum(pre, 0, out=out) if spec.activation == "rectify"
+                          else pre if out is pre else np.positive(pre, out=out))  # a copy
         elif spec.kind == "dropout":
             x = acts[spec.input_refs[0]]["out"]
             if mode == "train" and spec.drop_p > 0.0:
                 if rng is None:
                     raise ValueError("train-mode dropout needs an rng")
-                mask = (rng.random(x.shape) >= spec.drop_p).astype(net.dtype)
-                rec["mask"] = mask
-                rec["out"] = x * mask
+                draw = rng.random(x.shape, out=ws and ws.take(i, "draw", x.shape, np.float64))
+                rec["mask"] = mask = np.greater_equal(
+                    draw, spec.drop_p, out=ws and ws.take(i, "mask", x.shape, np.bool_))
+                rec["out"] = np.multiply(x, mask, out=ws and ws.take(i, "out", x.shape, dtype))
             else:
                 scale = 1.0 if mode == "train" else 1.0 - spec.drop_p
                 rec["scale"] = scale
-                rec["out"] = x * net.dtype.type(scale) if scale != 1.0 else x
+                rec["out"] = x * dtype.type(scale) if scale != 1.0 else x
         else:  # concat
             rec["out"] = np.concatenate(
-                [acts[r]["out"].reshape(batch, -1) for r in spec.input_refs], axis=1)
+                [acts[r]["out"].reshape(batch, -1) for r in spec.input_refs], axis=1,
+                out=ws and ws.take(i, "out", (batch,) + net.out_shapes[i], dtype))
         acts.append(rec)
     return acts
 
 
-def backward(net, acts, output_gradient, grads=None):
+def backward(net, acts, output_gradient, grads=None, workspace=None):
     """Exact reverse-mode gradients for every parameter, written into
     `grads` (per-layer dicts of arrays shaped as `net.params`, such as an
     optimizer's views of its gradient vector) or into new arrays; returns them.
 
     Requires the activation records produced by a matching `forward` call;
-    shape drift between the two is rejected.
+    shape drift between the two is rejected.  Its other arrays are new or `workspace`'s.
     """
     if len(acts) != len(net.layers):
         raise ShapeError("activations do not match the network")
@@ -310,10 +345,11 @@ def backward(net, acts, output_gradient, grads=None):
     if g_out.shape != acts[net.terminal]["out"].shape:
         raise ShapeError("output gradient shape does not match network output")
 
+    ws, dtype = workspace, net.dtype
     gouts = [None] * len(net.layers)
     gouts[net.terminal] = g_out
     if grads is None:  # every parameter layer feeds the output, so each is written
-        grads = [None if p is None else {k: np.empty(v.shape, net.dtype) for k, v in p.items()}
+        grads = [None if p is None else {k: np.empty(v.shape, dtype) for k, v in p.items()}
                  for p in net.params]
 
     def _accumulate(ref, g):
@@ -330,25 +366,29 @@ def backward(net, acts, output_gradient, grads=None):
         if spec.kind in ("dense", "conv2d"):
             p = net.params[i]
             ref = spec.input_refs[0]
-            if spec.activation == "rectify":
-                g = g * (rec["pre"] > 0)
             w = p["W"].reshape(len(p["W"]), -1)
-            if spec.kind == "conv2d":  # a dense layer over the window matrix
-                g = g.transpose(0, 2, 3, 1).reshape(-1, len(w))
+            y = rec["out"]  # y > 0 exactly where the pre-activation is
+            if spec.kind == "conv2d":  # a dense layer over the window matrix's rows
+                g, y = g.transpose(0, 2, 3, 1), y.transpose(0, 2, 3, 1)
+            if spec.activation == "rectify":
+                mask = np.greater(y, 0, out=ws and ws.take(i, "mask", y.shape, np.bool_))
+                g = np.multiply(g, mask, out=ws and ws.take(i, "g", y.shape, dtype))
+            g = g.reshape(-1, len(w))
             np.matmul(g.T, rec["x"], out=grads[i]["W"].reshape(len(w), -1))
             if "b" in p:
                 g.sum(axis=0, out=grads[i]["b"])
             if net.layers[ref].kind != "input":  # an input's gradient is never read
-                gx = g @ w
+                gx = np.matmul(g, w, out=ws and ws.take(i, "gx", (len(g), w.shape[1]), dtype))
                 up = acts[ref]["out"]
                 if spec.kind == "conv2d":
-                    gx = _col2im(gx, up, spec.kernel, spec.stride)
+                    gx = _col2im(gx, up, spec.kernel, spec.stride, ws and ws.take(  # channels-last
+                        i, "dx", up.transpose(0, 2, 3, 1).shape, dtype).transpose(0, 3, 1, 2))
                 _accumulate(ref, gx.reshape(up.shape))
         elif spec.kind == "dropout":
             if "mask" in rec:
-                gx = g * rec["mask"]
+                gx = np.multiply(g, rec["mask"], out=ws and ws.take(i, "gx", g.shape, dtype))
             else:
-                gx = g * net.dtype.type(rec["scale"]) if rec["scale"] != 1.0 else g
+                gx = g * dtype.type(rec["scale"]) if rec["scale"] != 1.0 else g
             _accumulate(spec.input_refs[0], gx)
         else:  # concat
             offset = 0

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from ramdqn.agents import (
     select_action,
     train_step,
 )
+from ramdqn.harness import ExperimentConfig, TrainingState
 from ramdqn.optim import rmsprop_state_for
 from ramdqn.replay import Minibatch, ReplayMemory
-from ramdqn.tensor_core import LayerSpec, forward, make_network
+from ramdqn.tensor_core import LayerSpec, Workspace, forward, make_network
 
 
 def test_epsilon_endpoints():
@@ -368,6 +370,58 @@ def test_training_a_deep_copy_leaves_the_original_unchanged():
             assert np.shares_memory(p[key], twin.flat)
             assert not np.shares_memory(p[key], net.flat)
             assert not np.shares_memory(q[key], twin.flat)
+
+
+def warm_state(env_name, arch, dropout_p=0.0):
+    """A TrainingState whose replay is warm, with terminal transitions in it."""
+    hyper = HyperParams(replay_start_size=96, replay_capacity=256, frame_skip=2,
+                        dropout_p=dropout_p)
+    state = TrainingState(ExperimentConfig(env_name=env_name, arch=arch, hyper=hyper, seed=4))
+    state.warmup()
+    assert state.replay.terminal.any()
+    return state
+
+
+def step_args(state):
+    return (state.net, state.replay, state.opt_state, state.hyper, state.sample_rng,
+            state.dropout_rng)
+
+
+@pytest.mark.parametrize("env_name, arch, dropout_p", [
+    ("micro_catch", "just_ram", 0.0), ("micro_catch", "nips", 0.0),
+    ("micro_breakout", "big_ram", 0.0), ("micro_diver", "big_mixed_ram", 0.0),
+    ("micro_catch", "mixed_ram", 0.25)])
+def test_train_steps_in_a_workspace_match_steps_in_new_arrays_bitwise(env_name, arch,
+                                                                      dropout_p):
+    # Steps of live-row target batches of several sizes, and full ones, in one
+    # kept workspace: the dense products there run as (W @ x.T).T.
+    kept, fresh = warm_state(env_name, arch, dropout_p), warm_state(env_name, arch, dropout_p)
+    workspace = Workspace()
+    for i in range(12):
+        loss = train_step(*step_args(kept), workspace=workspace)
+        assert float(loss).hex() == float(train_step(*step_args(fresh))).hex(), i
+    assert kept.net.flat.tobytes() == fresh.net.flat.tobytes()
+    assert kept.opt_state.accumulator.tobytes() == fresh.opt_state.accumulator.tobytes()
+
+
+@pytest.mark.parametrize("env_name, arch", [
+    ("micro_catch", "just_ram"), ("micro_catch", "nips"), ("micro_diver", "big_mixed_ram")])
+def test_a_second_train_step_allocates_little_beyond_its_minibatch(env_name, arch):
+    # The workspace holds every array of the step; what is left is the
+    # minibatch the replay gathers, and numpy's own small temporaries.
+    state, workspace = warm_state(env_name, arch), Workspace()
+    train_step(*step_args(state), workspace=workspace)
+    tracemalloc.start()
+    try:
+        state.replay.sample_minibatch(state.hyper.minibatch_size, np.random.default_rng(0))
+        gather = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        train_step(*step_args(state), workspace=workspace)
+        step = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert step <= gather + 64 * 1024, (step, gather)
 
 
 def value_iteration_chain(gamma=0.95, tol=1e-12):

@@ -77,6 +77,36 @@ def test_restored_game_plays_on_identically(name):
 
 
 @pytest.mark.parametrize("name", GAMES)
+def test_every_state_of_play_is_within_the_declared_ranges(name):
+    # set_state checks each variable against its range: every state that
+    # random play reaches, terminal ones included, must pass.
+    rng = np.random.default_rng(12)
+    game = make_env(name)
+    game.reset(0)
+    for i in range(3000):
+        _, terminal = game.step(int(rng.integers(game.action_count)))
+        game.set_state(game.get_state())
+        if terminal:
+            game.reset(i)
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_out_of_range_state_is_refused_and_changes_nothing(name):
+    game = make_env(name)
+    game.reset(5)
+    before = game.get_state()
+    for var, allowed in game.state_vars.items():
+        # Past the end, and a float, which a range would search entry by entry.
+        for value in (allowed[-1] + 1, 0.5):
+            bad = json.loads(json.dumps(before))
+            is_list = isinstance(bad["vars"][var], list)
+            bad["vars"][var] = [value] * len(bad["vars"][var]) if is_list else value
+            with pytest.raises(ValueError, match=var):
+                game.set_state(bad)
+            assert game.get_state() == before
+
+
+@pytest.mark.parametrize("name", GAMES)
 def test_ram_is_128_bytes(name):
     env = make_env(name)
     env.reset(0)

@@ -32,6 +32,7 @@ from ramdqn.harness import (
     write_curve_csv,
 )
 from ramdqn.agents import build_architecture
+from ramdqn.tensor_core import Workspace
 
 
 def small_hyper(**kw):
@@ -360,6 +361,19 @@ BAD_RESUME_EDITS = {
                                                      value=["a"] * 8)),
     "diver_enemies_long": _on("micro_diver", _set("env_state", "vars", "enemies",
                                                   value=[0] * 9)),
+    # Game states no play reaches: each game declares the range of every variable.
+    "catch_object_between_rows": _set("env_state", "vars", "obj_y", value=7),
+    "catch_paddle_off_screen": _set("env_state", "vars", "paddle", value=1000),
+    "catch_object_left_of_screen": _set("env_state", "vars", "obj_x", value=-16),
+    "diver_oxygen_over_full": _on("micro_diver", _set("env_state", "vars", "oxygen",
+                                                      value=300)),
+    "diver_sub_off_screen": _on("micro_diver", _set("env_state", "vars", "sub_x", value=40)),
+    "diver_enemy_off_screen": _on("micro_diver", _set("env_state", "vars", "enemies", 2,
+                                                      value=20)),
+    "breakout_ball_off_screen": _on("micro_breakout", _set("env_state", "vars", "ball_x",
+                                                           value=99)),
+    "breakout_brick_not_a_bit": _on("micro_breakout", _set("env_state", "vars", "bricks", 0, 3,
+                                                           value=2)),
 }
 
 
@@ -427,6 +441,22 @@ def test_replay_checkpoint_holds_only_written_slots(tmp_path):
     restored = restore_training_state(checkpoint_load(with_replay))
     for name, arr in state.replay.arrays().items():
         np.testing.assert_array_equal(restored.replay.arrays()[name], arr, err_msg=name)
+
+
+def test_a_training_epoch_runs_its_steps_in_one_workspace(monkeypatch):
+    seen, real = [], harness.train_step
+
+    def recording_train_step(*args):
+        seen.append(args[6])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "train_step", recording_train_step)
+    state = TrainingState(small_config())
+    run_training_epoch(state, 30)
+    assert len(seen) == 30 and isinstance(seen[0], Workspace)
+    assert all(w is seen[0] for w in seen) and seen[0].buffers
+    run_training_epoch(state, 2)  # a new one: test periods reuse the last one's memory
+    assert seen[-1] is not seen[0]
 
 
 def test_nonfinite_loss_names_epoch_and_layer():

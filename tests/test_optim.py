@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramdqn.agents import build_architecture
-from ramdqn.optim import (DECAY_RHO, STABILIZER_EPS, q_loss_grad, rmsprop_state_for,
+from ramdqn.optim import (CHUNK, DECAY_RHO, STABILIZER_EPS, q_loss_grad, rmsprop_state_for,
                           rmsprop_step)
 from ramdqn.tensor_core import ShapeError
 
@@ -112,6 +114,40 @@ def test_rmsprop_matches_reference_expression_bitwise():
         for key in want:
             assert got[key].dtype == np.float32
             np.testing.assert_array_equal(got[key], want[key])
+
+
+def one_pass_rmsprop(flat, acc, grad, lr):
+    """The update as nine passes over the whole vectors, through one scratch
+    vector made per step."""
+    g, a, t = grad, acc, np.empty_like(grad)
+    np.multiply(g, 1.0 - DECAY_RHO, out=t)
+    t *= g
+    a *= DECAY_RHO
+    a += t
+    np.add(a, STABILIZER_EPS, out=t)
+    np.sqrt(t, out=t)
+    g *= lr
+    np.divide(g, t, out=t)
+    flat -= t
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_chunked_rmsprop_matches_one_pass_bitwise(n):
+    rng = np.random.default_rng(n)
+    net = SimpleNamespace(flat=rng.standard_normal(n).astype(np.float32))
+    net.params = [{"W": net.flat}]
+    state = rmsprop_state_for(net, learning_rate=0.001)
+    state.accumulator[...] = rng.random(n) * 1e-3
+    state.accumulator[::97] = 1e-40  # subnormal, as small gradients leave them
+    ref = [v.copy() for v in (net.flat, state.accumulator)]
+    for _ in range(3):
+        state.gradient[...] = 0.01 * rng.standard_normal(n)
+        grad = state.gradient.copy()
+        rmsprop_step(net, state)
+        one_pass_rmsprop(*ref, grad, state.learning_rate)
+        assert net.flat.tobytes() == ref[0].tobytes()
+        assert state.accumulator.tobytes() == ref[1].tobytes()
+        assert state.gradient.tobytes() == grad.tobytes()
 
 
 def test_q_loss_perfect_fit():

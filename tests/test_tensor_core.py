@@ -19,6 +19,7 @@ from ramdqn.tensor_core import (
     param_count,
 )
 from ramdqn.agents import ARCHITECTURES, build_architecture
+from ramdqn.envs import ENV_REGISTRY, make_env
 
 
 def ram_input():
@@ -526,3 +527,20 @@ def test_backward_writes_into_given_gradient_views(arch):
         assert (got is None) == (want is None)
         for key in want or {}:
             assert got[key].tobytes() == want[key].tobytes()
+
+
+@pytest.mark.parametrize("env_name", sorted(ENV_REGISTRY))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_dense_product_in_either_operand_order_gives_the_same_bits(arch, env_name):
+    # A train step's dense forwards compute (W @ x.T).T, which BLAS runs
+    # faster than x @ W.T; the two must agree bit for bit on a sample-major x.
+    env = make_env(env_name)
+    net = build_architecture(arch, env.action_count, screen_shape=env.screen_shape,
+                             rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    dense = [net.params[i]["W"] for i, spec in enumerate(net.layers) if spec.kind == "dense"]
+    for w in dense:
+        for rows in (1, 2, 17, 31, 32):
+            x = rng.standard_normal((rows, w.shape[1])).astype(net.dtype)
+            swapped = np.matmul(w, x.T, out=np.empty((len(w), rows), net.dtype))
+            assert swapped.T.tobytes() == (x @ w.T).tobytes(), (w.shape, rows)
