@@ -65,6 +65,9 @@ def cmd_train(args):
     if args.arch not in ARCHITECTURES:
         print(f"error: unknown architecture {args.arch!r}", file=sys.stderr)
         return EXIT_USAGE
+    if not args.out:  # run_experiment's out_dir="" writes nothing, for in-process callers
+        print("error: --out must name a directory", file=sys.stderr)
+        return EXIT_USAGE
     try:
         hyper = HyperParams(
             frame_skip=args.frame_skip,

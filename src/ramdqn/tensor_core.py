@@ -10,6 +10,7 @@ independent oracle for the handwritten backward pass.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -212,9 +213,12 @@ class Workspace:
 
 @lru_cache(maxsize=None)
 def _window_index(shape, k, stride):
-    """Read-only flat positions in a (C, H, W) sample of each output cell's (C, k, k) window."""
+    """Read-only positions in a (C, H, W) sample of each output cell's (C, k, k) window, in
+    blocks of b = gcd(k, stride, W) elements: each window row is k/b whole blocks."""
+    b = math.gcd(k, stride, shape[2])
     win = sliding_window_view(np.arange(_flat(shape)).reshape(shape), (k, k), axis=(1, 2))
-    index = win[:, ::stride, ::stride].transpose(1, 2, 0, 3, 4).reshape(-1, shape[0] * k * k)
+    index = win[:, ::stride, ::stride, :, ::b].transpose(1, 2, 0, 3, 4) // b
+    index = index.reshape(-1, shape[0] * k * k // b)
     index.flags.writeable = False
     return index
 
@@ -224,8 +228,11 @@ def _conv_cols(x, k, stride, oh, ow, out=None):
     (B*oh*ow, C*k*k) matrix, one row per output cell in (B, oh, ow) order,
     written into `out` (B, oh*ow, C*k*k) if given."""
     index = _window_index(x.shape[1:], k, stride)
-    # The indices are in range: "clip" only lets take write into `out` unbuffered.
-    cols = x.reshape(len(x), -1).take(index, 1, out, "clip")
+    b = x.shape[1] * k * k // index.shape[1]
+    # Along axis 1 of (B, C*H*W/b, b) rows, each taken item is a whole block.  The
+    # indices are in range: "clip" only lets take write into `out` unbuffered.
+    cols = x.reshape(len(x), -1, b).take(
+        index, 1, None if out is None else out.reshape(len(x), oh * ow, -1, b), "clip")
     return cols.reshape(len(x) * oh * ow, -1)
 
 
@@ -246,13 +253,18 @@ def _conv_forward(kernels, biases, x, stride, ws, i):
 
 def _col2im(dcols, x, k, stride, out=None):
     """Adjoint of `_conv_cols`: the gradient w.r.t. x (B, C, H, W) from the
-    gradient w.r.t. its window matrix, one strided slice-add per offset,
-    summed in `out` if given."""
+    gradient w.r.t. its window matrix, one slice-add per kernel offset or, when
+    there are fewer, per output cell, summed in `out` if given."""
     b_, c, h, w = x.shape
     oh, ow = _conv_extent(h, k, stride), _conv_extent(w, k, stride)
     d = dcols.reshape(b_, oh, ow, c, k, k)
     dx = np.empty_like(x) if out is None else out
     dx.fill(0)
+    if oh * ow < k * k:  # ascending offsets meet an entry's cells last to first
+        for cell in range(oh * ow - 1, -1, -1):
+            i, j = divmod(cell, ow)
+            dx[:, :, i * stride : i * stride + k, j * stride : j * stride + k] += d[:, i, j]
+        return dx
     for di in range(k):
         for dj in range(k):
             dx[:, :, di : di + stride * (oh - 1) + 1 : stride,

@@ -140,12 +140,14 @@ def test_train_unknown_arch_exit_2(tmp_path):
     ["--epochs", "0"],
     ["--seed", "-1"],
     ["--learning-rate", "inf"],
+    ["--out", ""],  # out_dir="" would train and write nothing
 ])
 def test_train_invalid_settings_exit_2(tmp_path, capsys, flags):
     rc = main(["train", "--env", "micro_catch", "--arch", "just_ram",
                "--out", str(tmp_path / "x"), *flags])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
 
 

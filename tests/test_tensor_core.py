@@ -240,6 +240,85 @@ def test_window_matrix_matches_strided_windows_and_col2im_is_its_adjoint(case):
         index[0, 0] = 0
 
 
+def odd_floats(shape, dtype, rng):
+    """Normal draws of `dtype` with -0.0, +-inf, NaNs and signalling NaNs among them."""
+    x = rng.standard_normal(shape).astype(dtype).ravel()
+    bits = x.view(np.uint32 if x.itemsize == 4 else np.uint64)
+    x[::7], x[1::11], x[2::13], x[3::17] = -0.0, np.nan, np.inf, -np.inf
+    bits[4::19] |= 1  # a nonzero payload, so that an all-ones exponent makes a NaN
+    bits[4::19] |= bits.dtype.type(0xFF800000 if x.itemsize == 4 else 0xFFF0000000000000)
+    return x.reshape(shape)
+
+
+def as_bits(a):
+    return a.view(np.uint32 if a.itemsize == 4 else np.uint64)
+
+
+# (C, H, W), k, stride and the block gcd(k, stride, W) the gather moves
+GATHER_CASES = [((4, 20, 20), 8, 4, 4), ((4, 16, 16), 4, 2, 2), ((4, 20, 16), 4, 2, 2),
+                ((16, 7, 7), 2, 1, 1), ((2, 24, 16), 8, 8, 8), ((3, 9, 11), 4, 2, 1),
+                ((2, 12, 10), 4, 4, 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,k,stride,block", GATHER_CASES)
+def test_block_gather_matches_element_gather_bitwise(shape, k, stride, block, dtype):
+    c, h, w = shape
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    index = tensor_core._window_index(shape, k, stride)
+    assert index.shape == (oh * ow, c * k * k // block)
+    # The element index: flat positions of each cell's (C, k, k) window.
+    win = sliding_window_view(np.arange(c * h * w).reshape(shape), (k, k), axis=(1, 2))
+    elements = win[:, ::stride, ::stride].transpose(1, 2, 0, 3, 4).reshape(oh * ow, -1)
+    x = odd_floats((3, c, h, w), dtype, np.random.default_rng(h * w + k))
+    want = x.reshape(3, -1).take(elements, 1).reshape(3 * oh * ow, -1)
+    channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    padded_rows = np.full((3, c, h, w + 3), 7, dtype)
+    padded_rows[..., :w] = x
+    every_other = np.repeat(x, 2, axis=0)[::2]
+    for sample in (x, channels_last, padded_rows[..., :w], every_other):
+        got = tensor_core._conv_cols(sample, k, stride, oh, ow)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(as_bits(got), as_bits(want))
+        out = np.full((3, oh * ow, c * k * k), 5, dtype)
+        got = tensor_core._conv_cols(sample, k, stride, oh, ow, out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(as_bits(got), as_bits(want))
+
+
+def offsets_col2im(dcols, x, k, stride):
+    """`_col2im` by its offset loop alone: one strided slice-add per kernel offset."""
+    b_, c, h, w = x.shape
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    d = dcols.reshape(b_, oh, ow, c, k, k)
+    dx = np.zeros_like(x)
+    for di in range(k):
+        for dj in range(k):
+            dx[:, :, di : di + stride * (oh - 1) + 1 : stride,
+               dj : dj + stride * (ow - 1) + 1 : stride] += d[..., di, dj].transpose(0, 3, 1, 2)
+    return dx
+
+
+# (C, H, W), k, stride: fewer output cells than kernel offsets, with k < s, k = s and k > s
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,k,stride", [
+    ((2, 7, 7), 3, 4), ((2, 10, 7), 3, 4), ((3, 8, 8), 4, 4), ((2, 12, 8), 4, 4),
+    ((4, 4, 4), 4, 2), ((2, 6, 8), 4, 2), ((2, 20, 20), 8, 4), ((1, 4, 5), 3, 1)])
+def test_col2im_cell_loop_matches_offset_loop_bitwise(shape, k, stride, dtype):
+    c, h, w = shape
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    assert oh * ow < k * k
+    rng = np.random.default_rng(h * w + k)
+    x = np.zeros((3, c, h, w), dtype)
+    d = odd_floats((3 * oh * ow, c * k * k), dtype, rng)
+    out = np.full((3, h, w, c), 9, dtype).transpose(0, 3, 1, 2)  # channels-last, stale
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        want = offsets_col2im(d, x, k, stride)
+        gots = tensor_core._col2im(d, x, k, stride), tensor_core._col2im(d, x, k, stride, out)
+    for got in gots:
+        np.testing.assert_array_equal(as_bits(got), as_bits(want))
+
+
 def with_identity_after_inputs(net):
     """The same network with a p=0 dropout between each input and its
     readers, so that backward computes the first layers' input gradients.
