@@ -78,11 +78,14 @@ class MicroGame:
         self._reset_game()
 
     def step(self, action):
-        """Advance one frame: (reward, terminal)."""
+        """Advance one frame: (reward, terminal).  `action` is an int or a
+        numpy integer in [0, action_count); anything else, a float or a bool
+        too, raises ValueError."""
         if self.terminal:
             raise RuntimeError(f"{self.name}: stepping a terminated episode")
-        if not 0 <= action < self.action_count:
-            raise ValueError(f"{self.name}: illegal action index {action}")
+        if (type(action) is not int and not isinstance(action, np.integer)
+                or not 0 <= action < self.action_count):
+            raise ValueError(f"{self.name}: illegal action index {action!r}")
         return float(self._advance(action)), self.terminal
 
     def ram(self):
@@ -316,14 +319,11 @@ class MicroDiver(MicroGame):
     action_count = 6  # noop / fire / up / down / left / right
     screen_shape = (20, 20)
     n_slots = 8
+    slot_rows = tuple(range(3, 3 + 2 * n_slots, 2))  # the row each enemy slot patrols
     max_divers = 6
     state_vars = {"sub_x": range(20), "sub_y": range(20), "oxygen": range(256),
                   "divers": range(max_divers + 1), "score": range(256),
                   "enemies": range(20), "diver_x": range(20), "diver_y": range(1, 20)}
-
-    @staticmethod
-    def slot_row(slot):
-        return 3 + 2 * slot
 
     def _reset_game(self):
         self.sub_x = 10
@@ -331,7 +331,8 @@ class MicroDiver(MicroGame):
         self.oxygen = 255
         self.divers = 0
         self.score = 0
-        self.enemies = [int(self._rng.integers(0, 20)) for _ in range(self.n_slots)]
+        # One call draws the columns in slot order, as one draw per slot would.
+        self.enemies = self._rng.integers(0, 20, size=self.n_slots).tolist()
         self._spawn_diver()
 
     def _spawn_diver(self):
@@ -349,12 +350,12 @@ class MicroDiver(MicroGame):
         elif action == 5:
             self.sub_x = min(self.sub_x + 1, 19)
 
-        if action == 1 and self.sub_y >= 3 and (self.sub_y - 3) % 2 == 0:
-            slot = (self.sub_y - 3) // 2
-            if slot < self.n_slots:
-                reward += 1
-                self.score = (self.score + 1) % 256
-                self.enemies[slot] = int(self._rng.integers(0, 20))
+        slot, off_row = divmod(self.sub_y - 3, 2)  # the enemy slot of the sub's row
+        on_row = not off_row and 0 <= slot < self.n_slots
+        if action == 1 and on_row:
+            reward += 1
+            self.score = (self.score + 1) % 256
+            self.enemies[slot] = int(self._rng.integers(0, 20))
 
         if (self.sub_x, self.sub_y) == (self.diver_x, self.diver_y):
             if self.divers < self.max_divers:
@@ -369,9 +370,8 @@ class MicroDiver(MicroGame):
             self.oxygen = 255
 
         self.enemies = [(e + 1) % 20 for e in self.enemies]
-        for slot, ex in enumerate(self.enemies):
-            if self.sub_y == self.slot_row(slot) and self.sub_x == ex:
-                self.terminal = True
+        if on_row and self.enemies[slot] == self.sub_x:
+            self.terminal = True
 
         self.oxygen -= 1
         if self.oxygen <= 0:
@@ -391,8 +391,8 @@ class MicroDiver(MicroGame):
     def _render(self):
         screen = np.zeros(self.screen_shape, dtype=np.uint8)
         screen[self.diver_y, self.diver_x] = 64
-        for slot, ex in enumerate(self.enemies):
-            screen[self.slot_row(slot), ex] = 128
+        for row, ex in zip(self.slot_rows, self.enemies):
+            screen[row, ex] = 128
         screen[self.sub_y, self.sub_x] = 255
         return screen
 

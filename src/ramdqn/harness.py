@@ -27,6 +27,7 @@ from .tensor_core import ShapeError, Workspace
 
 CHECKPOINT_MAGIC = b"RAMDQN1\n"
 CHECKPOINT_VERSION = 2
+WARMUP_CHUNK = 4096  # random actions drawn per call during the warm-up
 
 
 class CheckpointError(RuntimeError):
@@ -126,12 +127,16 @@ class TrainingState:
         self.replay.push(action, *self.episode.step(action))
 
     def warmup(self):
-        """Populate the replay memory with random-action transitions."""
+        """Populate the replay memory with random-action transitions.  The
+        actions are drawn WARMUP_CHUNK at a time: the same values, and the
+        same `explore_rng` state after, as one draw per action."""
         if self.warmed:
             return
-        for _ in range(self.hyper.replay_start_size):
-            action = int(self.explore_rng.integers(self.episode.env.action_count))
-            self._take_action(action)
+        count, size = self.episode.env.action_count, self.hyper.replay_start_size
+        for done in range(0, size, WARMUP_CHUNK):
+            actions = self.explore_rng.integers(count, size=min(WARMUP_CHUNK, size - done))
+            for action in actions.tolist():
+                self._take_action(action)
         self.warmed = True
 
 

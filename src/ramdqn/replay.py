@@ -148,7 +148,12 @@ class ReplayMemory:
     def push(self, action, reward, terminal, next_obs):
         """Store the transition taken from the latest observation; `next_obs`
         is the observation it led to, or after a terminal transition the
-        first observation of the next episode."""
+        first observation of the next episode.  An action that is not an
+        int or numpy integer in [0, 2**31), or a wrong observation, raises
+        ValueError and stores nothing."""
+        if (type(action) is not int and not isinstance(action, np.integer)
+                or not 0 <= action < 2**31):
+            raise ValueError(f"action must be an integer in [0, 2**31), got {action!r}")
         slots = len(self.start)
         slot = self.pushes % slots
         after = (slot + 1) % slots

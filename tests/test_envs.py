@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -142,10 +144,66 @@ def test_rollout_deterministic(name):
 
 @pytest.mark.parametrize("name", GAMES)
 def test_illegal_action_rejected(name):
+    # A float, even a whole one, once played a no-op or its truncation.
     env = make_env(name)
     env.reset(0)
-    with pytest.raises(ValueError):
-        env.step(env.action_count)
+    before = env.get_state()
+    for action in (env.action_count, -1, 1.5, np.float64(2.0), "1", None, True):
+        with pytest.raises(ValueError, match="illegal action"):
+            env.step(action)
+        assert env.get_state() == before, action
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_numpy_integer_action_plays_like_an_int(name):
+    env, twin = make_env(name), make_env(name)
+    env.reset(4)
+    twin.reset(4)
+    for action in range(env.action_count):
+        assert env.step(np.int64(action)) == twin.step(action)
+    assert env.get_state() == twin.get_state()
+
+
+def dynamics_digest(name, seed=2024, frames=20_000):
+    """A digest of a fixed-seed random rollout of `frames` frames with
+    resets: every reward, terminal flag and observation (both streams, the
+    terminal frames' too), then the final `get_state()`."""
+    rng = np.random.default_rng(seed)
+    env = make_env(name)
+    h = hashlib.blake2b(digest_size=16)
+
+    def observe():
+        obs = env.observe(STREAMS)
+        for stream in STREAMS:
+            h.update(obs[stream].tobytes())
+
+    env.reset(int(rng.integers(2**63)))
+    observe()
+    for _ in range(frames):
+        reward, terminal = env.step(int(rng.integers(env.action_count)))
+        h.update(struct.pack("<d?", reward, terminal))
+        observe()
+        if terminal:
+            env.reset(int(rng.integers(2**63)))
+            observe()
+    h.update(json.dumps(env.get_state(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# Captured from the games as they were before resets drew micro_diver's
+# enemies in one call and its collision check read one slot: any change of
+# what a game plays, shows or saves, or of the order of its rng draws,
+# fails here by name.
+PINNED_DYNAMICS = {
+    "micro_breakout": "9781baed7fc60d206ec79a1312bf73dc",
+    "micro_catch": "a4514780708c7a526880b8ece1a63606",
+    "micro_diver": "c607c9fb7ca93aeccad820b737e4fc28",
+}
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_dynamics_match_the_pinned_digest(name):
+    assert dynamics_digest(name) == PINNED_DYNAMICS[name]
 
 
 @pytest.mark.parametrize("name", GAMES)

@@ -96,6 +96,35 @@ def test_warmup_fills_replay():
     assert len(state.replay) == state.hyper.replay_start_size
 
 
+@pytest.mark.parametrize("env_name, arch", [("micro_catch", "just_ram"),
+                                           ("micro_breakout", "nips"),
+                                           ("micro_diver", "big_mixed_ram")])
+def test_warmup_plays_as_one_draw_per_action(env_name, arch):
+    # The warm-up draws its actions in chunks; a start size past one chunk
+    # must leave everything as the loop of one draw per action does.
+    size = harness.WARMUP_CHUNK + 37
+    config = small_config(env_name=env_name, arch=arch,
+                          hyper=small_hyper(frame_skip=4, replay_start_size=size,
+                                            replay_capacity=size))
+    state, reference = TrainingState(config), TrainingState(config)
+    state.warmup()
+    for _ in range(size):
+        reference._take_action(int(reference.explore_rng.integers(
+            reference.episode.env.action_count)))
+    assert len(state.replay) == size
+    got, want = state.replay.arrays(), reference.replay.arrays()
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[name], want[name]) for name in want)
+    assert state.replay.pushes == reference.replay.pushes
+
+    def rng_states(s):
+        rngs = (s.explore_rng, s.dropout_rng, s.sample_rng, s.episode.seed_rng)
+        return [rng.bit_generator.state for rng in rngs]
+
+    assert rng_states(state) == rng_states(reference)
+    assert state.episode.env.get_state() == reference.episode.env.get_state()
+
+
 def test_test_period_does_not_mutate_training():
     state = TrainingState(small_config())
     state.warmup()

@@ -188,6 +188,32 @@ def test_observation_shape_and_dtype_must_match_the_ring(obs, match):
     assert all(np.array_equal(before[name], after[name]) for name in before)
 
 
+@pytest.mark.parametrize("action", [
+    2.7,             # was stored as 2
+    -1,              # was stored, and the checkpoint then refused on restore
+    np.float64(1.0),
+    "1",
+    None,
+    True,
+    2**31,           # past the int32 action array
+])
+def test_action_must_be_a_nonnegative_integer(action):
+    mem = new_memory(capacity=4)
+    push(mem, 0)
+    before = {name: a.copy() for name, a in mem.arrays().items()}
+    with pytest.raises(ValueError, match="action must be an integer"):
+        mem.push(action, 1.0, False, ram_obs(2))
+    assert mem.pushes == 1
+    after = mem.arrays()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
+def test_numpy_integer_action_is_stored():
+    mem = new_memory(capacity=4)
+    mem.push(np.int64(2), 0.0, False, ram_obs(1))
+    assert mem.contents()[0].action == 2
+
+
 @pytest.mark.parametrize("first", [np.array([1.5, 300.7, -1, 2]), [7, 7, 7, 7]])
 def test_first_observation_must_be_bytes(first):
     with pytest.raises(ValueError, match="expected uint8"):
