@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import q_loss_grad, rmsprop_step
-from .tensor_core import LayerSpec, ShapeError, backward, forward, make_network
+from .tensor_core import LayerSpec, ShapeError, Workspace, backward, forward, make_network
 
 # Each architecture and the input streams it reads.
 ARCHITECTURES = {"just_ram": ("ram",), "big_ram": ("ram",), "nips": ("screen",),
@@ -170,26 +170,26 @@ def select_action(net, observation_inputs, epsilon, rng):
     if callable(observation_inputs):
         observation_inputs = observation_inputs()
     batch = {k: v[None, ...] for k, v in observation_inputs.items()}
-    acts = forward(net, batch, mode="eval")
-    q = acts[net.terminal]["out"][0]
-    return int(np.argmax(q))
+    acts = forward(net, batch, "eval", None, net.program.acting)
+    return int(acts[net.terminal]["out"][0].argmax())
 
 
 def compute_targets(net, minibatch, discount, workspace=None):
     """Bellman targets y_i = r_i (+ discount * max_a Q(s'_i, a) if non-terminal).
 
     `minibatch` is a replay.Minibatch.  Uses the online network in eval mode,
-    in `workspace`'s arrays if given; terminal next states are never read.
+    in `workspace`'s arrays or a new workspace's; terminal next states are never read.
     """
     if not len(minibatch):
         raise ValueError("minibatch must be nonempty")
+    workspace = Workspace() if workspace is None else workspace
     targets = np.array(minibatch.reward, dtype=np.float64)
     live = np.flatnonzero(~minibatch.terminal)
     if live.size and discount > 0.0:
         batch = minibatch.next_state
         if live.size < len(targets):  # the live rows, in the workspace's first rows
-            batch = {k: v.take(live, 0, workspace and workspace.take(
-                "live", k, v.shape, v.dtype)[: live.size], "clip") for k, v in batch.items()}
+            batch = {k: v.take(live, 0, workspace.take("live", k, v.shape, v.dtype)[: live.size],
+                               "clip") for k, v in batch.items()}
         acts = forward(net, batch, mode="eval", workspace=workspace)
         q_next = acts[net.terminal]["out"]
         targets[live] += discount * q_next.max(axis=1)
@@ -197,7 +197,9 @@ def compute_targets(net, minibatch, discount, workspace=None):
 
 
 def train_step(net, memory, optimizer_state, hyper, sample_rng, dropout_rng=None, workspace=None):
-    """One parameter update: sample, target, squared-loss gradient, rmsprop."""
+    """One parameter update: sample, target, squared-loss gradient, rmsprop, in
+    `workspace`'s arrays or a new workspace's."""
+    workspace = Workspace() if workspace is None else workspace
     batch = memory.sample_minibatch(hyper.minibatch_size, sample_rng)
     targets = compute_targets(net, batch, hyper.discount, workspace)
     mode = "train" if hyper.dropout_p > 0.0 else "eval"

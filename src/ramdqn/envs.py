@@ -95,8 +95,11 @@ class MicroGame:
 
     def observe(self, streams):
         """The current frame's streams named in `streams` ("ram", "screen"),
-        each a fresh uint8 array: {stream: array}."""
+        each a fresh uint8 array: {stream: array}.  Another name raises ValueError."""
         build = {"ram": self.ram, "screen": self._render}
+        for s in streams:
+            if s not in build:
+                raise ValueError(f"{self.name}: unknown observation stream {s!r}")
         return {s: build[s]() for s in streams}
 
     def get_state(self):

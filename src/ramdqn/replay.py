@@ -3,6 +3,7 @@ minibatch sampling."""
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -149,11 +150,17 @@ class ReplayMemory:
         """Store the transition taken from the latest observation; `next_obs`
         is the observation it led to, or after a terminal transition the
         first observation of the next episode.  An action that is not an
-        int or numpy integer in [0, 2**31), or a wrong observation, raises
-        ValueError and stores nothing."""
+        int or numpy integer in [0, 2**31), a reward that is not a real
+        number, a terminal flag that is not a bool or numpy bool, or a wrong
+        observation, raises ValueError and stores nothing."""
         if (type(action) is not int and not isinstance(action, np.integer)
                 or not 0 <= action < 2**31):
             raise ValueError(f"action must be an integer in [0, 2**31), got {action!r}")
+        if type(reward) is not float and not isinstance(reward, numbers.Real):  # float: fast
+            raise ValueError(f"reward must be a real number, got {reward!r}")
+        if not isinstance(terminal, (bool, np.bool_)):
+            raise ValueError(f"terminal must be a bool, got {terminal!r}")
+        reward = float(reward)  # an int past float64's range raises here, before any write
         slots = len(self.start)
         slot = self.pushes % slots
         after = (slot + 1) % slots

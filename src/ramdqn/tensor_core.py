@@ -1,10 +1,10 @@
 """Minimal network engine: dense, conv2d, dropout, concat layers with exact
 reverse-mode gradients.
 
-Tensors are plain numpy arrays in row-major order with a leading batch
-dimension.  Forward retains every layer output so backward can compute exact
-gradients; a finite-difference checker (`gradient_check`) serves as the
-independent oracle for the handwritten backward pass.
+Tensors are plain numpy arrays in row-major order with a leading batch dimension.
+Each network is resolved once into a `Program` of steps.  Forward retains every
+layer output so backward can compute exact gradients; a finite-difference checker
+(`gradient_check`) serves as the independent oracle for the handwritten backward.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-Tensor = np.ndarray
 
 KINDS = ("input", "dense", "conv2d", "dropout", "concat")
 ACTIVATIONS = ("rectify", "none")
@@ -67,6 +65,14 @@ class NetworkGraph:
     dtype: np.dtype
     flat: np.ndarray
     input_streams: dict = field(default_factory=dict)
+    _program: Program = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def program(self):
+        """The `Program`, built on first use; a `dataclasses.replace` copy has none yet."""
+        if self._program is None:
+            self._program = Program(self)
+        return self._program
 
     def __deepcopy__(self, memo):
         # Each parameter byte is copied once, into the copy's own vector.
@@ -77,7 +83,7 @@ class NetworkGraph:
 
 
 def _flat(shape):
-    return int(np.prod(shape)) if shape else 1
+    return int(math.prod(shape))
 
 
 def param_views(params, vector):
@@ -100,10 +106,6 @@ def _pack(params, dtype):
     return flat, param_views(params, flat)
 
 
-def _conv_extent(size, kernel, stride):
-    return (size - kernel) // stride + 1
-
-
 def make_network(specs, init_rng, dtype=np.float32):
     """Validate a layer DAG, allocate and initialize its parameters.
 
@@ -115,10 +117,7 @@ def make_network(specs, init_rng, dtype=np.float32):
         raise ShapeError("no output layer")
     dtype = np.dtype(dtype)
 
-    out_shapes = []
-    params = []
-    referenced = set()
-    streams = {}
+    out_shapes, params, referenced, streams = [], [], set(), {}
     for i, spec in enumerate(specs):
         if spec.kind not in KINDS:
             raise ShapeError(f"layer {i}: unknown kind {spec.kind!r}")
@@ -128,7 +127,8 @@ def make_network(specs, init_rng, dtype=np.float32):
             if not 0 <= r < i:
                 raise ShapeError(f"layer {i}: bad input ref {r}")
             referenced.add(r)
-
+        if spec.kind in ("dense", "conv2d", "dropout") and len(spec.input_refs) != 1:
+            raise ShapeError(f"layer {i}: {spec.kind} takes exactly one input")
         weights = None
         if spec.kind == "input":
             if spec.input_refs:
@@ -140,32 +140,22 @@ def make_network(specs, init_rng, dtype=np.float32):
             streams[spec.stream] = i
             out_shapes.append(tuple(spec.shape))
         elif spec.kind == "dense":
-            if len(spec.input_refs) != 1:
-                raise ShapeError(f"layer {i}: dense takes exactly one input")
             if spec.units <= 0:
                 raise ShapeError(f"layer {i}: dense needs positive units")
             weights = (spec.units, _flat(out_shapes[spec.input_refs[0]]))
             out_shapes.append((spec.units,))
         elif spec.kind == "conv2d":
-            if len(spec.input_refs) != 1:
-                raise ShapeError(f"layer {i}: conv2d takes exactly one input")
-            in_shape = out_shapes[spec.input_refs[0]]
+            in_shape, k, s = out_shapes[spec.input_refs[0]], spec.kernel, spec.stride
             if len(in_shape) != 3:
                 raise ShapeError(f"layer {i}: conv2d needs a channels x H x W input")
-            c, h, w = in_shape
-            k, s = spec.kernel, spec.stride
             if spec.filters <= 0 or k <= 0 or s <= 0:
                 raise ShapeError(f"layer {i}: bad conv2d hyperparameters")
+            c, h, w = in_shape
             if k > h or k > w:
                 raise ShapeError(f"layer {i}: kernel {k} larger than input {h}x{w}")
-            oh, ow = _conv_extent(h, k, s), _conv_extent(w, k, s)
-            if oh < 1 or ow < 1:
-                raise ShapeError(f"layer {i}: empty conv2d output")
             weights = (spec.filters, c, k, k)
-            out_shapes.append((spec.filters, oh, ow))
+            out_shapes.append((spec.filters, (h - k) // s + 1, (w - k) // s + 1))
         elif spec.kind == "dropout":
-            if len(spec.input_refs) != 1:
-                raise ShapeError(f"layer {i}: dropout takes exactly one input")
             if not 0.0 <= spec.drop_p < 1.0:
                 raise ShapeError(f"layer {i}: drop probability must be in [0,1)")
             out_shapes.append(out_shapes[spec.input_refs[0]])
@@ -175,8 +165,7 @@ def make_network(specs, init_rng, dtype=np.float32):
             out_shapes.append((sum(_flat(out_shapes[r]) for r in spec.input_refs),))
         params.append(None)
         if weights is not None:  # (fan-out, fan-in...)
-            fan_in = _flat(weights[1:])
-            w = init_rng.uniform(-1.0, 1.0, size=weights) / np.sqrt(fan_in)
+            w = init_rng.uniform(-1.0, 1.0, size=weights) / np.sqrt(_flat(weights[1:]))
             params[i] = {"W": w.astype(dtype)}
             if spec.bias:
                 params[i]["b"] = np.zeros(weights[0], dtype=dtype)
@@ -192,8 +181,9 @@ def make_network(specs, init_rng, dtype=np.float32):
 
 
 class Workspace:
-    """Arrays one network's train steps write into, kept between them: a flat
-    buffer per layer and role, made on first use, whose head serves fewer rows."""
+    """Arrays that one network's forwards and backwards write into, kept between
+    calls: a flat buffer per layer and role, made on first use, whose head serves
+    fewer rows."""
 
     def __init__(self):
         self.buffers, self.views = {}, {}
@@ -223,42 +213,23 @@ def _window_index(shape, k, stride):
     return index
 
 
-def _conv_cols(x, k, stride, oh, ow, out=None):
-    """Unrolled windows of x (B, C, H, W) (Chellapilla et al. 2006): a
-    (B*oh*ow, C*k*k) matrix, one row per output cell in (B, oh, ow) order,
-    written into `out` (B, oh*ow, C*k*k) if given."""
-    index = _window_index(x.shape[1:], k, stride)
-    b = x.shape[1] * k * k // index.shape[1]
+def _conv_cols(x, index, out):
+    """Unrolled windows of x (B, C, H, W) (Chellapilla et al. 2006), gathered through a
+    `_window_index` into `out` (B, oh*ow, C*k*k): the (B*oh*ow, C*k*k) matrix, one row
+    per output cell in (B, oh, ow) order.  `take` copies an index that is not writeable."""
+    n, cells, width = out.shape
+    b = width // index.shape[1]
     # Along axis 1 of (B, C*H*W/b, b) rows, each taken item is a whole block.  The
     # indices are in range: "clip" only lets take write into `out` unbuffered.
-    cols = x.reshape(len(x), -1, b).take(
-        index, 1, None if out is None else out.reshape(len(x), oh * ow, -1, b), "clip")
-    return cols.reshape(len(x) * oh * ow, -1)
+    x.reshape(n, -1, b).take(index, 1, out.reshape(n, cells, -1, b), "clip")
+    return out.reshape(n * cells, width)
 
 
-def _conv_forward(kernels, biases, x, stride, ws, i):
-    """Pre-activation (B, F, oh, ow) output and the window matrix behind it."""
-    f, c, k, _ = kernels.shape
-    b_, _, h, w = x.shape
-    oh, ow = _conv_extent(h, k, stride), _conv_extent(w, k, stride)
-    cols = _conv_cols(x, k, stride, oh, ow, ws and ws.take(i, "x", (b_, oh * ow, c * k * k),
-                                                           x.dtype))
-    # cols @ W.T: the dense layers' swapped order is about 1.6x slower here.
-    out = np.matmul(cols, kernels.reshape(f, -1).T,
-                    out=ws and ws.take(i, "pre", (len(cols), f), x.dtype))
-    if biases is not None:
-        out += biases
-    return out.reshape(b_, oh, ow, f).transpose(0, 3, 1, 2), cols
-
-
-def _col2im(dcols, x, k, stride, out=None):
-    """Adjoint of `_conv_cols`: the gradient w.r.t. x (B, C, H, W) from the
-    gradient w.r.t. its window matrix, one slice-add per kernel offset or, when
-    there are fewer, per output cell, summed in `out` if given."""
-    b_, c, h, w = x.shape
-    oh, ow = _conv_extent(h, k, stride), _conv_extent(w, k, stride)
-    d = dcols.reshape(b_, oh, ow, c, k, k)
-    dx = np.empty_like(x) if out is None else out
+def _col2im(d, stride, dx):
+    """Adjoint of `_conv_cols`: the gradient w.r.t. x, summed into `dx` (B, C, H, W), from
+    `d` (B, oh, ow, C, k, k), the gradient w.r.t. its window matrix; one slice-add per
+    kernel offset or, when there are fewer, per output cell."""
+    _, oh, ow, _, k, _ = d.shape
     dx.fill(0)
     if oh * ow < k * k:  # ascending offsets meet an entry's cells last to first
         for cell in range(oh * ow - 1, -1, -1):
@@ -272,81 +243,163 @@ def _col2im(dcols, x, k, stride, out=None):
     return dx
 
 
-def forward(net, inputs, mode="eval", rng=None, workspace=None):
-    """Run the graph on named batched inputs; returns all layer records.
+class _Step:
+    """One layer, resolved: `forward` returns its record, in workspace arrays, and
+    `backward` returns the (layer, gradient) pairs of its inputs."""
 
-    Each record keeps the layer output plus whatever backward needs (dropout
-    mask, the input as a matrix), in new arrays or in `workspace`'s.
+    def __init__(self, net, i):
+        self.i, self.spec, self.dtype, self.shape = i, net.layers[i], net.dtype, net.out_shapes[i]
+        self.refs = self.spec.input_refs
+        self.ref, self.in_shape = self.refs[0], net.out_shapes[self.refs[0]]
+
+
+class _Weighted(_Step):
+    """A dense layer, y = act(x W.T + b) with x the input flattened per sample, or a conv2d:
+    a dense layer over the rows of the window matrix, gathered through a writeable window
+    index, whose output is channels-last in memory, the order col2im reads fast.  The
+    record's "x" is that matrix."""
+
+    def __init__(self, net, i):
+        super().__init__(net, i)
+        spec, p = self.spec, net.params[i]
+        self.W = p["W"].reshape(len(p["W"]), -1)
+        self.WT, self.b = self.W.T, p.get("b")
+        self.zero, self.rectify = self.dtype.type(0), spec.activation == "rectify"
+        self.grad_in = net.layers[self.ref].kind != "input"  # an input's is never read
+        self.index = (_window_index(self.in_shape, spec.kernel, spec.stride).copy()
+                      if spec.kind == "conv2d" else None)
+
+    def forward(self, recs, batch, ws, train, rng):
+        i, x, units = self.i, recs[self.ref]["out"], len(self.W)
+        if not x.flags.c_contiguous:  # a conv's channels-last output: copied
+            x = np.positive(x, out=ws.take(i, "in", x.shape, self.dtype))
+        if self.index is not None:  # cols @ W.T: the swapped order is ~1.6x slower here
+            _, oh, ow = self.shape
+            x = _conv_cols(x, self.index, ws.take(i, "x", (batch, oh * ow, self.W.shape[1]),
+                                                  self.dtype))
+            out = pre = np.matmul(x, self.WT, out=ws.take(i, "pre", (len(x), units), self.dtype))
+        else:
+            x = x.reshape(batch, -1) if x.ndim > 2 else x
+            out = ws.take(i, "out", (batch, units), self.dtype)  # sample-major, for the next
+            if batch == 1:  # x @ W.T by np.dot, which dispatches faster than matmul
+                pre = np.dot(x, self.WT, out=out)
+            else:  # (W @ x.T).T: x @ W.T's bits, for a sample-major x, at BLAS's fast order
+                pre = np.matmul(self.W, x.T, out=ws.take(i, "pre.T", (units, batch), self.dtype)).T
+        if self.b is not None:
+            np.add(pre, self.b, out=out)
+        elif pre is not out:
+            np.positive(pre, out=out)  # a copy
+        if self.rectify:
+            np.maximum(out, self.zero, out=out)
+        if self.index is not None:
+            out = out.reshape((batch,) + self.shape[1:] + (units,)).transpose(0, 3, 1, 2)
+        return {"out": out, "x": x}
+
+    def backward(self, recs, g, grads, ws):
+        i, rec, y = self.i, recs[self.i], recs[self.i]["out"]
+        if self.index is not None:  # to the rows of the window matrix
+            g, y = g.transpose(0, 2, 3, 1), y.transpose(0, 2, 3, 1)
+        if self.rectify:  # y > 0 exactly where the pre-activation is
+            mask = np.greater(y, 0, out=ws.take(i, "mask", y.shape, np.bool_))
+            g = np.multiply(g, mask, out=ws.take(i, "g", y.shape, self.dtype))
+        g = g.reshape(-1, len(self.W))
+        np.matmul(g.T, rec["x"], out=grads[i]["W"].reshape(self.W.shape))
+        if self.b is not None:
+            g.sum(axis=0, out=grads[i]["b"])
+        if not self.grad_in:
+            return []
+        gx = np.matmul(g, self.W, out=ws.take(i, "gx", (len(g), self.W.shape[1]), self.dtype))
+        if self.index is None:
+            return [(self.ref, gx.reshape((len(gx),) + self.in_shape))]
+        (c, h, w), (_, oh, ow), k = self.in_shape, self.shape, self.spec.kernel
+        n = len(gx) // (oh * ow)
+        dx = ws.take(i, "dx", (n, h, w, c), self.dtype).transpose(0, 3, 1, 2)
+        return [(self.ref, _col2im(gx.reshape(n, oh, ow, c, k, k), self.spec.stride, dx))]
+
+
+class _Dropout(_Step):
+    """Train mode with p > 0 keeps each unit with probability 1 - p, drawn from `rng`, and
+    records the mask; otherwise the output is scaled by 1 (train) or 1 - p (eval)."""
+
+    def forward(self, recs, batch, ws, train, rng):
+        i, x, shape, p = self.i, recs[self.ref]["out"], (batch,) + self.shape, self.spec.drop_p
+        out = ws.take(i, "out", shape, self.dtype)
+        if train and p > 0.0:
+            if rng is None:
+                raise ValueError("train-mode dropout needs an rng")
+            draw = rng.random(shape, out=ws.take(i, "draw", shape, np.float64))
+            mask = np.greater_equal(draw, p, out=ws.take(i, "mask", shape, np.bool_))
+            return {"out": np.multiply(x, mask, out=out), "mask": mask}
+        scale = 1.0 if train else 1.0 - p
+        return {"out": np.multiply(x, self.dtype.type(scale), out=out) if scale != 1.0 else x,
+                "scale": scale}
+
+    def backward(self, recs, g, grads, ws):
+        rec = recs[self.i]
+        factor = rec["mask"] if "mask" in rec else self.dtype.type(rec["scale"])
+        return [(self.ref, np.multiply(g, factor, out=ws.take(self.i, "gx", g.shape, self.dtype)))]
+
+
+class _Concat(_Step):
+    """The inputs, each flattened per sample, side by side."""
+
+    def forward(self, recs, batch, ws, train, rng):
+        return {"out": np.concatenate(
+            [recs[r]["out"].reshape(batch, -1) for r in self.refs], axis=1,
+            out=ws.take(self.i, "out", (batch,) + self.shape, self.dtype))}
+
+    def backward(self, recs, g, grads, ws):
+        shapes = [recs[r]["out"].shape for r in self.refs]
+        pieces = np.split(g, np.cumsum([_flat(s[1:]) for s in shapes])[:-1], axis=1)
+        return [(r, piece.reshape(s)) for r, piece, s in zip(self.refs, pieces, shapes)]
+
+
+_STEPS = {"dense": _Weighted, "conv2d": _Weighted, "dropout": _Dropout, "concat": _Concat}
+
+
+class Program:
+    """A network's non-input layers resolved once into steps, in order, each holding its
+    weight views, input slots and conv geometry; `acting` is the kept batch-1 workspace."""
+
+    def __init__(self, net):
+        kinds = [spec.kind for spec in net.layers]
+        self.layers = [_STEPS[kind](net, i) for i, kind in enumerate(kinds) if kind in _STEPS]
+        self.acting = Workspace()
+
+
+def forward(net, inputs, mode="eval", rng=None, workspace=None):
+    """Run the network's program on named batched inputs; returns all layer records.
+
+    Each record keeps the layer output plus whatever backward needs (dropout mask, the input
+    as a matrix), in `workspace`'s arrays or a new workspace's: then two calls never alias.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    ws, dtype = workspace, net.dtype
-    batch = None
-    acts = []
-    for i, spec in enumerate(net.layers):
-        rec = {}
-        if spec.kind == "input":
-            if spec.stream not in inputs:
-                raise ShapeError(f"missing input stream {spec.stream!r}")
-            x = np.ascontiguousarray(inputs[spec.stream], dtype=dtype)
-            if x.shape[1:] != net.out_shapes[i]:
-                raise ShapeError(
-                    f"layer {i}: input {spec.stream!r} has per-sample shape "
-                    f"{x.shape[1:]}, expected {net.out_shapes[i]}"
-                )
-            if batch is None:
-                batch = x.shape[0]
-            elif x.shape[0] != batch:
-                raise ShapeError("input streams disagree on batch size")
-            rec["out"] = x
-        elif spec.kind in ("dense", "conv2d"):
-            up = acts[spec.input_refs[0]]["out"]
-            if ws and not up.flags.c_contiguous:  # a conv's channels-last output: a copy
-                up = np.positive(up, out=ws.take(i, "in", up.shape, dtype))
-            p = net.params[i]
-            if spec.kind == "dense":
-                # (W @ x.T).T: x @ W.T's bits, for a sample-major x, at BLAS's fast
-                # operand order.  Acting, one row and no workspace, both cost the same.
-                rec["x"] = x = up.reshape(batch, -1)
-                pre = x @ p["W"].T if ws is None else np.matmul(
-                    p["W"], x.T, out=ws.take(i, "pre.T", (len(p["W"]), batch), dtype)).T
-                if "b" in p:
-                    pre += p["b"]
-            else:  # rec["x"] is the window matrix, the input a dense layer would see
-                pre, rec["x"] = _conv_forward(p["W"], p.get("b"), up, spec.stride, ws, i)
-            # In place, but a dense layer's workspace output is sample-major for the next
-            # (W @ x.T).T.  A conv's stays channels-last, the order col2im reads fast.
-            out = ws.take(i, "out", pre.shape, dtype) if ws and spec.kind == "dense" else pre
-            rec["out"] = (np.maximum(pre, 0, out=out) if spec.activation == "rectify"
-                          else pre if out is pre else np.positive(pre, out=out))  # a copy
-        elif spec.kind == "dropout":
-            x = acts[spec.input_refs[0]]["out"]
-            if mode == "train" and spec.drop_p > 0.0:
-                if rng is None:
-                    raise ValueError("train-mode dropout needs an rng")
-                draw = rng.random(x.shape, out=ws and ws.take(i, "draw", x.shape, np.float64))
-                rec["mask"] = mask = np.greater_equal(
-                    draw, spec.drop_p, out=ws and ws.take(i, "mask", x.shape, np.bool_))
-                rec["out"] = np.multiply(x, mask, out=ws and ws.take(i, "out", x.shape, dtype))
-            else:
-                scale = 1.0 if mode == "train" else 1.0 - spec.drop_p
-                rec["scale"] = scale
-                rec["out"] = x * dtype.type(scale) if scale != 1.0 else x
-        else:  # concat
-            rec["out"] = np.concatenate(
-                [acts[r]["out"].reshape(batch, -1) for r in spec.input_refs], axis=1,
-                out=ws and ws.take(i, "out", (batch,) + net.out_shapes[i], dtype))
-        acts.append(rec)
-    return acts
+    recs, batch = [None] * len(net.layers), None
+    for stream, i in net.input_streams.items():
+        if stream not in inputs:
+            raise ShapeError(f"missing input stream {stream!r}")
+        x = np.ascontiguousarray(inputs[stream], dtype=net.dtype)
+        if x.shape[1:] != net.out_shapes[i]:
+            raise ShapeError(f"layer {i}: input {stream!r} has per-sample shape "
+                             f"{x.shape[1:]}, expected {net.out_shapes[i]}")
+        if batch is not None and len(x) != batch:
+            raise ShapeError("input streams disagree on batch size")
+        recs[i], batch = {"out": x}, len(x)
+    ws, train = Workspace() if workspace is None else workspace, mode == "train"
+    for step in net.program.layers:
+        recs[step.i] = step.forward(recs, batch, ws, train, rng)
+    return recs
 
 
-def backward(net, acts, output_gradient, grads=None, workspace=None):
-    """Exact reverse-mode gradients for every parameter, written into
-    `grads` (per-layer dicts of arrays shaped as `net.params`, such as an
-    optimizer's views of its gradient vector) or into new arrays; returns them.
+def backward(net, acts, output_gradient, grads, workspace=None):
+    """Exact reverse-mode gradients for every parameter, written into `grads`
+    (per-layer dicts of arrays shaped as `net.params`, such as an optimizer's
+    views of its gradient vector); returns them.
 
     Requires the activation records produced by a matching `forward` call;
-    shape drift between the two is rejected.  Its other arrays are new or `workspace`'s.
+    shape drift between the two is rejected.  Its other arrays are
+    `workspace`'s or, without one, a new workspace's.
     """
     if len(acts) != len(net.layers):
         raise ShapeError("activations do not match the network")
@@ -356,60 +409,12 @@ def backward(net, acts, output_gradient, grads=None, workspace=None):
     g_out = np.asarray(output_gradient, dtype=net.dtype)
     if g_out.shape != acts[net.terminal]["out"].shape:
         raise ShapeError("output gradient shape does not match network output")
-
-    ws, dtype = workspace, net.dtype
-    gouts = [None] * len(net.layers)
+    ws, gouts = Workspace() if workspace is None else workspace, [None] * len(net.layers)
     gouts[net.terminal] = g_out
-    if grads is None:  # every parameter layer feeds the output, so each is written
-        grads = [None if p is None else {k: np.empty(v.shape, dtype) for k, v in p.items()}
-                 for p in net.params]
-
-    def _accumulate(ref, g):
-        gouts[ref] = g if gouts[ref] is None else gouts[ref] + g
-
-    for i in range(len(net.layers) - 1, -1, -1):
-        g = gouts[i]
-        if g is None:
-            continue
-        spec = net.layers[i]
-        rec = acts[i]
-        if spec.kind == "input":
-            continue
-        if spec.kind in ("dense", "conv2d"):
-            p = net.params[i]
-            ref = spec.input_refs[0]
-            w = p["W"].reshape(len(p["W"]), -1)
-            y = rec["out"]  # y > 0 exactly where the pre-activation is
-            if spec.kind == "conv2d":  # a dense layer over the window matrix's rows
-                g, y = g.transpose(0, 2, 3, 1), y.transpose(0, 2, 3, 1)
-            if spec.activation == "rectify":
-                mask = np.greater(y, 0, out=ws and ws.take(i, "mask", y.shape, np.bool_))
-                g = np.multiply(g, mask, out=ws and ws.take(i, "g", y.shape, dtype))
-            g = g.reshape(-1, len(w))
-            np.matmul(g.T, rec["x"], out=grads[i]["W"].reshape(len(w), -1))
-            if "b" in p:
-                g.sum(axis=0, out=grads[i]["b"])
-            if net.layers[ref].kind != "input":  # an input's gradient is never read
-                gx = np.matmul(g, w, out=ws and ws.take(i, "gx", (len(g), w.shape[1]), dtype))
-                up = acts[ref]["out"]
-                if spec.kind == "conv2d":
-                    gx = _col2im(gx, up, spec.kernel, spec.stride, ws and ws.take(  # channels-last
-                        i, "dx", up.transpose(0, 2, 3, 1).shape, dtype).transpose(0, 3, 1, 2))
-                _accumulate(ref, gx.reshape(up.shape))
-        elif spec.kind == "dropout":
-            if "mask" in rec:
-                gx = np.multiply(g, rec["mask"], out=ws and ws.take(i, "gx", g.shape, dtype))
-            else:
-                gx = g * dtype.type(rec["scale"]) if rec["scale"] != 1.0 else g
-            _accumulate(spec.input_refs[0], gx)
-        else:  # concat
-            offset = 0
-            for r in spec.input_refs:
-                up_shape = acts[r]["out"].shape
-                n = _flat(up_shape[1:])
-                piece = g[:, offset : offset + n].reshape(up_shape)
-                _accumulate(r, piece)
-                offset += n
+    for step in reversed(net.program.layers):
+        if gouts[step.i] is not None:
+            for ref, g in step.backward(acts, gouts[step.i], grads, ws):
+                gouts[ref] = g if gouts[ref] is None else gouts[ref] + g
     return grads
 
 
@@ -428,41 +433,35 @@ def gradient_check(net, inputs, probe_direction=None, step=1e-5, probes=100, rng
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if probe_direction is None:
-        probe_direction = rng.standard_normal(net.output_dim)
-    probe = np.asarray(probe_direction, dtype=np.float64)
+    rng = np.random.default_rng(0) if rng is None else rng
+    probe = np.asarray(rng.standard_normal(net.output_dim) if probe_direction is None
+                       else probe_direction, dtype=np.float64)
 
     # The finite-difference oracle runs on a float64 shadow of the network so
     # that a 32-bit backward pass is measured against a clean reference
-    # instead of 32-bit finite-difference roundoff.
+    # instead of 32-bit finite-difference roundoff.  The shadow builds its own
+    # program, and keeps its arrays in its own workspace.
     shadow_flat, shadow_params = _pack(net.params, np.float64)
     shadow = replace(net, dtype=np.dtype(np.float64), flat=shadow_flat, params=shadow_params)
+    shadow_ws = Workspace()
 
     def scalar():
-        out = forward(shadow, inputs, mode="eval")[shadow.terminal]["out"]
+        out = forward(shadow, inputs, "eval", None, shadow_ws)[shadow.terminal]["out"]
         return float(np.sum(out * probe[None, :]))
 
     acts = forward(net, inputs, mode="eval")
-    batch = acts[net.terminal]["out"].shape[0]
-    gout = np.tile(probe.astype(net.dtype), (batch, 1))
-    grads = backward(net, acts, gout)
+    gout = np.tile(probe.astype(net.dtype), (len(acts[net.terminal]["out"]), 1))
+    grads = backward(net, acts, gout, param_views(net.params, np.empty_like(net.flat)))
 
     coords = [(i, k, p[k].size) for i, p in enumerate(net.params) if p for k in sorted(p)]
     if not coords:
         return 0.0
-    f_base = scalar()
-    worst = 0.0
-    checked = 0
-    attempts = 0
+    f_base, worst, checked, attempts = scalar(), 0.0, 0, 0
     while checked < probes and attempts < 20 * probes:
         attempts += 1
-        which = int(rng.integers(len(coords)))
-        layer, key, size = coords[which]
+        layer, key, size = coords[int(rng.integers(len(coords)))]
         idx = int(rng.integers(size))
-        arr = shadow.params[layer][key]
-        flat = arr.reshape(-1)
+        flat = shadow.params[layer][key].reshape(-1)
         saved = flat[idx]
         flat[idx] = saved + step
         f_plus = scalar()
@@ -472,8 +471,7 @@ def gradient_check(net, inputs, probe_direction=None, step=1e-5, probes=100, rng
         # Rectifier kinks inside the +-step window make central differences
         # meaningless; detect them from the one-sided slopes (function values
         # only, so the oracle stays independent of backward) and re-probe.
-        d_fwd = (f_plus - f_base) / step
-        d_bwd = (f_base - f_minus) / step
+        d_fwd, d_bwd = (f_plus - f_base) / step, (f_base - f_minus) / step
         if abs(d_fwd - d_bwd) > 1e-6 * max(abs(d_fwd), abs(d_bwd), 1e-3):
             continue
         fd = (f_plus - f_minus) / (2.0 * step)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ramdqn import agents
+from ramdqn import agents, harness
 from ramdqn.agents import (
     HyperParams,
     build_architecture,
@@ -15,7 +16,8 @@ from ramdqn.agents import (
     select_action,
     train_step,
 )
-from ramdqn.harness import ExperimentConfig, TrainingState
+from ramdqn.envs import make_env
+from ramdqn.harness import ExperimentConfig, TrainingState, run_test_period
 from ramdqn.optim import rmsprop_state_for
 from ramdqn.replay import Minibatch, ReplayMemory
 from ramdqn.tensor_core import LayerSpec, Workspace, forward, make_network
@@ -479,3 +481,63 @@ def test_tabular_equivalence_with_value_iteration():
         acts = forward(net, {"ram": onehot_ram(s)["ram"][None, :]})
         q_net[s] = acts[net.terminal]["out"][0]
     assert np.max(np.abs(q_net - q_star)) < 0.05
+
+
+def plain_q(net, inputs):
+    """Q-values by a plain walk of the layers, each into a new array: x @ W.T for a
+    dense layer, a strided-window matrix times W.T for a conv."""
+    outs = []
+    for i, spec in enumerate(net.layers):
+        p, ups = net.params[i], [outs[r] for r in spec.input_refs]
+        if spec.kind == "input":
+            h = np.ascontiguousarray(inputs[spec.stream], dtype=net.dtype)
+        elif spec.kind == "concat":
+            h = np.concatenate([u.reshape(len(u), -1) for u in ups], axis=1)
+        elif spec.kind == "dense":
+            h = ups[0].reshape(len(ups[0]), -1) @ p["W"].T
+        else:  # conv2d, channels-last as the program keeps it
+            k, s, (f, oh, ow) = spec.kernel, spec.stride, net.out_shapes[i]
+            win = sliding_window_view(ups[0], (k, k), axis=(2, 3))[:, :, ::s, ::s]
+            cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(len(ups[0]) * oh * ow, -1)
+            h = cols @ p["W"].reshape(f, -1).T
+        if p is not None:
+            h += p["b"]
+            if spec.activation == "rectify":
+                np.maximum(h, 0, out=h)
+            if spec.kind == "conv2d":
+                h = h.reshape(len(ups[0]), oh, ow, f).transpose(0, 3, 1, 2)
+        outs.append(h)
+    return outs[net.terminal]
+
+
+@pytest.mark.parametrize("arch", agents.ARCHITECTURES)
+def test_test_period_actions_match_a_plain_layer_walk(arch, monkeypatch):
+    # A 2,000-action test period acts through the network's program and its kept
+    # batch-1 workspace: every greedy action's Q-values must have the bits of a plain
+    # layer walk in new arrays, the way acting computed them before the program.
+    env, hyper = make_env("micro_diver"), HyperParams(frame_skip=2)
+    net = build_architecture(arch, env.action_count, screen_shape=env.screen_shape,
+                             phi_length=hyper.phi_length, rng=np.random.default_rng(11))
+    real_forward, real_select = agents.forward, harness.select_action
+    forwards, picks = [], []
+
+    def recording_forward(graph, inputs, *args, **kwargs):
+        acts = real_forward(graph, inputs, *args, **kwargs)
+        forwards.append(({k: v.copy() for k, v in inputs.items()},
+                         acts[graph.terminal]["out"].copy()))
+        return acts
+
+    def recording_select(*args):
+        before, action = len(forwards), real_select(*args)
+        picks.append((action, len(forwards) > before))
+        return action
+
+    monkeypatch.setattr(agents, "forward", recording_forward)
+    monkeypatch.setattr(harness, "select_action", recording_select)
+    run_test_period(net, "micro_diver", hyper, seed=3, steps=2000)
+    greedy = [action for action, from_q in picks if from_q]
+    assert len(picks) == 2000 and len(greedy) == len(forwards) > 1800
+    for action, (inputs, q) in zip(greedy, forwards):
+        want = plain_q(net, inputs)
+        assert q.tobytes() == want.tobytes()
+        assert action == int(np.argmax(want[0]))

@@ -155,6 +155,16 @@ def test_illegal_action_rejected(name):
 
 
 @pytest.mark.parametrize("name", GAMES)
+def test_unknown_observation_stream_is_named(name):
+    # It was a bare KeyError: 'rgb'.
+    env = make_env(name)
+    env.reset(0)
+    with pytest.raises(ValueError, match=rf"{name}: unknown observation stream 'rgb'"):
+        env.observe(("ram", "rgb"))
+    assert env.observe(STREAMS).keys() == set(STREAMS)
+
+
+@pytest.mark.parametrize("name", GAMES)
 def test_numpy_integer_action_plays_like_an_int(name):
     env, twin = make_env(name), make_env(name)
     env.reset(4)

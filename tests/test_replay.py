@@ -208,6 +208,36 @@ def test_action_must_be_a_nonnegative_integer(action):
     assert all(np.array_equal(before[name], after[name]) for name in before)
 
 
+@pytest.mark.parametrize("reward, terminal, match", [
+    ("abc", False, "reward"),   # was raised after the slot after the newest was written
+    (None, False, "reward"),
+    (1j, False, "reward"),
+    (0.0, "no", "terminal"),    # was stored as True
+    (0.0, 1, "terminal"),
+    (0.0, None, "terminal"),
+])
+def test_bad_reward_or_terminal_writes_nothing(reward, terminal, match):
+    mem = new_memory(capacity=3)
+    for tag in range(5):  # wrapped: the slot after the newest holds the oldest state
+        push(mem, tag)
+    oldest = mem.contents()[0].state
+    before = {name: a.copy() for name, a in mem.arrays().items()}
+    with pytest.raises(ValueError, match=match):
+        mem.push(1, reward, terminal, ram_obs(99))
+    assert mem.pushes == 5
+    np.testing.assert_array_equal(mem.contents()[0].state["ram"], oldest["ram"])
+    after = mem.arrays()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
+@pytest.mark.parametrize("reward, terminal", [(2, np.bool_(True)), (np.float32(0.5), False)])
+def test_numeric_reward_and_numpy_bool_terminal_are_stored(reward, terminal):
+    mem = new_memory(capacity=4)
+    mem.push(0, reward, terminal, ram_obs(1))
+    assert mem.contents()[0].reward == float(reward)
+    assert mem.contents()[0].terminal == bool(terminal)
+
+
 def test_numpy_integer_action_is_stored():
     mem = new_memory(capacity=4)
     mem.push(np.int64(2), 0.0, False, ram_obs(1))

@@ -26,6 +26,28 @@ def ram_input():
     return LayerSpec(kind="input", stream="ram", shape=(128,))
 
 
+def new_grads(net):
+    """New arrays shaped as `net.params`, for `backward` to write the gradients into."""
+    return tensor_core.param_views(net.params, np.empty_like(net.flat))
+
+
+def conv_cols(x, k, stride, oh, ow, out=None):
+    """The window matrix of x (B, C, H, W), gathered through the cached window index
+    into `out` (B, oh*ow, C*k*k) or a new array."""
+    if out is None:
+        out = np.empty((len(x), oh * ow, x.shape[1] * k * k), x.dtype)
+    return tensor_core._conv_cols(x, tensor_core._window_index(x.shape[1:], k, stride), out)
+
+
+def col2im(dcols, x, k, stride, out=None):
+    """The gradient w.r.t. x (B, C, H, W) from the gradient `dcols` w.r.t. its window
+    matrix, summed into `out` or a new array."""
+    b_, c, h, w = x.shape
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    out = np.empty_like(x) if out is None else out
+    return tensor_core._col2im(dcols.reshape(b_, oh, ow, c, k, k), stride, out)
+
+
 def test_make_network_empty_specs_rejected():
     with pytest.raises(ShapeError, match="no output layer"):
         make_network([], np.random.default_rng(0))
@@ -191,7 +213,7 @@ def test_conv_forward_and_backward_match_definition(case):
     net.params[2] = {"W": w, "b": b}
     x0 = rng.standard_normal((n_b, 2, h, wd))
     g = rng.standard_normal((n_b,) + net.out_shapes[2])
-    grads = backward(net, forward(net, {"screen": x0}), g)
+    grads = backward(net, forward(net, {"screen": x0}), g, new_grads(net))
 
     x1 = naive_conv(x0, net.params[1]["W"], net.params[1]["b"], 1)
     dw2, db2, dx2 = naive_conv_grads(x1, w, g, stride)
@@ -225,13 +247,13 @@ def test_window_matrix_matches_strided_windows_and_col2im_is_its_adjoint(case):
     # A conv layer's output, and so the next conv's input, is channels-last in memory.
     channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     for sample in (x, x.astype(np.float32), channels_last):
-        got = tensor_core._conv_cols(sample, k, stride, oh, ow)
+        got = conv_cols(sample, k, stride, oh, ow)
         assert got.shape == want.shape and got.dtype == sample.dtype
         np.testing.assert_array_equal(got, want.astype(sample.dtype))
 
     d = rng.standard_normal(want.shape)
-    lhs = np.vdot(tensor_core._conv_cols(x, k, stride, oh, ow), d)
-    rhs = np.vdot(x, tensor_core._col2im(d, x, k, stride))
+    lhs = np.vdot(conv_cols(x, k, stride, oh, ow), d)
+    rhs = np.vdot(x, col2im(d, x, k, stride))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     index = tensor_core._window_index((c, h, wd), k, stride)
@@ -277,11 +299,11 @@ def test_block_gather_matches_element_gather_bitwise(shape, k, stride, block, dt
     padded_rows[..., :w] = x
     every_other = np.repeat(x, 2, axis=0)[::2]
     for sample in (x, channels_last, padded_rows[..., :w], every_other):
-        got = tensor_core._conv_cols(sample, k, stride, oh, ow)
+        got = conv_cols(sample, k, stride, oh, ow)
         assert got.dtype == dtype
         np.testing.assert_array_equal(as_bits(got), as_bits(want))
         out = np.full((3, oh * ow, c * k * k), 5, dtype)
-        got = tensor_core._conv_cols(sample, k, stride, oh, ow, out)
+        got = conv_cols(sample, k, stride, oh, ow, out)
         assert np.shares_memory(got, out)
         np.testing.assert_array_equal(as_bits(got), as_bits(want))
 
@@ -314,7 +336,7 @@ def test_col2im_cell_loop_matches_offset_loop_bitwise(shape, k, stride, dtype):
     out = np.full((3, h, w, c), 9, dtype).transpose(0, 3, 1, 2)  # channels-last, stale
     with np.errstate(invalid="ignore"):  # inf + -inf
         want = offsets_col2im(d, x, k, stride)
-        gots = tensor_core._col2im(d, x, k, stride), tensor_core._col2im(d, x, k, stride, out)
+        gots = col2im(d, x, k, stride), col2im(d, x, k, stride, out)
     for got in gots:
         np.testing.assert_array_equal(as_bits(got), as_bits(want))
 
@@ -345,8 +367,8 @@ def test_backward_skipping_input_gradients_keeps_param_gradients(arch):
     inputs = {"ram": rng.random((4, 128)), "screen": rng.random((4, 4, 20, 20))}
     inputs = {k: v for k, v in inputs.items() if k in net.input_streams}
     g = rng.standard_normal((4, 5))
-    grads = backward(net, forward(net, inputs), g)
-    twin_grads = backward(twin, forward(twin, inputs), g)
+    grads = backward(net, forward(net, inputs), g, new_grads(net))
+    twin_grads = backward(twin, forward(twin, inputs), g, new_grads(twin))
     for i, layer_grads in enumerate(grads):
         if layer_grads is None:
             continue
@@ -452,7 +474,7 @@ def test_backward_zero_output_gradient():
     net = build_architecture("just_ram", 4, rng=np.random.default_rng(0))
     x = {"ram": np.random.default_rng(1).random((2, 128))}
     acts = forward(net, x)
-    grads = backward(net, acts, np.zeros((2, 4)))
+    grads = backward(net, acts, np.zeros((2, 4)), new_grads(net))
     for g in grads:
         if g is None:
             continue
@@ -467,7 +489,7 @@ def test_backward_single_dense_row_gradient():
     x = np.random.default_rng(2).random((1, 128))
     acts = forward(net, {"ram": x})
     gout = np.array([[0.0, 1.0, 0.0]])
-    grads = backward(net, acts, gout)
+    grads = backward(net, acts, gout, new_grads(net))
     np.testing.assert_allclose(grads[1]["W"][1], x[0])
     np.testing.assert_array_equal(grads[1]["W"][0], np.zeros(128))
     np.testing.assert_array_equal(grads[1]["W"][2], np.zeros(128))
@@ -479,7 +501,7 @@ def test_backward_rejects_stale_activations():
     acts = forward(net, {"ram": np.random.default_rng(1).random((2, 128))})
     acts[1]["out"] = acts[1]["out"][:, :64]
     with pytest.raises(ShapeError, match="stale"):
-        backward(net, acts, np.zeros((2, 4)))
+        backward(net, acts, np.zeros((2, 4)), new_grads(net))
 
 
 def test_gradient_check_exact_for_linear():
@@ -533,7 +555,7 @@ def test_dropout_layer_blocks_gradient():
     x = {"ram": np.abs(np.random.default_rng(3).random((1, 128))) + 0.1}
     acts = forward(net, x, mode="train", rng=np.random.default_rng(4))
     mask = acts[2]["mask"][0]
-    grads = backward(net, acts, np.ones((1, 2)))
+    grads = backward(net, acts, np.ones((1, 2)), new_grads(net))
     for unit in np.flatnonzero(mask == 0.0):
         np.testing.assert_array_equal(grads[1]["W"][unit], np.zeros(128))
         assert grads[1]["b"][unit] == 0.0
@@ -597,7 +619,7 @@ def test_backward_writes_into_given_gradient_views(arch):
     inputs = {k: v for k, v in inputs.items() if k in net.input_streams}
     g = rng.standard_normal((3, 5))
     acts = forward(net, inputs)
-    fresh = backward(net, acts, g)
+    fresh = backward(net, acts, g, new_grads(net))
     vector = np.full_like(net.flat, np.nan)
     views = tensor_core.param_views(net.params, vector)
     assert backward(net, acts, g, views) is views
@@ -623,3 +645,101 @@ def test_dense_product_in_either_operand_order_gives_the_same_bits(arch, env_nam
             x = rng.standard_normal((rows, w.shape[1])).astype(net.dtype)
             swapped = np.matmul(w, x.T, out=np.empty((len(w), rows), net.dtype))
             assert swapped.T.tobytes() == (x @ w.T).tobytes(), (w.shape, rows)
+
+
+@pytest.mark.parametrize("env_name", sorted(ENV_REGISTRY))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_one_row_dense_product_by_dot_gives_the_same_bits(arch, env_name):
+    # An acting forward's dense layers compute np.dot(x, W.T) on their one row, which
+    # dispatches faster than matmul; it must give x @ W.T's bits.
+    env = make_env(env_name)
+    net = build_architecture(arch, env.action_count, screen_shape=env.screen_shape,
+                             rng=np.random.default_rng(0))
+    rng = np.random.default_rng(2)
+    dense = [net.params[i]["W"] for i, spec in enumerate(net.layers) if spec.kind == "dense"]
+    for w in dense:
+        for _ in range(20):
+            x = rng.standard_normal((1, w.shape[1])).astype(net.dtype)
+            out = np.dot(x, w.T, out=np.empty((1, len(w)), net.dtype))
+            assert out.tobytes() == (x @ w.T).tobytes(), w.shape
+
+
+def screen_batch(rows, shape=(4, 24, 24), seed=1):
+    return {"screen": np.random.default_rng(seed).random((rows,) + shape).astype(np.float32)}
+
+
+def test_a_deep_copy_gets_its_own_program():
+    net = build_architecture("nips", 3, screen_shape=(24, 24), rng=np.random.default_rng(0))
+    x = screen_batch(2)
+    forward(net, x)  # the original's program is built
+    twin = copy.deepcopy(net)
+    want = forward(twin, x)[-1]["out"].copy()
+    assert twin.program is not net.program
+    net.flat += 1.0  # in place: the original's program sees it, the copy's must not
+    assert forward(twin, x)[-1]["out"].tobytes() == want.tobytes()
+    assert forward(net, x)[-1]["out"].tobytes() != want.tobytes()
+
+
+def test_the_gradient_check_shadow_gets_its_own_program(monkeypatch):
+    net = build_architecture("nips", 3, screen_shape=(24, 24), rng=np.random.default_rng(0))
+    x = screen_batch(2)
+    forward(net, x)
+    seen, real = [], tensor_core.forward
+
+    def recording_forward(graph, *args, **kwargs):
+        seen.append(graph)
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_core, "forward", recording_forward)
+    gradient_check(net, x, probes=3, rng=np.random.default_rng(7))
+    shadow = next(g for g in seen if g is not net)
+    assert shadow.program is not net.program
+    for step in shadow.program.layers:
+        assert np.shares_memory(step.W, shadow.flat) and not np.shares_memory(step.W, net.flat)
+    want = real(shadow, x)[-1]["out"].copy()
+    net.flat += 1.0
+    assert real(shadow, x)[-1]["out"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_forwards_without_a_workspace_share_no_array(arch):
+    net = build_architecture(arch, 5, screen_shape=(20, 20), dropout_p=0.5,
+                             rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    x = {"ram": rng.random((3, 128)).astype(np.float32),
+         "screen": rng.random((3, 4, 20, 20)).astype(np.float32)}
+    x = {k: v for k, v in x.items() if k in net.input_streams}
+    for mode in ("eval", "train"):
+        a1 = forward(net, x, mode, np.random.default_rng(9))
+        a2 = forward(net, x, mode, np.random.default_rng(9))
+        owned = [(spec.kind, key, value, r2[key]) for spec, r1, r2 in zip(net.layers, a1, a2)
+                 for key, value in r1.items() if isinstance(value, np.ndarray)
+                 and not any(np.shares_memory(value, v) for v in x.values())]  # not the caller's
+        assert len(owned) > 3
+        for kind, key, value, twin in owned:
+            assert not np.shares_memory(value, twin), (kind, key)
+
+
+def test_a_warm_conv_gather_does_not_copy_its_window_index():
+    # numpy's take copies an index that is not writeable on every call: 12.5 KiB
+    # for nips conv1 on micro_catch's screen, with the cached read-only index.
+    env = make_env("micro_catch")
+    net = build_architecture("nips", env.action_count, screen_shape=env.screen_shape,
+                             rng=np.random.default_rng(0))
+    x, workspace = screen_batch(32, (4,) + env.screen_shape), tensor_core.Workspace()
+    forward(net, x, workspace=workspace)
+    conv1 = net.program.layers[0]
+    cols = workspace.take(conv1.i, "x", (32, 49, 64), net.dtype)  # 7 x 7 cells of 4 x 4 x 4
+
+    def traced_gather(index):
+        tracemalloc.start()
+        try:
+            tensor_core._conv_cols(x["screen"], index, cols)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    read_only = tensor_core._window_index(conv1.in_shape, conv1.spec.kernel, conv1.spec.stride)
+    assert conv1.index.flags.writeable and np.array_equal(conv1.index, read_only)
+    assert traced_gather(conv1.index) < 1024
+    assert traced_gather(read_only) > 8 * 1024
