@@ -7,11 +7,11 @@ import contextlib
 import os
 import signal
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .agents import ARCHITECTURES, HyperParams, build_architecture
-from .envs import ENV_REGISTRY
 from .harness import (
     CheckpointError,
     ExperimentConfig,
@@ -26,6 +26,10 @@ from .tensor_core import gradient_check
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """A bad command-line argument: exit 2."""
 
 
 def write_weight_heatmap(weights, path):
@@ -59,29 +63,14 @@ def _ram_first_dense_weights(net):
 
 
 def cmd_train(args):
-    if args.env not in ENV_REGISTRY:
-        print(f"error: unknown environment {args.env!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.arch not in ARCHITECTURES:
-        print(f"error: unknown architecture {args.arch!r}", file=sys.stderr)
-        return EXIT_USAGE
     if not args.out:  # run_experiment's out_dir="" writes nothing, for in-process callers
-        print("error: --out must name a directory", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--out must name a directory")
     try:
-        hyper = HyperParams(
-            frame_skip=args.frame_skip,
-            dropout_p=args.dropout,
-            learning_rate=args.learning_rate,
-            steps_per_epoch=args.steps_per_epoch,
-            replay_capacity=args.replay_capacity,
-            test_steps=args.test_steps,
-        )
+        hyper = HyperParams(**{f.name: getattr(args, f.name) for f in fields(HyperParams)})
         config = ExperimentConfig(env_name=args.env, arch=args.arch, hyper=hyper,
                                   epochs=args.epochs, seed=args.seed, out_dir=args.out)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(e) from e
 
     completed = 0  # epochs reported by `progress`
     received = signal.SIGINT  # the signal that interrupts the run
@@ -101,9 +90,6 @@ def cmd_train(args):
     previous = signal.signal(signal.SIGTERM, terminate)
     try:
         reports, best = run_experiment(config, progress=progress)
-    except (OSError, CheckpointError, TrainingError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
     except KeyboardInterrupt:  # Ctrl-C, or SIGTERM through `terminate`
         # last.ckpt may hold the next epoch, renamed into place before `progress` ran.
         with contextlib.suppress(CheckpointError, KeyError, TypeError):
@@ -122,22 +108,18 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise UsageError(f"--seed must not be negative, got {seed}")
+
+
 def cmd_eval(args):
     if not 0.0 <= args.epsilon <= 1.0:
-        print(f"error: --epsilon must be in [0, 1], got {args.epsilon}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--epsilon must be in [0, 1], got {args.epsilon}")
     if args.steps < 1:
-        print(f"error: --steps must be at least 1, got {args.steps}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed < 0:
-        print(f"error: --seed must not be negative, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        ckpt = checkpoint_load(args.checkpoint)
-        net, header, hyper = network_from_checkpoint(ckpt)
-    except CheckpointError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
+    _check_seed(args.seed)
+    net, header, hyper = network_from_checkpoint(checkpoint_load(args.checkpoint))
     report = run_test_period(net, header["env"], hyper, seed=args.seed,
                              steps=args.steps, epsilon=args.epsilon)
     flag = " (truncated)" if report.truncated else ""
@@ -147,22 +129,12 @@ def cmd_eval(args):
 
 
 def cmd_visualize(args):
-    try:
-        ckpt = checkpoint_load(args.checkpoint)
-        net, _, _ = network_from_checkpoint(ckpt)
-    except CheckpointError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+    net, _, _ = network_from_checkpoint(checkpoint_load(args.checkpoint))
     weights = _ram_first_dense_weights(net)
     if weights is None:
-        print("error: architecture has no dense layer reading the RAM input "
-              "directly; nothing to visualize", file=sys.stderr)
-        return EXIT_FAILURE
-    try:
-        write_weight_heatmap(weights, args.out)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CheckpointError("architecture has no dense layer reading the RAM input "
+                              "directly; nothing to visualize")
+    write_weight_heatmap(weights, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -182,16 +154,11 @@ def gradcheck_architecture(name, seed=0, probes=100):
 
 def cmd_gradcheck(args):
     if not args.tolerance > 0.0:
-        print(f"error: --tolerance must be positive, got {args.tolerance}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed < 0:
-        print(f"error: --seed must not be negative, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--tolerance must be positive, got {args.tolerance}")
+    _check_seed(args.seed)
+    if args.arch != "all" and args.arch not in ARCHITECTURES:
+        raise UsageError(f"unknown architecture {args.arch!r}")
     names = list(ARCHITECTURES) if args.arch == "all" else [args.arch]
-    for name in names:
-        if name not in ARCHITECTURES:
-            print(f"error: unknown architecture {name!r}", file=sys.stderr)
-            return EXIT_USAGE
     worst = 0.0
     for name in names:
         err = gradcheck_architecture(name, seed=args.seed)
@@ -215,19 +182,16 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/out")
-    p.add_argument("--frame-skip", type=int, default=4)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--learning-rate", type=float, default=0.0002)
-    p.add_argument("--steps-per-epoch", type=int, default=12_500)
-    p.add_argument("--replay-capacity", type=int, default=100_000)
-    p.add_argument("--test-steps", type=int, default=10_000)
+    for f in fields(HyperParams):  # one flag per field, named after it but for --dropout
+        flag = "--dropout" if f.name == "dropout_p" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint over one test period "
                                     "on the game it was trained on")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--steps", type=int, default=HyperParams.test_steps)
+    p.add_argument("--epsilon", type=float, default=HyperParams.test_epsilon)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
@@ -245,9 +209,19 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; map its errors to one `error:` line and an exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except (CheckpointError, TrainingError, OSError, MemoryError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAILURE
+    except KeyboardInterrupt:  # `train` reports its own, naming the last epoch
+        print("interrupted", file=sys.stderr)
+        return 128 + signal.SIGINT
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ Every environment advances exactly one frame per step and is fully
 deterministic given (seed, action sequence).  Like an Atari emulator, a
 step returns only the reward and whether the episode ended; the 128-byte
 RAM vector and the grayscale screen are built when `observe` asks for them.
-The documented RAM maps are byte-exact mirrors of the internal game
-variables so that RAM-only agents have something real to learn from.
+Each documented RAM map holds game variables byte for byte, so that
+RAM-only agents have something real to learn from.  A map need not hold
+every variable: micro_diver's leaves out the diver's position (`diver_x`,
+`diver_y`), which only the screen shows.
 """
 
 from __future__ import annotations
@@ -315,7 +317,7 @@ class MicroDiver(MicroGame):
 
     RAM map: [0]=sub x, [1]=sub y, [2]=oxygen, [3]=divers held,
     [4]=score mod 256, [5..12]=enemy slots (column+1, 0 = empty),
-    [13..127]=0.
+    [13..127]=0.  The diver's position is not in RAM; only the screen shows it.
     """
 
     name = "micro_diver"

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import (
+    ARCHITECTURES,
     HyperParams,
     build_architecture,
     epsilon_at,
     select_action,
     train_step,
 )
-from .envs import PhiBuffer, frame_skip_step, make_env, scale_ram
+from .envs import ENV_REGISTRY, PhiBuffer, frame_skip_step, make_env, scale_ram
 from .optim import rmsprop_state_for
 from .replay import ReplayMemory
 from .tensor_core import ShapeError, Workspace
@@ -58,6 +59,10 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self):
+        if self.env_name not in ENV_REGISTRY:
+            raise ValueError(f"unknown environment {self.env_name!r}")
+        if self.arch not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {self.arch!r}")
         if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
         if type(self.seed) is not int or self.seed < 0:
@@ -111,17 +116,23 @@ class TrainingState:
         self.sample_rng = np.random.default_rng(sample_ss)
 
         env = make_env(config.env_name)
-        self.net = build_network(config.arch, env, self.hyper, np.random.default_rng(init_ss))
-        self.episode = EpisodePipeline(env, self.net.input_streams, self.hyper,
-                                       np.random.default_rng(env_ss))
-        self.opt_state = rmsprop_state_for(self.net, learning_rate=self.hyper.learning_rate)
+        # ExperimentConfig has checked env and arch, so a ValueError here is
+        # numpy refusing an array too large to allocate, as is a MemoryError.
+        try:
+            self.net = build_network(config.arch, env, self.hyper, np.random.default_rng(init_ss))
+            self.episode = EpisodePipeline(env, self.net.input_streams, self.hyper,
+                                           np.random.default_rng(env_ss))
+            self.opt_state = rmsprop_state_for(self.net, learning_rate=self.hyper.learning_rate)
+            # The replay ring is the only store of observations: the agent acts
+            # from the state of its newest slot.
+            self.replay = ReplayMemory(self.hyper.replay_capacity, self.episode.begin(),
+                                       phi_length=self.hyper.phi_length)
+        except (ValueError, MemoryError) as e:
+            raise MemoryError(f"replay_capacity {self.hyper.replay_capacity} and phi_length "
+                              f"{self.hyper.phi_length} are too large to allocate: {e}") from e
         self.global_step = 0
         self.epochs_done = 0
         self.warmed = False
-        # The replay ring is the only store of observations: the agent acts
-        # from the state of its newest slot.
-        self.replay = ReplayMemory(self.hyper.replay_capacity, self.episode.begin(),
-                                   phi_length=self.hyper.phi_length)
 
     def _take_action(self, action):
         self.replay.push(action, *self.episode.step(action))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ramdqn import harness, tensor_core
-from ramdqn.cli import main, write_weight_heatmap
+from ramdqn import cli
+from ramdqn.cli import build_parser, main, write_weight_heatmap
 from ramdqn.harness import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -120,16 +121,18 @@ def test_train_interrupted_after_last_ckpt_names_its_epoch(tmp_path, capsys, mon
     assert "interrupted: last completed epoch 0 of 3" in capsys.readouterr().err
 
 
-def test_train_unknown_env_exit_2(tmp_path):
+def test_train_unknown_env_exit_2(tmp_path, capsys):
     rc = main(["train", "--env", "nope", "--arch", "just_ram",
                "--out", str(tmp_path / "x")])
     assert rc == 2
+    assert capsys.readouterr().err == "error: unknown environment 'nope'\n"
 
 
-def test_train_unknown_arch_exit_2(tmp_path):
+def test_train_unknown_arch_exit_2(tmp_path, capsys):
     rc = main(["train", "--env", "micro_catch", "--arch", "giant_ram",
                "--out", str(tmp_path / "x")])
     assert rc == 2
+    assert capsys.readouterr().err == "error: unknown architecture 'giant_ram'\n"
 
 
 @pytest.mark.parametrize("flags", [
@@ -141,6 +144,13 @@ def test_train_unknown_arch_exit_2(tmp_path):
     ["--seed", "-1"],
     ["--learning-rate", "inf"],
     ["--out", ""],  # out_dir="" would train and write nothing
+    ["--discount", "1.0"],
+    ["--epsilon-start", "0.2", "--epsilon-min", "0.5"],
+    ["--phi-length", "0"],
+    ["--minibatch-size", "0"],
+    ["--replay-start-size", "-1"],
+    ["--test-epsilon", "1.5"],
+    ["--epsilon-decay-steps", "0"],
 ])
 def test_train_invalid_settings_exit_2(tmp_path, capsys, flags):
     rc = main(["train", "--env", "micro_catch", "--arch", "just_ram",
@@ -149,6 +159,36 @@ def test_train_invalid_settings_exit_2(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("arch, flag", [("just_ram", "--replay-capacity"),
+                                        ("just_ram", "--phi-length"),
+                                        ("nips", "--phi-length")])
+def test_train_too_large_to_allocate_exit_1(tmp_path, capsys, arch, flag):
+    # numpy refuses 10**18 replay slots, or conv input channels, before it
+    # allocates anything.
+    rc = main(["train", "--env", "micro_catch", "--arch", arch,
+               "--out", str(tmp_path / "x"), flag, str(10**18)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{flag[2:].replace('-', '_')} {10**18}" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_flags_default_to_hyperparams():
+    args = build_parser().parse_args(["train", "--env", "micro_catch", "--arch", "just_ram"])
+    for f in dataclasses.fields(HyperParams):
+        assert getattr(args, f.name) == f.default, f.name
+
+
+def test_train_flags_reach_checkpoint(tmp_path):
+    rc, out = run_train(tmp_path, extra=("--discount", "0.9", "--epsilon-decay-steps", "100",
+                                         "--replay-start-size", "20", "--minibatch-size", "8"))
+    assert rc == 0
+    hyper = checkpoint_load(out / "last.ckpt")["header"]["hyper"]
+    assert (hyper["discount"], hyper["epsilon_decay_steps"], hyper["replay_start_size"],
+            hyper["minibatch_size"]) == (0.9, 100, 20, 8)
 
 
 def test_train_checkpoint_write_failure_exit_1(tmp_path, capsys):
@@ -345,6 +385,22 @@ def test_eval_huge_phi_length_exit_1(tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(path), "--steps", "10"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: corrupt checkpoint: MemoryError")
+
+
+@pytest.mark.parametrize("command, target", [("eval", "run_test_period"),
+                                             ("visualize", "write_weight_heatmap"),
+                                             ("gradcheck", "gradcheck_architecture")])
+def test_interrupted_command_exit_130(tmp_path, capsys, monkeypatch, command, target):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt  # what Python's own SIGINT handler raises
+
+    monkeypatch.setattr(cli, target, interrupt)
+    path = tmp_path / "small.ckpt"
+    checkpoint_save(small_state(), path)
+    argv = ["gradcheck"] if command == "gradcheck" else [
+        command, "--checkpoint", str(path), *command_args(command, tmp_path)]
+    assert main(argv) == 130
+    assert capsys.readouterr().err == "interrupted\n"
 
 
 def test_eval_large_step_override(tmp_path, capsys):
