@@ -16,7 +16,7 @@ from .tensor_core import (
     param_count,
 )
 from .optim import RmsPropState, q_loss_grad, rmsprop_state_for, rmsprop_step
-from .replay import Minibatch, ReplayMemory, Transition
+from .replay import Minibatch, ReplayMemory
 from .envs import (
     ENV_REGISTRY,
     PhiBuffer,

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import RAM_SIZE
 from .optim import q_loss_grad, rmsprop_step
 from .tensor_core import LayerSpec, ShapeError, Workspace, backward, forward, make_network
 
@@ -117,7 +118,7 @@ def build_architecture(name, output_dim, screen_shape=None, phi_length=4,
 
     ram_idx = screen_tail = None
     if "ram" in streams:
-        ram_idx = add(LayerSpec(kind="input", stream="ram", shape=(128,)))
+        ram_idx = add(LayerSpec(kind="input", stream="ram", shape=(RAM_SIZE,)))
     if "screen" in streams:
         s_in = add(LayerSpec(kind="input", stream="screen",
                              shape=(phi_length,) + tuple(screen_shape)))

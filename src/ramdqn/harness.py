@@ -21,7 +21,7 @@ from .agents import (
     select_action,
     train_step,
 )
-from .envs import ENV_REGISTRY, PhiBuffer, frame_skip_step, make_env, scale_ram
+from .envs import ENV_REGISTRY, RAM_SIZE, PhiBuffer, frame_skip_step, make_env, scale_ram
 from .optim import rmsprop_state_for
 from .replay import ReplayMemory
 from .tensor_core import ShapeError, Workspace
@@ -162,8 +162,11 @@ def _first_nonfinite_layer(net):
 def run_training_epoch(state, steps):
     """Run `steps` frame-skip actions with annealing epsilon, training after
     every action once the replay memory is warm; returns the mean loss.
+    `steps` that is not an int >= 0 raises ValueError before the warm-up.
     A non-finite loss raises TrainingError naming the epoch and the first
     layer with a non-finite parameter."""
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"training steps must be an integer >= 0, got {steps!r}")
     state.warmup()
     hyper = state.hyper
     losses = []
@@ -184,20 +187,41 @@ def run_training_epoch(state, steps):
     return float(np.mean(losses)) if losses else 0.0
 
 
+def _check_fit(net, env, hyper):
+    """Require one network output per action of `env`, and each input
+    stream's shape to be the one `env` gives under `hyper`."""
+    if net.output_dim != env.action_count:
+        raise ValueError(f"the network has {net.output_dim} outputs, but {env.name} "
+                         f"has {env.action_count} actions")
+    given = {"ram": (RAM_SIZE,), "screen": (hyper.phi_length,) + tuple(env.screen_shape)}
+    for stream, i in net.input_streams.items():
+        if net.out_shapes[i] != given[stream]:
+            raise ValueError(f"the network's {stream} input is {net.out_shapes[i]}, "
+                             f"but {env.name} at phi_length {hyper.phi_length} "
+                             f"gives {given[stream]}")
+
+
 def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0,
                     steps=None, epsilon=None):
     """Frozen-policy evaluation: no learning, no replay writes.
 
     Reports the average score over completed episodes; if the budget ends
     before any episode completes, the single truncated episode is reported
-    and flagged.
+    and flagged.  Steps that are not an int >= 1, an epsilon outside [0, 1],
+    or a network whose outputs or inputs do not fit the game under `hyper`
+    raise ValueError before the first step.
     """
     steps = hyper.test_steps if steps is None else steps
     epsilon = hyper.test_epsilon if epsilon is None else epsilon
+    if type(steps) is not int or steps < 1:
+        raise ValueError(f"test steps must be an integer >= 1, got {steps!r}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"test epsilon must be in [0, 1], got {epsilon!r}")
+    env = make_env(env_name)
+    _check_fit(net, env, hyper)
     policy_ss, env_ss = np.random.SeedSequence(seed).spawn(2)
     policy_rng = np.random.default_rng(policy_ss)
-    episode = EpisodePipeline(make_env(env_name), net.input_streams, hyper,
-                              np.random.default_rng(env_ss))
+    episode = EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(env_ss))
     phi = PhiBuffer(hyper.phi_length)  # no replay here: the screens' own window
 
     def inputs(obs, fresh):

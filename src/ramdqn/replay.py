@@ -4,7 +4,6 @@ minibatch sampling."""
 from __future__ import annotations
 
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,49 +13,13 @@ from .envs import scale_ram
 STACKED_STREAM = "screen"  # its states are the last phi_length frames
 
 
-def _inputs_equal(a, b):
-    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
-
-
 @dataclass(eq=False)
-class Transition:
-    """One (state, action, reward, next_state, terminal) record.
-
-    States are network-ready input dicts (stream name -> float32 array).  The
-    next_state of a terminal transition is never bootstrapped: the replay
-    ring builds it from the next episode's first frame.
-    Transitions are equal when their fields are, arrays compared by value.
-    """
-
-    state: dict
-    action: int
-    reward: float
-    next_state: dict
-    terminal: bool
-
-    def __eq__(self, other):
-        if not isinstance(other, Transition):
-            return NotImplemented
-        return ((self.action, self.reward, self.terminal)
-                == (other.action, other.reward, other.terminal)
-                and _inputs_equal(self.state, other.state)
-                and _inputs_equal(self.next_state, other.next_state))
-
-
-class _TransitionRows(Sequence):
-    """A sequence of Transitions; equal to any sequence of equal items."""
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    __hash__ = None
-
-
-@dataclass(eq=False)
-class Minibatch(_TransitionRows):
+class Minibatch:
     """Transitions as arrays, one row each: `state` and `next_state` map a
     stream to a (n, ...) float32 array; `action` (intp), `reward` (float64)
-    and `terminal` (bool) are (n,).  Indexing gives row i as a Transition."""
+    and `terminal` (bool) are (n,).  The next state of a terminal row is
+    never bootstrapped: the replay ring builds it from the next episode's
+    first frame."""
 
     state: dict
     action: np.ndarray
@@ -67,15 +30,10 @@ class Minibatch(_TransitionRows):
     def __len__(self):
         return len(self.action)
 
-    def __getitem__(self, i):
-        return Transition({k: v[i] for k, v in self.state.items()}, int(self.action[i]),
-                          float(self.reward[i]),
-                          {k: v[i] for k, v in self.next_state.items()},
-                          bool(self.terminal[i]))
 
-
-class _Contents(_TransitionRows):
-    """The stored transitions, oldest first, each built when it is read."""
+class _Contents:
+    """The stored transitions, oldest first, each gathered when it is read:
+    item i is a one-row Minibatch, and a slice one Minibatch of its rows."""
 
     def __init__(self, memory, numbers):
         self._memory = memory
@@ -85,9 +43,10 @@ class _Contents(_TransitionRows):
         return len(self._numbers)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Contents(self._memory, self._numbers[i])
-        return self._memory._gather(np.atleast_1d(self._numbers[i]))[0]
+        return self._memory._gather(np.atleast_1d(self._numbers[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 class ReplayMemory:
@@ -220,8 +179,9 @@ class ReplayMemory:
         return state
 
     def contents(self):
-        """Stored transitions, oldest first, as a sequence whose items are
-        built when read; it reads the ring, so take it again after a push."""
+        """Stored transitions, oldest first, as a sized sequence of one-row
+        Minibatches built when read (a slice is one Minibatch); it reads the
+        ring, so take it again after a push."""
         return _Contents(self, np.arange(self.pushes - len(self), self.pushes))
 
     def sample_minibatch(self, n, rng):

@@ -21,7 +21,7 @@ from ramdqn.harness import (
     run_training_epoch,
 )
 from ramdqn.optim import rmsprop_state_for
-from ramdqn.replay import ReplayMemory, Transition
+from ramdqn.replay import ReplayMemory
 from ramdqn.tensor_core import forward, make_network, param_count
 from ramdqn.tensor_core import LayerSpec
 
@@ -206,12 +206,17 @@ def test_protocol_fidelity():
     assert len(mem) == hyper.replay_capacity
 
     small = ReplayMemory(3, zero)
-    items = [Transition({"ram": np.full(1, i / 256, np.float32)}, 0, float(i),
-                        {"ram": np.full(1, (i + 1) / 256, np.float32)}, False)
-             for i in range(5)]
     for i in range(5):
         small.push(0, float(i), False, {"ram": np.full(1, i + 1, np.uint8)})
-    assert small.contents() == items[-3:]
+    kept = small.contents()[:]  # the last three of five transitions, oldest first
+    last = np.arange(2, 5)
+    assert kept.state.keys() == kept.next_state.keys() == {"ram"}
+    np.testing.assert_array_equal(kept.state["ram"], (last / 256)[:, None].astype(np.float32))
+    np.testing.assert_array_equal(kept.next_state["ram"],
+                                  ((last + 1) / 256)[:, None].astype(np.float32))
+    assert kept.action.tolist() == [0, 0, 0]
+    assert kept.reward.tolist() == [2.0, 3.0, 4.0]
+    assert kept.terminal.tolist() == [False] * 3
 
     config = ExperimentConfig(
         "micro_catch", "just_ram",

@@ -150,6 +150,71 @@ def test_test_period_truncated_episode_flagged():
     assert report.episodes == 1
 
 
+def no_game_step(*args):
+    raise AssertionError("a game step was played")
+
+
+@pytest.mark.parametrize("period, kwargs, match", [
+    ("train", {"steps": -5}, "training steps"),    # returned 0.0 and counted an epoch
+    ("train", {"steps": 2.0}, "training steps"),
+    ("train", {"steps": True}, "training steps"),
+    ("test", {"steps": 0}, "test steps"),          # reported a truncated 0-step episode
+    ("test", {"steps": 0, "epsilon": 2.0}, "test steps"),
+    ("test", {"steps": -1}, "test steps"),
+    ("test", {"steps": 10.0}, "test steps"),
+    ("test", {"epsilon": 2.0}, "epsilon"),
+    ("test", {"epsilon": -0.1}, "epsilon"),
+    ("test", {"epsilon": float("nan")}, "epsilon"),
+])
+def test_bad_step_count_or_epsilon_raises_before_any_game_step(monkeypatch, period, kwargs,
+                                                                 match):
+    state = TrainingState(small_config())
+    monkeypatch.setattr(harness, "frame_skip_step", no_game_step)
+    with pytest.raises(ValueError, match=match):
+        if period == "train":
+            run_training_epoch(state, **kwargs)
+        else:
+            run_test_period(state.net, "micro_catch", state.hyper, seed=1, **kwargs)
+    assert (state.warmed, state.epochs_done, state.global_step, len(state.replay)) == (
+        False, 0, 0, 0)
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 1.0])
+@pytest.mark.parametrize("env_name", ["micro_breakout", "micro_diver"])
+@pytest.mark.parametrize("arch", ["just_ram", "nips"])
+def test_test_period_refuses_a_network_built_for_another_game(monkeypatch, arch, env_name,
+                                                              epsilon):
+    # Built for micro_catch's 3 actions and 16x16 screens; the nips net gets
+    # the game's action count, so that only its screen input does not fit.
+    game = make_env(env_name)
+    actions = 3 if arch == "just_ram" else game.action_count
+    net = build_architecture(arch, output_dim=actions, screen_shape=(16, 16), phi_length=4)
+    match = {"just_ram": f"the network has 3 outputs, but {env_name} has {game.action_count}",
+             "nips": rf"screen input is \(4, 16, 16\), but {env_name} at phi_length 4 "
+                     rf"gives \(4, {game.screen_shape[0]}, {game.screen_shape[1]}\)"}[arch]
+    monkeypatch.setattr(harness, "frame_skip_step", no_game_step)
+    with pytest.raises(ValueError, match=match):
+        run_test_period(net, env_name, small_hyper(phi_length=4), seed=1, steps=200,
+                        epsilon=epsilon)
+
+
+def test_test_period_refuses_a_screen_window_of_another_length(monkeypatch):
+    game = make_env("micro_catch")
+    net = harness.build_network("nips", game, small_hyper(phi_length=4), np.random.default_rng(0))
+    monkeypatch.setattr(harness, "frame_skip_step", no_game_step)
+    with pytest.raises(ValueError, match=r"\(4, 16, 16\), but micro_catch at phi_length 2"):
+        run_test_period(net, "micro_catch", small_hyper(phi_length=2), seed=1, steps=10)
+
+
+@pytest.mark.parametrize("env_name", sorted(ENV_REGISTRY))
+@pytest.mark.parametrize("arch", ["just_ram", "nips", "mixed_ram"])
+def test_test_period_runs_a_network_built_for_its_game(env_name, arch):
+    hyper = small_hyper(phi_length=2)
+    net = harness.build_network(arch, make_env(env_name), hyper, np.random.default_rng(0))
+    report = run_test_period(net, env_name, hyper, seed=1, steps=20, epsilon=0.05)
+    assert report.steps == 20
+
+
 def test_run_experiment_best_tie_to_earliest(tmp_path, monkeypatch):
     scores = iter([10.0, 50.0, 50.0])
 

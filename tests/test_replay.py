@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,41 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ramdqn.envs import PhiBuffer, scale_ram
-from ramdqn.replay import ReplayMemory, Transition
+from ramdqn.replay import Minibatch, ReplayMemory
+
+
+def _inputs_equal(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+@dataclass(eq=False)
+class Transition:
+    """The list model of one stored transition: network-ready input dicts
+    (stream -> float32 array), equal when their fields are, arrays compared
+    by value."""
+
+    state: dict
+    action: int
+    reward: float
+    next_state: dict
+    terminal: bool
+
+    def __eq__(self, other):
+        if not isinstance(other, Transition):
+            return NotImplemented
+        return ((self.action, self.reward, self.terminal)
+                == (other.action, other.reward, other.terminal)
+                and _inputs_equal(self.state, other.state)
+                and _inputs_equal(self.next_state, other.next_state))
+
+
+def rows(batch):
+    """A Minibatch split into one Transition per row."""
+    assert isinstance(batch, Minibatch)
+    return [Transition({k: v[i] for k, v in batch.state.items()}, int(batch.action[i]),
+                       float(batch.reward[i]), {k: v[i] for k, v in batch.next_state.items()},
+                       bool(batch.terminal[i]))
+            for i in range(len(batch))]
 
 
 def ram_obs(tag):
@@ -42,7 +79,7 @@ def test_fifo_eviction():
     for i in range(3):
         push(mem, i)
     assert len(mem) == 2
-    assert mem.contents() == [b, c]
+    assert rows(mem.contents()[:]) == [b, c]
 
 
 def test_default_capacity_bound():
@@ -56,7 +93,7 @@ def test_sample_single():
     mem = new_memory(capacity=4, first=7)
     t = make_transition(7)
     push(mem, 7)
-    assert mem.sample_minibatch(1, np.random.default_rng(0)) == [t]
+    assert rows(mem.sample_minibatch(1, np.random.default_rng(0))) == [t]
 
 
 def test_sample_insufficient_contents():
@@ -71,9 +108,9 @@ def test_sampling_does_not_mutate():
     mem = new_memory(capacity=8)
     for i in range(8):
         push(mem, i)
-    before = list(mem.contents())
+    before = rows(mem.contents()[:])
     mem.sample_minibatch(8, np.random.default_rng(1))
-    assert mem.contents() == before
+    assert rows(mem.contents()[:]) == before
 
 
 def test_sampling_deterministic_given_seed():
@@ -82,7 +119,7 @@ def test_sampling_deterministic_given_seed():
         push(mem, i)
     s1 = mem.sample_minibatch(8, np.random.default_rng(5))
     s2 = mem.sample_minibatch(8, np.random.default_rng(5))
-    assert s1 == s2
+    assert rows(s1) == rows(s2)
 
 
 def test_chi_square_uniformity():
@@ -94,7 +131,7 @@ def test_chi_square_uniformity():
     rng = np.random.default_rng(123)
     counts = np.zeros(10)
     for _ in range(10_000):
-        for t in mem.sample_minibatch(10, rng):
+        for t in rows(mem.sample_minibatch(10, rng)):
             counts[int(t.reward)] += 1
     _, p = stats.chisquare(counts)
     assert p > 0.001
@@ -107,7 +144,7 @@ def test_contents_are_last_k_pushes_in_order(capacity, pushes):
     items = [make_transition(i) for i in range(pushes)]
     for i in range(pushes):
         push(mem, i)
-    assert mem.contents() == items[-capacity:]
+    assert rows(mem.contents()[:]) == items[-capacity:]
 
 
 def test_contents_slices_like_a_list():
@@ -115,8 +152,32 @@ def test_contents_slices_like_a_list():
     for i in range(7):
         push(mem, i)
     items = [make_transition(i) for i in range(2, 7)]
-    assert mem.contents()[1:4] == items[1:4]
-    assert mem.contents()[-1] == items[-1]
+    assert rows(mem.contents()[1:4]) == items[1:4]
+    assert rows(mem.contents()[-1]) == [items[-1]]
+    assert [t for item in mem.contents() for t in rows(item)] == items
+    assert [len(item) for item in mem.contents()] == [1] * 5
+
+
+def test_contents_are_gathered_only_when_read():
+    # An eager list of these 3,000 screen transitions' float state and
+    # next-state stacks would take about 25 MB.
+    count, phi_length, shape = 3000, 4, (16, 16)
+    frames = np.random.default_rng(0).integers(0, 256, (count,) + shape, dtype=np.uint8)
+    mem = ReplayMemory(count, {"screen": np.zeros(shape, np.uint8)}, phi_length=phi_length)
+    for i in range(count):
+        mem.push(i % 3, float(i), i % 50 == 49, {"screen": frames[i]})
+    eager = 2 * count * phi_length * frames[0].size * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        contents = mem.contents()
+        assert len(contents) == count
+        item = contents[count // 2]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(item) == 1 and item.state["screen"].shape == (1, phi_length) + shape
+    assert item.reward.tolist() == [count // 2]
+    assert peak < eager / 100, (peak, eager)
 
 
 def ring(mem):
@@ -138,7 +199,7 @@ def test_arrays_hold_written_slots_and_restore_zeroes_the_rest():
     assert other.pushes == 3
     for name, arr in ring(other).items():
         np.testing.assert_array_equal(arr, ring(mem)[name], err_msg=name)
-    assert other.contents() == mem.contents()
+    assert rows(other.contents()[:]) == rows(mem.contents()[:])
 
 
 def test_arrays_of_a_wrapped_ring_hold_every_slot():
@@ -149,7 +210,7 @@ def test_arrays_of_a_wrapped_ring_hold_every_slot():
     assert {len(v) for v in saved.values()} == {6}
     other = new_memory(capacity=5)
     other.restore(saved, 9)
-    assert other.contents() == mem.contents()
+    assert rows(other.contents()[:]) == rows(mem.contents()[:])
 
 
 def test_restore_requires_exactly_the_written_slots():
@@ -168,7 +229,7 @@ def test_observation_streams_must_match():
     push(mem, 0)
     with pytest.raises(ValueError, match="streams"):
         mem.push(1, 1.0, False, {"screen": np.zeros((2, 2), np.uint8)})
-    assert mem.contents() == [make_transition(0)]  # the failed push wrote nothing
+    assert rows(mem.contents()[:]) == [make_transition(0)]  # the failed push wrote nothing
 
 
 @pytest.mark.parametrize("obs, match", [
@@ -234,14 +295,15 @@ def test_bad_reward_or_terminal_writes_nothing(reward, terminal, match):
 def test_numeric_reward_and_numpy_bool_terminal_are_stored(reward, terminal):
     mem = new_memory(capacity=4)
     mem.push(0, reward, terminal, ram_obs(1))
-    assert mem.contents()[0].reward == float(reward)
-    assert mem.contents()[0].terminal == bool(terminal)
+    [stored] = rows(mem.contents()[0])
+    assert stored.reward == float(reward)
+    assert stored.terminal == bool(terminal)
 
 
 def test_numpy_integer_action_is_stored():
     mem = new_memory(capacity=4)
     mem.push(np.int64(2), 0.0, False, ram_obs(1))
-    assert mem.contents()[0].action == 2
+    assert rows(mem.contents()[0])[0].action == 2
 
 
 @pytest.mark.parametrize("first", [np.array([1.5, 300.7, -1, 2]), [7, 7, 7, 7]])
@@ -323,12 +385,14 @@ def test_ring_matches_list_of_transitions(capacity, phi_length, data):
 
     contents = ring.contents()
     assert len(contents) == len(ring) == len(ref.items)
-    for got, want in zip(contents, ref.contents()):
+    for item, want in zip(contents, ref.contents()):
+        [got] = rows(item)
         assert_same_transition(got, want)
     for n in (1, len(ring)):
         batch = ring.sample_minibatch(n, np.random.default_rng(seed))
         assert batch.state["screen"].shape == (n, phi_length, 2, 3)
-        for got, want in zip(batch, ref.sample(n, np.random.default_rng(seed)), strict=True):
+        for got, want in zip(rows(batch), ref.sample(n, np.random.default_rng(seed)),
+                             strict=True):
             assert_same_transition(got, want)
 
 
