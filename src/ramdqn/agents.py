@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +22,7 @@ CONV_FULL = ((16, 8, 4), (32, 4, 2))
 CONV_MICRO = ((16, 4, 2), (32, 2, 1))
 
 
-@dataclass
+@dataclass(frozen=True)  # set once, so that what __post_init__ checked holds
 class HyperParams:
     minibatch_size: int = 32
     replay_capacity: int = 100_000
@@ -39,6 +40,11 @@ class HyperParams:
     test_epsilon: float = 0.05
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and (type(value) is bool
+                                             or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
         if not 0.0 <= self.epsilon_min <= self.epsilon_start <= 1.0:

@@ -7,7 +7,7 @@ import contextlib
 import os
 import signal
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -63,12 +63,12 @@ def _ram_first_dense_weights(net):
 
 
 def cmd_train(args):
-    if not args.out:  # run_experiment's out_dir="" writes nothing, for in-process callers
+    if not args.out:
         raise UsageError("--out must name a directory")
     try:
         hyper = HyperParams(**{f.name: getattr(args, f.name) for f in fields(HyperParams)})
         config = ExperimentConfig(env_name=args.env, arch=args.arch, hyper=hyper,
-                                  epochs=args.epochs, seed=args.seed, out_dir=args.out)
+                                  epochs=args.epochs, seed=args.seed)
     except ValueError as e:
         raise UsageError(e) from e
 
@@ -89,7 +89,7 @@ def cmd_train(args):
 
     previous = signal.signal(signal.SIGTERM, terminate)
     try:
-        reports, best = run_experiment(config, progress=progress)
+        reports, best = run_experiment(config, args.out, progress=progress)
     except KeyboardInterrupt:  # Ctrl-C, or SIGTERM through `terminate`
         # last.ckpt may hold the next epoch, renamed into place before `progress` ran.
         with contextlib.suppress(CheckpointError, KeyError, TypeError):
@@ -120,8 +120,8 @@ def cmd_eval(args):
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
     _check_seed(args.seed)
     net, header, hyper = network_from_checkpoint(checkpoint_load(args.checkpoint))
-    report = run_test_period(net, header["env"], hyper, seed=args.seed,
-                             steps=args.steps, epsilon=args.epsilon)
+    hyper = replace(hyper, test_steps=args.steps, test_epsilon=args.epsilon)
+    report = run_test_period(net, header["env"], hyper, seed=args.seed)
     flag = " (truncated)" if report.truncated else ""
     print(f"avg_score={report.avg_score:.6f} episodes={report.episodes} "
           f"steps={report.steps} epsilon={args.epsilon}{flag}")

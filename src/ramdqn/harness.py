@@ -56,7 +56,6 @@ class ExperimentConfig:
     hyper: HyperParams = field(default_factory=HyperParams)
     epochs: int = 1
     seed: int = 0
-    out_dir: str = ""
 
     def __post_init__(self):
         if self.env_name not in ENV_REGISTRY:
@@ -134,6 +133,15 @@ class TrainingState:
         self.epochs_done = 0
         self.warmed = False
 
+    def rngs(self):
+        """The rng streams a checkpoint saves, by header key."""
+        return {"explore": self.explore_rng, "dropout": self.dropout_rng,
+                "sample": self.sample_rng, "env_seed": self.episode.seed_rng}
+
+    def counters(self):
+        """The counters a checkpoint saves, by attribute name."""
+        return {key: getattr(self, key) for key in ("global_step", "epochs_done", "warmed")}
+
     def _take_action(self, action):
         self.replay.push(action, *self.episode.step(action))
 
@@ -201,22 +209,17 @@ def _check_fit(net, env, hyper):
                              f"gives {given[stream]}")
 
 
-def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0,
-                    steps=None, epsilon=None):
+def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
     """Frozen-policy evaluation: no learning, no replay writes.
 
-    Reports the average score over completed episodes; if the budget ends
-    before any episode completes, the single truncated episode is reported
-    and flagged.  Steps that are not an int >= 1, an epsilon outside [0, 1],
-    or a network whose outputs or inputs do not fit the game under `hyper`
-    raise ValueError before the first step.
+    Plays `hyper.test_steps` actions at `hyper.test_epsilon`, which
+    HyperParams has checked.  Reports the average score over completed
+    episodes; if the budget ends before any episode completes, the single
+    truncated episode is reported and flagged.  A network whose outputs or
+    inputs do not fit the game under `hyper` raises ValueError before the
+    first step.
     """
-    steps = hyper.test_steps if steps is None else steps
-    epsilon = hyper.test_epsilon if epsilon is None else epsilon
-    if type(steps) is not int or steps < 1:
-        raise ValueError(f"test steps must be an integer >= 1, got {steps!r}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"test epsilon must be in [0, 1], got {epsilon!r}")
+    steps, epsilon = hyper.test_steps, hyper.test_epsilon
     env = make_env(env_name)
     _check_fit(net, env, hyper)
     policy_ss, env_ss = np.random.SeedSequence(seed).spawn(2)
@@ -260,8 +263,10 @@ def write_curve_csv(path, reports):
         f.write("\n".join(lines) + "\n")
 
 
-def run_experiment(config, progress=None):
-    """Full protocol: epochs x (train epoch, test period), CSV + checkpoints.
+def run_experiment(config, out_dir, progress=None):
+    """Full protocol: epochs x (train epoch, test period), written into
+    `out_dir` (made if missing): `last.ckpt` and `best.ckpt` after each
+    epoch, `curve.csv` after the last.
 
     Returns (reports, best): `best` is the epoch with the highest average
     score, ties going to the earliest, whose state `best.ckpt` holds.  A
@@ -269,10 +274,7 @@ def run_experiment(config, progress=None):
     checkpoints and the CSV are written.
     """
     state = TrainingState(config)
-    state.warmup()
-    out = config.out_dir
-    if out:
-        os.makedirs(out, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     reports = []
     best = None
     for epoch in range(1, config.epochs + 1):
@@ -286,14 +288,12 @@ def run_experiment(config, progress=None):
         improved = best is None or report.avg_score > reports[best - 1].avg_score
         if improved:
             best = epoch
-        if out:
-            checkpoint_save(state, os.path.join(out, "last.ckpt"))
-            if improved:
-                checkpoint_save(state, os.path.join(out, "best.ckpt"))
+        checkpoint_save(state, os.path.join(out_dir, "last.ckpt"))
+        if improved:
+            checkpoint_save(state, os.path.join(out_dir, "best.ckpt"))
         if progress is not None:
             progress(report)
-    if out:
-        write_curve_csv(os.path.join(out, "curve.csv"), reports)
+    write_curve_csv(os.path.join(out_dir, "curve.csv"), reports)
     return reports, best
 
 
@@ -358,15 +358,8 @@ def checkpoint_save(state, path, include_replay=False):
         "dtype": net.dtype.name,
         "hyper": dataclasses.asdict(state.hyper),
         "seed": state.config.seed,
-        "counters": {"global_step": state.global_step,
-                     "epochs_done": state.epochs_done,
-                     "warmed": state.warmed},
-        "rng": {
-            "explore": state.explore_rng.bit_generator.state,
-            "dropout": state.dropout_rng.bit_generator.state,
-            "sample": state.sample_rng.bit_generator.state,
-            "env_seed": state.episode.seed_rng.bit_generator.state,
-        },
+        "counters": state.counters(),
+        "rng": {key: rng.bit_generator.state for key, rng in state.rngs().items()},
         "env_state": state.episode.env.get_state(),
         "arrays": [{"name": name, "shape": list(a.shape), "dtype": a.dtype.str}
                    for name, a in arrays.items()],
@@ -506,16 +499,13 @@ def restore_training_state(ckpt):
         _load_layers(state.opt_state.mean_square, arrays, "acc")
 
         counters = h["counters"]
-        _check_layout(counters, {"global_step": 0, "epochs_done": 0, "warmed": False},
-                      "counters")
-        if counters["global_step"] < 0 or counters["epochs_done"] < 0:
+        _check_layout(counters, state.counters(), "counters")
+        if any(value < 0 for value in counters.values()):
             raise ValueError("counters must not be negative")
-        state.global_step = counters["global_step"]
-        state.epochs_done = counters["epochs_done"]
-        state.warmed = counters["warmed"]
+        for key, value in counters.items():
+            setattr(state, key, value)
 
-        rngs = {"explore": state.explore_rng, "dropout": state.dropout_rng,
-                "sample": state.sample_rng, "env_seed": state.episode.seed_rng}
+        rngs = state.rngs()
         _check_layout(h["rng"], {k: rng.bit_generator.state for k, rng in rngs.items()}, "rng")
         for key, rng in rngs.items():
             rng.bit_generator.state = h["rng"][key]

@@ -67,13 +67,14 @@ class ReplayMemory:
     `first_obs` (stream -> uint8 array) starts the first episode in slot 0
     and sets each stream's shape.  After that `push` is the only write: the
     next observation of a terminal transition is the next episode's first.
+    A `capacity` or `phi_length` that is not an int or numpy integer >= 1
+    (a bool is neither) raises ValueError.
     """
 
     def __init__(self, capacity, first_obs, *, phi_length=1):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if phi_length <= 0:
-            raise ValueError("phi_length must be positive")
+        for name, value in (("capacity", capacity), ("phi_length", phi_length)):
+            if type(value) is not int and not isinstance(value, np.integer) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         self.capacity = capacity
         self.phi_length = phi_length
         self.pushes = 0

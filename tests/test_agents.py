@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -137,12 +138,29 @@ def test_hyper_rejects_epsilons_out_of_order(start, low):
         HyperParams(epsilon_start=start, epsilon_min=low)
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "discount", "epsilon_start", "epsilon_min",
+                                  "dropout_p", "test_epsilon"])
+@pytest.mark.parametrize("value", [True, False, "0.5"])
+def test_hyper_float_settings_must_be_real_numbers(name, value):
+    # A bool passed every range check: learning_rate=True reached RMSprop as its rate.
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        HyperParams(**{name: value})
+
+
+def test_hyper_settings_stay_as_checked():
+    # Test periods read test_steps and test_epsilon without checking them again.
+    hyper = HyperParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hyper.test_epsilon = 2.0
+
+
 def test_hyper_accepts_boundary_values():
     HyperParams(replay_capacity=100, minibatch_size=32, replay_start_size=100,
                 dropout_p=0.0, test_epsilon=1.0)
     HyperParams(test_epsilon=0.0, dropout_p=0.99)
     HyperParams(epsilon_start=1.0, epsilon_min=1.0)
     HyperParams(epsilon_start=0.0, epsilon_min=0.0)
+    HyperParams(learning_rate=1, discount=0, dropout_p=np.float32(0.5))
 
 
 def test_terminal_layer_has_no_activation():
@@ -515,7 +533,7 @@ def test_test_period_actions_match_a_plain_layer_walk(arch, monkeypatch):
     # A 2,000-action test period acts through the network's program and its kept
     # batch-1 workspace: every greedy action's Q-values must have the bits of a plain
     # layer walk in new arrays, the way acting computed them before the program.
-    env, hyper = make_env("micro_diver"), HyperParams(frame_skip=2)
+    env, hyper = make_env("micro_diver"), HyperParams(frame_skip=2, test_steps=2000)
     net = build_architecture(arch, env.action_count, screen_shape=env.screen_shape,
                              phi_length=hyper.phi_length, rng=np.random.default_rng(11))
     real_forward, real_select = agents.forward, harness.select_action
@@ -534,7 +552,7 @@ def test_test_period_actions_match_a_plain_layer_walk(arch, monkeypatch):
 
     monkeypatch.setattr(agents, "forward", recording_forward)
     monkeypatch.setattr(harness, "select_action", recording_select)
-    run_test_period(net, "micro_diver", hyper, seed=3, steps=2000)
+    run_test_period(net, "micro_diver", hyper, seed=3)
     greedy = [action for action, from_q in picks if from_q]
     assert len(picks) == 2000 and len(greedy) == len(forwards) > 1800
     for action, (inputs, q) in zip(greedy, forwards):

@@ -143,7 +143,7 @@ def test_train_unknown_arch_exit_2(tmp_path, capsys):
     ["--epochs", "0"],
     ["--seed", "-1"],
     ["--learning-rate", "inf"],
-    ["--out", ""],  # out_dir="" would train and write nothing
+    ["--out", ""],  # run_experiment needs a directory to write
     ["--discount", "1.0"],
     ["--epsilon-start", "0.2", "--epsilon-min", "0.5"],
     ["--phi-length", "0"],
@@ -226,6 +226,23 @@ def test_eval_default_epsilon_is_005(tmp_path, capsys):
     assert "epsilon=0.05" in capsys.readouterr().out
 
 
+def test_eval_carries_steps_and_epsilon_into_the_test_period(tmp_path, capsys):
+    _, out = run_train(tmp_path)
+    capsys.readouterr()  # discard the training summary
+    path = str(out / "best.ckpt")
+    assert main(["eval", "--checkpoint", path, "--steps", "37", "--epsilon", "1.0",
+                 "--seed", "6"]) == 0
+    net, header, hyper = network_from_checkpoint(checkpoint_load(path))
+    report, at_own_epsilon = (harness.run_test_period(
+        net, header["env"], dataclasses.replace(hyper, test_steps=37, test_epsilon=epsilon),
+        seed=6) for epsilon in (1.0, hyper.test_epsilon))
+    assert capsys.readouterr().out == (f"avg_score={report.avg_score:.6f} "
+                                       f"episodes={report.episodes} steps=37 epsilon=1.0\n")
+    # At this seed the epsilon changes the play, so the line shows which one was used.
+    assert (report.avg_score, report.episodes) != (at_own_epsilon.avg_score,
+                                                   at_own_epsilon.episodes)
+
+
 def test_eval_corrupt_checkpoint_exit_1(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
@@ -292,6 +309,7 @@ BAD_HEADERS = {
     "start_size_float": lambda h: h["hyper"].__setitem__("replay_start_size", 2.5),
     "start_size_bool": lambda h: h["hyper"].__setitem__("replay_start_size", True),
     "learning_rate_huge_int": lambda h: h["hyper"].__setitem__("learning_rate", 10**400),
+    "test_epsilon_bool": lambda h: h["hyper"].__setitem__("test_epsilon", True),
     "unknown_hyper": lambda h: h["hyper"].__setitem__("momentum", 0.9),
     "hyper_not_dict": set_key("hyper", [1, 2]),
     "unknown_dtype": set_key("dtype", "nope"),

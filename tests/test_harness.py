@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,10 +43,9 @@ def small_hyper(**kw):
     return HyperParams(**defaults)
 
 
-def small_config(tmp_path=None, **kw):
+def small_config(**kw):
     defaults = dict(env_name="micro_catch", arch="just_ram",
-                    hyper=small_hyper(), epochs=2, seed=3,
-                    out_dir=str(tmp_path) if tmp_path else "")
+                    hyper=small_hyper(), epochs=2, seed=3)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
 
@@ -145,7 +145,8 @@ def test_test_period_does_not_mutate_training():
 def test_test_period_truncated_episode_flagged():
     # One step is never enough to finish an episode.
     state = TrainingState(small_config())
-    report = run_test_period(state.net, "micro_catch", state.hyper, seed=1, steps=1)
+    report = run_test_period(state.net, "micro_catch", replace(state.hyper, test_steps=1),
+                             seed=1)
     assert report.truncated
     assert report.episodes == 1
 
@@ -158,13 +159,13 @@ def no_game_step(*args):
     ("train", {"steps": -5}, "training steps"),    # returned 0.0 and counted an epoch
     ("train", {"steps": 2.0}, "training steps"),
     ("train", {"steps": True}, "training steps"),
-    ("test", {"steps": 0}, "test steps"),          # reported a truncated 0-step episode
-    ("test", {"steps": 0, "epsilon": 2.0}, "test steps"),
-    ("test", {"steps": -1}, "test steps"),
-    ("test", {"steps": 10.0}, "test steps"),
-    ("test", {"epsilon": 2.0}, "epsilon"),
-    ("test", {"epsilon": -0.1}, "epsilon"),
-    ("test", {"epsilon": float("nan")}, "epsilon"),
+    ("test", {"test_steps": 0}, "test_steps"),     # reported a truncated 0-step episode
+    ("test", {"test_steps": 0, "test_epsilon": 2.0}, "test_steps"),
+    ("test", {"test_steps": -1}, "test_steps"),
+    ("test", {"test_steps": 10.0}, "test_steps"),
+    ("test", {"test_epsilon": 2.0}, "epsilon"),
+    ("test", {"test_epsilon": -0.1}, "epsilon"),
+    ("test", {"test_epsilon": float("nan")}, "epsilon"),
 ])
 def test_bad_step_count_or_epsilon_raises_before_any_game_step(monkeypatch, period, kwargs,
                                                                  match):
@@ -174,7 +175,7 @@ def test_bad_step_count_or_epsilon_raises_before_any_game_step(monkeypatch, peri
         if period == "train":
             run_training_epoch(state, **kwargs)
         else:
-            run_test_period(state.net, "micro_catch", state.hyper, seed=1, **kwargs)
+            run_test_period(state.net, "micro_catch", replace(state.hyper, **kwargs), seed=1)
     assert (state.warmed, state.epochs_done, state.global_step, len(state.replay)) == (
         False, 0, 0, 0)
 
@@ -194,8 +195,7 @@ def test_test_period_refuses_a_network_built_for_another_game(monkeypatch, arch,
                      rf"gives \(4, {game.screen_shape[0]}, {game.screen_shape[1]}\)"}[arch]
     monkeypatch.setattr(harness, "frame_skip_step", no_game_step)
     with pytest.raises(ValueError, match=match):
-        run_test_period(net, env_name, small_hyper(phi_length=4), seed=1, steps=200,
-                        epsilon=epsilon)
+        run_test_period(net, env_name, small_hyper(phi_length=4, test_epsilon=epsilon), seed=1)
 
 
 def test_test_period_refuses_a_screen_window_of_another_length(monkeypatch):
@@ -203,15 +203,15 @@ def test_test_period_refuses_a_screen_window_of_another_length(monkeypatch):
     net = harness.build_network("nips", game, small_hyper(phi_length=4), np.random.default_rng(0))
     monkeypatch.setattr(harness, "frame_skip_step", no_game_step)
     with pytest.raises(ValueError, match=r"\(4, 16, 16\), but micro_catch at phi_length 2"):
-        run_test_period(net, "micro_catch", small_hyper(phi_length=2), seed=1, steps=10)
+        run_test_period(net, "micro_catch", small_hyper(phi_length=2, test_steps=10), seed=1)
 
 
 @pytest.mark.parametrize("env_name", sorted(ENV_REGISTRY))
 @pytest.mark.parametrize("arch", ["just_ram", "nips", "mixed_ram"])
 def test_test_period_runs_a_network_built_for_its_game(env_name, arch):
-    hyper = small_hyper(phi_length=2)
+    hyper = small_hyper(phi_length=2, test_steps=20, test_epsilon=0.05)
     net = harness.build_network(arch, make_env(env_name), hyper, np.random.default_rng(0))
-    report = run_test_period(net, env_name, hyper, seed=1, steps=20, epsilon=0.05)
+    report = run_test_period(net, env_name, hyper, seed=1)
     assert report.steps == 20
 
 
@@ -222,8 +222,8 @@ def test_run_experiment_best_tie_to_earliest(tmp_path, monkeypatch):
         return EpochReport(epoch, next(scores), 1, 10, mean_loss)
 
     monkeypatch.setattr(harness, "run_test_period", test_period)
-    reports, best = run_experiment(small_config(tmp_path, epochs=3,
-                                                hyper=small_hyper(steps_per_epoch=5)))
+    reports, best = run_experiment(small_config(epochs=3, hyper=small_hyper(steps_per_epoch=5)),
+                                   tmp_path)
     assert [r.avg_score for r in reports] == [10.0, 50.0, 50.0]
     assert best == 2
     ckpt = checkpoint_load(tmp_path / "best.ckpt")
@@ -237,8 +237,7 @@ def test_config_rejects_bad_epochs(epochs):
 
 
 def test_run_experiment_single_epoch(tmp_path):
-    config = small_config(tmp_path, epochs=1)
-    reports, best = run_experiment(config)
+    reports, best = run_experiment(small_config(epochs=1), tmp_path)
     assert len(reports) == 1
     assert best == 1
     assert (tmp_path / "curve.csv").exists()
@@ -248,8 +247,8 @@ def test_run_experiment_single_epoch(tmp_path):
 
 def test_run_experiment_csv_bytes_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    run_experiment(small_config(out1))
-    run_experiment(small_config(out2))
+    run_experiment(small_config(), out1)
+    run_experiment(small_config(), out2)
     assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
     assert (out1 / "last.ckpt").read_bytes() == (out2 / "last.ckpt").read_bytes()
 
@@ -406,6 +405,7 @@ def _on(env_name, edit):
 # the checkpoint below holds the 51 written by its 50 pushes.
 BAD_RESUME_EDITS = {
     "start_size_float": _set("hyper", "replay_start_size", value=2.5),
+    "learning_rate_bool": _set("hyper", "learning_rate", value=True),
     "no_counters": _pop("counters"),
     "counters_not_dict": _set("counters", value=[0, 0, False]),
     "counter_missing": _pop("counters", "global_step"),

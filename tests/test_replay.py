@@ -306,6 +306,24 @@ def test_numpy_integer_action_is_stored():
     assert rows(mem.contents()[0])[0].action == 2
 
 
+@pytest.mark.parametrize("capacity, phi_length, name", [
+    (True, 1, "capacity"),       # was a 1-transition ring
+    (1.5, 1, "capacity"),        # was numpy's TypeError
+    (0, 1, "capacity"),
+    ("4", 1, "capacity"),
+    (4, True, "phi_length"),
+    (4, 2.0, "phi_length"),
+    (4, -1, "phi_length"),
+])
+def test_capacity_and_phi_length_must_be_positive_integers(capacity, phi_length, name):
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        ReplayMemory(capacity, ram_obs(0), phi_length=phi_length)
+
+
+def test_numpy_integer_capacity_and_phi_length_are_accepted():
+    assert len(ReplayMemory(np.int64(4), ram_obs(0), phi_length=np.int32(2)).start) == 6
+
+
 @pytest.mark.parametrize("first", [np.array([1.5, 300.7, -1, 2]), [7, 7, 7, 7]])
 def test_first_observation_must_be_bytes(first):
     with pytest.raises(ValueError, match="expected uint8"):

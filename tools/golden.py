@@ -1,5 +1,7 @@
 """Golden outputs: run a fixed set of short `ramdqn train` and `eval` runs and
-print the sha256 of every output, one `sha256  run/file` line each.
+print the sha256 of every output, one `sha256  run/file` line each.  Each
+short run's `best.ckpt` is evaluated twice: at the default test epsilon
+(`eval.stdout`) and at `--epsilon 0.5` (`eval-epsilon.stdout`).
 
 Each checkpoint also gets a `sha256  run/file:params` line: the digest of the
 parameters as `network_from_checkpoint` loads them, each array's bytes in the
@@ -34,6 +36,7 @@ SHORT = ("--epochs", "2", "--steps-per-epoch", "150", "--test-steps", "300",
 WRAPPING = ("--epochs", "2", "--steps-per-epoch", "400", "--test-steps", "200",
             "--frame-skip", "1", "--replay-capacity", "137", "--seed", "7")
 EVAL = ("--steps", "300", "--seed", "3")
+EVAL_EPSILON = EVAL + ("--epsilon", "0.5")
 
 
 def ramdqn(*args):
@@ -80,6 +83,8 @@ def main():
             if evaluate:
                 best = os.path.join(out, "best.ckpt")
                 lines["eval.stdout"] = digest(ramdqn("eval", "--checkpoint", best, *EVAL))
+                lines["eval-epsilon.stdout"] = digest(ramdqn("eval", "--checkpoint", best,
+                                                             *EVAL_EPSILON))
             for file, sha in lines.items():
                 print(f"{sha}  {name}/{file}", flush=True)
 
