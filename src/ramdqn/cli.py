@@ -62,6 +62,13 @@ def _ram_first_dense_weights(net):
     return None
 
 
+def _file_identity(path):
+    """(inode, mtime) of the file at `path`, or None if there is none."""
+    with contextlib.suppress(OSError):
+        st = os.stat(path)
+        return st.st_ino, st.st_mtime_ns
+
+
 def cmd_train(args):
     if not args.out:
         raise UsageError("--out must name a directory")
@@ -72,12 +79,9 @@ def cmd_train(args):
     except ValueError as e:
         raise UsageError(e) from e
 
-    completed = 0  # epochs reported by `progress`
     received = signal.SIGINT  # the signal that interrupts the run
 
     def progress(report):
-        nonlocal completed
-        completed = report.epoch
         print(f"epoch {report.epoch}: avg_score={report.avg_score:.3f} "
               f"episodes={report.episodes} mean_loss={report.mean_loss:.6f}",
               file=sys.stderr)
@@ -87,15 +91,18 @@ def cmd_train(args):
         received = signum
         raise KeyboardInterrupt
 
+    last = os.path.join(args.out, "last.ckpt")
+    earlier = _file_identity(last)  # a last.ckpt of an earlier run into --out
     previous = signal.signal(signal.SIGTERM, terminate)
     try:
         reports, best = run_experiment(config, args.out, progress=progress)
     except KeyboardInterrupt:  # Ctrl-C, or SIGTERM through `terminate`
-        # last.ckpt may hold the next epoch, renamed into place before `progress` ran.
+        # The last.ckpt this run wrote holds its last completed epoch, perhaps
+        # one renamed into place before `progress` printed it.
+        completed = 0
         with contextlib.suppress(CheckpointError, KeyError, TypeError):
-            held = checkpoint_load(os.path.join(args.out, "last.ckpt"))["header"]["counters"]
-            if held["epochs_done"] == completed + 1:
-                completed += 1
+            if _file_identity(last) != earlier:
+                completed = checkpoint_load(last)["header"]["counters"]["epochs_done"]
         print(f"interrupted: last completed epoch {completed} of {config.epochs}",
               file=sys.stderr)
         return 128 + int(received)
@@ -119,9 +126,9 @@ def cmd_eval(args):
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
     _check_seed(args.seed)
-    net, header, hyper = network_from_checkpoint(checkpoint_load(args.checkpoint))
-    hyper = replace(hyper, test_steps=args.steps, test_epsilon=args.epsilon)
-    report = run_test_period(net, header["env"], hyper, seed=args.seed)
+    net, config = network_from_checkpoint(checkpoint_load(args.checkpoint))
+    hyper = replace(config.hyper, test_steps=args.steps, test_epsilon=args.epsilon)
+    report = run_test_period(net, config.env_name, hyper, seed=args.seed)
     flag = " (truncated)" if report.truncated else ""
     print(f"avg_score={report.avg_score:.6f} episodes={report.episodes} "
           f"steps={report.steps} epsilon={args.epsilon}{flag}")
@@ -129,7 +136,7 @@ def cmd_eval(args):
 
 
 def cmd_visualize(args):
-    net, _, _ = network_from_checkpoint(checkpoint_load(args.checkpoint))
+    net, _ = network_from_checkpoint(checkpoint_load(args.checkpoint))
     weights = _ram_first_dense_weights(net)
     if weights is None:
         raise CheckpointError("architecture has no dense layer reading the RAM input "

@@ -68,12 +68,12 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def build_network(arch, env, hyper, rng, dtype=np.float32):
-    """The `arch` network for `env`'s screen and action set under `hyper`."""
+def build_network(arch, env, hyper, rng):
+    """The float32 `arch` network for `env`'s screen and action set under `hyper`."""
     return build_architecture(arch, output_dim=env.action_count,
                               screen_shape=env.screen_shape,
                               phi_length=hyper.phi_length,
-                              dropout_p=hyper.dropout_p, rng=rng, dtype=dtype)
+                              dropout_p=hyper.dropout_p, rng=rng)
 
 
 class EpisodePipeline:
@@ -142,6 +142,16 @@ class TrainingState:
         """The counters a checkpoint saves, by attribute name."""
         return {key: getattr(self, key) for key in ("global_step", "epochs_done", "warmed")}
 
+    def arrays(self, replay=False):
+        """The live arrays a checkpoint saves, by name, in its order: `param/i/key`,
+        the RMSprop accumulators `acc/i/key`, then with `replay` the ring's
+        written slots `replay/<name>`, sorted by name."""
+        out = {**_layer_arrays("param", self.net.params),
+               **_layer_arrays("acc", self.opt_state.mean_square)}
+        if replay:
+            out.update((f"replay/{name}", a) for name, a in sorted(self.replay.arrays().items()))
+        return out
+
     def _take_action(self, action):
         self.replay.push(action, *self.episode.step(action))
 
@@ -157,6 +167,11 @@ class TrainingState:
             for action in actions.tolist():
                 self._take_action(action)
         self.warmed = True
+
+
+def _layer_arrays(prefix, layers):
+    """Per-layer dicts shaped as a network's params, by checkpoint name `prefix/i/key`."""
+    return {f"{prefix}/{i}/{key}": p[key] for i, p in enumerate(layers) for key in sorted(p or {})}
 
 
 def _first_nonfinite_layer(net):
@@ -327,44 +342,34 @@ def _read_array(f, shape, dtype):
         raise CheckpointError(f"corrupt checkpoint: bad array shape {list(shape)}") from e
 
 
-def checkpoint_save(state, path, include_replay=False):
-    """Serialize a TrainingState, every array in its own dtype, so that
-    parameters and accumulators round-trip bit-identically.  Replay contents
-    are optional (resume support); the acting state is the ring's newest."""
-    net = state.net
-    arrays = {}
-    for prefix, layers in (("param", net.params), ("acc", state.opt_state.mean_square)):
-        for i, p in enumerate(layers):
-            for key in sorted(p or {}):
-                arrays[f"{prefix}/{i}/{key}"] = p[key]
-
-    replay_meta = None
-    if include_replay:
-        replay = state.replay
-        replay_meta = {
-            "pushes": replay.pushes,
-            "streams": {s: list(f.shape[1:]) for s, f in sorted(replay.frames.items())},
-        }
-        for name, arr in sorted(replay.arrays().items()):
-            arrays[f"replay/{name}"] = arr
-    arrays = {name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
-              for name, a in arrays.items()}
-
-    header = {
+def _header(state, include_replay):
+    """The header entries that describe `state`, all but the array list."""
+    return {
         "version": CHECKPOINT_VERSION,
         "arch": state.config.arch,
         "env": state.config.env_name,
-        "output_dim": net.output_dim,
-        "dtype": net.dtype.name,
+        "output_dim": state.net.output_dim,
+        "dtype": state.net.dtype.name,
         "hyper": dataclasses.asdict(state.hyper),
         "seed": state.config.seed,
         "counters": state.counters(),
         "rng": {key: rng.bit_generator.state for key, rng in state.rngs().items()},
         "env_state": state.episode.env.get_state(),
-        "arrays": [{"name": name, "shape": list(a.shape), "dtype": a.dtype.str}
-                   for name, a in arrays.items()],
-        "replay": replay_meta,
+        "replay": {"pushes": state.replay.pushes,
+                   "streams": {s: list(f.shape[1:]) for s, f in state.replay.frames.items()}}
+        if include_replay else None,
     }
+
+
+def checkpoint_save(state, path, include_replay=False):
+    """Serialize a TrainingState: its header, then `state.arrays()` each in its own
+    dtype, so that parameters and accumulators round-trip bit-identically.
+    Replay is optional (resume support); the acting state is the ring's newest."""
+    arrays = {name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
+              for name, a in state.arrays(replay=include_replay).items()}
+    header = _header(state, include_replay)
+    header["arrays"] = [{"name": name, "shape": list(a.shape), "dtype": a.dtype.str}
+                        for name, a in arrays.items()]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     # Written beside `path` and renamed over it, so a failed save leaves the
     # previous checkpoint whole.
@@ -424,47 +429,60 @@ def checkpoint_load(path):
     return {"header": header, "arrays": arrays}
 
 
-def _load_layers(layers, arrays, prefix):
-    """Copy the checkpoint arrays `prefix/i/key` into per-layer dicts shaped
-    as a network's params.  A missing array, or one of another shape or
-    dtype (byte order aside), raises ShapeError naming the layer."""
-    for i, p in enumerate(layers):
-        for key in sorted(p or {}):
-            src = arrays.get(f"{prefix}/{i}/{key}")
-            if src is None:
-                raise ShapeError(f"layer {i}: checkpoint has no {prefix} {key!r}")
-            if src.shape != p[key].shape or not np.can_cast(src.dtype, p[key].dtype, "equiv"):
-                raise ShapeError(f"layer {i}: checkpoint {prefix} {key} is {src.dtype} "
-                                 f"{src.shape}, expected {p[key].dtype} {p[key].shape}")
-            p[key][...] = src
+def _load_arrays(targets, arrays):
+    """Copy each checkpoint array into the live array of its name in `targets`.
+    A missing or extra array, or one of another shape or dtype (byte order
+    aside), raises ShapeError naming it before anything is copied."""
+    odd = sorted(targets.keys() ^ arrays.keys())
+    if odd:
+        raise ShapeError(f"checkpoint array {odd[0]} is "
+                         f"{'missing' if odd[0] in targets else 'not expected'}")
+    for name, target in targets.items():
+        src = arrays[name]
+        if src.shape != target.shape or not np.can_cast(src.dtype, target.dtype, "equiv"):
+            raise ShapeError(f"checkpoint array {name} is {src.dtype} {src.shape}, "
+                             f"expected {target.dtype} {target.shape}")
+    for name, target in targets.items():
+        target[...] = arrays[name]
 
 
 def load_params_into(net, ckpt):
-    """Copy checkpointed parameters into an existing network; a missing
-    array, or shape or dtype drift, is rejected with the layer named."""
-    _load_layers(net.params, ckpt["arrays"], "param")
+    """Copy a checkpoint's `param/` arrays into an existing network; a
+    missing or extra parameter, or shape or dtype drift, raises ShapeError
+    naming the array."""
+    _load_arrays(_layer_arrays("param", net.params),
+                 {name: a for name, a in ckpt["arrays"].items() if name.startswith("param/")})
+
+
+def _experiment(header):
+    """The ExperimentConfig (env, arch, hyper, seed) a checkpoint header records.
+    A `dtype` other than float32, the one dtype runs train in, a `hyper` that
+    is not exactly HyperParams' fields, or an entry they refuse raise ValueError."""
+    if header["dtype"] != "float32":
+        raise ValueError(f"dtype {header['dtype']!r} is not float32")
+    hyper, names = header["hyper"], {f.name for f in dataclasses.fields(HyperParams)}
+    if type(hyper) is not dict or hyper.keys() != names:
+        raise ValueError(f"hyper must be a dict of the fields {sorted(names)}")
+    return ExperimentConfig(env_name=header["env"], arch=header["arch"],
+                            hyper=HyperParams(**hyper), seed=header["seed"])
 
 
 def network_from_checkpoint(ckpt):
     """Rebuild the network a checkpoint was saved from, with its parameters.
 
-    Returns (net, header, hyper).  A header naming no valid architecture,
-    game, hyperparameters or float dtype, or parameters that do not fit the
-    network, raise CheckpointError.
+    Returns (net, config), the experiment `config` as the header records it.
+    A header naming no valid experiment or a dtype other than float32, or
+    parameters that do not fit the network, raise CheckpointError.
     """
-    h = ckpt["header"]
     try:
-        env = make_env(h["env"])
-        hyper = HyperParams(**h["hyper"])
-        dtype = np.dtype(h["dtype"])
-        if dtype.kind != "f":
-            raise TypeError(f"dtype {dtype.name} is not a float type")
-        net = build_network(h["arch"], env, hyper, np.random.default_rng(0), dtype)
+        config = _experiment(ckpt["header"])
+        net = build_network(config.arch, make_env(config.env_name), config.hyper,
+                            np.random.default_rng(0))
         load_params_into(net, ckpt)
     # MemoryError: huge shapes; OverflowError: an int too large for a float
     except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as e:
         raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e
-    return net, h, hyper
+    return net, config
 
 
 def _check_layout(value, like, name):
@@ -483,47 +501,33 @@ def _check_layout(value, like, name):
 
 
 def restore_training_state(ckpt):
-    """Rebuild a TrainingState from a checkpoint saved with replay included.
-
-    A header entry or array that does not fit the checkpoint's own
-    experiment, or a missing replay section, raises CheckpointError.
-    """
+    """Rebuild a TrainingState from a checkpoint saved with replay included:
+    the header laid out as a fresh state's, the arrays exactly its
+    `arrays(replay=True)` at the saved push count.  A missing replay section,
+    or an entry or array that does not fit the experiment, raises CheckpointError."""
     h = ckpt["header"]
-    arrays = ckpt["arrays"]
     try:
-        hyper = HyperParams(**h["hyper"])
-        config = ExperimentConfig(env_name=h["env"], arch=h["arch"], hyper=hyper,
-                                  seed=h["seed"])
-        state = TrainingState(config)
-        load_params_into(state.net, ckpt)
-        _load_layers(state.opt_state.mean_square, arrays, "acc")
-
-        counters = h["counters"]
-        _check_layout(counters, state.counters(), "counters")
-        if any(value < 0 for value in counters.values()):
-            raise ValueError("counters must not be negative")
+        state = TrainingState(_experiment(h))
+        if h["replay"] is None:
+            raise ValueError("no replay section: save with include_replay=True")
+        like = _header(state, include_replay=True)
+        resumed = ("counters", "rng", "env_state", "replay")  # the entries a resume sets
+        _check_layout({key: h[key] for key in resumed}, {key: like[key] for key in resumed},
+                      "header")
+        if h["replay"]["streams"] != like["replay"]["streams"]:
+            raise ValueError(f"replay streams must be {like['replay']['streams']}")
+        counters, pushes = h["counters"], h["replay"]["pushes"]
+        if pushes < 0 or any(value < 0 for value in counters.values()):
+            raise ValueError("counters and the push count must not be negative")
         for key, value in counters.items():
             setattr(state, key, value)
-
-        rngs = state.rngs()
-        _check_layout(h["rng"], {k: rng.bit_generator.state for k, rng in rngs.items()}, "rng")
-        for key, rng in rngs.items():
+        for key, rng in state.rngs().items():
             rng.bit_generator.state = h["rng"][key]
-
         env = state.episode.env
-        _check_layout(h["env_state"], env.get_state(), "env_state")
         env.set_state(h["env_state"])
-
-        meta = h["replay"]
-        if meta is None:
-            raise ValueError("no replay section: save with include_replay=True")
-        streams = {s: list(f.shape[1:]) for s, f in state.replay.frames.items()}
-        _check_layout(meta, {"pushes": 0, "streams": streams}, "replay")
-        if meta["streams"] != streams:
-            raise ValueError(f"replay streams {meta['streams']} != {streams}")
-        prefix = "replay/"
-        state.replay.restore({n[len(prefix):]: a for n, a in arrays.items()
-                              if n.startswith(prefix)}, meta["pushes"])
+        # A fresh ring has written only slot 0, which is among the slots loaded.
+        state.replay.pushes = pushes
+        _load_arrays(state.arrays(replay=True), ckpt["arrays"])
         if state.replay.action.min() < 0 or state.replay.action.max() >= env.action_count:
             raise ValueError(f"replay actions must be in [0, {env.action_count})")
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, MemoryError) as e:

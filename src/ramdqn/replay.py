@@ -194,39 +194,11 @@ class ReplayMemory:
         idx = rng.integers(0, len(self), size=n)
         return self._gather(self._numbers(idx))
 
-    def _ring(self):
-        out = {f"frames/{name}": frames for name, frames in self.frames.items()}
-        out.update(action=self.action, reward=self.reward, terminal=self.terminal,
-                   start=self.start)
-        return out
-
-    def _used(self, pushes):
-        """Slots written by `pushes` pushes; the rest of the ring is zeros."""
-        return min(pushes + 1, len(self.start))
-
     def arrays(self):
-        """The ring's arrays by name, cut to the slots written so far, for
-        checkpoints."""
-        used = self._used(self.pushes)
-        return {name: a[:used] for name, a in self._ring().items()}
-
-    def restore(self, arrays, pushes):
-        """Load arrays saved from `arrays()` and the push count, and zero the
-        slots past them; a missing or extra array, one of another shape or
-        dtype (byte order aside), or a bad count raises ValueError."""
-        if type(pushes) is not int or pushes < 0:
-            raise ValueError(f"push count must be an integer >= 0, got {pushes!r}")
-        ring, used = self._ring(), self._used(pushes)
-        if arrays.keys() != ring.keys():
-            raise ValueError(f"replay arrays {sorted(arrays)} != {sorted(ring)}")
-        for name, target in ring.items():
-            src, shape = arrays[name], (used,) + target.shape[1:]
-            if src.shape != shape or not np.can_cast(src.dtype, target.dtype, "equiv"):
-                raise ValueError(f"replay array {name} has shape {src.shape} and dtype "
-                                 f"{src.dtype}, expected {shape} {target.dtype}")
-        # Slots this memory never wrote are zeros already: leave their pages untouched.
-        written = self._used(self.pushes)
-        for name, target in ring.items():
-            target[:used] = arrays[name]
-            target[used:written] = 0
-        self.pushes = pushes
+        """Views of the ring's arrays by name, cut to the slots written so far,
+        `min(pushes + 1, capacity + phi_length)`: what checkpoints save and load."""
+        used = min(self.pushes + 1, len(self.start))
+        ring = {f"frames/{name}": frames for name, frames in self.frames.items()}
+        ring.update(action=self.action, reward=self.reward, terminal=self.terminal,
+                    start=self.start)
+        return {name: a[:used] for name, a in ring.items()}

@@ -121,6 +121,22 @@ def test_train_interrupted_after_last_ckpt_names_its_epoch(tmp_path, capsys, mon
     assert "interrupted: last completed epoch 0 of 3" in capsys.readouterr().err
 
 
+def test_train_interrupted_in_epoch_1_counts_no_earlier_runs_checkpoint(tmp_path, capsys,
+                                                                        monkeypatch):
+    # --out holds the last.ckpt of a finished 1-epoch run; the second run into
+    # it has completed no epoch of its own when it is interrupted.
+    assert run_train(tmp_path, extra=("--epochs", "1"))[0] == 0
+
+    def interrupt(state, steps):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_training_epoch", interrupt)
+    capsys.readouterr()
+    assert run_train(tmp_path, extra=("--epochs", "3"))[0] == 130
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("interrupted:")] == ["interrupted: last completed epoch 0 of 3"]
+
+
 def test_train_unknown_env_exit_2(tmp_path, capsys):
     rc = main(["train", "--env", "nope", "--arch", "just_ram",
                "--out", str(tmp_path / "x")])
@@ -232,9 +248,10 @@ def test_eval_carries_steps_and_epsilon_into_the_test_period(tmp_path, capsys):
     path = str(out / "best.ckpt")
     assert main(["eval", "--checkpoint", path, "--steps", "37", "--epsilon", "1.0",
                  "--seed", "6"]) == 0
-    net, header, hyper = network_from_checkpoint(checkpoint_load(path))
+    net, config = network_from_checkpoint(checkpoint_load(path))
+    hyper = config.hyper
     report, at_own_epsilon = (harness.run_test_period(
-        net, header["env"], dataclasses.replace(hyper, test_steps=37, test_epsilon=epsilon),
+        net, config.env_name, dataclasses.replace(hyper, test_steps=37, test_epsilon=epsilon),
         seed=6) for epsilon in (1.0, hyper.test_epsilon))
     assert capsys.readouterr().out == (f"avg_score={report.avg_score:.6f} "
                                        f"episodes={report.episodes} steps=37 epsilon=1.0\n")
@@ -311,10 +328,12 @@ BAD_HEADERS = {
     "learning_rate_huge_int": lambda h: h["hyper"].__setitem__("learning_rate", 10**400),
     "test_epsilon_bool": lambda h: h["hyper"].__setitem__("test_epsilon", True),
     "unknown_hyper": lambda h: h["hyper"].__setitem__("momentum", 0.9),
+    "hyper_field_missing": lambda h: h["hyper"].pop("learning_rate"),  # was its default
     "hyper_not_dict": set_key("hyper", [1, 2]),
     "unknown_dtype": set_key("dtype", "nope"),
     "int_dtype": set_key("dtype", "int32"),
     "other_float_dtype": set_key("dtype", "float64"),  # the arrays are float32
+    "negative_seed": set_key("seed", -1),
 }
 
 
@@ -363,7 +382,21 @@ def test_parameters_of_another_dtype_exit_1(tmp_path, capsys, command, dtype):
     rc = main([command, "--checkpoint", str(path), *command_args(command, tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        f"error: corrupt checkpoint: ShapeError: layer 1: checkpoint param W is {np.dtype(dtype)}")
+        f"error: corrupt checkpoint: ShapeError: checkpoint array param/1/W is {np.dtype(dtype)}")
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+def test_stray_parameter_array_exit_1(tmp_path, capsys, command):
+    # A parameter the network does not have is refused, as a missing one is.
+    path = tmp_path / "stray.ckpt"
+    checkpoint_save(small_state(), path)
+    ckpt = checkpoint_load(path)
+    write_checkpoint(path, ckpt["header"], dict(ckpt["arrays"], **{
+        "param/9/W": np.zeros((2, 2), np.float32)}))
+    rc = main([command, "--checkpoint", str(path), *command_args(command, tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: corrupt checkpoint: ShapeError: checkpoint array param/9/W is not expected")
 
 
 def set_first_array(path, shape, count):

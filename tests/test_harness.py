@@ -351,7 +351,7 @@ def test_checkpoint_load_into_mismatched_architecture(tmp_path):
     path = tmp_path / "m.ckpt"
     checkpoint_save(state, path)
     other = build_architecture("big_ram", 3, rng=np.random.default_rng(0))
-    with pytest.raises(Exception, match="layer"):
+    with pytest.raises(Exception, match="checkpoint array param/"):
         load_params_into(other, checkpoint_load(path))
 
 
@@ -393,6 +393,12 @@ def _poke_array(name, index, value):
     return edit
 
 
+def _add_array(name, dtype):
+    def edit(ckpt):
+        ckpt["arrays"][name] = np.zeros(3, dtype)
+    return edit
+
+
 def _on(env_name, edit):
     """`edit`, made on a checkpoint of `env_name` instead of micro_catch."""
     edit.env_name = env_name
@@ -406,6 +412,9 @@ def _on(env_name, edit):
 BAD_RESUME_EDITS = {
     "start_size_float": _set("hyper", "replay_start_size", value=2.5),
     "learning_rate_bool": _set("hyper", "learning_rate", value=True),
+    "hyper_field_missing": _pop("hyper", "learning_rate"),  # was restored at its default
+    "hyper_not_dict": _set("hyper", value=[1, 2]),
+    "dtype_float64": _set("dtype", value="float64"),  # the arrays are float32
     "no_counters": _pop("counters"),
     "counters_not_dict": _set("counters", value=[0, 0, False]),
     "counter_missing": _pop("counters", "global_step"),
@@ -431,6 +440,7 @@ BAD_RESUME_EDITS = {
     "pushes_negative": _set("replay", "pushes", value=-1),
     "pushes_float": _set("replay", "pushes", value=2.5),
     "pushes_bool": _set("replay", "pushes", value=True),
+    "pushes_off_by_one": _set("replay", "pushes", value=51),  # 51 slots hold 50 pushes
     "frames_short": _replace_array("replay/frames/ram", (50, 128)),
     "frames_narrow": _replace_array("replay/frames/ram", (51, 64)),
     "frames_whole_ring": _replace_array("replay/frames/ram", (504, 128)),
@@ -438,6 +448,9 @@ BAD_RESUME_EDITS = {
     "acc_broadcastable": _replace_array("acc/1/W", (1,)),
     "param_missing": lambda ckpt: ckpt["arrays"].pop("param/3/b"),
     "acc_missing": lambda ckpt: ckpt["arrays"].pop("acc/3/W"),
+    "extra_param_array": _add_array("param/9/W", np.float32),
+    "extra_acc_array": _add_array("acc/0/W", np.float32),  # layer 0 is the input
+    "extra_replay_array": _add_array("replay/frames/screen", np.uint8),  # just_ram reads RAM
     "param_bytes": _recast_array("param/1/W", np.uint8, 7),  # loaded as 7.0
     "param_float64": _recast_array("param/1/W", np.float64, 0.5),
     "acc_bool": _recast_array("acc/1/W", bool, True),  # loaded as 1.0
@@ -504,6 +517,66 @@ def test_restore_rejects_bad_resume_entries(resumable_checkpoints, case):
     restore_training_state(ckpt)  # the unedited checkpoint restores
     edit(ckpt)
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        restore_training_state(ckpt)
+
+
+def ring(replay):
+    """Every slot of a replay ring's arrays by name, written or not."""
+    return {**{f"frames/{s}": f for s, f in replay.frames.items()}, "action": replay.action,
+            "reward": replay.reward, "terminal": replay.terminal, "start": replay.start}
+
+
+def assert_same_rows(got, want):
+    """Two Minibatches hold equal rows."""
+    for field in ("state", "next_state"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.keys() == b.keys()
+        for key in b:
+            np.testing.assert_array_equal(a[key], b[key], err_msg=f"{field} {key}")
+    for field in ("action", "reward", "terminal"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
+def resume(state, path):
+    """The state restore_training_state rebuilds from `state` saved at `path`."""
+    checkpoint_save(state, path, include_replay=True)
+    return restore_training_state(checkpoint_load(path))
+
+
+def test_restore_fills_the_written_slots_and_leaves_zeros_past_them(tmp_path):
+    state = TrainingState(small_config())
+    state.warmup()
+    assert {len(v) for v in state.replay.arrays().values()} == {21}  # pushes + 1 of 504 slots
+    restored = resume(state, tmp_path / "r.ckpt")
+    assert restored.replay.pushes == 20
+    for name, arr in ring(restored.replay).items():
+        np.testing.assert_array_equal(arr, ring(state.replay)[name], err_msg=name)
+        assert not arr[21:].any(), name
+    assert_same_rows(restored.replay.contents()[:], state.replay.contents()[:])
+
+
+def test_restore_of_a_wrapped_ring_holds_every_slot(tmp_path):
+    state = TrainingState(small_config(hyper=small_hyper(replay_capacity=30)))
+    run_training_epoch(state, 40)
+    assert state.replay.pushes == 60 > state.replay.capacity
+    assert {len(v) for v in state.replay.arrays().values()} == {34}  # capacity + phi_length
+    restored = resume(state, tmp_path / "r.ckpt")
+    assert_same_rows(restored.replay.contents()[:], state.replay.contents()[:])
+    assert ([run_training_epoch(restored, 1) for _ in range(50)]
+            == [run_training_epoch(state, 1) for _ in range(50)])
+
+
+def test_restore_requires_exactly_the_written_slots(resumable_checkpoint):
+    ckpt = checkpoint_load(resumable_checkpoint)
+    whole = dict(ckpt, arrays={name: np.zeros((504,) + a.shape[1:], a.dtype)
+                               if name.startswith("replay/") else a
+                               for name, a in ckpt["arrays"].items()})
+    with pytest.raises(CheckpointError, match=r"replay/action is int32 \(504,\), "
+                                              r"expected int32 \(51,\)"):
+        restore_training_state(whole)  # the whole ring, unwrapped
+    ckpt["header"]["replay"]["pushes"] += 1
+    with pytest.raises(CheckpointError, match=r"replay/action is int32 \(51,\), "
+                                              r"expected int32 \(52,\)"):
         restore_training_state(ckpt)
 
 

@@ -180,50 +180,6 @@ def test_contents_are_gathered_only_when_read():
     assert peak < eager / 100, (peak, eager)
 
 
-def ring(mem):
-    return {"frames": mem.frames["ram"], "action": mem.action, "reward": mem.reward,
-            "terminal": mem.terminal, "start": mem.start}
-
-
-def test_arrays_hold_written_slots_and_restore_zeroes_the_rest():
-    mem = new_memory(capacity=10)
-    for tag in range(3):
-        push(mem, tag)
-    saved = {k: v.copy() for k, v in mem.arrays().items()}
-    assert {len(v) for v in saved.values()} == {4}  # pushes + 1 of 11 slots
-
-    other = new_memory(capacity=10, first=50)
-    for tag in range(50, 57):
-        push(other, tag)
-    other.restore(saved, 3)
-    assert other.pushes == 3
-    for name, arr in ring(other).items():
-        np.testing.assert_array_equal(arr, ring(mem)[name], err_msg=name)
-    assert rows(other.contents()[:]) == rows(mem.contents()[:])
-
-
-def test_arrays_of_a_wrapped_ring_hold_every_slot():
-    mem = new_memory(capacity=5)
-    for tag in range(9):
-        push(mem, tag)
-    saved = mem.arrays()
-    assert {len(v) for v in saved.values()} == {6}
-    other = new_memory(capacity=5)
-    other.restore(saved, 9)
-    assert rows(other.contents()[:]) == rows(mem.contents()[:])
-
-
-def test_restore_requires_exactly_the_written_slots():
-    mem = new_memory(capacity=10)
-    for tag in range(3):
-        push(mem, tag)
-    whole = {k: np.zeros((11,) + v.shape[1:], v.dtype) for k, v in mem.arrays().items()}
-    with pytest.raises(ValueError, match="has shape"):
-        new_memory(capacity=10).restore(whole, 3)  # the whole ring, unwrapped
-    with pytest.raises(ValueError, match="has shape"):
-        new_memory(capacity=10).restore(mem.arrays(), 4)
-
-
 def test_observation_streams_must_match():
     mem = new_memory(capacity=4)
     push(mem, 0)

@@ -8,6 +8,12 @@ parameters as `network_from_checkpoint` loads them, each array's bytes in the
 network's dtype, in layer order.  It does not depend on the file format, so
 a change of format shows that the parameters stayed bitwise equal.
 
+Each wrapping run's settings also get two in-process lines that pin the
+resume path: `replay.ckpt`, the digest of `checkpoint_save(...,
+include_replay=True)` after one training epoch on the 137-transition ring,
+and `replay.ckpt:resumed`, that of the checkpoint saved again from the state
+`restore_training_state` rebuilds from it.
+
 A change that must keep the arithmetic as it is shows it by giving the same
 lines as its parent commit; two runs of one commit must always agree.
 
@@ -55,10 +61,36 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def file_digest(path):
+    with open(path, "rb") as f:
+        return digest(f.read())
+
+
+def replay_digests(env, arch, out):
+    """sha256 of a checkpoint with its replay ring, saved after one epoch of
+    `train` at the WRAPPING settings, and of the one saved again after
+    `restore_training_state` read it back."""
+    from dataclasses import fields
+
+    from ramdqn.agents import HyperParams
+    from ramdqn.cli import build_parser
+    from ramdqn.harness import (ExperimentConfig, TrainingState, checkpoint_load,
+                                checkpoint_save, restore_training_state, run_training_epoch)
+    args = build_parser().parse_args(["train", "--env", env, "--arch", arch, *WRAPPING])
+    hyper = HyperParams(**{f.name: getattr(args, f.name) for f in fields(HyperParams)})
+    state = TrainingState(ExperimentConfig(env, arch, hyper, seed=args.seed))
+    run_training_epoch(state, hyper.steps_per_epoch)
+    path = os.path.join(out, "replay.ckpt")
+    checkpoint_save(state, path, include_replay=True)
+    saved = file_digest(path)
+    checkpoint_save(restore_training_state(checkpoint_load(path)), path, include_replay=True)
+    return saved, file_digest(path)
+
+
 def params_digest(path):
     """sha256 of the parameters that `network_from_checkpoint` loads from `path`."""
     from ramdqn.harness import checkpoint_load, network_from_checkpoint
-    net, _, _ = network_from_checkpoint(checkpoint_load(path))
+    net = network_from_checkpoint(checkpoint_load(path))[0]  # (net, ...) at every commit
     h = hashlib.sha256()
     for p in net.params:
         for key in sorted(p or {}):
@@ -76,8 +108,7 @@ def main():
             lines = {"train.stdout": digest(ramdqn("train", "--env", env, "--arch", arch,
                                                    "--out", out, *settings))}
             for file in ("curve.csv", "last.ckpt", "best.ckpt"):
-                with open(os.path.join(out, file), "rb") as f:
-                    lines[file] = digest(f.read())
+                lines[file] = file_digest(os.path.join(out, file))
             for file in ("last.ckpt", "best.ckpt"):
                 lines[f"{file}:params"] = params_digest(os.path.join(out, file))
             if evaluate:
@@ -85,6 +116,8 @@ def main():
                 lines["eval.stdout"] = digest(ramdqn("eval", "--checkpoint", best, *EVAL))
                 lines["eval-epsilon.stdout"] = digest(ramdqn("eval", "--checkpoint", best,
                                                              *EVAL_EPSILON))
+            if settings is WRAPPING:
+                lines["replay.ckpt"], lines["replay.ckpt:resumed"] = replay_digests(env, arch, out)
             for file, sha in lines.items():
                 print(f"{sha}  {name}/{file}", flush=True)
 
