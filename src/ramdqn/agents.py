@@ -12,9 +12,13 @@ from .envs import RAM_SIZE
 from .optim import q_loss_grad, rmsprop_step
 from .tensor_core import LayerSpec, ShapeError, Workspace, backward, forward, make_network
 
-# Each architecture and the input streams it reads.
-ARCHITECTURES = {"just_ram": ("ram",), "big_ram": ("ram",), "nips": ("screen",),
-                 "mixed_ram": ("ram", "screen"), "big_mixed_ram": ("ram", "screen")}
+# Each architecture as (ram, screen, head): the rectified dense widths of the
+# RAM tower, of the screen tower after its convolutions, and of the head after
+# the towers' concat.  None marks a stream the network does not read; an empty
+# RAM tower feeds the scaled RAM straight to the concat.
+ARCHITECTURES = {"just_ram": ((128, 128), None, ()), "big_ram": ((128,) * 4, None, ()),
+                 "nips": (None, (256,), ()), "mixed_ram": ((), (256,), ()),
+                 "big_mixed_ram": ((128, 128), (256,), (256,))}
 
 # (filters, kernel, stride) per conv layer; the full-scale pair is inherited
 # from the benchmark lineage, the micro pair keeps tiny screens viable.
@@ -83,29 +87,33 @@ def _conv_plan(screen_shape):
     """Full-scale conv hyperparameters when they fit, micro ones otherwise."""
     for plan in (CONV_FULL, CONV_MICRO):
         h, w = screen_shape
-        ok = True
         for _, k, s in plan:
             if k > h or k > w:
-                ok = False
                 break
             h, w = (h - k) // s + 1, (w - k) // s + 1
-        if ok and h >= 1 and w >= 1:
+        else:
             return plan
     raise ShapeError(f"screen {screen_shape} too small for any conv plan")
 
 
+def input_shapes(screen_shape, phi_length):
+    """The per-sample shape of each input stream: the RAM bytes, and a
+    phi_length-frame stack of (H, W) screens."""
+    return {"ram": (RAM_SIZE,), "screen": (phi_length,) + tuple(screen_shape)}
+
+
 def build_architecture(name, output_dim, screen_shape=None, phi_length=4,
                        dropout_p=0.0, rng=None, dtype=np.float32):
-    """Build one of the five network architectures.
+    """Build one of the five network architectures from its ARCHITECTURES row.
 
     Dropout (when enabled) follows every hidden layer but never the output.
     screen_shape is the (H, W) of a single frame; screen networks receive a
     phi_length-channel stack.
     """
-    streams = ARCHITECTURES.get(name)
-    if streams is None:
+    if name not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {name!r}")
-    if "screen" in streams and screen_shape is None:
+    ram, screen, head = ARCHITECTURES[name]
+    if screen is not None and screen_shape is None:
         raise ValueError(f"{name} needs a screen_shape")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -116,52 +124,30 @@ def build_architecture(name, output_dim, screen_shape=None, phi_length=4,
         specs.append(spec)
         return len(specs) - 1
 
-    def hidden(spec):
-        idx = add(spec)
+    def hidden(ref, **layer):
+        idx = add(LayerSpec(activation="rectify", input_refs=(ref,), **layer))
         if dropout_p > 0.0:
             idx = add(LayerSpec(kind="dropout", drop_p=dropout_p, input_refs=(idx,)))
         return idx
 
-    ram_idx = screen_tail = None
-    if "ram" in streams:
-        ram_idx = add(LayerSpec(kind="input", stream="ram", shape=(RAM_SIZE,)))
-    if "screen" in streams:
-        s_in = add(LayerSpec(kind="input", stream="screen",
-                             shape=(phi_length,) + tuple(screen_shape)))
-        prev = s_in
+    def dense_tower(ref, widths):
+        for units in widths:
+            ref = hidden(ref, kind="dense", units=units)
+        return ref
+
+    shapes = input_shapes(screen_shape or (), phi_length)
+    tails = {stream: add(LayerSpec(kind="input", stream=stream, shape=shapes[stream]))
+             for stream, widths in (("ram", ram), ("screen", screen)) if widths is not None}
+    if screen is not None:
+        ref = tails["screen"]
         for filters, kernel, stride in _conv_plan(screen_shape):
-            prev = hidden(LayerSpec(kind="conv2d", activation="rectify",
-                                    filters=filters, kernel=kernel, stride=stride,
-                                    input_refs=(prev,)))
-        screen_tail = prev
-
-    def dense(units, ref):
-        return hidden(LayerSpec(kind="dense", activation="rectify",
-                                units=units, input_refs=(ref,)))
-
-    def out(ref):
-        add(LayerSpec(kind="dense", activation="none",
-                      units=output_dim, input_refs=(ref,)))
-
-    if name == "just_ram":
-        out(dense(128, dense(128, ram_idx)))
-    elif name == "big_ram":
-        h = ram_idx
-        for _ in range(4):
-            h = dense(128, h)
-        out(h)
-    elif name == "nips":
-        out(dense(256, screen_tail))
-    elif name == "mixed_ram":
-        h = dense(256, screen_tail)
-        cat = add(LayerSpec(kind="concat", input_refs=(h, ram_idx)))
-        out(cat)
-    else:  # big_mixed_ram
-        h1 = dense(256, screen_tail)
-        h3 = dense(128, dense(128, ram_idx))
-        cat = add(LayerSpec(kind="concat", input_refs=(h1, h3)))
-        out(dense(256, cat))
-
+            ref = hidden(ref, kind="conv2d", filters=filters, kernel=kernel, stride=stride)
+        tails["screen"] = dense_tower(ref, screen)
+    if ram is not None:
+        tails["ram"] = dense_tower(tails["ram"], ram)
+    ref = (add(LayerSpec(kind="concat", input_refs=(tails["screen"], tails["ram"])))
+           if len(tails) == 2 else next(iter(tails.values())))
+    add(LayerSpec(kind="dense", units=output_dim, input_refs=(dense_tower(ref, head),)))
     return make_network(specs, rng, dtype=dtype)
 
 

@@ -82,8 +82,9 @@ def cmd_train(args):
     received = signal.SIGINT  # the signal that interrupts the run
 
     def progress(report):
+        flag = " (truncated)" if report.truncated else ""
         print(f"epoch {report.epoch}: avg_score={report.avg_score:.3f} "
-              f"episodes={report.episodes} mean_loss={report.mean_loss:.6f}",
+              f"episodes={report.episodes} mean_loss={report.mean_loss:.6f}{flag}",
               file=sys.stderr)
 
     def terminate(signum, frame):

@@ -287,19 +287,12 @@ class MicroBreakout(MicroGame):
         ram[1] = self.ball_x
         ram[2] = self.ball_y
         ram[3] = self._velocity_code()
-        for row in range(3):
-            lo = sum(self.bricks[row][c] << c for c in range(8))
-            hi = sum(self.bricks[row][c + 8] << c for c in range(8))
-            ram[4 + 2 * row] = lo
-            ram[5 + 2 * row] = hi
+        ram[4:10] = np.packbits(np.array(self.bricks, np.uint8), bitorder="little")
         ram[10] = self.score % 256
 
     def _render(self):
         screen = np.zeros(self.screen_shape, dtype=np.uint8)
-        for row, y in enumerate(self.brick_rows):
-            for c in range(16):
-                if self.bricks[row][c]:
-                    screen[y, c] = 96
+        screen[self.brick_rows, :16] = np.multiply(self.bricks, 96)
         screen[19, self.paddle - 1 : self.paddle + 2] = 160
         screen[min(self.ball_y, 19), self.ball_x] = 255
         return screen

@@ -18,10 +18,11 @@ from .agents import (
     HyperParams,
     build_architecture,
     epsilon_at,
+    input_shapes,
     select_action,
     train_step,
 )
-from .envs import ENV_REGISTRY, RAM_SIZE, PhiBuffer, frame_skip_step, make_env, scale_ram
+from .envs import ENV_REGISTRY, PhiBuffer, frame_skip_step, make_env, scale_ram
 from .optim import rmsprop_state_for
 from .replay import ReplayMemory
 from .tensor_core import ShapeError, Workspace
@@ -216,7 +217,7 @@ def _check_fit(net, env, hyper):
     if net.output_dim != env.action_count:
         raise ValueError(f"the network has {net.output_dim} outputs, but {env.name} "
                          f"has {env.action_count} actions")
-    given = {"ram": (RAM_SIZE,), "screen": (hyper.phi_length,) + tuple(env.screen_shape)}
+    given = input_shapes(env.screen_shape, hyper.phi_length)
     for stream, i in net.input_streams.items():
         if net.out_shapes[i] != given[stream]:
             raise ValueError(f"the network's {stream} input is {net.out_shapes[i]}, "

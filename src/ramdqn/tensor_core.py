@@ -430,7 +430,10 @@ def gradient_check(net, inputs, step=1e-5, probes=100, rng=None):
     standard normal direction drawn from `rng`.  Samples `probes` random
     parameter coordinates and returns the worst relative error
     |bp - fd| / max(|bp|, |fd|, 1), or NaN as soon as a probed gradient or
-    finite difference is not finite.
+    finite difference is not finite.  A coordinate whose +-step window holds a
+    rectifier kink is skipped and another drawn, up to 20 * probes draws; if
+    fewer than `probes` coordinates could be checked, the result is NaN, so a
+    check that compared too little never reads as a match.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -481,4 +484,4 @@ def gradient_check(net, inputs, step=1e-5, probes=100, rng=None):
             return float("nan")
         worst = max(worst, err)
         checked += 1
-    return worst
+    return worst if checked == probes else float("nan")

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -96,6 +98,23 @@ def test_big_mixed_ram_concat_width():
 def test_screen_shape_required_for_screen_nets():
     with pytest.raises(ValueError):
         build_architecture("nips", 4)
+
+
+# Captured from the five hand-written builders that ARCHITECTURES replaced:
+# any change of a network's layers, references, dropout placement, shapes or
+# weight draws fails here.
+PINNED_NETWORKS = "12b8a7c4d7a395142ba1cd40790313b9"
+
+
+def test_every_built_network_matches_the_pinned_digest():
+    h = hashlib.sha256()
+    for arch, dropout_p, screen in itertools.product(
+            agents.ARCHITECTURES, (0.0, 0.25), ((16, 16), (20, 16), (20, 20), (32, 32))):
+        net = build_architecture(arch, 5, screen_shape=screen, phi_length=3,
+                                 dropout_p=dropout_p, rng=np.random.default_rng(7))
+        h.update(repr((net.layers, net.out_shapes, net.input_streams)).encode())
+        h.update(net.flat.tobytes())
+    assert h.hexdigest()[:32] == PINNED_NETWORKS
 
 
 def test_hyper_rejects_replay_smaller_than_minibatch():

@@ -42,6 +42,22 @@ def test_train_writes_csv_rows(tmp_path, capsys):
     assert "best epoch" in capsys.readouterr().out
 
 
+def test_train_progress_flags_a_truncated_test_period(tmp_path, capsys):
+    # Three test actions end no episode of micro_breakout, so the epoch's
+    # score is the one unfinished episode's, as eval flags it too.
+    out = tmp_path / "run"
+    assert main(["train", "--env", "micro_breakout", "--arch", "just_ram", "--out", str(out),
+                 "--epochs", "1", "--steps-per-epoch", "20", "--test-steps", "3",
+                 "--frame-skip", "1", "--seed", "3"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("epoch 1: avg_score=0.000 episodes=1 ")
+    assert err.endswith(" (truncated)\n")
+    assert main(["eval", "--checkpoint", str(out / "last.ckpt"), "--steps", "3"]) == 0
+    assert capsys.readouterr().out.endswith(" (truncated)\n")
+    run_train(tmp_path)  # its test periods end episodes
+    assert "truncated" not in capsys.readouterr().err
+
+
 def test_train_nonfinite_loss_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "train_step", lambda *args: float("nan"))
     rc, out = run_train(tmp_path)

@@ -535,6 +535,17 @@ def test_gradient_check_reports_nan_backward(monkeypatch):
     assert np.isnan(err)
 
 
+def test_gradient_check_reports_nan_when_every_probe_sits_on_a_kink():
+    # All-zero weights put every rectifier input at 0 for every parameter, so
+    # every probe is skipped: nothing was compared, which must not read as 0.0.
+    specs = [LayerSpec(kind="input", stream="ram", shape=(3,)),
+             LayerSpec(kind="dense", units=2, activation="rectify", input_refs=(0,))]
+    net = make_network(specs, np.random.default_rng(0), dtype=np.float64)
+    net.flat[:] = 0.0
+    err = gradient_check(net, {"ram": np.ones((2, 3))}, probes=50)
+    assert np.isnan(err)
+
+
 def test_gradient_check_big_mixed_ram_32bit():
     rng = np.random.default_rng(6)
     net = build_architecture("big_mixed_ram", 6, screen_shape=(32, 32),

@@ -2,6 +2,8 @@
 print the sha256 of every output, one `sha256  run/file` line each.  Each
 short run's `best.ckpt` is evaluated twice: at the default test epsilon
 (`eval.stdout`) and at `--epsilon 0.5` (`eval-epsilon.stdout`).
+A further short run, of micro_diver big_mixed_ram with `--dropout 0.25`,
+printed last, pins the dropout layers' draws.
 
 Each checkpoint also gets a `sha256  run/file:params` line: the digest of the
 parameters as `network_from_checkpoint` loads them, each array's bytes in the
@@ -102,6 +104,8 @@ def main():
     sys.path.insert(0, SRC)
     runs = [(f"{env}-{arch}", env, arch, SHORT, True) for env, arch in PAIRS]
     runs += [(f"{env}-{arch}-wrapping", env, arch, WRAPPING, False) for env, arch in PAIRS]
+    runs.append(("micro_diver-big_mixed_ram-dropout", "micro_diver", "big_mixed_ram",
+                 SHORT + ("--dropout", "0.25"), True))
     with tempfile.TemporaryDirectory() as tmp:
         for name, env, arch, settings, evaluate in runs:
             out = os.path.join(tmp, name)
