@@ -20,6 +20,7 @@ from .harness import (
     network_from_checkpoint,
     run_experiment,
     run_test_period,
+    write_atomically,
 )
 from .tensor_core import gradient_check
 
@@ -46,9 +47,7 @@ def write_weight_heatmap(weights, path):
         scaled = w / maxabs
         rgb[..., 0] = np.where(scaled > 0, np.rint(255.0 * scaled), 0).astype(np.uint8)
         rgb[..., 2] = np.where(scaled < 0, np.rint(255.0 * -scaled), 0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{cols} {rows}\n255\n".encode())
-        f.write(rgb.tobytes())
+    write_atomically(path, [f"P6\n{cols} {rows}\n255\n".encode(), rgb.data])
 
 
 def _ram_first_dense_weights(net):

@@ -411,9 +411,10 @@ def make_env(name):
 
 def frame_skip_step(env, action, k):
     """Repeat `action` for k frames (or until terminal): (summed reward,
-    terminal).  The frames in between are never observed."""
-    if k < 1:
-        raise ValueError("frame skip must be >= 1")
+    terminal).  The frames in between are never observed.  A `k` that is not
+    an int or numpy integer >= 1 (a bool is neither) raises ValueError."""
+    if type(k) is not int and not isinstance(k, np.integer) or k < 1:
+        raise ValueError(f"frame skip must be an integer >= 1, got {k!r}")
     total = 0.0
     for _ in range(k):
         reward, terminal = env.step(action)

@@ -50,7 +50,7 @@ class EpochReport:
     truncated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)  # set once, so that what __post_init__ checked holds
 class ExperimentConfig:
     env_name: str
     arch: str
@@ -271,23 +271,35 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
                        mean_loss=mean_loss, truncated=True)
 
 
+def write_atomically(path, chunks):
+    """Write the byte chunks to `<path>.tmp` and rename it over `path`: a failed
+    write raises OSError, leaves no `.tmp` and keeps the previous `path` whole."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
 def write_curve_csv(path, reports):
     lines = ["epoch,avg_score,episodes,steps,mean_loss"]
     for r in reports:
         lines.append(f"{r.epoch},{r.avg_score:.6f},{r.episodes},{r.steps},{r.mean_loss:.6f}")
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomically(path, ["\n".join(lines).encode() + b"\n"])
 
 
 def run_experiment(config, out_dir, progress=None):
     """Full protocol: epochs x (train epoch, test period), written into
-    `out_dir` (made if missing): `last.ckpt` and `best.ckpt` after each
-    epoch, `curve.csv` after the last.
+    `out_dir` (made if missing): after each epoch `last.ckpt`, `best.ckpt` if
+    the epoch is the best so far, then `curve.csv` of every epoch done.
 
     Returns (reports, best): `best` is the epoch with the highest average
     score, ties going to the earliest, whose state `best.ckpt` holds.  A
     non-finite test score raises TrainingError before the epoch's
-    checkpoints and the CSV are written.
+    checkpoints and curve row are written.
     """
     state = TrainingState(config)
     os.makedirs(out_dir, exist_ok=True)
@@ -307,9 +319,9 @@ def run_experiment(config, out_dir, progress=None):
         checkpoint_save(state, os.path.join(out_dir, "last.ckpt"))
         if improved:
             checkpoint_save(state, os.path.join(out_dir, "best.ckpt"))
+        write_curve_csv(os.path.join(out_dir, "curve.csv"), reports)
         if progress is not None:
             progress(report)
-    write_curve_csv(os.path.join(out_dir, "curve.csv"), reports)
     return reports, best
 
 
@@ -318,29 +330,6 @@ def run_experiment(config, out_dir, progress=None):
 # arrays in the order listed by the header, each little-endian in the dtype
 # its header entry names, one of:
 CHECKPOINT_DTYPES = ("<f4", "<f8", "<i4", "|u1", "|b1")
-
-
-def _write_array(f, arr):
-    f.write(struct.pack("<Q", arr.size))
-    f.write(arr.tobytes())
-
-
-def _read_array(f, shape, dtype):
-    raw = f.read(8)
-    if len(raw) != 8:
-        raise CheckpointError("corrupt checkpoint: truncated array header")
-    (count,) = struct.unpack("<Q", raw)
-    expected = math.prod(shape)  # exact: a crafted shape must not wrap around
-    if count != expected:
-        raise CheckpointError(
-            f"corrupt checkpoint: array has {count} elements, expected {expected}")
-    nbytes = np.dtype(dtype).itemsize * count
-    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
-        raise CheckpointError("corrupt checkpoint: truncated array data")
-    try:
-        return np.frombuffer(f.read(nbytes), dtype=dtype).reshape(shape)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"corrupt checkpoint: bad array shape {list(shape)}") from e
 
 
 def _header(state, include_replay):
@@ -372,61 +361,67 @@ def checkpoint_save(state, path, include_replay=False):
     header["arrays"] = [{"name": name, "shape": list(a.shape), "dtype": a.dtype.str}
                         for name, a in arrays.items()]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    # Written beside `path` and renamed over it, so a failed save leaves the
-    # previous checkpoint whole.
-    tmp = f"{os.fspath(path)}.tmp"
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob]
+    for a in arrays.values():  # each array's own buffer: no copy
+        chunks += [struct.pack("<Q", a.size), a.data]
     try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<Q", len(blob)))
-            f.write(blob)
-            for arr in arrays.values():
-                _write_array(f, arr)
-        os.replace(tmp, path)
+        write_atomically(path, chunks)
     except OSError as e:
         raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
 
 
 def checkpoint_load(path):
-    """Read a checkpoint into {'header': dict, 'arrays': name -> array}, each
-    array in the dtype it was saved in (read-only).  A file of another
-    format version, or one that does not parse, raises CheckpointError."""
+    """Read a checkpoint into {'header': dict, 'arrays': name -> array}, each array
+    a read-only view of the file's bytes in its saved dtype.  A file of another format
+    version, one that does not parse, or one with bytes past its arrays raises CheckpointError."""
     try:
-        f = open(path, "rb")
+        with open(path, "rb") as f:
+            raw = memoryview(f.read())
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    with f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError("corrupt checkpoint: bad magic")
-        raw = f.read(8)
-        if len(raw) != 8:
-            raise CheckpointError("corrupt checkpoint: truncated header length")
-        (hlen,) = struct.unpack("<Q", raw)
-        if hlen > os.fstat(f.fileno()).st_size - f.tell():  # read() would allocate hlen
-            raise CheckpointError("corrupt checkpoint: truncated header")
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise CheckpointError(f"corrupt checkpoint: truncated {what}")
+        pos += n
+        return raw[pos - n:pos]
+
+    if take(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
+        raise CheckpointError("corrupt checkpoint: bad magic")
+    (hlen,) = struct.unpack("<Q", take(8, "header length"))
+    try:
+        header = json.loads(bytes(take(hlen, "header")))
+    except ValueError as e:
+        raise CheckpointError("corrupt checkpoint: bad header") from e
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint: bad header")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}: "
+                              f"only version {CHECKPOINT_VERSION} can be read")
+    if not isinstance(header.get("arrays"), list):
+        raise CheckpointError("corrupt checkpoint: header has no array list")
+    arrays = {}
+    for entry in header["arrays"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(n, int) for n in entry["shape"])
+                and entry.get("dtype") in CHECKPOINT_DTYPES):
+            raise CheckpointError(f"corrupt checkpoint: bad array entry {entry!r}")
+        shape, dtype = entry["shape"], np.dtype(entry["dtype"])
+        (count,) = struct.unpack("<Q", take(8, "array header"))
+        expected = math.prod(shape)  # exact: a crafted shape must not wrap around
+        if count != expected:
+            raise CheckpointError(
+                f"corrupt checkpoint: array has {count} elements, expected {expected}")
+        data = take(dtype.itemsize * count, "array data")
         try:
-            header = json.loads(f.read(hlen))
-        except ValueError as e:
-            raise CheckpointError("corrupt checkpoint: bad header") from e
-        if not isinstance(header, dict):
-            raise CheckpointError("corrupt checkpoint: bad header")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}: "
-                                  f"only version {CHECKPOINT_VERSION} can be read")
-        if not isinstance(header.get("arrays"), list):
-            raise CheckpointError("corrupt checkpoint: header has no array list")
-        arrays = {}
-        for entry in header["arrays"]:
-            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                    and isinstance(entry.get("shape"), list)
-                    and all(isinstance(n, int) for n in entry["shape"])
-                    and entry.get("dtype") in CHECKPOINT_DTYPES):
-                raise CheckpointError(f"corrupt checkpoint: bad array entry {entry!r}")
-            arrays[entry["name"]] = _read_array(f, tuple(entry["shape"]), entry["dtype"])
+            arrays[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape)
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"corrupt checkpoint: bad array shape {shape}") from e
+    if pos != len(raw):
+        raise CheckpointError("corrupt checkpoint: bytes after the last array")
     return {"header": header, "arrays": arrays}
 
 

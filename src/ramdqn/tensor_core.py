@@ -433,10 +433,13 @@ def gradient_check(net, inputs, step=1e-5, probes=100, rng=None):
     finite difference is not finite.  A coordinate whose +-step window holds a
     rectifier kink is skipped and another drawn, up to 20 * probes draws; if
     fewer than `probes` coordinates could be checked, the result is NaN, so a
-    check that compared too little never reads as a match.
+    check that compared too little never reads as a match.  A `probes` that
+    is not an int >= 1 raises ValueError.
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if type(probes) is not int or probes < 1:
+        raise ValueError(f"probes must be an integer >= 1, got {probes!r}")
     rng = np.random.default_rng(0) if rng is None else rng
     probe = rng.standard_normal(net.output_dim)
 

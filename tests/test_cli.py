@@ -82,6 +82,8 @@ def test_train_nonfinite_test_score_exit_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)])
 def test_train_interrupted_in_epoch_2(tmp_path, capsys, monkeypatch, signum, code):
+    _, full = run_train(tmp_path, sub="full", extra=("--epochs", "3"))
+    capsys.readouterr()
     real, calls = harness.run_training_epoch, []
     default_sigterm = signal.getsignal(signal.SIGTERM)
 
@@ -106,7 +108,9 @@ def test_train_interrupted_in_epoch_2(tmp_path, capsys, monkeypatch, signum, cod
     ckpt = checkpoint_load(out / "last.ckpt")
     assert ckpt["header"]["counters"]["epochs_done"] == 1
     network_from_checkpoint(ckpt)
-    assert not (out / "curve.csv").exists()
+    # The curve holds the completed epoch's row, as the uninterrupted run wrote it.
+    lines = (full / "curve.csv").read_bytes().splitlines(keepends=True)
+    assert (out / "curve.csv").read_bytes() == b"".join(lines[:2])
 
 
 def test_train_interrupted_after_last_ckpt_names_its_epoch(tmp_path, capsys, monkeypatch):
@@ -151,6 +155,19 @@ def test_train_interrupted_in_epoch_1_counts_no_earlier_runs_checkpoint(tmp_path
     assert run_train(tmp_path, extra=("--epochs", "3"))[0] == 130
     assert [line for line in capsys.readouterr().err.splitlines()
             if line.startswith("interrupted:")] == ["interrupted: last completed epoch 0 of 3"]
+
+
+def test_unwritable_output_exit_1(tmp_path, capsys):
+    # train cannot rename its curve over a directory; visualize cannot write
+    # into a directory that does not exist.
+    (tmp_path / "run" / "curve.csv").mkdir(parents=True)
+    assert run_train(tmp_path)[0] == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    heatmap = tmp_path / "missing" / "w.ppm"
+    assert main(["visualize", "--checkpoint", str(tmp_path / "run" / "last.ckpt"),
+                 "--out", str(heatmap)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path / "run")) == ["best.ckpt", "curve.csv", "last.ckpt"]
 
 
 def test_train_unknown_env_exit_2(tmp_path, capsys):

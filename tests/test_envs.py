@@ -366,6 +366,25 @@ def test_frame_skip_stops_at_terminal():
     assert reward == 2.0
 
 
+@pytest.mark.parametrize("k", [True, 2.5, 0, -1, "2"])
+def test_frame_skip_must_be_a_positive_integer(k):
+    # A bool is not a frame count, though True == 1; the game is left as it was.
+    env = make_env("micro_catch")
+    env.reset(0)
+    before = env.get_state()
+    with pytest.raises(ValueError, match="frame skip must be an integer >= 1"):
+        frame_skip_step(env, 0, k)
+    assert env.get_state() == before
+
+
+def test_frame_skip_accepts_a_numpy_integer():
+    a, b = make_env("micro_catch"), make_env("micro_catch")
+    a.reset(0)
+    b.reset(0)
+    assert frame_skip_step(a, 1, np.int64(3)) == frame_skip_step(b, 1, 3)
+    assert a.get_state() == b.get_state()
+
+
 def test_scale_ram_values():
     ram = np.zeros(128, dtype=np.uint8)
     ram[0], ram[1], ram[2] = 0, 128, 255

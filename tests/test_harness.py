@@ -4,7 +4,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ramdqn import harness
 from ramdqn.agents import HyperParams
-from ramdqn.cli import main
+from ramdqn.cli import main, write_weight_heatmap
 from ramdqn.envs import ENV_REGISTRY, MicroGame, PhiBuffer, make_env, scale_ram
 from ramdqn.harness import (
     CHECKPOINT_MAGIC,
@@ -236,6 +236,14 @@ def test_config_rejects_bad_epochs(epochs):
         small_config(epochs=epochs)
 
 
+def test_config_is_frozen():
+    # An assignment would bypass __post_init__: epochs=-3 would run no epoch.
+    config = small_config()
+    with pytest.raises(FrozenInstanceError):
+        config.epochs = -3
+    assert config.epochs == 2
+
+
 def test_run_experiment_single_epoch(tmp_path):
     reports, best = run_experiment(small_config(epochs=1), tmp_path)
     assert len(reports) == 1
@@ -297,25 +305,54 @@ def test_checkpoint_resume_reproduces_loss_sequence(tmp_path):
         assert continued == resumed
 
 
+class FullDisk:
+    """A file opened for writing that takes the first chunk, then runs out of room."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def writelines(self, chunks):
+        self.f.write(chunks[0])
+        raise OSError("disk full")
+
+
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    # Checkpoints, curves and heatmaps go through one writer: a write that
+    # fails half-way leaves the previous file whole and no `.tmp` beside it.
     state = TrainingState(small_config())
-    path = tmp_path / "ck.ckpt"
-    checkpoint_save(state, path)
-    before = path.read_bytes()
-    run_training_epoch(state, 30)
-    real, calls = harness._write_array, []
+    writers = {
+        "ck.ckpt": (lambda path: checkpoint_save(state, path), CheckpointError),
+        "curve.csv": (lambda path: write_curve_csv(path, [EpochReport(1, 1.5, 2, 100, 0.25)]),
+                      OSError),
+        "w.ppm": (lambda path: write_weight_heatmap(np.eye(4), path), OSError),
+    }
+    for name, (write, error) in writers.items():
+        path = tmp_path / name
+        write(path)
+        before = path.read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(harness, "open", FullDisk, raising=False)
+            with pytest.raises(error, match="disk full"):
+                write(path)
+        assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == sorted(writers)
 
-    def fail_second_call(f, arr):
-        calls.append(arr)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        real(f, arr)
 
-    monkeypatch.setattr(harness, "_write_array", fail_second_call)
-    with pytest.raises(CheckpointError, match="disk full"):
-        checkpoint_save(state, path)
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["ck.ckpt"]
+def test_checkpoint_with_bytes_after_the_last_array_is_refused(tmp_path, capsys):
+    path = tmp_path / "long.ckpt"
+    checkpoint_save(TrainingState(small_config()), path)
+    with open(path, "ab") as f:
+        f.write(b"\x00" * 700)
+    with pytest.raises(CheckpointError, match="bytes after the last array"):
+        checkpoint_load(path)
+    assert main(["eval", "--checkpoint", str(path), "--steps", "10"]) == 1
+    assert capsys.readouterr().err == "error: corrupt checkpoint: bytes after the last array\n"
 
 
 def test_checkpoint_truncated_file(tmp_path):

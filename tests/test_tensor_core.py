@@ -546,6 +546,16 @@ def test_gradient_check_reports_nan_when_every_probe_sits_on_a_kink():
     assert np.isnan(err)
 
 
+@pytest.mark.parametrize("probes", [0, -5, 2.0, True])
+def test_gradient_check_refuses_a_probe_count_below_one(probes):
+    # Checking no coordinate must not read as a perfect match of 0.0.
+    specs = [LayerSpec(kind="input", stream="ram", shape=(1,)),
+             LayerSpec(kind="dense", units=1, bias=False, input_refs=(0,))]
+    net = make_network(specs, np.random.default_rng(0), dtype=np.float64)
+    with pytest.raises(ValueError, match="probes must be an integer >= 1"):
+        gradient_check(net, {"ram": np.array([[3.0]])}, probes=probes)
+
+
 def test_gradient_check_big_mixed_ram_32bit():
     rng = np.random.default_rng(6)
     net = build_architecture("big_mixed_ram", 6, screen_shape=(32, 32),

@@ -11,7 +11,9 @@ of them alike.  Each record holds the median and quartiles of every
 end-to-end metric that BENCHMARK.json declares, each run's value, the
 commit and source digest of the code that ran, and the machine facts that
 perfbench prints.  With two checkouts, the script also prints how many
-seeds the second won on each metric, and the ratio of the medians.
+seeds the second won on each metric, the ratio of the medians, and whether
+the second's median is worse than the first's by more than the metric's
+`bound` in BENCHMARK.json: by that share of the first's median.
 perfbench's own outputs go to each checkout's `.bench_build/`.
 """
 
@@ -86,16 +88,22 @@ def record(runs, checkout, seeds, seconds, metrics):
     }
 
 
-def compare(base, head, better):
-    """Per metric: the seeds `head` won on, and its median over `base`'s."""
-    for name, direction in better.items():
+def compare(base, head, metrics):
+    """Per metric: the seeds `head` won on, its median over `base`'s, and
+    whether it is worse than `base`'s by more than the metric's `bound`."""
+    for name, spec in metrics.items():
+        direction, bound = spec["better"], spec["bound"]
         a, b = base["metrics"][name]["values"], head["metrics"][name]["values"]
         wins = sum((y > x) if direction == "higher" else (y < x) for x, y in zip(a, b))
-        ratio = head["metrics"][name]["median"] / base["metrics"][name]["median"]
-        print(f"{name}: {wins}/{len(a)} seeds better, median ratio {ratio:.4f}, "
-              f"medians {base['metrics'][name]['median']:.6g} -> "
-              f"{head['metrics'][name]['median']:.6g}, first checkout's interquartile "
-              f"range {base['metrics'][name]['q3'] - base['metrics'][name]['q1']:.4g}")
+        base_median, head_median = base["metrics"][name]["median"], head["metrics"][name]["median"]
+        # How much worse head's median is, as a share of base's; negative when better.
+        worse = (head_median - base_median) / base_median * (-1 if direction == "higher" else 1)
+        print(f"{name}: {wins}/{len(a)} seeds better, median ratio "
+              f"{head_median / base_median:.4f}, medians {base_median:.6g} -> "
+              f"{head_median:.6g}, first checkout's interquartile "
+              f"range {base['metrics'][name]['q3'] - base['metrics'][name]['q1']:.4g}, "
+              f"{'PAST' if worse > bound else 'within'} its bound: "
+              f"{worse:+.1%} worse against {bound:.0%}")
 
 
 def main():
@@ -109,7 +117,7 @@ def main():
     args = parser.parse_args()
     checkouts = [os.path.abspath(c) for c in args.checkout] or [ROOT]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(f)["end_to_end"]}
 
     runs = {c: [] for c in checkouts}
     for n, seed in enumerate(args.seeds):
@@ -118,7 +126,7 @@ def main():
             result = runs[checkout][-1][0]
             print(f"seed {seed} {checkout}: " + ", ".join(
                 f"{name} {m['value']:.6g}" for name, m in result["metrics"].items()), flush=True)
-    records = [record(runs[c], c, args.seeds, args.seconds, better) for c in checkouts]
+    records = [record(runs[c], c, args.seeds, args.seconds, metrics) for c in checkouts]
 
     out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
     try:
@@ -132,7 +140,7 @@ def main():
         f.write("\n")
     os.replace(out + ".tmp", out)
     if len(records) == 2:
-        compare(records[0], records[1], better)
+        compare(records[0], records[1], metrics)
     return 0 if all(r["correct"] for r in records) else 1
 
 
