@@ -30,6 +30,7 @@ from .agents import (
     build_architecture,
     compute_targets,
     epsilon_at,
+    greedy_action,
     select_action,
     train_step,
 )

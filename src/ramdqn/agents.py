@@ -151,18 +151,21 @@ def build_architecture(name, output_dim, screen_shape=None, phi_length=4,
     return make_network(specs, rng, dtype=dtype)
 
 
-def select_action(net, observation_inputs, epsilon, rng):
-    """Epsilon-greedy over Q(observation), one of the network's
-    `output_dim` actions; argmax ties break to lowest index.
-    `observation_inputs` is the network's inputs for one observation, or a
-    function returning them, called only for a greedy action."""
+def select_action(net, greedy, epsilon, rng):
+    """Epsilon-greedy: one of the network's `output_dim` actions uniformly
+    with probability `epsilon`, else `greedy()`, which returns the greedy
+    action and is called only then."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
         return int(rng.integers(net.output_dim))
-    if callable(observation_inputs):
-        observation_inputs = observation_inputs()
-    batch = {k: v[None, ...] for k, v in observation_inputs.items()}
+    return greedy()
+
+
+def greedy_action(net, inputs):
+    """argmax_a Q(inputs, a) for the network's inputs of one observation
+    (stream -> array); ties break to the lowest index."""
+    batch = {k: v[None, ...] for k, v in inputs.items()}
     acts = forward(net, batch, "eval", None, net.program.acting)
     return int(acts[net.terminal]["out"][0].argmax())
 

@@ -27,13 +27,20 @@ def scale_ram(raw):
     return out
 
 
+def check_count(name, value):
+    """Require `value` to be an int or numpy integer >= 1; anything else, a
+    bool too, raises ValueError naming it."""
+    if type(value) is not int and not isinstance(value, np.integer) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 class PhiBuffer:
     """Rolling window of the last `phi_length` screens as bytes, oldest
-    first; `stack` and `observe` give it as network inputs."""
+    first, in `frames`; `stack` gives it as network inputs.  A `phi_length`
+    that `check_count` refuses raises ValueError."""
 
     def __init__(self, phi_length=4):
-        if phi_length < 1:
-            raise ValueError("phi_length must be positive")
+        check_count("phi_length", phi_length)
         self.phi_length = phi_length
         self.frames = []
 
@@ -43,13 +50,13 @@ class PhiBuffer:
     def stack(self):
         if not self.frames:
             raise RuntimeError("PhiBuffer not initialized; call reset first")
-        return scale_ram(np.stack(self.frames))
+        return scale_ram(self.frames)  # np.asarray stacks them, faster than np.stack
 
     def observe(self, new_screen):
+        """Move the window on by one screen; no network inputs are built."""
         if not self.frames:
             raise RuntimeError("PhiBuffer not initialized; call reset first")
         self.frames = self.frames[1:] + [np.array(new_screen, dtype=np.uint8)]
-        return scale_ram(np.stack(self.frames))
 
 
 def _within(value, allowed):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from .agents import (
     HyperParams,
     build_architecture,
     epsilon_at,
+    greedy_action,
     input_shapes,
     select_action,
     train_step,
@@ -63,6 +65,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown environment {self.env_name!r}")
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
+        if not isinstance(self.hyper, HyperParams):
+            raise ValueError(f"hyper must be a HyperParams, got {self.hyper!r}")
         if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
         if type(self.seed) is not int or self.seed < 0:
@@ -195,9 +199,14 @@ def run_training_epoch(state, steps):
     hyper = state.hyper
     losses = []
     workspace = Workspace()  # freed with the epoch, for test periods and checkpoints to reuse
+    net, replay = state.net, state.replay
+
+    def greedy():
+        return greedy_action(net, replay.latest_state())
+
     for _ in range(steps):
         eps = epsilon_at(hyper, state.global_step)
-        action = select_action(state.net, state.replay.latest_state, eps, state.explore_rng)
+        action = select_action(net, greedy, eps, state.explore_rng)
         state._take_action(action)
         state.global_step += 1
         if len(state.replay) >= max(hyper.replay_start_size, hyper.minibatch_size):
@@ -234,6 +243,11 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
     truncated episode is reported and flagged.  A network whose outputs or
     inputs do not fit the game under `hyper` raises ValueError before the
     first step.
+
+    The network is frozen for the period, so the greedy action depends only
+    on the window it reads: the RAM bytes, then the screens of the frame
+    window.  Each window's action is computed once, and kept for this call
+    under a 16-byte digest of those bytes.
     """
     steps, epsilon = hyper.test_steps, hyper.test_epsilon
     env = make_env(env_name)
@@ -242,26 +256,37 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
     policy_rng = np.random.default_rng(policy_ss)
     episode = EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(env_ss))
     phi = PhiBuffer(hyper.phi_length)  # no replay here: the screens' own window
+    actions = {}  # window digest -> greedy action
 
-    def inputs(obs, fresh):
-        out = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
-        if "screen" in obs:
-            if fresh:
-                phi.reset(obs["screen"])
-            out["screen"] = phi.stack() if fresh else phi.observe(obs["screen"])
-        return out
+    def greedy():  # in the window of the current `obs`
+        ram = [obs["ram"]] if "ram" in obs else []
+        key = hashlib.blake2b(digest_size=16)
+        for part in ram + phi.frames:
+            key.update(part)
+        key = key.digest()
+        action = actions.get(key)
+        if action is None:
+            inputs = {"ram": scale_ram(ram[0])} if ram else {}
+            if phi.frames:
+                inputs["screen"] = phi.stack()
+            action = actions[key] = greedy_action(net, inputs)
+        return action
 
-    state = inputs(episode.begin(), fresh=True)
+    obs, terminal = episode.begin(), True
     episode_scores = []
     current = 0.0
     for _ in range(steps):
-        action = select_action(net, state, epsilon, policy_rng)
+        if "screen" in obs:
+            if terminal:  # `obs` starts an episode
+                phi.reset(obs["screen"])
+            else:
+                phi.observe(obs["screen"])
+        action = select_action(net, greedy, epsilon, policy_rng)
         reward, terminal, obs = episode.step(action)
         current += reward
         if terminal:
             episode_scores.append(current)
             current = 0.0
-        state = inputs(obs, fresh=terminal)
 
     if episode_scores:
         avg = sum(episode_scores) / len(episode_scores)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import scale_ram
+from .envs import check_count, scale_ram
 
 STACKED_STREAM = "screen"  # its states are the last phi_length frames
 
@@ -67,14 +67,13 @@ class ReplayMemory:
     `first_obs` (stream -> uint8 array) starts the first episode in slot 0
     and sets each stream's shape.  After that `push` is the only write: the
     next observation of a terminal transition is the next episode's first.
-    A `capacity` or `phi_length` that is not an int or numpy integer >= 1
-    (a bool is neither) raises ValueError.
+    A `capacity` or `phi_length` that `envs.check_count` refuses raises
+    ValueError.
     """
 
     def __init__(self, capacity, first_obs, *, phi_length=1):
-        for name, value in (("capacity", capacity), ("phi_length", phi_length)):
-            if type(value) is not int and not isinstance(value, np.integer) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_count("capacity", capacity)
+        check_count("phi_length", phi_length)
         self.capacity = capacity
         self.phi_length = phi_length
         self.pushes = 0

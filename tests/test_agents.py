@@ -16,6 +16,7 @@ from ramdqn.agents import (
     build_architecture,
     compute_targets,
     epsilon_at,
+    greedy_action,
     select_action,
     train_step,
 )
@@ -202,22 +203,25 @@ def fixed_q_net(q_values):
 def test_select_action_argmax():
     net = fixed_q_net([1.0, 3.0, 2.0])
     obs = {"ram": np.ones(3)}
-    a = select_action(net, obs, 0.0, np.random.default_rng(0))
+    a = select_action(net, lambda: greedy_action(net, obs), 0.0, np.random.default_rng(0))
     assert a == 1
 
 
 def test_select_action_tie_breaks_low():
     net = fixed_q_net([5.0, 5.0, 0.0])
-    a = select_action(net, {"ram": np.ones(3)}, 0.0, np.random.default_rng(0))
+    a = select_action(net, lambda: greedy_action(net, {"ram": np.ones(3)}), 0.0,
+                      np.random.default_rng(0))
     assert a == 0
 
 
 def test_select_action_constant_shift_invariance():
     base = [0.3, -1.2, 0.9, 0.1]
-    a1 = select_action(fixed_q_net(base), {"ram": np.ones(3)}, 0.0,
+    net1 = fixed_q_net(base)
+    a1 = select_action(net1, lambda: greedy_action(net1, {"ram": np.ones(3)}), 0.0,
                        np.random.default_rng(0))
     shifted = [v + 17.5 for v in base]
-    a2 = select_action(fixed_q_net(shifted), {"ram": np.ones(3)}, 0.0,
+    net2 = fixed_q_net(shifted)
+    a2 = select_action(net2, lambda: greedy_action(net2, {"ram": np.ones(3)}), 0.0,
                        np.random.default_rng(0))
     assert a1 == a2
 
@@ -229,7 +233,7 @@ def test_select_action_uniform_at_epsilon_one():
     counts = np.zeros(3)
     obs = {"ram": np.ones(3)}
     for _ in range(n):
-        counts[select_action(net, obs, 1.0, rng)] += 1
+        counts[select_action(net, lambda: greedy_action(net, obs), 1.0, rng)] += 1
     expected = n / 3
     sigma = np.sqrt(n * (1 / 3) * (2 / 3))
     assert np.all(np.abs(counts - expected) < 3 * sigma)
@@ -239,15 +243,16 @@ def test_select_action_builds_inputs_only_for_greedy_actions():
     net = fixed_q_net([1.0, 3.0, 2.0])
     built = []
 
-    def inputs():
+    def greedy_from_inputs():
         built.append(1)
-        return {"ram": np.ones(3)}
+        return greedy_action(net, {"ram": np.ones(3)})
 
+    best = greedy_action(net, {"ram": np.ones(3)})
     for epsilon, greedy in ((0.0, 200), (0.3, None), (1.0, 0)):
         lazy_rng, eager_rng = np.random.default_rng(11), np.random.default_rng(11)
         built.clear()
-        lazy = [select_action(net, inputs, epsilon, lazy_rng) for _ in range(200)]
-        eager = [select_action(net, {"ram": np.ones(3)}, epsilon, eager_rng) for _ in range(200)]
+        lazy = [select_action(net, greedy_from_inputs, epsilon, lazy_rng) for _ in range(200)]
+        eager = [select_action(net, lambda: best, epsilon, eager_rng) for _ in range(200)]
         assert lazy == eager  # the same rng draws, in the same order
         if greedy is None:  # replay the epsilon draws to count the greedy actions
             draws, greedy = np.random.default_rng(11), 0
@@ -550,8 +555,10 @@ def plain_q(net, inputs):
 @pytest.mark.parametrize("arch", agents.ARCHITECTURES)
 def test_test_period_actions_match_a_plain_layer_walk(arch, monkeypatch):
     # A 2,000-action test period acts through the network's program and its kept
-    # batch-1 workspace: every greedy action's Q-values must have the bits of a plain
-    # layer walk in new arrays, the way acting computed them before the program.
+    # batch-1 workspace: every forward's Q-values must have the bits of a plain
+    # layer walk in new arrays, the way acting computed them before the program,
+    # and its action their argmax.  A greedy action in a window seen before in
+    # the period runs no forward; test_harness checks that it is the kept one.
     env, hyper = make_env("micro_diver"), HyperParams(frame_skip=2, test_steps=2000)
     net = build_architecture(arch, env.action_count, screen_shape=env.screen_shape,
                              phi_length=hyper.phi_length, rng=np.random.default_rng(11))
@@ -564,17 +571,24 @@ def test_test_period_actions_match_a_plain_layer_walk(arch, monkeypatch):
                          acts[graph.terminal]["out"].copy()))
         return acts
 
-    def recording_select(*args):
-        before, action = len(forwards), real_select(*args)
-        picks.append((action, len(forwards) > before))
+    def recording_select(net, greedy, *args):
+        called = []
+
+        def recorded():
+            called.append(True)
+            return greedy()
+
+        before, action = len(forwards), real_select(net, recorded, *args)
+        picks.append((action, bool(called), len(forwards) > before))
         return action
 
     monkeypatch.setattr(agents, "forward", recording_forward)
     monkeypatch.setattr(harness, "select_action", recording_select)
     run_test_period(net, "micro_diver", hyper, seed=3)
-    greedy = [action for action, from_q in picks if from_q]
-    assert len(picks) == 2000 and len(greedy) == len(forwards) > 1800
-    for action, (inputs, q) in zip(greedy, forwards):
+    greedy = [action for action, is_greedy, _ in picks if is_greedy]
+    from_q = [action for action, _, ran_forward in picks if ran_forward]
+    assert len(picks) == 2000 and len(greedy) > 1800 and len(from_q) == len(forwards) > 0
+    for action, (inputs, q) in zip(from_q, forwards):
         want = plain_q(net, inputs)
         assert q.tobytes() == want.tobytes()
         assert action == int(np.argmax(want[0]))

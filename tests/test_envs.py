@@ -409,9 +409,9 @@ def test_phi_buffer_fifo():
     buf = PhiBuffer(4)
     frames = [np.full((2, 2), i, dtype=np.uint8) for i in range(1, 6)]
     buf.reset(frames[0])
-    stack = None
     for f in frames[1:]:
-        stack = buf.observe(f)
+        assert buf.observe(f) is None  # the window moves on; no inputs are built
+    stack = buf.stack()
     for plane, f in zip(stack, frames[1:]):
         np.testing.assert_array_equal(plane, f / 256.0)
 
@@ -419,8 +419,21 @@ def test_phi_buffer_fifo():
 def test_phi_buffer_scales_by_256():
     buf = PhiBuffer(2)
     buf.reset(np.zeros((2, 2), dtype=np.uint8))
-    stack = buf.observe(np.full((2, 2), 255, dtype=np.uint8))
-    assert stack[-1][0, 0] == np.float32(255 / 256)
+    buf.observe(np.full((2, 2), 255, dtype=np.uint8))
+    assert buf.stack()[-1][0, 0] == np.float32(255 / 256)
+
+
+@pytest.mark.parametrize("phi_length", [True, 1.5, "2", 0, np.int64(-1)])
+def test_phi_buffer_refuses_a_length_that_is_not_a_positive_integer(phi_length):
+    # PhiBuffer(True) kept a one-frame window; 1.5 and "2" failed only later.
+    with pytest.raises(ValueError, match="phi_length must be a positive integer"):
+        PhiBuffer(phi_length)
+
+
+def test_phi_buffer_takes_a_numpy_integer_length():
+    buf = PhiBuffer(np.int64(3))
+    buf.reset(np.zeros((2, 2), dtype=np.uint8))
+    assert buf.stack().shape == (3, 2, 2)
 
 
 def test_unknown_env_name():

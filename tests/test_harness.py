@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ramdqn import harness
-from ramdqn.agents import HyperParams
+from ramdqn import agents, harness
+from ramdqn.agents import HyperParams, greedy_action, select_action
 from ramdqn.cli import main, write_weight_heatmap
 from ramdqn.envs import ENV_REGISTRY, MicroGame, PhiBuffer, make_env, scale_ram
 from ramdqn.harness import (
@@ -215,6 +215,98 @@ def test_test_period_runs_a_network_built_for_its_game(env_name, arch):
     assert report.steps == 20
 
 
+def reference_test_period(net, env_name, hyper, seed):
+    """`run_test_period` as a plain loop that calls `greedy_action` on every
+    greedy step, on inputs built from a PhiBuffer window and scale_ram.
+    Returns (report, actions, the distinct windows of the greedy steps, as the
+    RAM bytes and then the screens' bytes)."""
+    policy_ss, env_ss = np.random.SeedSequence(seed).spawn(2)
+    policy_rng = np.random.default_rng(policy_ss)
+    episode = harness.EpisodePipeline(make_env(env_name), net.input_streams, hyper,
+                                      np.random.default_rng(env_ss))
+    phi = PhiBuffer(hyper.phi_length)
+    obs, terminal = episode.begin(), True
+    scores, current, actions, windows = [], 0.0, [], set()
+    for _ in range(hyper.test_steps):
+        inputs = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
+        if "screen" in obs:
+            if terminal:
+                phi.reset(obs["screen"])
+            else:
+                phi.observe(obs["screen"])
+            inputs["screen"] = phi.stack()
+        ram = [obs["ram"]] if "ram" in obs else []
+        window = b"".join(a.tobytes() for a in ram + phi.frames)
+
+        def greedy():
+            windows.add(window)
+            return greedy_action(net, inputs)
+
+        actions.append(select_action(net, greedy, hyper.test_epsilon, policy_rng))
+        reward, terminal, obs = episode.step(actions[-1])
+        current += reward
+        if terminal:
+            scores.append(current)
+            current = 0.0
+    steps = hyper.test_steps
+    report = (EpochReport(0, sum(scores) / len(scores), len(scores), steps, 0.0) if scores
+              else EpochReport(0, current, 1, steps, 0.0, truncated=True))
+    return report, actions, windows
+
+
+def cached_test_period(net, env_name, hyper, seed):
+    """`run_test_period`'s report, its actions and the forwards it ran."""
+    actions, forwards = [], []
+    real_select, real_forward = harness.select_action, agents.forward
+
+    def select(*args):
+        actions.append(real_select(*args))
+        return actions[-1]
+
+    def forward(*args, **kwargs):
+        forwards.append(len(actions))
+        return real_forward(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "select_action", select)
+        m.setattr(agents, "forward", forward)
+        report = run_test_period(net, env_name, hyper, seed=seed)
+    return report, actions, forwards
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("env_name, arch", [
+    ("micro_catch", "just_ram"), ("micro_breakout", "big_ram"), ("micro_catch", "nips"),
+    ("micro_diver", "mixed_ram"), ("micro_diver", "big_mixed_ram")])
+def test_test_period_runs_one_forward_per_distinct_window(env_name, arch, epsilon):
+    # The network is frozen for the period, so a window seen before takes its
+    # kept greedy action: the same actions and report as a forward on every
+    # greedy step, with one forward for each distinct window, RAM and every
+    # screen of it.
+    hyper = HyperParams(frame_skip=2, test_steps=600, test_epsilon=epsilon)
+    net = harness.build_network(arch, make_env(env_name), hyper, np.random.default_rng(0))
+    want, want_actions, windows = reference_test_period(net, env_name, hyper, seed=4)
+    report, actions, forwards = cached_test_period(net, env_name, hyper, seed=4)
+    assert report == want and actions == want_actions
+    assert report.episodes >= 2 and not report.truncated  # episodes end inside the period
+    assert len(forwards) == len(windows)
+
+
+@pytest.mark.parametrize("arch", ["just_ram", "nips"])
+def test_test_period_keeps_no_action_of_another_period(arch):
+    # Two networks, one game and one seed: the second period meets the first
+    # one's windows, and must compute every action from its own network.
+    hyper = HyperParams(frame_skip=2, test_steps=300, test_epsilon=0.05)
+    env = make_env("micro_catch")
+    first, second = (harness.build_network(arch, env, hyper, np.random.default_rng(seed))
+                     for seed in (0, 1))
+    cached_test_period(first, "micro_catch", hyper, seed=4)
+    want, want_actions, windows = reference_test_period(second, "micro_catch", hyper, seed=4)
+    report, actions, forwards = cached_test_period(second, "micro_catch", hyper, seed=4)
+    assert report == want and actions == want_actions
+    assert len(forwards) == len(windows)
+
+
 def test_run_experiment_best_tie_to_earliest(tmp_path, monkeypatch):
     scores = iter([10.0, 50.0, 50.0])
 
@@ -234,6 +326,12 @@ def test_run_experiment_best_tie_to_earliest(tmp_path, monkeypatch):
 def test_config_rejects_bad_epochs(epochs):
     with pytest.raises(ValueError, match="epochs must be a positive integer"):
         small_config(epochs=epochs)
+
+
+@pytest.mark.parametrize("hyper", [None, {}, "x"])
+def test_config_rejects_a_hyper_that_is_not_hyperparams(hyper):
+    with pytest.raises(ValueError, match="hyper must be a HyperParams"):
+        small_config(hyper=hyper)
 
 
 def test_config_is_frozen():
@@ -687,7 +785,9 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
         if "screen" in obs:
             if fresh:
                 phi.reset(obs["screen"])
-            want["screen"] = phi.stack() if fresh else phi.observe(obs["screen"])
+            else:
+                phi.observe(obs["screen"])
+            want["screen"] = phi.stack()
         expected[:] = [want]
 
     real_begin, real_step = harness.EpisodePipeline.begin, harness.EpisodePipeline.step
@@ -703,18 +803,22 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
         seen.append(terminal)
         return reward, terminal, obs
 
-    def select_action(net, inputs, *args):
-        inputs = inputs()  # training passes the ring's latest_state, built on demand
+    def greedy_action(net, inputs):  # training passes it the ring's latest_state
         assert inputs.keys() == expected[0].keys()
         for key, want in expected[0].items():
             assert inputs[key].dtype == np.float32 and inputs[key].shape == want.shape
             assert inputs[key].tobytes() == want.tobytes(), (len(seen), key)
-        return real_select(net, inputs, *args)
+        return real_greedy(net, inputs)
 
-    real_select = harness.select_action
+    def select_action(net, greedy, *args):
+        action = greedy()  # check the state at every action, greedy or not
+        return real_select(net, lambda: action, *args)
+
+    real_select, real_greedy = harness.select_action, harness.greedy_action
     monkeypatch.setattr(harness.EpisodePipeline, "begin", begin)
     monkeypatch.setattr(harness.EpisodePipeline, "step", step)
     monkeypatch.setattr(harness, "select_action", select_action)
+    monkeypatch.setattr(harness, "greedy_action", greedy_action)
     state = TrainingState(small_config(env_name=env_name, arch=arch,
                                        hyper=small_hyper(replay_capacity=30)))
     run_training_epoch(state, 200)

@@ -352,7 +352,8 @@ def test_ring_matches_list_of_transitions(capacity, phi_length, data):
         # After a terminal step, `obs` is the next episode's first
         # observation, and the reference's next state is never compared.
         obs = observe()
-        next_state = {"ram": scale_ram(obs["ram"]), "screen": phi.observe(obs["screen"])}
+        phi.observe(obs["screen"])
+        next_state = {"ram": scale_ram(obs["ram"]), "screen": phi.stack()}
         ring.push(i % 5, float(i) / 3, terminal, obs)
         ref.push(Transition(state, i % 5, float(i) / 3, next_state, terminal))
         state = begin(obs) if terminal else next_state
@@ -400,7 +401,6 @@ def test_latest_state_is_the_phi_window(capacity, phi_length, data):
         ring.push(i % 3, 0.0, terminal, obs)
         if terminal:
             phi.reset(obs["screen"])
-            stack = phi.stack()
         else:
-            stack = phi.observe(obs["screen"])
-        check(obs, stack)
+            phi.observe(obs["screen"])
+        check(obs, phi.stack())

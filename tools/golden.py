@@ -1,7 +1,8 @@
 """Golden outputs: run a fixed set of short `ramdqn train` and `eval` runs and
 print the sha256 of every output, one `sha256  run/file` line each.  Each
-short run's `best.ckpt` is evaluated twice: at the default test epsilon
-(`eval.stdout`) and at `--epsilon 0.5` (`eval-epsilon.stdout`).
+short run's `best.ckpt` is evaluated three times: at the default test
+epsilon (`eval.stdout`), at `--epsilon 0.5` (`eval-epsilon.stdout`) and at
+`--epsilon 0` (`eval-greedy.stdout`), where every action is greedy.
 A further short run, of micro_diver big_mixed_ram with `--dropout 0.25`,
 printed last, pins the dropout layers' draws.
 
@@ -45,6 +46,7 @@ WRAPPING = ("--epochs", "2", "--steps-per-epoch", "400", "--test-steps", "200",
             "--frame-skip", "1", "--replay-capacity", "137", "--seed", "7")
 EVAL = ("--steps", "300", "--seed", "3")
 EVAL_EPSILON = EVAL + ("--epsilon", "0.5")
+EVAL_GREEDY = EVAL + ("--epsilon", "0")
 
 
 def ramdqn(*args):
@@ -120,6 +122,8 @@ def main():
                 lines["eval.stdout"] = digest(ramdqn("eval", "--checkpoint", best, *EVAL))
                 lines["eval-epsilon.stdout"] = digest(ramdqn("eval", "--checkpoint", best,
                                                              *EVAL_EPSILON))
+                lines["eval-greedy.stdout"] = digest(ramdqn("eval", "--checkpoint", best,
+                                                            *EVAL_GREEDY))
             if settings is WRAPPING:
                 lines["replay.ckpt"], lines["replay.ckpt:resumed"] = replay_digests(env, arch, out)
             for file, sha in lines.items():
