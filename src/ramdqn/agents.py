@@ -49,19 +49,15 @@ class HyperParams:
             if type(f.default) is float and (type(value) is bool
                                              or not isinstance(value, numbers.Real)):
                 raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            # Plain ints, not numpy integers: the checkpoint header stores them as JSON.
+            least = 0 if f.name == "replay_start_size" else 1
+            if type(f.default) is int and (type(value) is not int or value < least):
+                rule = "an integer >= 0" if least == 0 else "a positive integer"
+                raise ValueError(f"{f.name} must be {rule}, got {value!r}")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
         if not 0.0 <= self.epsilon_min <= self.epsilon_start <= 1.0:
             raise ValueError("epsilons must satisfy 0 <= epsilon_min <= epsilon_start <= 1")
-        for name in ("minibatch_size", "replay_capacity", "phi_length",
-                     "epsilon_decay_steps", "frame_skip", "steps_per_epoch",
-                     "test_steps"):
-            value = getattr(self, name)
-            if type(value) is not int or value <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if type(self.replay_start_size) is not int or self.replay_start_size < 0:
-            raise ValueError(f"replay_start_size must be an integer >= 0, "
-                             f"got {self.replay_start_size!r}")
         if self.replay_capacity < max(self.minibatch_size, self.replay_start_size):
             raise ValueError("replay_capacity must be at least "
                              "max(minibatch_size, replay_start_size)")

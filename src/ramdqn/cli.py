@@ -156,7 +156,7 @@ def gradcheck_architecture(name, seed=0, probes=100):
     net = build_architecture(name, output_dim=6, screen_shape=GRADCHECK_SCREEN, rng=rng,
                              dtype=np.float64)
     inputs = {s: rng.random((2,) + net.out_shapes[i]) for s, i in net.input_streams.items()}
-    return gradient_check(net, inputs, step=1e-5, probes=probes, rng=rng)
+    return gradient_check(net, inputs, probes=probes, rng=rng)
 
 
 def cmd_gradcheck(args):

@@ -418,10 +418,9 @@ def make_env(name):
 
 def frame_skip_step(env, action, k):
     """Repeat `action` for k frames (or until terminal): (summed reward,
-    terminal).  The frames in between are never observed.  A `k` that is not
-    an int or numpy integer >= 1 (a bool is neither) raises ValueError."""
-    if type(k) is not int and not isinstance(k, np.integer) or k < 1:
-        raise ValueError(f"frame skip must be an integer >= 1, got {k!r}")
+    terminal).  The frames in between are never observed.  A `k` that
+    `check_count` refuses raises ValueError."""
+    check_count("frame_skip", k)
     total = 0.0
     for _ in range(k):
         reward, terminal = env.step(action)

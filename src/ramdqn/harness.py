@@ -24,7 +24,7 @@ from .agents import (
     select_action,
     train_step,
 )
-from .envs import ENV_REGISTRY, PhiBuffer, frame_skip_step, make_env, scale_ram
+from .envs import ENV_REGISTRY, PhiBuffer, check_count, frame_skip_step, make_env, scale_ram
 from .optim import rmsprop_state_for
 from .replay import ReplayMemory
 from .tensor_core import ShapeError, Workspace
@@ -67,8 +67,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if not isinstance(self.hyper, HyperParams):
             raise ValueError(f"hyper must be a HyperParams, got {self.hyper!r}")
-        if type(self.epochs) is not int or self.epochs < 1:
-            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
+        check_count("epochs", self.epochs)
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -109,17 +109,21 @@ class ReplayMemory:
         """Store the transition taken from the latest observation; `next_obs`
         is the observation it led to, or after a terminal transition the
         first observation of the next episode.  An action that is not an
-        int or numpy integer in [0, 2**31), a reward that is not a real
-        number, a terminal flag that is not a bool or numpy bool, or a wrong
-        observation, raises ValueError and stores nothing."""
+        int or numpy integer in [0, 2**31), a reward that is a bool or not a real
+        number in float64's range, a terminal flag that is not a bool or numpy
+        bool, or a wrong observation, raises ValueError and stores nothing."""
         if (type(action) is not int and not isinstance(action, np.integer)
                 or not 0 <= action < 2**31):
             raise ValueError(f"action must be an integer in [0, 2**31), got {action!r}")
-        if type(reward) is not float and not isinstance(reward, numbers.Real):  # float: fast
+        if type(reward) is not float and (type(reward) is bool  # float: fast
+                                          or not isinstance(reward, numbers.Real)):
             raise ValueError(f"reward must be a real number, got {reward!r}")
         if not isinstance(terminal, (bool, np.bool_)):
             raise ValueError(f"terminal must be a bool, got {terminal!r}")
-        reward = float(reward)  # an int past float64's range raises here, before any write
+        try:
+            reward = float(reward)
+        except OverflowError:  # an int past float64's range
+            raise ValueError("reward must be in float64's range") from None
         slots = len(self.start)
         slot = self.pushes % slots
         after = (slot + 1) % slots

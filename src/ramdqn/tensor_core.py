@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 KINDS = ("input", "dense", "conv2d", "dropout", "concat")
 ACTIVATIONS = ("rectify", "none")
+FD_STEP = 1e-5  # gradient_check's finite-difference step, on its float64 shadow
 
 
 class ShapeError(ValueError):
@@ -191,7 +192,7 @@ class Workspace:
     def take(self, layer, role, shape, dtype):
         """A `shape` array of `dtype` on the buffer of `layer`'s `role`; stale contents."""
         view = self.views.get((layer, role, shape))
-        if view is None:
+        if view is None or view.dtype != dtype:  # or cached for another network's dtype
             size = _flat(shape)
             buf = self.buffers.get((layer, role))
             if buf is None or buf.size < size or buf.dtype != dtype:
@@ -423,21 +424,19 @@ def param_count(net):
     return int(net.flat.size)
 
 
-def gradient_check(net, inputs, step=1e-5, probes=100, rng=None):
+def gradient_check(net, inputs, probes=100, rng=None):
     """Compare backward gradients against central finite differences.
 
     The scalar under test is sum(probe . output) over the batch, `probe` a
     standard normal direction drawn from `rng`.  Samples `probes` random
     parameter coordinates and returns the worst relative error
     |bp - fd| / max(|bp|, |fd|, 1), or NaN as soon as a probed gradient or
-    finite difference is not finite.  A coordinate whose +-step window holds a
+    finite difference is not finite.  A coordinate whose +-FD_STEP window holds a
     rectifier kink is skipped and another drawn, up to 20 * probes draws; if
     fewer than `probes` coordinates could be checked, the result is NaN, so a
     check that compared too little never reads as a match.  A `probes` that
     is not an int >= 1 raises ValueError.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     if type(probes) is not int or probes < 1:
         raise ValueError(f"probes must be an integer >= 1, got {probes!r}")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -469,18 +468,18 @@ def gradient_check(net, inputs, step=1e-5, probes=100, rng=None):
         idx = int(rng.integers(size))
         flat = shadow.params[layer][key].reshape(-1)
         saved = flat[idx]
-        flat[idx] = saved + step
+        flat[idx] = saved + FD_STEP
         f_plus = scalar()
-        flat[idx] = saved - step
+        flat[idx] = saved - FD_STEP
         f_minus = scalar()
         flat[idx] = saved
-        # Rectifier kinks inside the +-step window make central differences
+        # Rectifier kinks inside the +-FD_STEP window make central differences
         # meaningless; detect them from the one-sided slopes (function values
         # only, so the oracle stays independent of backward) and re-probe.
-        d_fwd, d_bwd = (f_plus - f_base) / step, (f_base - f_minus) / step
+        d_fwd, d_bwd = (f_plus - f_base) / FD_STEP, (f_base - f_minus) / FD_STEP
         if abs(d_fwd - d_bwd) > 1e-6 * max(abs(d_fwd), abs(d_bwd), 1e-3):
             continue
-        fd = (f_plus - f_minus) / (2.0 * step)
+        fd = (f_plus - f_minus) / (2.0 * FD_STEP)
         bp = float(grads[layer][key].reshape(-1)[idx])
         err = abs(bp - fd) / max(abs(bp), abs(fd), 1.0)
         if not np.isfinite(err):  # a NaN or inf on either side; max() would drop it

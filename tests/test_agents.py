@@ -167,6 +167,30 @@ def test_hyper_float_settings_must_be_real_numbers(name, value):
         HyperParams(**{name: value})
 
 
+INT_SETTINGS = [f.name for f in dataclasses.fields(HyperParams) if type(f.default) is int]
+
+
+def test_hyper_int_settings_are_the_eight_counts():
+    assert INT_SETTINGS == ["minibatch_size", "replay_capacity", "phi_length",
+                            "epsilon_decay_steps", "replay_start_size", "frame_skip",
+                            "steps_per_epoch", "test_steps"]
+
+
+@pytest.mark.parametrize("name", INT_SETTINGS)
+@pytest.mark.parametrize("value", [True, 2.0, "2"])
+def test_hyper_int_settings_must_be_plain_ints(name, value):
+    # Plain ints only: the checkpoint header stores every field as JSON.
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        HyperParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", INT_SETTINGS)
+def test_hyper_int_settings_must_reach_their_bound(name):
+    below = -1 if name == "replay_start_size" else 0
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        HyperParams(**{name: below})
+
+
 def test_hyper_settings_stay_as_checked():
     # Test periods read test_steps and test_epsilon without checking them again.
     hyper = HyperParams()
@@ -181,6 +205,7 @@ def test_hyper_accepts_boundary_values():
     HyperParams(epsilon_start=1.0, epsilon_min=1.0)
     HyperParams(epsilon_start=0.0, epsilon_min=0.0)
     HyperParams(learning_rate=1, discount=0, dropout_p=np.float32(0.5))
+    HyperParams(replay_start_size=0)
 
 
 def test_terminal_layer_has_no_activation():

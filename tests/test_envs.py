@@ -372,7 +372,7 @@ def test_frame_skip_must_be_a_positive_integer(k):
     env = make_env("micro_catch")
     env.reset(0)
     before = env.get_state()
-    with pytest.raises(ValueError, match="frame skip must be an integer >= 1"):
+    with pytest.raises(ValueError, match="frame_skip must be a positive integer"):
         frame_skip_step(env, 0, k)
     assert env.get_state() == before
 

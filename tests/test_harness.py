@@ -328,6 +328,11 @@ def test_config_rejects_bad_epochs(epochs):
         small_config(epochs=epochs)
 
 
+def test_config_accepts_a_numpy_integer_epoch_count():
+    # As every other count does; seed stays a plain int, stored in the checkpoint header.
+    assert small_config(epochs=np.int64(2)).epochs == 2
+
+
 @pytest.mark.parametrize("hyper", [None, {}, "x"])
 def test_config_rejects_a_hyper_that_is_not_hyperparams(hyper):
     with pytest.raises(ValueError, match="hyper must be a HyperParams"):

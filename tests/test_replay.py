@@ -229,6 +229,8 @@ def test_action_must_be_a_nonnegative_integer(action):
     ("abc", False, "reward"),   # was raised after the slot after the newest was written
     (None, False, "reward"),
     (1j, False, "reward"),
+    (True, False, "reward"),    # was stored as 1.0
+    pytest.param(2**2000, False, "reward", id="2**2000-False-reward"),  # raised OverflowError
     (0.0, "no", "terminal"),    # was stored as True
     (0.0, 1, "terminal"),
     (0.0, None, "terminal"),

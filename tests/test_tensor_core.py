@@ -516,8 +516,7 @@ def test_gradient_check_exact_for_linear():
 def test_gradient_check_just_ram():
     rng = np.random.default_rng(5)
     net = build_architecture("just_ram", 4, rng=rng, dtype=np.float64)
-    err = gradient_check(net, {"ram": rng.random((2, 128))}, step=1e-5,
-                         probes=100, rng=rng)
+    err = gradient_check(net, {"ram": rng.random((2, 128))}, probes=100, rng=rng)
     assert err < 1e-5
 
 
@@ -562,7 +561,7 @@ def test_gradient_check_big_mixed_ram_32bit():
                              rng=rng, dtype=np.float32)
     inputs = {"ram": rng.random((2, 128)).astype(np.float32),
               "screen": rng.random((2, 4, 32, 32)).astype(np.float32)}
-    err = gradient_check(net, inputs, step=1e-5, probes=100, rng=rng)
+    err = gradient_check(net, inputs, probes=100, rng=rng)
     assert err < 1e-3
 
 
@@ -739,6 +738,21 @@ def test_forwards_without_a_workspace_share_no_array(arch):
         assert len(owned) > 3
         for kind, key, value, twin in owned:
             assert not np.shares_memory(value, twin), (kind, key)
+
+
+def test_a_workspace_shared_across_dtypes_gives_each_forward_its_own_dtype():
+    # The view cache left the dtype out of its key: after two float32 forwards at
+    # batch 4, a float64 forward on the same workspace ran layers 1-3 in float32.
+    nets = {dtype: build_architecture("just_ram", 4, rng=np.random.default_rng(2), dtype=dtype)
+            for dtype in (np.float32, np.float64)}
+    x = {"ram": np.random.default_rng(3).random((4, 128))}
+    workspace = tensor_core.Workspace()
+    for _ in range(2):
+        forward(nets[np.float32], x, workspace=workspace)
+    shared = forward(nets[np.float64], x, workspace=workspace)
+    own = forward(nets[np.float64], x, workspace=tensor_core.Workspace())
+    assert [rec["out"].dtype for rec in shared] == [np.float64] * len(shared)
+    assert shared[-1]["out"].tobytes() == own[-1]["out"].tobytes()
 
 
 def test_a_warm_conv_gather_does_not_copy_its_window_index():

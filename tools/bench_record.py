@@ -13,7 +13,9 @@ commit and source digest of the code that ran, and the machine facts that
 perfbench prints.  With two checkouts, the script also prints how many
 seeds the second won on each metric, the ratio of the medians, and whether
 the second's median is worse than the first's by more than the metric's
-`bound` in BENCHMARK.json: by that share of the first's median.
+`bound` in BENCHMARK.json: by that share of the first's median.  A checkout
+named twice exits 2 before any run; to compare a commit with itself, clone
+it a second time.
 perfbench's own outputs go to each checkout's `.bench_build/`.
 """
 
@@ -115,7 +117,11 @@ def main():
                         help="a ramdqn checkout to run (repeatable; default: this one)")
     parser.add_argument("--out", help="default: BENCH_<workload>.json at the repo root")
     args = parser.parse_args()
-    checkouts = [os.path.abspath(c) for c in args.checkout] or [ROOT]
+    checkouts = [os.path.realpath(c) for c in args.checkout] or [ROOT]
+    for n, checkout in enumerate(checkouts):
+        if checkout in checkouts[:n]:  # one list would hold both its runs
+            parser.error(f"checkout {checkout} is named twice; to calibrate a commit "
+                         f"against itself, run a second clone of it")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         metrics = {m["name"]: m for m in json.load(f)["end_to_end"]}
 
