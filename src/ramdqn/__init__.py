@@ -13,7 +13,6 @@ from .tensor_core import (
     forward,
     gradient_check,
     make_network,
-    param_count,
 )
 from .optim import RmsPropState, q_loss_grad, rmsprop_state_for, rmsprop_step
 from .replay import Minibatch, ReplayMemory

@@ -3,7 +3,10 @@
 Every environment advances exactly one frame per step and is fully
 deterministic given (seed, action sequence).  Like an Atari emulator, a
 step returns only the reward and whether the episode ended; the 128-byte
-RAM vector and the grayscale screen are built when `observe` asks for them.
+RAM vector and the grayscale screen are drawn only when `observe` asks for
+them, each by one routine per stream into a uint8 array that the caller
+owns (`buffers` makes a set), as the ALE reads its screen into a caller's
+buffer.  A game allocates no array to be observed.
 Each documented RAM map holds game variables byte for byte, so that
 RAM-only agents have something real to learn from.  A map need not hold
 every variable: micro_diver's leaves out the diver's position (`diver_x`,
@@ -13,10 +16,13 @@ every variable: micro_diver's leaves out the diver's position (`diver_x`,
 from __future__ import annotations
 
 import copy
+import struct
+from operator import mul
 
 import numpy as np
 
 RAM_SIZE = 128
+_BYTE = np.dtype(np.uint8)
 
 
 def scale_ram(raw):
@@ -27,36 +33,49 @@ def scale_ram(raw):
     return out
 
 
-def check_count(name, value):
-    """Require `value` to be an int or numpy integer >= 1; anything else, a
-    bool too, raises ValueError naming it."""
-    if type(value) is not int and not isinstance(value, np.integer) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def check_count(name, value, least=1):
+    """Require `value` to be an int or numpy integer >= `least`; anything
+    else, a bool too, raises ValueError naming it."""
+    if type(value) is not int and not isinstance(value, np.integer) or value < least:
+        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class PhiBuffer:
     """Rolling window of the last `phi_length` screens as bytes, oldest
-    first, in `frames`; `stack` gives it as network inputs.  A `phi_length`
+    first: `frames` is a (phi_length, H, W) uint8 view, and `stack` gives it
+    as network inputs.  Each screen is copied into a kept array of
+    2 * phi_length screens twice, phi_length apart, so the window is always
+    one contiguous view and moving it allocates nothing.  A `phi_length`
     that `check_count` refuses raises ValueError."""
 
     def __init__(self, phi_length=4):
         check_count("phi_length", phi_length)
         self.phi_length = phi_length
-        self.frames = []
+        self.frames = None
+        self._kept = None
 
     def reset(self, screen):
-        self.frames = [np.array(screen, dtype=np.uint8)] * self.phi_length
+        n = self.phi_length
+        if self._kept is None or self._kept.shape[1:] != np.shape(screen):
+            self._kept = np.empty((2 * n,) + np.shape(screen), dtype=np.uint8)
+        self._kept[...] = screen
+        self._newest = n - 1
+        self.frames = self._kept[n:]
 
     def stack(self):
-        if not self.frames:
+        if self.frames is None:
             raise RuntimeError("PhiBuffer not initialized; call reset first")
-        return scale_ram(self.frames)  # np.asarray stacks them, faster than np.stack
+        return scale_ram(self.frames)
 
     def observe(self, new_screen):
         """Move the window on by one screen; no network inputs are built."""
-        if not self.frames:
+        if self.frames is None:
             raise RuntimeError("PhiBuffer not initialized; call reset first")
-        self.frames = self.frames[1:] + [np.array(new_screen, dtype=np.uint8)]
+        n, i = self.phi_length, (self._newest + 1) % self.phi_length
+        self._kept[i] = self._kept[i + n] = new_screen
+        self._newest = i
+        self.frames = self._kept[i + 1:i + 1 + n]
 
 
 def _within(value, allowed):
@@ -68,9 +87,12 @@ def _within(value, allowed):
 
 class MicroGame:
     """Base class: terminal bookkeeping, rng state plumbing, and the
-    observation streams, built only when `observe` is called.  A game names
+    observation streams, drawn only when `observe` is called.  A game names
     the attributes that hold its state, once, in `state_vars`, each with the
-    range of values that it, or each entry of it, can take."""
+    range of values that it, or each entry of it, can take.  It draws each
+    stream with one routine into the caller's array: `_draw_ram(ram)` writes
+    every byte, and `_draw_screen(screen)` draws onto the screen that
+    `observe` has cleared."""
 
     name = ""
     action_count = 0
@@ -80,6 +102,7 @@ class MicroGame:
     def __init__(self):
         self._rng = None
         self.terminal = True
+        self._shapes = {"ram": (RAM_SIZE,), "screen": self.screen_shape}
 
     def reset(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -97,19 +120,35 @@ class MicroGame:
             raise ValueError(f"{self.name}: illegal action index {action!r}")
         return float(self._advance(action)), self.terminal
 
-    def ram(self):
-        ram = np.zeros(RAM_SIZE, dtype=np.uint8)
-        self._fill_ram(ram)
-        return ram
+    def _shape(self, stream):
+        shape = self._shapes.get(stream)
+        if shape is None:
+            raise ValueError(f"{self.name}: unknown observation stream {stream!r}")
+        return shape
 
-    def observe(self, streams):
-        """The current frame's streams named in `streams` ("ram", "screen"),
-        each a fresh uint8 array: {stream: array}.  Another name raises ValueError."""
-        build = {"ram": self.ram, "screen": self._render}
-        for s in streams:
-            if s not in build:
-                raise ValueError(f"{self.name}: unknown observation stream {s!r}")
-        return {s: build[s]() for s in streams}
+    def buffers(self, streams):
+        """A zeroed uint8 array for each stream named in `streams` ("ram",
+        "screen"), shaped as `observe` draws it: {stream: array}.  Another
+        name raises ValueError."""
+        return {s: np.zeros(self._shape(s), dtype=np.uint8) for s in streams}
+
+    def observe(self, out):
+        """Draw the current frame into the caller's arrays and return `out`:
+        it maps each stream to draw ("ram", "screen") to a uint8 array of
+        that stream's shape, as `buffers` makes it, and every byte of each is
+        written.  Another stream name, shape or dtype raises ValueError
+        before anything is drawn."""
+        for stream, buf in out.items():
+            if buf.dtype != _BYTE or buf.shape != self._shape(stream):
+                raise ValueError(f"{self.name}: {stream} buffer is {buf.dtype} {buf.shape}, "
+                                 f"expected uint8 {self._shape(stream)}")
+        for stream, buf in out.items():
+            if stream == "ram":
+                self._draw_ram(buf)
+            else:
+                buf.fill(0)
+                self._draw_screen(buf)
+        return out
 
     def get_state(self):
         """The game as JSON-ready values: a copy of each of `state_vars`,
@@ -190,19 +229,16 @@ class MicroCatch(MicroGame):
         self.frame += 1
         return reward
 
-    def _fill_ram(self, ram):
-        ram[0] = self.paddle
-        ram[1] = self.obj_x
-        ram[2] = self.obj_y
-        ram[3] = self.score % 256
-        ram[4] = self.frame % 256
+    _ram_layout = struct.Struct(f"5B{RAM_SIZE - 5}x")  # pad bytes are written as 0
 
-    def _render(self):
-        screen = np.zeros(self.screen_shape, dtype=np.uint8)
+    def _draw_ram(self, ram):
+        self._ram_layout.pack_into(ram, 0, self.paddle, self.obj_x, self.obj_y,
+                                   self.score % 256, self.frame % 256)
+
+    def _draw_screen(self, screen):
         screen[min(self.obj_y // 16, 15), self.obj_x // 16] = 128
         col = self.paddle // 16
         screen[15, max(col - 1, 0) : min(col + 1, 15) + 1] = 255
-        return screen
 
 
 class MicroBreakout(MicroGame):
@@ -289,20 +325,21 @@ class MicroBreakout(MicroGame):
             return 0
         return 1 + (1 if self.dx > 0 else 0) + (2 if self.dy > 0 else 0)
 
-    def _fill_ram(self, ram):
-        ram[0] = self.paddle
-        ram[1] = self.ball_x
-        ram[2] = self.ball_y
-        ram[3] = self._velocity_code()
-        ram[4:10] = np.packbits(np.array(self.bricks, np.uint8), bitorder="little")
-        ram[10] = self.score % 256
+    _ram_layout = struct.Struct(f"<4B3HB{RAM_SIZE - 11}x")  # H: a brick row, little-endian
+    _bit_values = tuple(1 << c for c in range(16))
 
-    def _render(self):
-        screen = np.zeros(self.screen_shape, dtype=np.uint8)
-        screen[self.brick_rows, :16] = np.multiply(self.bricks, 96)
+    def _draw_ram(self, ram):
+        masks = [sum(map(mul, row, self._bit_values)) for row in self.bricks]
+        self._ram_layout.pack_into(ram, 0, self.paddle, self.ball_x, self.ball_y,
+                                   self._velocity_code(), *masks, self.score % 256)
+
+    def _draw_screen(self, screen):
+        for y, row in zip(self.brick_rows, self.bricks):
+            for x, brick in enumerate(row):
+                if brick:
+                    screen[y, x] = 96
         screen[19, self.paddle - 1 : self.paddle + 2] = 160
         screen[min(self.ball_y, 19), self.ball_x] = 255
-        return screen
 
 
 class MicroDiver(MicroGame):
@@ -325,6 +362,8 @@ class MicroDiver(MicroGame):
     screen_shape = (20, 20)
     n_slots = 8
     slot_rows = tuple(range(3, 3 + 2 * n_slots, 2))  # the row each enemy slot patrols
+    _slot_of_row = {row: slot for slot, row in enumerate(slot_rows)}
+    _drift = tuple(range(1, 20)) + (0,)  # an enemy's next column: one right, wrapping
     max_divers = 6
     state_vars = {"sub_x": range(20), "sub_y": range(20), "oxygen": range(256),
                   "divers": range(max_divers + 1), "score": range(256),
@@ -345,37 +384,40 @@ class MicroDiver(MicroGame):
         self.diver_y = int(self._rng.integers(1, 20))
 
     def _advance(self, action):
-        reward = 0
+        x, y = self.sub_x, self.sub_y
         if action == 2:
-            self.sub_y = max(self.sub_y - 1, 0)
+            y = max(y - 1, 0)
         elif action == 3:
-            self.sub_y = min(self.sub_y + 1, 19)
+            y = min(y + 1, 19)
         elif action == 4:
-            self.sub_x = max(self.sub_x - 1, 0)
+            x = max(x - 1, 0)
         elif action == 5:
-            self.sub_x = min(self.sub_x + 1, 19)
+            x = min(x + 1, 19)
+        self.sub_x, self.sub_y = x, y
 
-        slot, off_row = divmod(self.sub_y - 3, 2)  # the enemy slot of the sub's row
-        on_row = not off_row and 0 <= slot < self.n_slots
-        if action == 1 and on_row:
+        reward = 0
+        slot = self._slot_of_row.get(y)  # the enemy slot patrolling the sub's row
+        enemies = self.enemies
+        if action == 1 and slot is not None:
             reward += 1
             self.score = (self.score + 1) % 256
-            self.enemies[slot] = int(self._rng.integers(0, 20))
+            enemies[slot] = int(self._rng.integers(0, 20))
 
-        if (self.sub_x, self.sub_y) == (self.diver_x, self.diver_y):
+        if x == self.diver_x and y == self.diver_y:
             if self.divers < self.max_divers:
                 self.divers += 1
             self._spawn_diver()
 
-        if self.sub_y == 0 and self.divers > 0:
+        if y == 0 and self.divers > 0:
             delivered = 5 * self.divers
             reward += delivered
             self.score = (self.score + delivered) % 256
             self.divers = 0
             self.oxygen = 255
 
-        self.enemies = [(e + 1) % 20 for e in self.enemies]
-        if on_row and self.enemies[slot] == self.sub_x:
+        drift = self._drift
+        self.enemies = enemies = [drift[e] for e in enemies]
+        if slot is not None and enemies[slot] == x:
             self.terminal = True
 
         self.oxygen -= 1
@@ -384,22 +426,17 @@ class MicroDiver(MicroGame):
             self.terminal = True
         return reward
 
-    def _fill_ram(self, ram):
-        ram[0] = self.sub_x
-        ram[1] = self.sub_y
-        ram[2] = self.oxygen
-        ram[3] = self.divers
-        ram[4] = self.score % 256
-        for slot, ex in enumerate(self.enemies):
-            ram[5 + slot] = ex + 1
+    _ram_layout = struct.Struct(f"{5 + n_slots}B{RAM_SIZE - 5 - n_slots}x")
 
-    def _render(self):
-        screen = np.zeros(self.screen_shape, dtype=np.uint8)
+    def _draw_ram(self, ram):
+        self._ram_layout.pack_into(ram, 0, self.sub_x, self.sub_y, self.oxygen, self.divers,
+                                   self.score % 256, *[e + 1 for e in self.enemies])
+
+    def _draw_screen(self, screen):
         screen[self.diver_y, self.diver_x] = 64
         for row, ex in zip(self.slot_rows, self.enemies):
             screen[row, ex] = 128
         screen[self.sub_y, self.sub_x] = 255
-        return screen
 
 
 ENV_REGISTRY = {

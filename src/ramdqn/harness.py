@@ -82,8 +82,9 @@ def build_network(arch, env, hyper, rng):
 
 class EpisodePipeline:
     """Plays a game for an agent: the env, the frame skip, and the rng that
-    seeds each episode's reset.  Observations come as the bytes of each
-    stream in `streams` ("ram", "screen") that the agent reads."""
+    seeds each episode's reset.  Observations are the bytes of each stream
+    in `streams` ("ram", "screen") that the agent reads, drawn into arrays
+    that the caller owns: the replay ring's slots, or `buffers()`."""
 
     def __init__(self, env, streams, hyper, seed_rng):
         self.env = env
@@ -91,18 +92,28 @@ class EpisodePipeline:
         self.frame_skip = hyper.frame_skip
         self.seed_rng = seed_rng
 
-    def begin(self):
-        """Reset the game; the first observation of the new episode."""
+    def buffers(self):
+        """A zeroed uint8 array per stream, to draw observations into."""
+        return self.env.buffers(self.streams)
+
+    def begin(self, out):
+        """Reset the game and draw the new episode's first observation into `out`."""
         self.env.reset(int(self.seed_rng.integers(2**63)))
-        return self.env.observe(self.streams)
+        self.env.observe(out)
 
     def step(self, action):
-        """Play `action` for one frame-skip step: (reward, terminal,
-        observation).  A terminal step resets the game, and its observation
-        is the next episode's first; the terminal frame is never built."""
-        reward, terminal = frame_skip_step(self.env, action, self.frame_skip)
-        obs = self.begin() if terminal else self.env.observe(self.streams)
-        return reward, terminal, obs
+        """Play `action` for one frame-skip step: (reward, terminal).  `draw`
+        gives the observation it led to."""
+        return frame_skip_step(self.env, action, self.frame_skip)
+
+    def draw(self, out):
+        """Draw the observation the last step led to into `out`.  After a
+        terminal step it is the next episode's first, and the game is reset
+        here: the terminal frame is never drawn."""
+        if self.env.terminal:
+            self.begin(out)
+        else:
+            self.env.observe(out)
 
 
 class TrainingState:
@@ -127,8 +138,11 @@ class TrainingState:
                                            np.random.default_rng(env_ss))
             self.opt_state = rmsprop_state_for(self.net, learning_rate=self.hyper.learning_rate)
             # The replay ring is the only store of observations: the agent acts
-            # from the state of its newest slot.
-            self.replay = ReplayMemory(self.hyper.replay_capacity, self.episode.begin(),
+            # from the state of its newest slot, and each push draws the next
+            # observation into the slot after it.
+            first = self.episode.buffers()
+            self.episode.begin(first)
+            self.replay = ReplayMemory(self.hyper.replay_capacity, first,
                                        phi_length=self.hyper.phi_length)
         except (ValueError, MemoryError) as e:
             raise MemoryError(f"replay_capacity {self.hyper.replay_capacity} and phi_length "
@@ -157,7 +171,8 @@ class TrainingState:
         return out
 
     def _take_action(self, action):
-        self.replay.push(action, *self.episode.step(action))
+        reward, terminal = self.episode.step(action)
+        self.replay.push(action, reward, terminal, self.episode.draw)
 
     def warmup(self):
         """Populate the replay memory with random-action transitions.  The
@@ -189,11 +204,10 @@ def _first_nonfinite_layer(net):
 def run_training_epoch(state, steps):
     """Run `steps` frame-skip actions with annealing epsilon, training after
     every action once the replay memory is warm; returns the mean loss.
-    `steps` that is not an int >= 0 raises ValueError before the warm-up.
-    A non-finite loss raises TrainingError naming the epoch and the first
-    layer with a non-finite parameter."""
-    if type(steps) is not int or steps < 0:
-        raise ValueError(f"training steps must be an integer >= 0, got {steps!r}")
+    `steps` that `check_count(..., least=0)` refuses raises ValueError before
+    the warm-up.  A non-finite loss raises TrainingError naming the epoch and
+    the first layer with a non-finite parameter."""
+    check_count("training steps", steps, least=0)
     state.warmup()
     hyper = state.hyper
     losses = []
@@ -246,7 +260,8 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
     The network is frozen for the period, so the greedy action depends only
     on the window it reads: the RAM bytes, then the screens of the frame
     window.  Each window's action is computed once, and kept for this call
-    under a 16-byte digest of those bytes.
+    under a 16-byte digest of those bytes.  Every observation is drawn into
+    one set of arrays, made once per call.
     """
     steps, epsilon = hyper.test_steps, hyper.test_epsilon
     env = make_env(env_name)
@@ -256,32 +271,37 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
     episode = EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(env_ss))
     phi = PhiBuffer(hyper.phi_length)  # no replay here: the screens' own window
     actions = {}  # window digest -> greedy action
+    obs = episode.buffers()
+    ram, screen = obs.get("ram"), obs.get("screen")
 
     def greedy():  # in the window of the current `obs`
-        ram = [obs["ram"]] if "ram" in obs else []
         key = hashlib.blake2b(digest_size=16)
-        for part in ram + phi.frames:
-            key.update(part)
+        if ram is not None:
+            key.update(ram)
+        if screen is not None:
+            key.update(phi.frames)
         key = key.digest()
         action = actions.get(key)
         if action is None:
-            inputs = {"ram": scale_ram(ram[0])} if ram else {}
-            if phi.frames:
+            inputs = {"ram": scale_ram(ram)} if ram is not None else {}
+            if screen is not None:
                 inputs["screen"] = phi.stack()
             action = actions[key] = greedy_action(net, inputs)
         return action
 
-    obs, terminal = episode.begin(), True
+    episode.begin(obs)
+    terminal = True
     episode_scores = []
     current = 0.0
     for _ in range(steps):
-        if "screen" in obs:
+        if screen is not None:
             if terminal:  # `obs` starts an episode
-                phi.reset(obs["screen"])
+                phi.reset(screen)
             else:
-                phi.observe(obs["screen"])
+                phi.observe(screen)
         action = select_action(net, greedy, epsilon, policy_rng)
-        reward, terminal, obs = episode.step(action)
+        reward, terminal = episode.step(action)
+        episode.draw(obs)
         current += reward
         if terminal:
             episode_scores.append(current)

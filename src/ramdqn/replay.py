@@ -3,6 +3,7 @@ minibatch sampling."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -67,7 +68,9 @@ class ReplayMemory:
     `first_obs` (stream -> uint8 array) starts the first episode in slot 0
     and sets each stream's shape.  After that `push` is the only write: the
     next observation of a terminal transition is the next episode's first.
-    A `capacity` or `phi_length` that `envs.check_count` refuses raises
+    A game can draw that observation straight into the slot that keeps it
+    (`MicroGame.observe`), so each observed byte is written once.  A
+    `capacity` or `phi_length` that `envs.check_count` refuses raises
     ValueError.
     """
 
@@ -106,12 +109,16 @@ class ReplayMemory:
             frames[slot] = obs[name]
 
     def push(self, action, reward, terminal, next_obs):
-        """Store the transition taken from the latest observation; `next_obs`
+        """Store the transition taken from the latest observation.  `next_obs`
         is the observation it led to, or after a terminal transition the
-        first observation of the next episode.  An action that is not an
-        int or numpy integer in [0, 2**31), a reward that is a bool or not a real
-        number in float64's range, a terminal flag that is not a bool or numpy
-        bool, or a wrong observation, raises ValueError and stores nothing."""
+        first observation of the next episode: either the observation itself
+        (stream -> uint8 array), copied in, or a function that draws it into
+        the arrays it is given, the views of the slot that keeps it, as
+        `EpisodePipeline.draw` does.  The push is committed once the
+        observation is in.  An action that is not an int or numpy integer in
+        [0, 2**31), a reward that is a bool or not a finite real number, a
+        terminal flag that is not a bool or numpy bool, or a wrong
+        observation, raises ValueError and stores nothing."""
         if (type(action) is not int and not isinstance(action, np.integer)
                 or not 0 <= action < 2**31):
             raise ValueError(f"action must be an integer in [0, 2**31), got {action!r}")
@@ -124,10 +131,15 @@ class ReplayMemory:
             reward = float(reward)
         except OverflowError:  # an int past float64's range
             raise ValueError("reward must be in float64's range") from None
+        if not math.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward!r}")
         slots = len(self.start)
         slot = self.pushes % slots
         after = (slot + 1) % slots
-        self._write(after, next_obs)
+        if callable(next_obs):
+            next_obs({name: frames[after] for name, frames in self.frames.items()})
+        else:
+            self._write(after, next_obs)
         self.action[slot] = action
         self.reward[slot] = reward
         self.terminal[slot] = terminal

@@ -17,6 +17,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .envs import check_count
+
 KINDS = ("input", "dense", "conv2d", "dropout", "concat")
 ACTIVATIONS = ("rectify", "none")
 FD_STEP = 1e-5  # gradient_check's finite-difference step, on its float64 shadow
@@ -350,9 +352,13 @@ class _Concat(_Step):
             out=ws.take(self.i, "out", (batch,) + self.shape, self.dtype))}
 
     def backward(self, recs, g, grads, ws):
-        shapes = [recs[r]["out"].shape for r in self.refs]
-        pieces = np.split(g, np.cumsum([_flat(s[1:]) for s in shapes])[:-1], axis=1)
-        return [(r, piece.reshape(s)) for r, piece, s in zip(self.refs, pieces, shapes)]
+        pieces, start = [], 0
+        for r in self.refs:
+            shape = recs[r]["out"].shape
+            stop = start + _flat(shape[1:])
+            pieces.append((r, g[:, start:stop].reshape(shape)))
+            start = stop
+        return pieces
 
 
 _STEPS = {"dense": _Weighted, "conv2d": _Weighted, "dropout": _Dropout, "concat": _Concat}
@@ -419,11 +425,6 @@ def backward(net, acts, output_gradient, grads, workspace=None):
     return grads
 
 
-def param_count(net):
-    """Total scalar count across all weights and biases."""
-    return int(net.flat.size)
-
-
 def gradient_check(net, inputs, probes=100, rng=None):
     """Compare backward gradients against central finite differences.
 
@@ -435,10 +436,9 @@ def gradient_check(net, inputs, probes=100, rng=None):
     rectifier kink is skipped and another drawn, up to 20 * probes draws; if
     fewer than `probes` coordinates could be checked, the result is NaN, so a
     check that compared too little never reads as a match.  A `probes` that
-    is not an int >= 1 raises ValueError.
+    `check_count` refuses raises ValueError.
     """
-    if type(probes) is not int or probes < 1:
-        raise ValueError(f"probes must be an integer >= 1, got {probes!r}")
+    check_count("probes", probes)
     rng = np.random.default_rng(0) if rng is None else rng
     probe = rng.standard_normal(net.output_dim)
 

@@ -22,7 +22,7 @@ from ramdqn.harness import (
 )
 from ramdqn.optim import rmsprop_state_for
 from ramdqn.replay import ReplayMemory
-from ramdqn.tensor_core import forward, make_network, param_count
+from ramdqn.tensor_core import forward, make_network
 from ramdqn.tensor_core import LayerSpec
 
 
@@ -60,7 +60,7 @@ def greedy_oracle_score(seed):
     env.reset(seed)
     total = 0.0
     while True:
-        ram = env.ram()
+        ram = env.observe(env.buffers(("ram",)))["ram"]
         action = 0 if ram[1] == ram[0] else (1 if ram[1] < ram[0] else 2)
         reward, terminal = env.step(action)
         total += reward
@@ -152,13 +152,13 @@ def test_architecture_fidelity():
     hidden = [l for l in net.layers if l.kind != "input"]
     assert [(l.kind, l.units, l.activation) for l in hidden] == [
         ("dense", 128, "rectify"), ("dense", 128, "rectify"), ("dense", 4, "none")]
-    assert param_count(net) == 2 * (128 * 128 + 128) + 128 * 4 + 4 == 33_540
+    assert net.flat.size == 2 * (128 * 128 + 128) + 128 * 4 + 4 == 33_540
 
     net = build_architecture("big_ram", 18, rng=np.random.default_rng(0))
     hidden = [l for l in net.layers if l.kind != "input"]
     assert [(l.kind, l.units, l.activation) for l in hidden] == [
         ("dense", 128, "rectify")] * 4 + [("dense", 18, "none")]
-    assert param_count(net) == 4 * (128 * 128 + 128) + 128 * 18 + 18 == 68_370
+    assert net.flat.size == 4 * (128 * 128 + 128) + 128 * 18 + 18 == 68_370
 
     net = build_architecture("nips", 4, screen_shape=(32, 32),
                              rng=np.random.default_rng(0))
@@ -249,8 +249,8 @@ def test_frame_skip_semantics():
                         break
                 assert reward == total
                 assert terminal == terminal_b
-                obs_a = env_a.observe(("ram", "screen"))
-                obs_b = env_b.observe(("ram", "screen"))
+                obs_a = env_a.observe(env_a.buffers(("ram", "screen")))
+                obs_b = env_b.observe(env_b.buffers(("ram", "screen")))
                 np.testing.assert_array_equal(obs_a["ram"], obs_b["ram"])
                 np.testing.assert_array_equal(obs_a["screen"], obs_b["screen"])
                 if terminal:

@@ -8,6 +8,7 @@ import pytest
 from ramdqn.envs import (
     ENV_REGISTRY,
     PhiBuffer,
+    check_count,
     frame_skip_step,
     make_env,
     scale_ram,
@@ -19,14 +20,23 @@ GAMES = sorted(ENV_REGISTRY)
 STREAMS = ("ram", "screen")
 
 
+def observed(env, streams=STREAMS):
+    """The current frame's streams, drawn into fresh arrays."""
+    return env.observe(env.buffers(streams))
+
+
+def ram_of(env):
+    return observed(env, ("ram",))["ram"]
+
+
 def random_rollout(name, seed, n_steps, rng):
     env = make_env(name)
     env.reset(seed)
-    trace = [env.observe(STREAMS)]
+    trace = [observed(env)]
     rewards = []
     for _ in range(n_steps):
         reward, terminal = env.step(int(rng.integers(env.action_count)))
-        trace.append(env.observe(STREAMS))
+        trace.append(observed(env))
         rewards.append(reward)
         if terminal:
             break
@@ -38,7 +48,7 @@ def test_reset_deterministic(name):
     env1, env2 = make_env(name), make_env(name)
     env1.reset(42)
     env2.reset(42)
-    o1, o2 = env1.observe(STREAMS), env2.observe(STREAMS)
+    o1, o2 = observed(env1), observed(env2)
     np.testing.assert_array_equal(o1["ram"], o2["ram"])
     np.testing.assert_array_equal(o1["screen"], o2["screen"])
 
@@ -68,7 +78,7 @@ def test_restored_game_plays_on_identically(name):
     for i in range(200):
         action = int(rng.integers(game.action_count))
         assert game.step(action) == twin.step(action), i
-        got, want = twin.observe(STREAMS), game.observe(STREAMS)
+        got, want = observed(twin), observed(game)
         for stream in STREAMS:
             assert got[stream].tobytes() == want[stream].tobytes(), (i, stream)
         if game.terminal:
@@ -112,7 +122,7 @@ def test_out_of_range_state_is_refused_and_changes_nothing(name):
 def test_ram_is_128_bytes(name):
     env = make_env(name)
     env.reset(0)
-    ram = env.ram()
+    ram = ram_of(env)
     assert ram.shape == (128,)
     assert ram.dtype == np.uint8
 
@@ -120,7 +130,7 @@ def test_ram_is_128_bytes(name):
 def test_micro_catch_initial_score_zero():
     env = make_env("micro_catch")
     env.reset(3)
-    assert env.ram()[3] == 0
+    assert ram_of(env)[3] == 0
 
 
 def test_micro_breakout_action_count():
@@ -160,8 +170,42 @@ def test_unknown_observation_stream_is_named(name):
     env = make_env(name)
     env.reset(0)
     with pytest.raises(ValueError, match=rf"{name}: unknown observation stream 'rgb'"):
-        env.observe(("ram", "rgb"))
-    assert env.observe(STREAMS).keys() == set(STREAMS)
+        env.buffers(("ram", "rgb"))
+    out = {"ram": np.zeros(128, np.uint8), "rgb": np.zeros(3, np.uint8)}
+    with pytest.raises(ValueError, match=rf"{name}: unknown observation stream 'rgb'"):
+        env.observe(out)
+    assert not out["ram"].any()  # refused before anything was drawn
+    assert observed(env).keys() == set(STREAMS)
+
+
+@pytest.mark.parametrize("name", GAMES)
+@pytest.mark.parametrize("stream, buf", [
+    ("ram", np.zeros(127, np.uint8)),
+    ("ram", np.zeros(256, np.uint8)),        # room for two: would fill only the first
+    ("ram", np.zeros(128, np.int64)),
+    ("screen", np.zeros((4, 4), np.uint8)),
+    ("screen", np.zeros(400, np.uint8)),
+])
+def test_observe_refuses_a_buffer_of_another_shape_or_dtype(name, stream, buf):
+    env = make_env(name)
+    env.reset(0)
+    out = {"ram": np.zeros(128, np.uint8), stream: buf}
+    with pytest.raises(ValueError, match=rf"{name}: {stream} buffer is .*, expected uint8"):
+        env.observe(out)
+    assert not any(b.any() for b in out.values())  # refused before anything was drawn
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_observe_writes_every_byte_of_the_caller_arrays(name):
+    # The replay ring hands a game slots that hold older frames' bytes.
+    env = make_env(name)
+    env.reset(6)
+    out = env.buffers(STREAMS)
+    for buf in out.values():
+        buf.fill(0xA5)
+    assert env.observe(out) is out
+    for stream, want in observed(env).items():
+        assert out[stream].tobytes() == want.tobytes(), stream
 
 
 @pytest.mark.parametrize("name", GAMES)
@@ -177,13 +221,16 @@ def test_numpy_integer_action_plays_like_an_int(name):
 def dynamics_digest(name, seed=2024, frames=20_000):
     """A digest of a fixed-seed random rollout of `frames` frames with
     resets: every reward, terminal flag and observation (both streams, the
-    terminal frames' too), then the final `get_state()`."""
+    terminal frames' too), then the final `get_state()`.  Every frame is
+    drawn into one array per stream, so a byte that a draw leaves as the
+    frame before drew it changes the digest."""
     rng = np.random.default_rng(seed)
     env = make_env(name)
     h = hashlib.blake2b(digest_size=16)
+    obs = env.buffers(STREAMS)
 
     def observe():
-        obs = env.observe(STREAMS)
+        env.observe(obs)
         for stream in STREAMS:
             h.update(obs[stream].tobytes())
 
@@ -239,7 +286,7 @@ def test_micro_catch_catch_reward():
     env.obj_y = 224
     reward, _ = env.step(0)
     assert reward == 1.0
-    assert env.ram()[3] == 1
+    assert ram_of(env)[3] == 1
 
 
 def test_micro_catch_miss_terminates():
@@ -260,7 +307,7 @@ def test_ram_map_fidelity(name):
     rng = np.random.default_rng(2)
     for _ in range(200):
         _, terminal = env.step(int(rng.integers(env.action_count)))
-        ram = env.ram()
+        ram = ram_of(env)
         if name == "micro_catch":
             assert ram[0] == env.paddle
             assert ram[1] == env.obj_x
@@ -302,7 +349,7 @@ def test_cumulative_reward_equals_score_counter(name):
         if terminal:
             break
     score_cell = {"micro_catch": 3, "micro_breakout": 10, "micro_diver": 4}[name]
-    assert env.ram()[score_cell] == int(total) % 256
+    assert ram_of(env)[score_cell] == int(total) % 256
 
 
 @pytest.mark.parametrize("name", GAMES)
@@ -326,7 +373,7 @@ def test_frame_skip_matches_per_frame_simulation(name, k):
                     break
             assert reward == total
             assert terminal == terminal_b
-            obs_a, obs_b = env_a.observe(STREAMS), env_b.observe(STREAMS)
+            obs_a, obs_b = observed(env_a), observed(env_b)
             np.testing.assert_array_equal(obs_a["ram"], obs_b["ram"])
             np.testing.assert_array_equal(obs_a["screen"], obs_b["screen"])
             if terminal:
@@ -416,6 +463,27 @@ def test_phi_buffer_fifo():
         np.testing.assert_array_equal(plane, f / 256.0)
 
 
+def test_phi_buffer_window_is_one_view_of_the_last_screens():
+    # Eleven screens through a three-screen window wrap its kept array
+    # several times; the window stays the last three, oldest first, in one
+    # contiguous view of that array, and the caller's screen is copied.
+    buf = PhiBuffer(3)
+    screen = np.zeros((2, 3), np.uint8)
+    buf.reset(screen)
+    kept = buf.frames.base
+    shown = [0, 0, 0]
+    for i in range(1, 12):
+        screen.fill(i)
+        buf.observe(screen)
+        shown = shown[1:] + [i]
+        assert buf.frames.base is kept and buf.frames.flags.c_contiguous
+        assert buf.frames[:, 0, 0].tolist() == shown
+    screen.fill(99)
+    assert buf.frames[:, 0, 0].tolist() == [9, 10, 11]
+    buf.reset(screen)
+    assert buf.frames.base is kept and buf.frames[:, 0, 0].tolist() == [99] * 3
+
+
 def test_phi_buffer_scales_by_256():
     buf = PhiBuffer(2)
     buf.reset(np.zeros((2, 2), dtype=np.uint8))
@@ -434,6 +502,26 @@ def test_phi_buffer_takes_a_numpy_integer_length():
     buf = PhiBuffer(np.int64(3))
     buf.reset(np.zeros((2, 2), dtype=np.uint8))
     assert buf.stack().shape == (3, 2, 2)
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(1), np.int32(2**31 - 1)])
+def test_count_rule_takes_ints_and_numpy_integers(value):
+    check_count("n", value)
+
+
+@pytest.mark.parametrize("value, least", [
+    (True, 1), (False, 0), (-1, 0), (0, 1), (1.5, 1), (2.0, 0), (np.float64(3), 1),
+    ("2", 1), (None, 0), (np.int64(-1), 0), (np.int64(0), 1),
+])
+def test_count_rule_refuses_a_bool_a_non_integer_or_a_value_below_its_bound(value, least):
+    rule = "a positive integer" if least == 1 else "an integer >= 0"
+    with pytest.raises(ValueError, match=f"^n must be {rule}, got "):
+        check_count("n", value, least=least)
+
+
+def test_count_rule_bound_can_be_zero():
+    check_count("n", 0, least=0)
+    check_count("n", np.int64(0), least=0)
 
 
 def test_unknown_env_name():

@@ -3,7 +3,9 @@ import copy
 import json
 import os
 import struct
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from ramdqn import agents, harness
 from ramdqn.agents import HyperParams, greedy_action, select_action
 from ramdqn.cli import main, write_weight_heatmap
-from ramdqn.envs import ENV_REGISTRY, MicroGame, PhiBuffer, make_env, scale_ram
+from ramdqn.envs import ENV_REGISTRY, RAM_SIZE, MicroGame, make_env, scale_ram
 from ramdqn.harness import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -33,7 +35,26 @@ from ramdqn.harness import (
     write_curve_csv,
 )
 from ramdqn.agents import build_architecture
+from ramdqn.replay import ReplayMemory
 from ramdqn.tensor_core import Workspace
+
+
+class ListWindow:
+    """The screen window as a list of copies of the last `n` screens, oldest
+    first: the model that PhiBuffer and the replay ring are checked against."""
+
+    def __init__(self, n):
+        self.n = n
+        self.frames = []
+
+    def reset(self, screen):
+        self.frames = [screen.copy()] * self.n
+
+    def observe(self, screen):
+        self.frames = self.frames[1:] + [screen.copy()]
+
+    def stack(self):
+        return scale_ram(np.stack(self.frames))
 
 
 def small_hyper(**kw):
@@ -142,6 +163,14 @@ def test_test_period_does_not_mutate_training():
     assert len(state.replay) == before_replay
 
 
+@pytest.mark.parametrize("steps", [np.int64(5), np.int32(5), 5])
+def test_training_epoch_takes_a_numpy_integer_step_count(steps):
+    # np.int64(5) raised ValueError, as no other count setting did.
+    state = TrainingState(small_config())
+    run_training_epoch(state, steps)
+    assert state.global_step == 5 and state.epochs_done == 1
+
+
 def test_test_period_truncated_episode_flagged():
     # One step is never enough to finish an episode.
     state = TrainingState(small_config())
@@ -166,6 +195,9 @@ def no_game_step(*args):
     ("test", {"test_epsilon": 2.0}, "epsilon"),
     ("test", {"test_epsilon": -0.1}, "epsilon"),
     ("test", {"test_epsilon": float("nan")}, "epsilon"),
+    ("train", {"steps": -1}, "training steps"),
+    ("train", {"steps": 1.5}, "training steps"),
+    ("train", {"steps": np.int64(-1)}, "training steps"),
 ])
 def test_bad_step_count_or_epsilon_raises_before_any_game_step(monkeypatch, period, kwargs,
                                                                  match):
@@ -217,15 +249,16 @@ def test_test_period_runs_a_network_built_for_its_game(env_name, arch):
 
 def reference_test_period(net, env_name, hyper, seed):
     """`run_test_period` as a plain loop that calls `greedy_action` on every
-    greedy step, on inputs built from a PhiBuffer window and scale_ram.
+    greedy step, on inputs built from a list window and scale_ram.
     Returns (report, actions, the distinct windows of the greedy steps, as the
     RAM bytes and then the screens' bytes)."""
     policy_ss, env_ss = np.random.SeedSequence(seed).spawn(2)
     policy_rng = np.random.default_rng(policy_ss)
     episode = harness.EpisodePipeline(make_env(env_name), net.input_streams, hyper,
                                       np.random.default_rng(env_ss))
-    phi = PhiBuffer(hyper.phi_length)
-    obs, terminal = episode.begin(), True
+    phi = ListWindow(hyper.phi_length)
+    obs, terminal = episode.buffers(), True
+    episode.begin(obs)
     scores, current, actions, windows = [], 0.0, [], set()
     for _ in range(hyper.test_steps):
         inputs = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
@@ -243,7 +276,8 @@ def reference_test_period(net, env_name, hyper, seed):
             return greedy_action(net, inputs)
 
         actions.append(select_action(net, greedy, hyper.test_epsilon, policy_rng))
-        reward, terminal, obs = episode.step(actions[-1])
+        reward, terminal = episode.step(actions[-1])
+        episode.draw(obs)
         current += reward
         if terminal:
             scores.append(current)
@@ -782,8 +816,8 @@ def test_nonfinite_loss_names_epoch_and_layer():
 def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, env_name, arch):
     # Training acts from the replay ring's newest slots.  A 30-transition
     # ring wraps several times in 200 steps, across episode ends; at every
-    # action the state must equal what a PhiBuffer and scale_ram build.
-    phi, expected, seen = PhiBuffer(small_hyper().phi_length), [], []
+    # action the state must equal what a list window and scale_ram build.
+    phi, expected, seen = ListWindow(small_hyper().phi_length), [], []
 
     def reference(obs, fresh):
         want = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
@@ -795,18 +829,18 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
             want["screen"] = phi.stack()
         expected[:] = [want]
 
-    real_begin, real_step = harness.EpisodePipeline.begin, harness.EpisodePipeline.step
+    real_begin, real_draw = harness.EpisodePipeline.begin, harness.EpisodePipeline.draw
 
-    def begin(self):
-        obs = real_begin(self)
-        reference(obs, fresh=True)
-        return obs
+    def begin(self, out):  # also called by `draw` after a terminal step
+        real_begin(self, out)
+        reference(out, fresh=True)
 
-    def step(self, action):
-        reward, terminal, obs = real_step(self, action)
-        reference(obs, fresh=terminal)  # after a terminal step: the next episode's first
+    def draw(self, out):
+        terminal = self.env.terminal
+        real_draw(self, out)  # after a terminal step: the next episode's first
+        if not terminal:
+            reference(out, fresh=False)
         seen.append(terminal)
-        return reward, terminal, obs
 
     def greedy_action(net, inputs):  # training passes it the ring's latest_state
         assert inputs.keys() == expected[0].keys()
@@ -821,7 +855,7 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
 
     real_select, real_greedy = harness.select_action, harness.greedy_action
     monkeypatch.setattr(harness.EpisodePipeline, "begin", begin)
-    monkeypatch.setattr(harness.EpisodePipeline, "step", step)
+    monkeypatch.setattr(harness.EpisodePipeline, "draw", draw)
     monkeypatch.setattr(harness, "select_action", select_action)
     monkeypatch.setattr(harness, "greedy_action", greedy_action)
     state = TrainingState(small_config(env_name=env_name, arch=arch,
@@ -849,17 +883,19 @@ def test_pipeline_observes_each_read_stream_once_per_action(monkeypatch, env_nam
         return wrapper
 
     monkeypatch.setattr(game, "step", counted("frames", game.step))
-    monkeypatch.setattr(game, "ram", counted("ram", game.ram))
-    monkeypatch.setattr(game, "_render", counted("screen", game._render))
+    monkeypatch.setattr(game, "_draw_ram", counted("ram", game._draw_ram))
+    monkeypatch.setattr(game, "_draw_screen", counted("screen", game._draw_screen))
     hyper = small_hyper(frame_skip=4)
     env = make_env(env_name)
     net = harness.build_network(arch, env, hyper, np.random.default_rng(0))
     episode = harness.EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(1))
     rng = np.random.default_rng(2)
-    episode.begin()
+    obs = episode.buffers()
+    assert sorted(obs) == sorted(built)
+    episode.begin(obs)
     for _ in range(300):
-        _, terminal, obs = episode.step(int(rng.integers(env.action_count)))
-        assert sorted(obs) == sorted(built)
+        episode.step(int(rng.integers(env.action_count)))
+        episode.draw(obs)
     assert calls["frames"] > 2 * 300  # most actions passed over frames
     assert calls["ram"] == (1 + 300 if "ram" in built else 0)
     assert calls["screen"] == (1 + 300 if "screen" in built else 0)
@@ -873,9 +909,9 @@ def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
     observed = []
     real_observe = MicroGame.observe
 
-    def observe(self, streams):
-        observed.append(streams)
-        return real_observe(self, streams)
+    def observe(self, out):
+        observed.append(sorted(out))
+        return real_observe(self, out)
 
     monkeypatch.setattr(MicroGame, "observe", observe)
     hyper = small_hyper()
@@ -883,16 +919,19 @@ def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
     episode = harness.EpisodePipeline(make_env(env_name), streams, hyper,
                                       np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    episode.begin()
+    obs = episode.buffers()
+    episode.begin(obs)
     ends = 0
     for _ in range(400):
         seeds, calls = copy.deepcopy(episode.seed_rng), len(observed)
-        _, terminal, obs = episode.step(int(rng.integers(episode.env.action_count)))
+        _, terminal = episode.step(int(rng.integers(episode.env.action_count)))
+        episode.draw(obs)
         assert len(observed) == calls + 1
         if terminal:
             ends += 1
             twin = harness.EpisodePipeline(make_env(env_name), streams, hyper, seeds)
-            first = twin.begin()
+            first = twin.buffers()
+            twin.begin(first)
             assert obs.keys() == first.keys()
             for key in first:
                 np.testing.assert_array_equal(obs[key], first[key])
@@ -1013,3 +1052,73 @@ def test_fuzzed_checkpoint_raises_only_checkpoint_error(fuzz_checkpoint, data):
             assert main(evaluate) == 1
             return
         assert main(evaluate) == 0
+
+
+# -- observations are drawn, not allocated -----------------------------------
+
+def largest_held_numpy_blocks(run, least=RAM_SIZE):
+    """Call `run()` under tracemalloc and a profile hook; return the sizes of
+    the numpy data blocks of `least` bytes or more (default: the smallest
+    observation, the 128 RAM bytes) that were made during `run` and held
+    together, at the check that found the most of them.  numpy traces each
+    array's data in its own tracemalloc domain.  A check runs whenever a
+    call inside `run` returns having kept `least` traced bytes or more, so a
+    fresh observation array, or one drawn and then copied, is caught while
+    it is held."""
+    domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    at_call, most = [], []
+
+    def hook(frame, event, arg):
+        now = tracemalloc.get_traced_memory()[0]
+        if event in ("call", "c_call"):
+            at_call.append(now)
+        elif at_call and now - at_call.pop() >= least:
+            traces = tracemalloc.take_snapshot().filter_traces(domain).traces
+            held = sorted(t.size for t in traces if t.size >= least)
+            if len(held) > len(most):
+                most[:] = held
+
+    tracemalloc.start()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return most
+
+
+def test_pushes_draw_each_observation_into_the_ring_without_allocating_it():
+    # 1,000 micro_diver transitions at frame skip 4, the RAM and the screen
+    # of each drawn straight into the ring slot that keeps it, as training
+    # and the warm-up push them: no observation array is made.
+    hyper = small_hyper(frame_skip=4)
+    episode = harness.EpisodePipeline(make_env("micro_diver"), ("ram", "screen"), hyper,
+                                      np.random.default_rng(1))
+    first = episode.buffers()
+    episode.begin(first)
+    ring = ReplayMemory(1000, first, phi_length=hyper.phi_length)
+    actions = np.random.default_rng(2).integers(6, size=1000).tolist()
+
+    def pushes():
+        for action in actions:
+            reward, terminal = episode.step(action)
+            ring.push(action, reward, terminal, episode.draw)
+
+    assert largest_held_numpy_blocks(pushes) == []
+    assert ring.pushes == 1000 and ring.start.sum() >= 3  # episodes ended and began
+
+
+def test_test_period_draws_every_observation_into_one_set_of_arrays():
+    # The period's drawing arrays (128 RAM bytes, a 20x20 screen) and its
+    # window's kept screens (2 x 4 of them) are all that it holds: a fresh
+    # observation per action would be held beside them.  At epsilon 1 no
+    # network input is built.
+    hyper = small_hyper(frame_skip=4, test_steps=1000, test_epsilon=1.0)
+    net = harness.build_network("mixed_ram", make_env("micro_diver"), hyper,
+                                np.random.default_rng(0))
+    reports = []
+    held = largest_held_numpy_blocks(
+        lambda: reports.append(run_test_period(net, "micro_diver", hyper, seed=3)))
+    assert held == [RAM_SIZE, 20 * 20, 2 * 4 * 20 * 20]
+    assert reports[0].episodes >= 3

@@ -234,6 +234,11 @@ def test_action_must_be_a_nonnegative_integer(action):
     (0.0, "no", "terminal"),    # was stored as True
     (0.0, 1, "terminal"),
     (0.0, None, "terminal"),
+    (float("nan"), False, "reward must be finite"),    # was stored, to surface as a nan loss
+    (float("inf"), False, "reward must be finite"),
+    (-float("inf"), True, "reward must be finite"),
+    (np.float32("inf"), False, "reward must be finite"),
+    (np.float64("nan"), False, "reward must be finite"),
 ])
 def test_bad_reward_or_terminal_writes_nothing(reward, terminal, match):
     mem = new_memory(capacity=3)
@@ -245,6 +250,55 @@ def test_bad_reward_or_terminal_writes_nothing(reward, terminal, match):
         mem.push(1, reward, terminal, ram_obs(99))
     assert mem.pushes == 5
     np.testing.assert_array_equal(mem.contents()[0].state["ram"], oldest["ram"])
+    after = mem.arrays()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
+def drawing(obs):
+    """A function that draws `obs` into the arrays it is given, as a game
+    draws into the ring's slot, and records each call."""
+    def draw(out):
+        draw.calls.append(sorted(out))
+        for name, view in out.items():
+            view[...] = obs[name]
+
+    draw.calls = []
+    return draw
+
+
+def test_a_drawn_observation_is_stored_as_a_copied_one():
+    # Across a wrap: both rings hold the same bytes in every array.
+    drawn, copied = new_memory(capacity=3), new_memory(capacity=3)
+    for tag in range(8):
+        draw = drawing(ram_obs(tag + 1))
+        drawn.push(tag % 3, float(tag), tag == 5, draw)
+        copied.push(tag % 3, float(tag), tag == 5, ram_obs(tag + 1))
+        assert draw.calls == [["ram"]]  # one draw, into the slot's views
+    for name, a in copied.arrays().items():
+        assert drawn.arrays()[name].tobytes() == a.tobytes(), name
+
+
+def test_the_draw_writes_into_the_slot_after_the_newest():
+    mem = new_memory(capacity=4)
+    push(mem, 0)
+    seen = []
+    mem.push(1, 1.0, False, lambda out: seen.append(out["ram"]))
+    assert np.shares_memory(seen[0], mem.frames["ram"][2])
+
+
+@pytest.mark.parametrize("action, reward, terminal", [
+    (-1, 0.0, False), (1.5, 0.0, False), (0, float("nan"), False), (0, True, False),
+    (0, 0.0, "no"),
+])
+def test_a_refused_push_never_draws(action, reward, terminal):
+    mem = new_memory(capacity=3)
+    for tag in range(5):
+        push(mem, tag)
+    before = {name: a.copy() for name, a in mem.arrays().items()}
+    draw = drawing(ram_obs(99))
+    with pytest.raises(ValueError):
+        mem.push(action, reward, terminal, draw)
+    assert draw.calls == [] and mem.pushes == 5
     after = mem.arrays()
     assert all(np.array_equal(before[name], after[name]) for name in before)
 

@@ -17,6 +17,12 @@ include_replay=True)` after one training epoch on the 137-transition ring,
 and `replay.ckpt:resumed`, that of the checkpoint saved again from the state
 `restore_training_state` rebuilds from it.
 
+The last line, `micro_diver-big_mixed_ram-warmup/replay.arrays`, is made in
+process too: the digest of every array of the replay ring after the
+40,000-transition random warm-up of perfbench's diver_fill workload
+(micro_diver, big_mixed_ram, frame skip 4, seed 1).  It pins each byte that
+the games draw into the ring.
+
 A change that must keep the arithmetic as it is shows it by giving the same
 lines as its parent commit; two runs of one commit must always agree.
 
@@ -91,6 +97,21 @@ def replay_digests(env, arch, out):
     return saved, file_digest(path)
 
 
+def warmup_digest():
+    """sha256 of `replay.arrays()`, each array's name, dtype, shape and bytes in
+    name order, after the diver_fill warm-up."""
+    from ramdqn.agents import HyperParams
+    from ramdqn.harness import ExperimentConfig, TrainingState
+    hyper = HyperParams(frame_skip=4, replay_start_size=40_000)
+    state = TrainingState(ExperimentConfig("micro_diver", "big_mixed_ram", hyper, seed=1))
+    state.warmup()
+    h = hashlib.sha256()
+    for name, a in sorted(state.replay.arrays().items()):
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def params_digest(path):
     """sha256 of the parameters that `network_from_checkpoint` loads from `path`."""
     from ramdqn.harness import checkpoint_load, network_from_checkpoint
@@ -128,6 +149,7 @@ def main():
                 lines["replay.ckpt"], lines["replay.ckpt:resumed"] = replay_digests(env, arch, out)
             for file, sha in lines.items():
                 print(f"{sha}  {name}/{file}", flush=True)
+    print(f"{warmup_digest()}  micro_diver-big_mixed_ram-warmup/replay.arrays")
 
 
 if __name__ == "__main__":
