@@ -235,16 +235,16 @@ def run_training_epoch(state, steps):
 
 def _check_fit(net, env, hyper):
     """Require one network output per action of `env`, and each input
-    stream's shape to be the one `env` gives under `hyper`."""
+    stream to be one that `env` gives under `hyper`, of the same shape."""
     if net.output_dim != env.action_count:
         raise ValueError(f"the network has {net.output_dim} outputs, but {env.name} "
                          f"has {env.action_count} actions")
     given = input_shapes(env.screen_shape, hyper.phi_length)
     for stream, i in net.input_streams.items():
-        if net.out_shapes[i] != given[stream]:
+        if net.out_shapes[i] != given.get(stream):
             raise ValueError(f"the network's {stream} input is {net.out_shapes[i]}, "
                              f"but {env.name} at phi_length {hyper.phi_length} "
-                             f"gives {given[stream]}")
+                             f"gives {given.get(stream, f'no {stream} stream')}")
 
 
 def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
@@ -417,7 +417,8 @@ def checkpoint_save(state, path, include_replay=False):
 def checkpoint_load(path):
     """Read a checkpoint into {'header': dict, 'arrays': name -> array}, each array
     a read-only view of the file's bytes in its saved dtype.  A file of another format
-    version, one that does not parse, or one with bytes past its arrays raises CheckpointError."""
+    version, one that does not parse, one that lists an array twice, or one with bytes
+    past its arrays raises CheckpointError."""
     try:
         with open(path, "rb") as f:
             raw = memoryview(f.read())
@@ -453,6 +454,8 @@ def checkpoint_load(path):
                 and all(isinstance(n, int) for n in entry["shape"])
                 and entry.get("dtype") in CHECKPOINT_DTYPES):
             raise CheckpointError(f"corrupt checkpoint: bad array entry {entry!r}")
+        if entry["name"] in arrays:
+            raise CheckpointError(f"corrupt checkpoint: array {entry['name']} listed twice")
         shape, dtype = entry["shape"], np.dtype(entry["dtype"])
         (count,) = struct.unpack("<Q", take(8, "array header"))
         expected = math.prod(shape)  # exact: a crafted shape must not wrap around

@@ -65,13 +65,12 @@ class ReplayMemory:
     read.  The newest slot holds the observation the agent acts from, and
     `latest_state` gives its state.
 
-    `first_obs` (stream -> uint8 array) starts the first episode in slot 0
-    and sets each stream's shape.  After that `push` is the only write: the
-    next observation of a terminal transition is the next episode's first.
-    A game can draw that observation straight into the slot that keeps it
-    (`MicroGame.observe`), so each observed byte is written once.  A
-    `capacity` or `phi_length` that `envs.check_count` refuses raises
-    ValueError.
+    `first_obs` (stream -> uint8 array; another dtype raises ValueError)
+    starts the first episode in slot 0 and sets each stream's shape.  After
+    that `push` is the only write: its draw puts each observation straight
+    into the slot that keeps it (`MicroGame.observe`), so each observed byte
+    is written once.  A `capacity` or `phi_length` that `envs.check_count`
+    refuses raises ValueError.
     """
 
     def __init__(self, capacity, first_obs, *, phi_length=1):
@@ -81,44 +80,35 @@ class ReplayMemory:
         self.phi_length = phi_length
         self.pushes = 0
         slots = capacity + phi_length  # the oldest stack survives a wrap
-        # np.zeros: Linux backs the pages lazily, so unused capacity costs no RSS.
-        self.frames = {name: np.zeros((slots,) + np.shape(obs), dtype=np.uint8)
-                       for name, obs in first_obs.items()}
-        self._slot_shapes = {name: frames.shape[1:] for name, frames in self.frames.items()}
+        self.frames = {}
+        for name, obs in first_obs.items():
+            obs = np.asarray(obs)
+            if obs.dtype != np.uint8:
+                raise ValueError(f"observation {name!r} is {obs.dtype}, expected uint8")
+            # np.zeros: Linux backs the pages lazily, so unused capacity costs no RSS.
+            self.frames[name] = np.zeros((slots,) + obs.shape, dtype=np.uint8)
+            self.frames[name][0] = obs
         self.action = np.zeros(slots, dtype=np.int32)
         self.reward = np.zeros(slots, dtype=np.float64)
         self.terminal = np.zeros(slots, dtype=bool)
         self.start = np.zeros(slots, dtype=bool)
-        self._write(0, first_obs)
         self.start[0] = True
 
     def __len__(self):
         return min(self.pushes, self.capacity)
 
-    def _write(self, slot, obs):
-        """Store `obs` in `slot`; a wrong stream, shape or dtype raises
-        ValueError and writes nothing."""
-        if obs.keys() != self.frames.keys():
-            raise ValueError(f"observation streams {sorted(obs)} != {sorted(self.frames)}")
-        for name, shape in self._slot_shapes.items():
-            o = np.asarray(obs[name])
-            if o.dtype != np.uint8 or o.shape != shape:
-                raise ValueError(f"observation {name!r} is {o.dtype} {o.shape}, "
-                                 f"expected uint8 {shape}")
-        for name, frames in self.frames.items():
-            frames[slot] = obs[name]
-
-    def push(self, action, reward, terminal, next_obs):
-        """Store the transition taken from the latest observation.  `next_obs`
-        is the observation it led to, or after a terminal transition the
-        first observation of the next episode: either the observation itself
-        (stream -> uint8 array), copied in, or a function that draws it into
-        the arrays it is given, the views of the slot that keeps it, as
-        `EpisodePipeline.draw` does.  The push is committed once the
-        observation is in.  An action that is not an int or numpy integer in
-        [0, 2**31), a reward that is a bool or not a finite real number, a
-        terminal flag that is not a bool or numpy bool, or a wrong
-        observation, raises ValueError and stores nothing."""
+    def push(self, action, reward, terminal, draw):
+        """Store the transition taken from the latest observation.  `draw`
+        gets the views of the slot that keeps the observation it led to (after
+        a terminal transition, the next episode's first), stream -> uint8
+        array, and draws into them, as `EpisodePipeline.draw` does; the push
+        is committed when it returns.  An action that is not an int or numpy
+        integer in [0, 2**31), a reward that is a bool or not a finite real
+        number, or a terminal flag that is not a bool or numpy bool raises
+        ValueError and stores nothing, and `draw` is never called.  A draw must
+        raise before it writes, as `MicroGame.observe` does: a raising draw
+        commits nothing, but what it wrote stays in the slot, which once the
+        ring has wrapped holds the oldest frame of the oldest stored state."""
         if (type(action) is not int and not isinstance(action, np.integer)
                 or not 0 <= action < 2**31):
             raise ValueError(f"action must be an integer in [0, 2**31), got {action!r}")
@@ -136,10 +126,7 @@ class ReplayMemory:
         slots = len(self.start)
         slot = self.pushes % slots
         after = (slot + 1) % slots
-        if callable(next_obs):
-            next_obs({name: frames[after] for name, frames in self.frames.items()})
-        else:
-            self._write(after, next_obs)
+        draw({name: frames[after] for name, frames in self.frames.items()})
         self.action[slot] = action
         self.reward[slot] = reward
         self.terminal[slot] = terminal

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from drawing import copying
 from ramdqn.agents import (
     ARCHITECTURES,
     HyperParams,
@@ -119,7 +120,8 @@ def test_tabular_oracle_equivalence():
         s = 3
         for a in (0, 0, 0, 0, 1, 1, 1, 1):
             ns = s + 1 if a == 1 else max(s - 1, 0)
-            mem.push(a, 1.0 if ns == 4 else 0.0, ns == 4, onehot_bytes(3 if ns == 4 else ns))
+            next_obs = onehot_bytes(3 if ns == 4 else ns)
+            mem.push(a, 1.0 if ns == 4 else 0.0, ns == 4, copying(next_obs))
             s = ns
     hyper = HyperParams(minibatch_size=32, replay_start_size=32, frame_skip=1,
                         discount=gamma, steps_per_epoch=1, test_steps=1)
@@ -202,12 +204,12 @@ def test_protocol_fidelity():
     zero = {"ram": np.zeros(1, np.uint8)}
     mem = ReplayMemory(hyper.replay_capacity, zero)
     for _ in range(hyper.replay_capacity + 1):
-        mem.push(0, 0.0, False, zero)
+        mem.push(0, 0.0, False, copying(zero))
     assert len(mem) == hyper.replay_capacity
 
     small = ReplayMemory(3, zero)
     for i in range(5):
-        small.push(0, float(i), False, {"ram": np.full(1, i + 1, np.uint8)})
+        small.push(0, float(i), False, copying({"ram": np.full(1, i + 1, np.uint8)}))
     kept = small.contents()[:]  # the last three of five transitions, oldest first
     last = np.arange(2, 5)
     assert kept.state.keys() == kept.next_state.keys() == {"ram"}

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from drawing import copying
 from ramdqn import agents, harness
 from ramdqn.agents import (
     HyperParams,
@@ -373,7 +374,7 @@ def test_train_step_deterministic():
 
         mem = ReplayMemory(16, observe())
         for i in range(8):
-            mem.push(i % 3, float(i % 2), i % 4 == 0, observe())
+            mem.push(i % 3, float(i % 2), i % 4 == 0, copying(observe()))
         losses.append(train_step(net, mem, opt, small_hyper(), rng))
     assert losses[0] == losses[1]
 
@@ -391,7 +392,7 @@ def test_train_step_perfect_fit_keeps_params():
     s = {"ram": np.random.default_rng(0).integers(0, 256, 128, dtype=np.uint8)}
     mem = ReplayMemory(8, s)
     for _ in range(4):
-        mem.push(1, 0.0, True, s)
+        mem.push(1, 0.0, True, copying(s))
     loss = train_step(net, mem, opt, small_hyper(), np.random.default_rng(5))
     assert loss == 0.0
     for p in net.params:
@@ -407,7 +408,7 @@ def test_train_step_converges_on_single_transition():
     s = {"ram": np.random.default_rng(0).integers(0, 256, 128, dtype=np.uint8)}
     mem = ReplayMemory(8, s)
     for _ in range(4):
-        mem.push(2, 1.0, True, s)
+        mem.push(2, 1.0, True, copying(s))
     rng = np.random.default_rng(9)
     hyper = small_hyper()
     losses = [train_step(net, mem, opt, hyper, rng) for _ in range(500)]
@@ -428,7 +429,7 @@ def test_training_a_deep_copy_leaves_the_original_unchanged():
 
     mem = ReplayMemory(16, observe())
     for i in range(8):
-        mem.push(i % 3, float(i % 2), i % 4 == 0, observe())
+        mem.push(i % 3, float(i % 2), i % 4 == 0, copying(observe()))
     opt, rng = rmsprop_state_for(twin), np.random.default_rng(3)
     for _ in range(5):
         train_step(twin, mem, opt, small_hyper(), rng)
@@ -536,7 +537,7 @@ def test_tabular_equivalence_with_value_iteration():
         for a in (0, 0, 0, 0, 1, 1, 1, 1):
             ns = min(s + 1, 4) if a == 1 else max(s - 1, 0)
             r = 1.0 if ns == 4 else 0.0
-            mem.push(a, r, ns == 4, onehot_bytes(3 if ns == 4 else ns))
+            mem.push(a, r, ns == 4, copying(onehot_bytes(3 if ns == 4 else ns)))
             s = ns
     hyper = small_hyper(minibatch_size=32, replay_start_size=32, discount=gamma)
     rng = np.random.default_rng(4)

@@ -195,6 +195,32 @@ def test_observe_refuses_a_buffer_of_another_shape_or_dtype(name, stream, buf):
     assert not any(b.any() for b in out.values())  # refused before anything was drawn
 
 
+def strided(shape):
+    """A zeroed uint8 view of `shape` that skips every other byte, and its base."""
+    base = np.zeros(shape[:-1] + (2 * shape[-1],), np.uint8)
+    return base[..., ::2], base
+
+
+def read_only(shape):
+    buf = np.zeros(shape, np.uint8)
+    buf.flags.writeable = False
+    return buf, buf
+
+
+@pytest.mark.parametrize("name", GAMES)
+@pytest.mark.parametrize("stream", ["ram", "screen"])
+@pytest.mark.parametrize("make", [strided, read_only])
+def test_observe_refuses_a_strided_or_read_only_buffer(name, stream, make):
+    # Both used to pass the check and then fail partway through the draw.
+    env = make_env(name)
+    env.reset(0)
+    buf, base = make(env.buffers([stream])[stream].shape)
+    out = {"ram": np.zeros(128, np.uint8), stream: buf}
+    with pytest.raises(ValueError, match=rf"{name}: {stream} buffer .* C-contiguous and writeable"):
+        env.observe(out)
+    assert not base.any() and not out["ram"].any()
+
+
 @pytest.mark.parametrize("name", GAMES)
 def test_observe_writes_every_byte_of_the_caller_arrays(name):
     # The replay ring hands a game slots that hold older frames' bytes.

@@ -36,7 +36,7 @@ from ramdqn.harness import (
 )
 from ramdqn.agents import build_architecture
 from ramdqn.replay import ReplayMemory
-from ramdqn.tensor_core import Workspace
+from ramdqn.tensor_core import LayerSpec, Workspace, make_network
 
 
 class ListWindow:
@@ -228,6 +228,17 @@ def test_test_period_refuses_a_network_built_for_another_game(monkeypatch, arch,
     monkeypatch.setattr(harness, "frame_skip_step", no_game_step)
     with pytest.raises(ValueError, match=match):
         run_test_period(net, env_name, small_hyper(phi_length=4, test_epsilon=epsilon), seed=1)
+
+
+def test_test_period_names_a_network_input_stream_the_game_does_not_have(monkeypatch):
+    # Was a KeyError from the shape check.
+    specs = [LayerSpec(kind="input", stream="sound", shape=(4,)),
+             LayerSpec(kind="dense", units=3, input_refs=(0,))]
+    net = make_network(specs, np.random.default_rng(0))
+    monkeypatch.setattr(harness, "frame_skip_step", no_game_step)
+    with pytest.raises(ValueError, match=r"sound input is \(4,\), but micro_catch .* "
+                                         r"gives no sound stream"):
+        run_test_period(net, "micro_catch", small_hyper(test_steps=10), seed=1)
 
 
 def test_test_period_refuses_a_screen_window_of_another_length(monkeypatch):
@@ -490,6 +501,27 @@ def test_checkpoint_with_bytes_after_the_last_array_is_refused(tmp_path, capsys)
         checkpoint_load(path)
     assert main(["eval", "--checkpoint", str(path), "--steps", "10"]) == 1
     assert capsys.readouterr().err == "error: corrupt checkpoint: bytes after the last array\n"
+
+
+def test_checkpoint_listing_an_array_twice_is_refused(tmp_path, capsys):
+    # The later bytes used to win: a network loaded from this file had W = 7.
+    path = tmp_path / "twice.ckpt"
+    checkpoint_save(TrainingState(small_config()), path)
+    ckpt = checkpoint_load(path)
+    entries = ckpt["header"]["arrays"]
+    arrays = [ckpt["arrays"][entry["name"]] for entry in entries]
+    [w] = [entry for entry in entries if entry["name"] == "param/1/W"]
+    entries.append(w)
+    arrays.append(np.full(w["shape"], 7.0, w["dtype"]))
+    blob = json.dumps(ckpt["header"]).encode()
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob]
+    for a in arrays:
+        chunks += [struct.pack("<Q", a.size), a.tobytes()]
+    path.write_bytes(b"".join(chunks))
+    with pytest.raises(CheckpointError, match="array param/1/W listed twice"):
+        checkpoint_load(path)
+    assert main(["eval", "--checkpoint", str(path), "--steps", "10"]) == 1
+    assert capsys.readouterr().err == "error: corrupt checkpoint: array param/1/W listed twice\n"
 
 
 def test_checkpoint_truncated_file(tmp_path):
