@@ -136,13 +136,16 @@ class MicroGame:
         """Draw the current frame into the caller's arrays and return `out`:
         it maps each stream to draw ("ram", "screen") to a C-contiguous uint8
         array of that stream's shape, as `buffers` makes it, and every byte
-        of each is written.  Another stream name, shape or dtype, or a strided
-        or read-only array, raises ValueError before anything is drawn."""
+        of each is written.  Another stream name, shape or dtype, a strided or
+        read-only array, or a buffer that is not a numpy array, raises
+        ValueError before anything is drawn."""
         for stream, buf in out.items():
-            if buf.dtype != _BYTE or buf.shape != self._shape(stream) or not buf.flags.carray:
-                raise ValueError(f"{self.name}: {stream} buffer is {buf.dtype} {buf.shape}, "
-                                 f"expected uint8 {self._shape(stream)}, C-contiguous "
-                                 f"and writeable")
+            array = isinstance(buf, np.ndarray)
+            if (not array or buf.dtype != _BYTE or buf.shape != self._shape(stream)
+                    or not buf.flags.carray):
+                got = f"{buf.dtype} {buf.shape}" if array else type(buf).__name__
+                raise ValueError(f"{self.name}: {stream} buffer is {got}, expected uint8 "
+                                 f"{self._shape(stream)}, C-contiguous and writeable")
         for stream, buf in out.items():
             if stream == "ram":
                 self._draw_ram(buf)

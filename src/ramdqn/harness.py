@@ -84,7 +84,8 @@ class EpisodePipeline:
     """Plays a game for an agent: the env, the frame skip, and the rng that
     seeds each episode's reset.  Observations are the bytes of each stream
     in `streams` ("ram", "screen") that the agent reads, drawn into arrays
-    that the caller owns: the replay ring's slots, or `buffers()`."""
+    that the caller owns: the replay ring's slots, or `buffers()`.  `draw`
+    starts every episode, the first too: a new game is terminal."""
 
     def __init__(self, env, streams, hyper, seed_rng):
         self.env = env
@@ -96,24 +97,19 @@ class EpisodePipeline:
         """A zeroed uint8 array per stream, to draw observations into."""
         return self.env.buffers(self.streams)
 
-    def begin(self, out):
-        """Reset the game and draw the new episode's first observation into `out`."""
-        self.env.reset(int(self.seed_rng.integers(2**63)))
-        self.env.observe(out)
-
     def step(self, action):
         """Play `action` for one frame-skip step: (reward, terminal).  `draw`
         gives the observation it led to."""
         return frame_skip_step(self.env, action, self.frame_skip)
 
     def draw(self, out):
-        """Draw the observation the last step led to into `out`.  After a
-        terminal step it is the next episode's first, and the game is reset
-        here: the terminal frame is never drawn."""
+        """Draw the observation the last step led to into `out` and return
+        `out`.  Before the first step and after a terminal one it is a new
+        episode's first: the game is reset here, with the next seed of
+        `seed_rng`, and the terminal frame is never drawn."""
         if self.env.terminal:
-            self.begin(out)
-        else:
-            self.env.observe(out)
+            self.env.reset(int(self.seed_rng.integers(2**63)))
+        return self.env.observe(out)
 
 
 class TrainingState:
@@ -140,8 +136,7 @@ class TrainingState:
             # The replay ring is the only store of observations: the agent acts
             # from the state of its newest slot, and each push draws the next
             # observation into the slot after it.
-            first = self.episode.buffers()
-            self.episode.begin(first)
+            first = self.episode.draw(self.episode.buffers())
             self.replay = ReplayMemory(self.hyper.replay_capacity, first,
                                        phi_length=self.hyper.phi_length)
         except (ValueError, MemoryError) as e:
@@ -289,7 +284,7 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
             action = actions[key] = greedy_action(net, inputs)
         return action
 
-    episode.begin(obs)
+    episode.draw(obs)
     terminal = True
     episode_scores = []
     current = 0.0

@@ -60,13 +60,15 @@ class ReplayMemory:
     episode starts there.  Transition number k acts from slot k and leads
     to slot k + 1 (mod the slot count).  The `screen` stream's states are stacks of
     the last phi_length frames, the episode's first frame repeated where the
-    episode is younger, as `PhiBuffer` builds them; other streams' states
-    are the one observation.  Observations are scaled by `scale_ram` when
-    read.  The newest slot holds the observation the agent acts from, and
-    `latest_state` gives its state.
+    episode is younger, as `PhiBuffer` builds them; the `ram` stream's states
+    are the one observation.  One walk back over the slots, `_walk`, finds
+    every stack: those of sampled transitions and that of the newest slot,
+    which holds the observation the agent acts from and whose state
+    `latest_state` gives.  Observations are scaled by `scale_ram` when read.
 
-    `first_obs` (stream -> uint8 array; another dtype raises ValueError)
-    starts the first episode in slot 0 and sets each stream's shape.  After
+    `first_obs` maps "ram", "screen" or both to uint8 arrays; an empty dict,
+    another stream name or another dtype raises ValueError.  It starts the
+    first episode in slot 0 and sets each stream's shape.  After
     that `push` is the only write: its draw puts each observation straight
     into the slot that keeps it (`MicroGame.observe`), so each observed byte
     is written once.  A `capacity` or `phi_length` that `envs.check_count`
@@ -76,6 +78,9 @@ class ReplayMemory:
     def __init__(self, capacity, first_obs, *, phi_length=1):
         check_count("capacity", capacity)
         check_count("phi_length", phi_length)
+        if not first_obs or not first_obs.keys() <= {"ram", STACKED_STREAM}:
+            raise ValueError(f"first_obs must map 'ram', {STACKED_STREAM!r} or both to an "
+                             f"observation, got the streams {list(first_obs)}")
         self.capacity = capacity
         self.phi_length = phi_length
         self.pushes = 0
@@ -140,17 +145,15 @@ class ReplayMemory:
         last = self.pushes - 1
         return last - (last - positions) % self.capacity
 
-    def _walk(self, here, after):
-        """(n, phi_length + 1) slots, oldest first: the frames of the state
-        stacks of transitions that act from slots `here`, then the slots
-        `after` they lead to.  The walk back stops at an episode's first
-        frame, which repeats."""
-        slots = len(self.start)
-        cols = [after, here]
+    def _walk(self, slot):
+        """The slots of the state stack of the observation in `slot`, an int
+        or an index array, oldest first: phi_length of them, each an int or an
+        array as `slot` is.  The walk back stops at an episode's first frame,
+        which repeats; a slot before 0 is negative, counted from the end."""
+        stack = [slot]
         for _ in range(self.phi_length - 1):
-            prev = cols[-1]
-            cols.append(np.where(self.start[prev], prev, (prev - 1) % slots))
-        return np.stack(cols[::-1], axis=1)
+            stack.append(stack[-1] - 1 + self.start[stack[-1]])
+        return stack[::-1]
 
     def _gather(self, numbers):
         # A next state is its state stack moved on by one frame, which for a
@@ -160,7 +163,7 @@ class ReplayMemory:
         state, next_state = {}, {}
         for name, frames in self.frames.items():
             if name == STACKED_STREAM:
-                raw = frames[self._walk(here, after)]
+                raw = frames[np.stack([*self._walk(here), after], axis=1)]
                 state[name], next_state[name] = scale_ram(raw[:, :-1]), scale_ram(raw[:, 1:])
             else:
                 state[name], next_state[name] = scale_ram(frames[here]), scale_ram(frames[after])
@@ -169,17 +172,12 @@ class ReplayMemory:
 
     def latest_state(self):
         """The state of the newest observation, the one the next push acts
-        from, as network inputs (stream -> float32 array).  The screen stack
-        walks back like `_walk`, with scalar indices: -1 is the last slot."""
+        from, as network inputs (stream -> float32 array): the stack that
+        `_walk` gives, as for a sampled state, so the agent acts on the floats
+        it later learns from."""
         slot = self.pushes % len(self.start)
-        state = {name: scale_ram(frames[slot]) for name, frames in self.frames.items()
-                 if name != STACKED_STREAM}
-        if STACKED_STREAM in self.frames:
-            slots = [slot]
-            for _ in range(self.phi_length - 1):
-                slots.append(slots[-1] - (not self.start[slots[-1]]))
-            state[STACKED_STREAM] = scale_ram(self.frames[STACKED_STREAM][slots[::-1]])
-        return state
+        return {name: scale_ram(frames[self._walk(slot) if name == STACKED_STREAM else slot])
+                for name, frames in self.frames.items()}
 
     def contents(self):
         """Stored transitions, oldest first, as a sized sequence of one-row

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from ramdqn.envs import make_env
 from ramdqn.harness import ExperimentConfig, TrainingState, run_test_period
 from ramdqn.optim import rmsprop_state_for
 from ramdqn.replay import Minibatch, ReplayMemory
-from ramdqn.tensor_core import LayerSpec, Workspace, forward, make_network
+from ramdqn.tensor_core import LayerSpec, ShapeError, Workspace, forward, make_network
 
 
 def test_epsilon_endpoints():
@@ -100,6 +101,17 @@ def test_big_mixed_ram_concat_width():
 def test_screen_shape_required_for_screen_nets():
     with pytest.raises(ValueError):
         build_architecture("nips", 4)
+
+
+@pytest.mark.parametrize("name, screen_shape, error, message", [
+    ("alexnet", (16, 16), ValueError, "unknown architecture 'alexnet'"),
+    ("nips", (3, 3), ShapeError, "screen (3, 3) too small for any conv plan"),
+    ("big_mixed_ram", (16, 2), ShapeError, "screen (16, 2) too small for any conv plan"),
+])
+def test_build_architecture_refuses_an_unknown_name_or_a_screen_too_small(
+        name, screen_shape, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build_architecture(name, 4, screen_shape=screen_shape)
 
 
 # Captured from the five hand-written builders that ARCHITECTURES replaced:
@@ -233,6 +245,15 @@ def test_select_action_argmax():
     assert a == 1
 
 
+@pytest.mark.parametrize("epsilon", [-0.1, 1.5, float("nan")])
+def test_select_action_refuses_epsilon_outside_the_unit_interval(epsilon):
+    def greedy():
+        raise AssertionError("no action is chosen")
+
+    with pytest.raises(ValueError, match=r"^epsilon must be in \[0, 1\]$"):
+        select_action(fixed_q_net([1.0, 3.0]), greedy, epsilon, np.random.default_rng(0))
+
+
 def test_select_action_tie_breaks_low():
     net = fixed_q_net([5.0, 5.0, 0.0])
     a = select_action(net, lambda: greedy_action(net, {"ram": np.ones(3)}), 0.0,
@@ -328,6 +349,13 @@ def test_compute_targets_terminal_cutoff():
     batch = ram_batch([onehot_ram(0)["ram"]], [0], [5.0], [onehot_ram(1)["ram"]], [True])
     targets = compute_targets(net, batch, 0.95)
     np.testing.assert_array_equal(targets, [5.0])
+
+
+@pytest.mark.parametrize("discount", [0.0, 0.95])
+def test_compute_targets_refuses_an_empty_minibatch(discount):
+    empty = ram_batch(np.zeros((0, 3)), [], [], np.zeros((0, 3)), [])
+    with pytest.raises(ValueError, match="^minibatch must be nonempty$"):
+        compute_targets(fixed_q_net([1.0, 2.0]), empty, discount)
 
 
 def test_compute_targets_bellman_arithmetic():

@@ -137,6 +137,32 @@ def test_micro_breakout_action_count():
     assert make_env("micro_breakout").action_count == 4
 
 
+def breakout_in_play(**variables):
+    """micro_breakout with the ball launched and `variables` set."""
+    game = make_env("micro_breakout")
+    game.reset(0)
+    state = game.get_state()
+    state["vars"].update(launched=True, **variables)
+    game.set_state(state)
+    return game
+
+
+def test_micro_breakout_ball_bounces_off_the_ceiling():
+    game = breakout_in_play(ball_x=5, ball_y=0, dx=1, dy=-1)
+    assert game.step(0) == (0.0, False)
+    assert (game.ball_x, game.ball_y, game.dx, game.dy) == (6, 0, 1, 1)
+
+
+def test_micro_breakout_bricks_respawn_once_the_last_is_hit():
+    bricks = [[0] * 16 for _ in range(3)]
+    bricks[0][5] = 1  # the last brick, in row 2
+    game = breakout_in_play(ball_x=4, ball_y=3, dx=1, dy=-1, bricks=bricks, score=7)
+    assert game.step(0) == (1.0, False)
+    assert game.bricks == [[1] * 16] * 3
+    assert (game.ball_x, game.ball_y, game.dy, game.score) == (5, 2, 1, 8)
+    assert ram_of(game)[4:10].tolist() == [255] * 6  # every brick bit set again
+
+
 def test_micro_diver_action_count():
     assert make_env("micro_diver").action_count == 6
 
@@ -193,6 +219,25 @@ def test_observe_refuses_a_buffer_of_another_shape_or_dtype(name, stream, buf):
     with pytest.raises(ValueError, match=rf"{name}: {stream} buffer is .*, expected uint8"):
         env.observe(out)
     assert not any(b.any() for b in out.values())  # refused before anything was drawn
+
+
+@pytest.mark.parametrize("name", GAMES)
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("buf", [[0] * 128, None], ids=["list", "None"])
+def test_observe_refuses_a_buffer_that_is_not_an_array(name, stream, buf):
+    # Both used to raise AttributeError from reading the buffer's dtype.
+    env = make_env(name)
+    env.reset(0)
+    out = env.buffers(STREAMS)
+    for b in out.values():
+        b.fill(0xA5)
+    out[stream] = buf
+    with pytest.raises(ValueError, match=rf"^{name}: {stream} buffer is "
+                                         rf"{type(buf).__name__}, expected uint8"):
+        env.observe(out)
+    assert out[stream] is buf and buf in ([0] * 128, None)
+    for other in set(STREAMS) - {stream}:  # refused before anything was drawn
+        assert (out[other] == 0xA5).all()
 
 
 def strided(shape):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import json
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -268,8 +269,7 @@ def reference_test_period(net, env_name, hyper, seed):
     episode = harness.EpisodePipeline(make_env(env_name), net.input_streams, hyper,
                                       np.random.default_rng(env_ss))
     phi = ListWindow(hyper.phi_length)
-    obs, terminal = episode.buffers(), True
-    episode.begin(obs)
+    obs, terminal = episode.draw(episode.buffers()), True
     scores, current, actions, windows = [], 0.0, [], set()
     for _ in range(hyper.test_steps):
         inputs = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
@@ -549,6 +549,27 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTADQN1" + b"\x00" * 64)
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        checkpoint_load(path)
+
+
+def with_header(blob):
+    """Checkpoint bytes: the magic and a header `blob` that lists no arrays."""
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "cannot read checkpoint {path}: "),  # no such file
+    (lambda path: path.mkdir(), "cannot read checkpoint {path}: "),
+    (lambda path: path.write_bytes(with_header(b"[1, 2]")), "corrupt checkpoint: bad header"),
+    (lambda path: path.write_bytes(with_header(b'"version"')), "corrupt checkpoint: bad header"),
+    (lambda path: path.write_bytes(with_header(b"null")), "corrupt checkpoint: bad header"),
+])
+def test_checkpoint_load_refuses_an_unreadable_path_or_a_header_that_is_no_object(
+        tmp_path, make, message):
+    path = tmp_path / "c.ckpt"
+    make(path)
+    message = message.format(path=path)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}"):
         checkpoint_load(path)
 
 
@@ -861,18 +882,14 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
             want["screen"] = phi.stack()
         expected[:] = [want]
 
-    real_begin, real_draw = harness.EpisodePipeline.begin, harness.EpisodePipeline.draw
+    real_draw = harness.EpisodePipeline.draw
 
-    def begin(self, out):  # also called by `draw` after a terminal step
-        real_begin(self, out)
-        reference(out, fresh=True)
-
-    def draw(self, out):
-        terminal = self.env.terminal
-        real_draw(self, out)  # after a terminal step: the next episode's first
-        if not terminal:
-            reference(out, fresh=False)
-        seen.append(terminal)
+    def draw(self, out):  # starts every episode, the first too
+        fresh = self.env.terminal
+        real_draw(self, out)
+        reference(out, fresh)
+        seen.append(fresh)
+        return out
 
     def greedy_action(net, inputs):  # training passes it the ring's latest_state
         assert inputs.keys() == expected[0].keys()
@@ -886,14 +903,13 @@ def test_acting_state_is_the_phi_window_of_the_same_observations(monkeypatch, en
         return real_select(net, lambda: action, *args)
 
     real_select, real_greedy = harness.select_action, harness.greedy_action
-    monkeypatch.setattr(harness.EpisodePipeline, "begin", begin)
     monkeypatch.setattr(harness.EpisodePipeline, "draw", draw)
     monkeypatch.setattr(harness, "select_action", select_action)
     monkeypatch.setattr(harness, "greedy_action", greedy_action)
     state = TrainingState(small_config(env_name=env_name, arch=arch,
                                        hyper=small_hyper(replay_capacity=30)))
     run_training_epoch(state, 200)
-    assert state.replay.pushes == 220 and sum(seen) >= 2
+    assert state.replay.pushes == 220 and sum(seen) >= 3  # the first episode and two more
 
 
 @pytest.mark.parametrize("env_name, arch, built", [
@@ -924,7 +940,7 @@ def test_pipeline_observes_each_read_stream_once_per_action(monkeypatch, env_nam
     rng = np.random.default_rng(2)
     obs = episode.buffers()
     assert sorted(obs) == sorted(built)
-    episode.begin(obs)
+    episode.draw(obs)
     for _ in range(300):
         episode.step(int(rng.integers(env.action_count)))
         episode.draw(obs)
@@ -937,7 +953,7 @@ def test_pipeline_observes_each_read_stream_once_per_action(monkeypatch, env_nam
 def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
     # One observation per action, also across episode ends: a terminal step
     # resets the game, and its observation is the one a new pipeline on the
-    # same seed stream begins with.  The terminal frame is never built.
+    # same seed stream starts with.  The terminal frame is never built.
     observed = []
     real_observe = MicroGame.observe
 
@@ -951,8 +967,7 @@ def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
     episode = harness.EpisodePipeline(make_env(env_name), streams, hyper,
                                       np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    obs = episode.buffers()
-    episode.begin(obs)
+    obs = episode.draw(episode.buffers())
     ends = 0
     for _ in range(400):
         seeds, calls = copy.deepcopy(episode.seed_rng), len(observed)
@@ -962,8 +977,7 @@ def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
         if terminal:
             ends += 1
             twin = harness.EpisodePipeline(make_env(env_name), streams, hyper, seeds)
-            first = twin.buffers()
-            twin.begin(first)
+            first = twin.draw(twin.buffers())
             assert obs.keys() == first.keys()
             for key in first:
                 np.testing.assert_array_equal(obs[key], first[key])
@@ -1127,8 +1141,7 @@ def test_pushes_draw_each_observation_into_the_ring_without_allocating_it():
     hyper = small_hyper(frame_skip=4)
     episode = harness.EpisodePipeline(make_env("micro_diver"), ("ram", "screen"), hyper,
                                       np.random.default_rng(1))
-    first = episode.buffers()
-    episode.begin(first)
+    first = episode.draw(episode.buffers())
     ring = ReplayMemory(1000, first, phi_length=hyper.phi_length)
     actions = np.random.default_rng(2).integers(6, size=1000).tolist()
 

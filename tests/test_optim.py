@@ -173,6 +173,17 @@ def test_q_loss_nonchosen_entries_zero():
     np.testing.assert_array_equal(grad[mask], 0.0)
 
 
+@pytest.mark.parametrize("actions, targets", [
+    ([0, 1, 2], [0.0, 0.0]),         # one action too many
+    ([0], [0.0, 0.0]),               # one action too few
+    ([0, 1], [[0.0], [0.0]]),        # a column of targets
+    ([[0], [1]], [0.0, 0.0]),        # a column of actions
+])
+def test_q_loss_refuses_actions_or_targets_not_one_per_row(actions, targets):
+    with pytest.raises(ShapeError, match="^actions/targets must be one entry per batch row$"):
+        q_loss_grad(np.zeros((2, 3)), actions, targets)
+
+
 def test_q_loss_index_out_of_range():
     with pytest.raises(IndexError):
         q_loss_grad(np.zeros((1, 3)), [3], [0.0])

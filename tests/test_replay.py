@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -328,6 +329,17 @@ def test_numpy_integer_capacity_and_phi_length_are_accepted():
 def test_first_observation_must_be_bytes(first):
     with pytest.raises(ValueError, match="expected uint8"):
         ReplayMemory(4, {"ram": first})
+
+
+@pytest.mark.parametrize("first", [
+    {},                                                   # stored no observation
+    {"sound": np.zeros(4, np.uint8)},                     # stored unstacked
+    {"ram": np.zeros(4, np.uint8), "Screen": np.zeros((2, 2), np.uint8)},
+], ids=["empty", "sound", "ram+Screen"])
+def test_first_observation_must_name_ram_screen_or_both(first):
+    with pytest.raises(ValueError, match=rf"^first_obs must map 'ram', 'screen' or both .*"
+                                         rf"{re.escape(str(list(first)))}$"):
+        ReplayMemory(4, first)
 
 
 # -- the ring against the list of transitions it replaces --------------------

@@ -1,4 +1,5 @@
 import copy
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -63,6 +64,45 @@ def test_make_network_rejects_two_terminals():
 def test_make_network_names_offending_layer():
     specs = [ram_input(), LayerSpec(kind="dense", units=0, input_refs=(0,))]
     with pytest.raises(ShapeError, match="layer 1"):
+        make_network(specs, np.random.default_rng(0))
+
+
+def screen_input(shape=(1, 4, 4)):
+    return LayerSpec(kind="input", stream="screen", shape=shape)
+
+
+@pytest.mark.parametrize("specs, message", [
+    ([ram_input(), LayerSpec(kind="lstm", input_refs=(0,))], "layer 1: unknown kind 'lstm'"),
+    ([ram_input(), LayerSpec(kind="dense", units=4, activation="tanh", input_refs=(0,))],
+     "layer 1: unknown activation 'tanh'"),
+    ([ram_input(), LayerSpec(kind="dense", units=4, input_refs=(1,))],
+     "layer 1: bad input ref 1"),
+    ([ram_input(), LayerSpec(kind="dense", units=4, input_refs=(-1,))],
+     "layer 1: bad input ref -1"),
+    ([ram_input(), screen_input(), LayerSpec(kind="dense", units=4, input_refs=(0, 1))],
+     "layer 2: dense takes exactly one input"),
+    ([ram_input(), LayerSpec(kind="dropout", drop_p=0.5)],
+     "layer 1: dropout takes exactly one input"),
+    ([ram_input(), LayerSpec(kind="input", stream="screen", shape=(4,), input_refs=(0,))],
+     "layer 1: input layer takes no refs"),
+    ([LayerSpec(kind="input", stream="ram")], "layer 0: input layer needs stream and shape"),
+    ([LayerSpec(kind="input", shape=(128,))], "layer 0: input layer needs stream and shape"),
+    ([ram_input(), ram_input(), LayerSpec(kind="concat", input_refs=(0, 1))],
+     "layer 1: duplicate input stream 'ram'"),
+    ([ram_input(), LayerSpec(kind="conv2d", filters=2, kernel=1, input_refs=(0,))],
+     "layer 1: conv2d needs a channels x H x W input"),
+    ([screen_input(), LayerSpec(kind="conv2d", filters=0, kernel=2, input_refs=(0,))],
+     "layer 1: bad conv2d hyperparameters"),
+    ([screen_input(), LayerSpec(kind="conv2d", filters=2, kernel=2, stride=0,
+                                input_refs=(0,))],
+     "layer 1: bad conv2d hyperparameters"),
+    ([ram_input(), LayerSpec(kind="dropout", drop_p=1.0, input_refs=(0,))],
+     "layer 1: drop probability must be in [0,1)"),
+    ([ram_input(), LayerSpec(kind="dense", units=4, input_refs=(0,)),
+      LayerSpec(kind="concat")], "layer 2: concat needs at least one input"),
+])
+def test_make_network_refuses_a_bad_layer_naming_it(specs, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         make_network(specs, np.random.default_rng(0))
 
 
@@ -501,6 +541,35 @@ def test_backward_rejects_stale_activations():
     acts[1]["out"] = acts[1]["out"][:, :64]
     with pytest.raises(ShapeError, match="stale"):
         backward(net, acts, np.zeros((2, 4)), new_grads(net))
+
+
+def mixed_batch(ram_rows=2, screen_rows=2):
+    rng = np.random.default_rng(1)
+    return {"ram": rng.random((ram_rows, 128)), "screen": rng.random((screen_rows, 4, 16, 16))}
+
+
+@pytest.mark.parametrize("mode, rng, inputs, error, message", [
+    ("train", None, mixed_batch(), ValueError, "train-mode dropout needs an rng"),
+    ("test", None, mixed_batch(), ValueError, "unknown mode 'test'"),
+    ("eval", None, mixed_batch(screen_rows=3), ShapeError, "input streams disagree on batch size"),
+])
+def test_forward_refuses_bad_calls(mode, rng, inputs, error, message):
+    net = build_architecture("mixed_ram", 3, screen_shape=(16, 16), dropout_p=0.5,
+                             rng=np.random.default_rng(0))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        forward(net, inputs, mode, rng)
+
+
+@pytest.mark.parametrize("cut, gradient_shape, message", [
+    (1, (2, 4), "activations do not match the network"),
+    (0, (2, 5), "output gradient shape does not match network output"),
+    (0, (4,), "output gradient shape does not match network output"),
+])
+def test_backward_refuses_records_or_a_gradient_that_do_not_fit(cut, gradient_shape, message):
+    net = build_architecture("just_ram", 4, rng=np.random.default_rng(0))
+    acts = forward(net, {"ram": np.random.default_rng(1).random((2, 128))})
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        backward(net, acts[:len(acts) - cut], np.zeros(gradient_shape), new_grads(net))
 
 
 def test_gradient_check_exact_for_linear():

@@ -17,11 +17,18 @@ include_replay=True)` after one training epoch on the 137-transition ring,
 and `replay.ckpt:resumed`, that of the checkpoint saved again from the state
 `restore_training_state` rebuilds from it.
 
-The last line, `micro_diver-big_mixed_ram-warmup/replay.arrays`, is made in
-process too: the digest of every array of the replay ring after the
+After the runs' lines comes `micro_diver-big_mixed_ram-warmup/replay.arrays`, made
+in process too: the digest of every array of the replay ring after the
 40,000-transition random warm-up of perfbench's diver_fill workload
 (micro_diver, big_mixed_ram, frame skip 4, seed 1).  It pins each byte that
 the games draw into the ring.
+
+After it comes `greedy-wrapping/replay.states`, in process too: the digest
+of the states that the replay ring hands the network, for micro_catch nips
+and micro_diver big_mixed_ram on a 137-transition ring.  Each plays
+GREEDY_ACTIONS single-action training epochs at epsilon 0, so that every
+action is greedy, across ring wraps and episode starts; each `latest_state()`
+is hashed, and so is a fixed `sample_minibatch` draw every 25 actions.
 
 A change that must keep the arithmetic as it is shows it by giving the same
 lines as its parent commit; two runs of one commit must always agree.
@@ -40,6 +47,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 PAIRS = (("micro_catch", "just_ram"), ("micro_breakout", "big_ram"),
@@ -53,6 +62,7 @@ WRAPPING = ("--epochs", "2", "--steps-per-epoch", "400", "--test-steps", "200",
 EVAL = ("--steps", "300", "--seed", "3")
 EVAL_EPSILON = EVAL + ("--epsilon", "0.5")
 EVAL_GREEDY = EVAL + ("--epsilon", "0")
+GREEDY_ACTIONS = 300  # after the 100-transition warm-up: the 137-transition ring wraps
 
 
 def ramdqn(*args):
@@ -106,9 +116,36 @@ def warmup_digest():
     state = TrainingState(ExperimentConfig("micro_diver", "big_mixed_ram", hyper, seed=1))
     state.warmup()
     h = hashlib.sha256()
-    for name, a in sorted(state.replay.arrays().items()):
+    hash_arrays(h, state.replay.arrays())
+    return h.hexdigest()
+
+
+def hash_arrays(h, arrays):
+    """Hash a name -> array dict in name order: each array's name, dtype, shape and bytes."""
+    for name, a in sorted(arrays.items()):
         h.update(f"{name} {a.dtype.str} {a.shape}".encode())
         h.update(a.tobytes())
+
+
+def greedy_states_digest():
+    """sha256 of every `latest_state()` and of the fixed minibatch draws in
+    GREEDY_ACTIONS greedy training actions per pair, on a wrapping ring."""
+    from ramdqn.agents import HyperParams
+    from ramdqn.harness import ExperimentConfig, TrainingState, run_training_epoch
+    hyper = HyperParams(replay_capacity=137, epsilon_start=0.0, epsilon_min=0.0)
+    h = hashlib.sha256()
+    for env, arch in (("micro_catch", "nips"), ("micro_diver", "big_mixed_ram")):
+        state = TrainingState(ExperimentConfig(env, arch, hyper, seed=11))
+        replay = state.replay
+        for i in range(GREEDY_ACTIONS):
+            run_training_epoch(state, 1)
+            hash_arrays(h, replay.latest_state())
+            if i % 25 == 0:
+                batch = replay.sample_minibatch(32, np.random.default_rng(i))
+                hash_arrays(h, batch.state)
+                hash_arrays(h, batch.next_state)
+                for a in (batch.action, batch.reward, batch.terminal):
+                    h.update(a.tobytes())
     return h.hexdigest()
 
 
@@ -149,7 +186,8 @@ def main():
                 lines["replay.ckpt"], lines["replay.ckpt:resumed"] = replay_digests(env, arch, out)
             for file, sha in lines.items():
                 print(f"{sha}  {name}/{file}", flush=True)
-    print(f"{warmup_digest()}  micro_diver-big_mixed_ram-warmup/replay.arrays")
+    print(f"{warmup_digest()}  micro_diver-big_mixed_ram-warmup/replay.arrays", flush=True)
+    print(f"{greedy_states_digest()}  greedy-wrapping/replay.states")
 
 
 if __name__ == "__main__":
