@@ -510,13 +510,17 @@ def network_from_checkpoint(ckpt):
 
     Returns (net, config), the experiment `config` as the header records it.
     A header naming no valid experiment or a dtype other than float32, or
-    parameters that do not fit the network, raise CheckpointError.
+    parameters that do not fit the network or are not all finite, raise
+    CheckpointError; the last names the first such array.
     """
     try:
         config = _experiment(ckpt["header"])
         net = build_network(config.arch, make_env(config.env_name), config.hyper,
                             np.random.default_rng(0))
         load_params_into(net, ckpt)
+        for name, array in _layer_arrays("param", net.params).items():
+            if not np.isfinite(array).all():
+                raise ValueError(f"checkpoint array {name} is not finite")
     # MemoryError: huge shapes; OverflowError: an int too large for a float
     except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as e:
         raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e

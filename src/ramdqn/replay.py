@@ -66,8 +66,9 @@ class ReplayMemory:
     which holds the observation the agent acts from and whose state
     `latest_state` gives.  Observations are scaled by `scale_ram` when read.
 
-    `first_obs` maps "ram", "screen" or both to uint8 arrays; an empty dict,
-    another stream name or another dtype raises ValueError.  It starts the
+    `first_obs` is a dict that maps "ram", "screen" or both to uint8 arrays;
+    anything else, an empty dict, another stream name or another dtype raises
+    ValueError.  It starts the
     first episode in slot 0 and sets each stream's shape.  After
     that `push` is the only write: its draw puts each observation straight
     into the slot that keeps it (`MicroGame.observe`), so each observed byte
@@ -78,9 +79,12 @@ class ReplayMemory:
     def __init__(self, capacity, first_obs, *, phi_length=1):
         check_count("capacity", capacity)
         check_count("phi_length", phi_length)
-        if not first_obs or not first_obs.keys() <= {"ram", STACKED_STREAM}:
+        if (not isinstance(first_obs, dict) or not first_obs
+                or not first_obs.keys() <= {"ram", STACKED_STREAM}):
+            got = (f"the streams {list(first_obs)}" if isinstance(first_obs, dict)
+                   else f"a {type(first_obs).__name__}")
             raise ValueError(f"first_obs must map 'ram', {STACKED_STREAM!r} or both to an "
-                             f"observation, got the streams {list(first_obs)}")
+                             f"observation, got {got}")
         self.capacity = capacity
         self.phi_length = phi_length
         self.pushes = 0
@@ -186,7 +190,9 @@ class ReplayMemory:
         return _Contents(self, np.arange(self.pushes - len(self), self.pushes))
 
     def sample_minibatch(self, n, rng):
-        """`n` transitions drawn uniformly with replacement, as a Minibatch."""
+        """`n` transitions drawn uniformly with replacement, as a Minibatch; an `n` that
+        `check_count` refuses, or more than the memory holds, raises ValueError."""
+        check_count("n", n)
         if n > len(self):
             raise ValueError(
                 f"cannot sample {n} transitions from a memory of size {len(self)}"

@@ -2,7 +2,8 @@
 reverse-mode gradients.
 
 Tensors are plain numpy arrays in row-major order with a leading batch dimension.
-Each network is resolved once into a `Program` of steps.  Forward retains every
+Each network is resolved once into a `Program` of steps, and its forward, per workspace,
+batch size and mode, once into a `_Frame` of bound numpy calls.  Forward retains every
 layer output so backward can compute exact gradients; a finite-difference checker
 (`gradient_check`) serves as the independent oracle for the handwritten backward.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -186,10 +187,10 @@ def make_network(specs, init_rng, dtype=np.float32):
 class Workspace:
     """Arrays that one network's forwards and backwards write into, kept between
     calls: a flat buffer per layer and role, made on first use, whose head serves
-    fewer rows."""
+    fewer rows; and the `_Frame` of each forward run in it, built on those buffers."""
 
     def __init__(self):
-        self.buffers, self.views = {}, {}
+        self.buffers, self.views, self.frames = {}, {}, {}
 
     def take(self, layer, role, shape, dtype):
         """A `shape` array of `dtype` on the buffer of `layer`'s `role`; stale contents."""
@@ -198,10 +199,36 @@ class Workspace:
             size = _flat(shape)
             buf = self.buffers.get((layer, role))
             if buf is None or buf.size < size or buf.dtype != dtype:
+                if buf is not None:  # some views, and frames, were bound to the old one
+                    self.views.clear()
+                    self.frames.clear()
                 buf = self.buffers[layer, role] = np.empty(size, dtype)
-                self.views.clear()  # some were views of the old buffer
             view = self.views[layer, role, shape] = buf[:size].reshape(shape)
         return view
+
+
+class _Frame:
+    """One network's forward at one batch size and mode, bound once in a workspace: the
+    layer records, in its arrays, and the numpy calls that fill them, in order, each with
+    its arguments and output array fixed.  Inputs are copied into the input records."""
+
+    def __init__(self, net, batch, train, ws):
+        self.recs, self.calls, self.rng = [None] * len(net.layers), [], None
+        for i in net.input_streams.values():
+            self.recs[i] = {"out": ws.take(i, "out", (batch,) + net.out_shapes[i], net.dtype)}
+        for step in net.program.layers:
+            self.recs[step.i] = step.bind(self, batch, ws, train)
+
+    def call(self, fn, *args, **out):
+        """Append `fn(*args, **out)`; returns the array it writes: `out`, or the last arg."""
+        self.calls.append(partial(fn, *args, **out))
+        return out.get("out", args[-1])
+
+    def draw(self, shape, out):
+        """Uniform floats from the running call's rng, for train-mode dropout."""
+        if self.rng is None:
+            raise ValueError("train-mode dropout needs an rng")
+        self.rng.random(shape, out=out)
 
 
 @lru_cache(maxsize=None)
@@ -216,15 +243,17 @@ def _window_index(shape, k, stride):
     return index
 
 
-def _conv_cols(x, index, out):
+def _conv_cols(x, index, out, call=lambda fn, *args: fn(*args)):
     """Unrolled windows of x (B, C, H, W) (Chellapilla et al. 2006), gathered through a
     `_window_index` into `out` (B, oh*ow, C*k*k): the (B*oh*ow, C*k*k) matrix, one row
-    per output cell in (B, oh, ow) order.  `take` copies an index that is not writeable."""
+    per output cell in (B, oh, ow) order.  `take` copies an index that is not writeable.
+    The gather is made by `call(fn, *args)`, which runs it or, as `_Frame.call`, binds it."""
     n, cells, width = out.shape
     b = width // index.shape[1]
     # Along axis 1 of (B, C*H*W/b, b) rows, each taken item is a whole block.  The
     # indices are in range: "clip" only lets take write into `out` unbuffered.
-    x.reshape(n, -1, b).take(index, 1, out.reshape(n, cells, -1, b), "clip")
+    call(x.reshape(n, _flat(x.shape[1:]) // b, b).take, index, 1,
+         out.reshape(n, cells, width // b, b), "clip")
     return out.reshape(n * cells, width)
 
 
@@ -247,8 +276,9 @@ def _col2im(d, stride, dx):
 
 
 class _Step:
-    """One layer, resolved: `forward` returns its record, in workspace arrays, and
-    `backward` returns the (layer, gradient) pairs of its inputs."""
+    """One layer, resolved: `bind` appends its forward's calls to a frame and returns its
+    record, in workspace arrays, and `backward` returns the (layer, gradient) pairs of
+    its inputs."""
 
     def __init__(self, net, i):
         self.i, self.spec, self.dtype, self.shape = i, net.layers[i], net.dtype, net.out_shapes[i]
@@ -272,28 +302,29 @@ class _Weighted(_Step):
         self.index = (_window_index(self.in_shape, spec.kernel, spec.stride).copy()
                       if spec.kind == "conv2d" else None)
 
-    def forward(self, recs, batch, ws, train, rng):
-        i, x, units = self.i, recs[self.ref]["out"], len(self.W)
+    def bind(self, frame, batch, ws, train):
+        i, x, units, call = self.i, frame.recs[self.ref]["out"], len(self.W), frame.call
         if not x.flags.c_contiguous:  # a conv's channels-last output: copied
-            x = np.positive(x, out=ws.take(i, "in", x.shape, self.dtype))
+            x = call(np.positive, x, ws.take(i, "in", x.shape, self.dtype))
         if self.index is not None:  # cols @ W.T: the swapped order is ~1.6x slower here
             _, oh, ow = self.shape
             x = _conv_cols(x, self.index, ws.take(i, "x", (batch, oh * ow, self.W.shape[1]),
-                                                  self.dtype))
-            out = pre = np.matmul(x, self.WT, out=ws.take(i, "pre", (len(x), units), self.dtype))
+                                                  self.dtype), call)
+            out = pre = call(np.matmul, x, self.WT, ws.take(i, "pre", (len(x), units), self.dtype))
         else:
-            x = x.reshape(batch, -1) if x.ndim > 2 else x
+            x = x.reshape(batch, self.W.shape[1]) if x.ndim > 2 else x
             out = ws.take(i, "out", (batch, units), self.dtype)  # sample-major, for the next
             if batch == 1:  # x @ W.T by np.dot, which dispatches faster than matmul
-                pre = np.dot(x, self.WT, out=out)
+                pre = call(np.dot, x, self.WT, out)
             else:  # (W @ x.T).T: x @ W.T's bits, for a sample-major x, at BLAS's fast order
-                pre = np.matmul(self.W, x.T, out=ws.take(i, "pre.T", (units, batch), self.dtype)).T
+                pre = call(np.matmul, self.W, x.T,
+                           ws.take(i, "pre.T", (units, batch), self.dtype)).T
         if self.b is not None:
-            np.add(pre, self.b, out=out)
+            call(np.add, pre, self.b, out)
         elif pre is not out:
-            np.positive(pre, out=out)  # a copy
+            call(np.positive, pre, out)  # a copy
         if self.rectify:
-            np.maximum(out, self.zero, out=out)
+            call(np.maximum, out, self.zero, out=out)  # which takes no positional out
         if self.index is not None:
             out = out.reshape((batch,) + self.shape[1:] + (units,)).transpose(0, 3, 1, 2)
         return {"out": out, "x": x}
@@ -324,17 +355,16 @@ class _Dropout(_Step):
     """Train mode with p > 0 keeps each unit with probability 1 - p, drawn from `rng`, and
     records the mask; otherwise the output is scaled by 1 (train) or 1 - p (eval)."""
 
-    def forward(self, recs, batch, ws, train, rng):
-        i, x, shape, p = self.i, recs[self.ref]["out"], (batch,) + self.shape, self.spec.drop_p
-        out = ws.take(i, "out", shape, self.dtype)
+    def bind(self, frame, batch, ws, train):
+        i, x, p = self.i, frame.recs[self.ref]["out"], self.spec.drop_p
+        shape = (batch,) + self.shape
+        out, call = ws.take(i, "out", shape, self.dtype), frame.call
         if train and p > 0.0:
-            if rng is None:
-                raise ValueError("train-mode dropout needs an rng")
-            draw = rng.random(shape, out=ws.take(i, "draw", shape, np.float64))
-            mask = np.greater_equal(draw, p, out=ws.take(i, "mask", shape, np.bool_))
-            return {"out": np.multiply(x, mask, out=out), "mask": mask}
+            draw = call(frame.draw, shape, ws.take(i, "draw", shape, np.float64))
+            mask = call(np.greater_equal, draw, p, ws.take(i, "mask", shape, np.bool_))
+            return {"out": call(np.multiply, x, mask, out), "mask": mask}
         scale = 1.0 if train else 1.0 - p
-        return {"out": np.multiply(x, self.dtype.type(scale), out=out) if scale != 1.0 else x,
+        return {"out": call(np.multiply, x, self.dtype.type(scale), out) if scale != 1.0 else x,
                 "scale": scale}
 
     def backward(self, recs, g, grads, ws):
@@ -346,10 +376,14 @@ class _Dropout(_Step):
 class _Concat(_Step):
     """The inputs, each flattened per sample, side by side."""
 
-    def forward(self, recs, batch, ws, train, rng):
-        return {"out": np.concatenate(
-            [recs[r]["out"].reshape(batch, -1) for r in self.refs], axis=1,
-            out=ws.take(self.i, "out", (batch,) + self.shape, self.dtype))}
+    def bind(self, frame, batch, ws, train):
+        out, start = ws.take(self.i, "out", (batch,) + self.shape, self.dtype), 0
+        for r in self.refs:  # each input copied into its columns
+            x = frame.recs[r]["out"]
+            stop = start + _flat(x.shape[1:])
+            frame.call(np.positive, x, out[:, start:stop].reshape(x.shape))
+            start = stop
+        return {"out": out}
 
     def backward(self, recs, g, grads, ws):
         pieces, start = [], 0
@@ -379,24 +413,32 @@ def forward(net, inputs, mode="eval", rng=None, workspace=None):
 
     Each record keeps the layer output plus whatever backward needs (dropout mask, the input
     as a matrix), in `workspace`'s arrays or a new workspace's: then two calls never alias.
+    The records and calls are the workspace's `_Frame` for this network, batch size and
+    mode, bound on its first use; each call copies the inputs in and refills the records.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    recs, batch = [None] * len(net.layers), None
+    xs, batch = {}, None
     for stream, i in net.input_streams.items():
         if stream not in inputs:
             raise ShapeError(f"missing input stream {stream!r}")
-        x = np.ascontiguousarray(inputs[stream], dtype=net.dtype)
+        x = np.asarray(inputs[stream])
         if x.shape[1:] != net.out_shapes[i]:
             raise ShapeError(f"layer {i}: input {stream!r} has per-sample shape "
                              f"{x.shape[1:]}, expected {net.out_shapes[i]}")
         if batch is not None and len(x) != batch:
             raise ShapeError("input streams disagree on batch size")
-        recs[i], batch = {"out": x}, len(x)
-    ws, train = Workspace() if workspace is None else workspace, mode == "train"
-    for step in net.program.layers:
-        recs[step.i] = step.forward(recs, batch, ws, train, rng)
-    return recs
+        xs[i], batch = x, len(x)
+    ws, key = Workspace() if workspace is None else workspace, (net.program, batch, mode)
+    frame = ws.frames.get(key)
+    if frame is None:
+        frame = ws.frames[key] = _Frame(net, batch, mode == "train", ws)
+    frame.rng = rng
+    for i, x in xs.items():
+        np.copyto(frame.recs[i]["out"], x, casting="unsafe")
+    for call in frame.calls:
+        call()
+    return frame.recs
 
 
 def backward(net, acts, output_gradient, grads, workspace=None):

@@ -432,6 +432,22 @@ def test_stray_parameter_array_exit_1(tmp_path, capsys, command):
         "error: corrupt checkpoint: ShapeError: checkpoint array param/9/W is not expected")
 
 
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_nonfinite_parameter_exit_1(tmp_path, capsys, command, value):
+    # A NaN weight was played (eval printed a score) and drawn (an all-black heatmap).
+    state = small_state()
+    state.net.params[2]["W"][3, 5] = value
+    state.net.params[3]["b"][0] = value  # a later one
+    path = tmp_path / "nonfinite.ckpt"
+    checkpoint_save(state, path)
+    rc = main([command, "--checkpoint", str(path), *command_args(command, tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: corrupt checkpoint: ValueError: checkpoint "
+                                       "array param/2/W is not finite\n")
+    assert not (tmp_path / "x.ppm").exists()
+
+
 def set_first_array(path, shape, count):
     """Give the first array `shape` in the header and `count` in its
     element-count prefix, so that the two still agree."""

@@ -106,6 +106,18 @@ def test_sample_insufficient_contents():
         mem.sample_minibatch(32, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True, None, "3"])
+def test_a_sample_size_that_is_not_a_positive_count_is_refused(n):
+    # 0 gave an empty Minibatch, -1 and 2.0 numpy errors of their own.
+    mem = new_memory(capacity=8)
+    for i in range(8):
+        push(mem, i)
+    with pytest.raises(ValueError, match=rf"^n must be a positive integer, got "
+                                         rf"{re.escape(repr(n))}$"):
+        mem.sample_minibatch(n, np.random.default_rng(0))
+    assert len(mem.sample_minibatch(np.int64(3), np.random.default_rng(0))) == 3
+
+
 def test_sampling_does_not_mutate():
     mem = new_memory(capacity=8)
     for i in range(8):
@@ -339,6 +351,15 @@ def test_first_observation_must_be_bytes(first):
 def test_first_observation_must_name_ram_screen_or_both(first):
     with pytest.raises(ValueError, match=rf"^first_obs must map 'ram', 'screen' or both .*"
                                          rf"{re.escape(str(list(first)))}$"):
+        ReplayMemory(4, first)
+
+
+@pytest.mark.parametrize("first", [[np.zeros(4, np.uint8)], (np.zeros(4, np.uint8),), None,
+                                   np.zeros(4, np.uint8)], ids=["list", "tuple", "None", "array"])
+def test_a_first_observation_that_is_not_a_dict_is_refused(first):
+    # A list raised AttributeError: 'list' object has no attribute 'keys'.
+    with pytest.raises(ValueError, match=r"^first_obs must map 'ram', 'screen' or both to an "
+                                         rf"observation, got a {type(first).__name__}$"):
         ReplayMemory(4, first)
 
 

@@ -823,6 +823,102 @@ def test_a_workspace_shared_across_dtypes_gives_each_forward_its_own_dtype():
     assert shared[-1]["out"].tobytes() == own[-1]["out"].tobytes()
 
 
+def frame_inputs(net, rows, seed):
+    rng = np.random.default_rng(seed)
+    return {stream: rng.random((rows,) + net.out_shapes[i])
+            for stream, i in net.input_streams.items()}
+
+
+def assert_records_equal(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.keys() == b.keys(), i
+        for key in a:
+            if isinstance(a[key], np.ndarray):
+                assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape, (i, key)
+                assert a[key].tobytes() == b[key].tobytes(), (i, key)
+            else:
+                assert a[key] == b[key], (i, key)
+
+
+def kept_and_fresh(net, workspace, rows, mode, seed):
+    """Records and a following backward's gradients in `workspace`, and the same in new
+    workspaces, on one batch of inputs and one dropout draw."""
+    x, g = frame_inputs(net, rows, seed), np.random.default_rng(seed).random((rows, 5))
+    out = []
+    for ws in (workspace, tensor_core.Workspace()):
+        acts = forward(net, x, mode, np.random.default_rng(seed), ws)
+        out.append((acts, backward(net, acts, g, new_grads(net), ws)))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_kept_workspace_gives_the_records_and_gradients_of_new_ones_bitwise(arch, dtype):
+    # One frame per batch size and mode, kept; buffers grow under the batch-1 frame.
+    net = build_architecture(arch, 5, screen_shape=(20, 20), dropout_p=0.25,
+                             rng=np.random.default_rng(3), dtype=dtype)
+    workspace = tensor_core.Workspace()
+    for seed, (rows, mode) in enumerate([(1, "eval"), (5, "eval"), (32, "eval"), (3, "eval"),
+                                         (32, "train"), (1, "eval")]):
+        (acts, grads), (want_acts, want_grads) = kept_and_fresh(net, workspace, rows, mode, seed)
+        assert_records_equal(acts, want_acts)
+        assert acts[net.terminal]["out"].dtype == dtype
+        for layer, want in zip(grads, want_grads):
+            for key in want or {}:
+                assert layer[key].tobytes() == want[key].tobytes(), (seed, key)
+    # The backward at batch 32 grew buffers, and so dropped every frame made before it.
+    assert {key[1:] for key in workspace.frames} == {(3, "eval"), (32, "train"), (1, "eval")}
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_batch_0_forward_returns_no_rows(arch):
+    net = build_architecture(arch, 5, screen_shape=(20, 20), rng=np.random.default_rng(3))
+    workspace = tensor_core.Workspace()
+    for rows in (0, 2, 0):
+        assert forward(net, frame_inputs(net, rows, 0), workspace=workspace)[-1]["out"].shape \
+            == (rows, 5)
+
+
+def test_a_workspace_shared_by_two_networks_keeps_a_frame_for_each():
+    nets = [build_architecture("mixed_ram", 5, screen_shape=(20, 20), rng=np.random.default_rng(s))
+            for s in (1, 2)]
+    workspace = tensor_core.Workspace()
+    for seed in range(3):
+        for net in nets:
+            (acts, grads), (want_acts, want_grads) = kept_and_fresh(net, workspace, 4, "eval",
+                                                                    seed)
+            assert_records_equal(acts, want_acts)
+            assert grads[-1]["W"].tobytes() == want_grads[-1]["W"].tobytes()
+    assert {key[0] for key in workspace.frames} == {net.program for net in nets}
+
+
+def test_a_frame_built_before_a_buffer_grows_runs_on_the_grown_buffers():
+    # A growth drops every frame, so a later call binds the new buffers; an old frame
+    # would keep the old ones alive beside them.
+    net = build_architecture("big_mixed_ram", 5, screen_shape=(20, 20),
+                             rng=np.random.default_rng(3))
+    workspace = tensor_core.Workspace()
+    forward(net, frame_inputs(net, 3, 0), workspace=workspace)
+    forward(net, frame_inputs(net, 8, 1), workspace=workspace)  # every buffer grows
+    (acts, _), (want_acts, _) = kept_and_fresh(net, workspace, 3, "eval", 2)
+    assert_records_equal(acts, want_acts)
+    for rec in acts[2:]:
+        assert any(np.shares_memory(rec["out"], buf) for buf in workspace.buffers.values())
+
+
+def test_an_input_record_holds_this_calls_input():
+    # backward reads the first dense layer's input from its record "x" for dW.
+    net = build_architecture("just_ram", 5, rng=np.random.default_rng(3))
+    workspace = tensor_core.Workspace()
+    first = forward(net, frame_inputs(net, 2, 0), workspace=workspace)
+    x = frame_inputs(net, 2, 1)
+    second = forward(net, x, workspace=workspace)
+    assert second is first  # the frame's records, refilled
+    want = x["ram"].astype(np.float32)
+    assert second[0]["out"].tobytes() == second[1]["x"].tobytes() == want.tobytes()
+
+
 def test_a_warm_conv_gather_does_not_copy_its_window_index():
     # numpy's take copies an index that is not writeable on every call: 12.5 KiB
     # for nips conv1 on micro_catch's screen, with the cached read-only index.

@@ -13,7 +13,11 @@ commit and source digest of the code that ran, and the machine facts that
 perfbench prints.  With two checkouts, the script also prints how many
 seeds the second won on each metric, the ratio of the medians, and whether
 the second's median is worse than the first's by more than the metric's
-`bound` in BENCHMARK.json: by that share of the first's median.  A checkout
+`bound` in BENCHMARK.json: by that share of the first's median.  A second
+line per metric gives the verdict on a gain: "gain shown" when the second
+won at least nine tenths of the seeds and its median is better than the
+first's by more than the first's interquartile range, else "no gain
+shown".  A checkout
 named twice exits 2 before any run; to compare a commit with itself, clone
 it a second time.
 perfbench's own outputs go to each checkout's `.bench_build/`.
@@ -92,7 +96,8 @@ def record(runs, checkout, seeds, seconds, metrics):
 
 def compare(base, head, metrics):
     """Per metric: the seeds `head` won on, its median over `base`'s, and
-    whether it is worse than `base`'s by more than the metric's `bound`."""
+    whether it is worse than `base`'s by more than the metric's `bound`;
+    then whether it shows a gain over `base`."""
     for name, spec in metrics.items():
         direction, bound = spec["better"], spec["bound"]
         a, b = base["metrics"][name]["values"], head["metrics"][name]["values"]
@@ -100,12 +105,17 @@ def compare(base, head, metrics):
         base_median, head_median = base["metrics"][name]["median"], head["metrics"][name]["median"]
         # How much worse head's median is, as a share of base's; negative when better.
         worse = (head_median - base_median) / base_median * (-1 if direction == "higher" else 1)
+        iqr = base["metrics"][name]["q3"] - base["metrics"][name]["q1"]
         print(f"{name}: {wins}/{len(a)} seeds better, median ratio "
               f"{head_median / base_median:.4f}, medians {base_median:.6g} -> "
               f"{head_median:.6g}, first checkout's interquartile "
-              f"range {base['metrics'][name]['q3'] - base['metrics'][name]['q1']:.4g}, "
+              f"range {iqr:.4g}, "
               f"{'PAST' if worse > bound else 'within'} its bound: "
               f"{worse:+.1%} worse against {bound:.0%}")
+        gain = -worse * base_median  # how much better head's median is, in the metric's unit
+        shown = wins >= 0.9 * len(a) and gain > iqr
+        print(f"{name}: {'gain shown' if shown else 'no gain shown'} ({wins}/{len(a)} seeds "
+              f"better, median better by {gain:.4g} against the interquartile range {iqr:.4g})")
 
 
 def main():
