@@ -108,8 +108,7 @@ def compare(base, head, metrics):
         iqr = base["metrics"][name]["q3"] - base["metrics"][name]["q1"]
         print(f"{name}: {wins}/{len(a)} seeds better, median ratio "
               f"{head_median / base_median:.4f}, medians {base_median:.6g} -> "
-              f"{head_median:.6g}, first checkout's interquartile "
-              f"range {iqr:.4g}, "
+              f"{head_median:.6g}, first checkout's interquartile range {iqr:.4g}, "
               f"{'PAST' if worse > bound else 'within'} its bound: "
               f"{worse:+.1%} worse against {bound:.0%}")
         gain = -worse * base_median  # how much better head's median is, in the metric's unit
