@@ -384,9 +384,7 @@ def _header(state, include_replay):
         "counters": state.counters(),
         "rng": {key: rng.bit_generator.state for key, rng in state.rngs().items()},
         "env_state": state.episode.env.get_state(),
-        "replay": {"pushes": state.replay.pushes,
-                   "streams": {s: list(f.shape[1:]) for s, f in state.replay.frames.items()}}
-        if include_replay else None,
+        "replay": {"pushes": state.replay.pushes} if include_replay else None,
     }
 
 
@@ -468,9 +466,12 @@ def checkpoint_load(path):
 
 
 def _load_arrays(targets, arrays):
-    """Copy each checkpoint array into the live array of its name in `targets`.
-    A missing or extra array, or one of another shape or dtype (byte order
-    aside), raises ShapeError naming it before anything is copied."""
+    """Copy each checkpoint array into the live array of its name in `targets`,
+    once all are checked.  A missing or extra array, or one of another shape
+    or dtype (byte order aside), raises ShapeError naming it.  One with a value
+    that training never holds raises ValueError naming it: a float array
+    (parameters, accumulators, rewards) that is not finite, or an RMSprop
+    accumulator `acc/...` below 0."""
     odd = sorted(targets.keys() ^ arrays.keys())
     if odd:
         raise ShapeError(f"checkpoint array {odd[0]} is "
@@ -480,6 +481,10 @@ def _load_arrays(targets, arrays):
         if src.shape != target.shape or not np.can_cast(src.dtype, target.dtype, "equiv"):
             raise ShapeError(f"checkpoint array {name} is {src.dtype} {src.shape}, "
                              f"expected {target.dtype} {target.shape}")
+        if src.dtype.kind == "f" and not np.isfinite(src).all():
+            raise ValueError(f"checkpoint array {name} is not finite")
+        if name.startswith("acc/") and (src < 0).any():
+            raise ValueError(f"checkpoint array {name} is negative")
     for name, target in targets.items():
         target[...] = arrays[name]
 
@@ -487,7 +492,7 @@ def _load_arrays(targets, arrays):
 def load_params_into(net, ckpt):
     """Copy a checkpoint's `param/` arrays into an existing network; a
     missing or extra parameter, or shape or dtype drift, raises ShapeError
-    naming the array."""
+    naming the array, and a non-finite one ValueError."""
     _load_arrays(_layer_arrays("param", net.params),
                  {name: a for name, a in ckpt["arrays"].items() if name.startswith("param/")})
 
@@ -518,9 +523,6 @@ def network_from_checkpoint(ckpt):
         net = build_network(config.arch, make_env(config.env_name), config.hyper,
                             np.random.default_rng(0))
         load_params_into(net, ckpt)
-        for name, array in _layer_arrays("param", net.params).items():
-            if not np.isfinite(array).all():
-                raise ValueError(f"checkpoint array {name} is not finite")
     # MemoryError: huge shapes; OverflowError: an int too large for a float
     except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as e:
         raise CheckpointError(f"corrupt checkpoint: {type(e).__name__}: {e}") from e
@@ -546,7 +548,8 @@ def restore_training_state(ckpt):
     """Rebuild a TrainingState from a checkpoint saved with replay included:
     the header laid out as a fresh state's, the arrays exactly its
     `arrays(replay=True)` at the saved push count.  A missing replay section,
-    or an entry or array that does not fit the experiment, raises CheckpointError."""
+    an entry or array that does not fit the experiment, or an array value that
+    `_load_arrays` refuses, raises CheckpointError."""
     h = ckpt["header"]
     try:
         state = TrainingState(_experiment(h))
@@ -556,8 +559,6 @@ def restore_training_state(ckpt):
         resumed = ("counters", "rng", "env_state", "replay")  # the entries a resume sets
         _check_layout({key: h[key] for key in resumed}, {key: like[key] for key in resumed},
                       "header")
-        if h["replay"]["streams"] != like["replay"]["streams"]:
-            raise ValueError(f"replay streams must be {like['replay']['streams']}")
         counters, pushes = h["counters"], h["replay"]["pushes"]
         if pushes < 0 or any(value < 0 for value in counters.values()):
             raise ValueError("counters and the push count must not be negative")

@@ -55,13 +55,14 @@ class ReplayMemory:
     replacement.
 
     Each step is stored once, as bytes, in a ring of capacity + phi_length
-    slots: slot j holds the uint8 observation of every stream, the action,
-    reward and terminal flag of the transition taken from it, and whether an
-    episode starts there.  Transition number k acts from slot k and leads
-    to slot k + 1 (mod the slot count).  The `screen` stream's states are stacks of
-    the last phi_length frames, the episode's first frame repeated where the
-    episode is younger, as `PhiBuffer` builds them; the `ram` stream's states
-    are the one observation.  One walk back over the slots, `_walk`, finds
+    slots: slot j holds the uint8 observation of every stream, the action
+    and reward of the transition taken from it, and whether an episode
+    starts there.  Transition number k acts from slot k and leads to slot
+    k + 1 (mod the slot count); it is terminal when slot k + 1 starts an
+    episode.  The `screen` stream's states are stacks of the last
+    phi_length frames, the episode's first frame repeated where the episode
+    is younger, as `PhiBuffer` builds them; the `ram` stream's states are
+    the one observation.  One walk back over the slots, `_walk`, finds
     every stack: those of sampled transitions and that of the newest slot,
     which holds the observation the agent acts from and whose state
     `latest_state` gives.  Observations are scaled by `scale_ram` when read.
@@ -99,7 +100,6 @@ class ReplayMemory:
             self.frames[name][0] = obs
         self.action = np.zeros(slots, dtype=np.int32)
         self.reward = np.zeros(slots, dtype=np.float64)
-        self.terminal = np.zeros(slots, dtype=bool)
         self.start = np.zeros(slots, dtype=bool)
         self.start[0] = True
 
@@ -138,7 +138,6 @@ class ReplayMemory:
         draw({name: frames[after] for name, frames in self.frames.items()})
         self.action[slot] = action
         self.reward[slot] = reward
-        self.terminal[slot] = terminal
         self.start[after] = terminal
         self.pushes += 1
 
@@ -172,7 +171,7 @@ class ReplayMemory:
             else:
                 state[name], next_state[name] = scale_ram(frames[here]), scale_ram(frames[after])
         return Minibatch(state, self.action[here].astype(np.intp), self.reward[here],
-                         next_state, self.terminal[here])
+                         next_state, self.start[after])
 
     def latest_state(self):
         """The state of the newest observation, the one the next push acts
@@ -205,6 +204,5 @@ class ReplayMemory:
         `min(pushes + 1, capacity + phi_length)`: what checkpoints save and load."""
         used = min(self.pushes + 1, len(self.start))
         ring = {f"frames/{name}": frames for name, frames in self.frames.items()}
-        ring.update(action=self.action, reward=self.reward, terminal=self.terminal,
-                    start=self.start)
+        ring.update(action=self.action, reward=self.reward, start=self.start)
         return {name: a[:used] for name, a in ring.items()}

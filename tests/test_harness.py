@@ -685,6 +685,14 @@ BAD_RESUME_EDITS = {
     "action_float": _recast_array("replay/action", np.float32, 1),
     "action_out_of_range": _poke_array("replay/action", 3, 99),  # micro_catch has 3
     "action_negative": _poke_array("replay/action", 3, -1),
+    # Values that training never holds, which the next epoch would train on.
+    "param_nan": _poke_array("param/1/W", (5, 7), np.nan),
+    "acc_negative": _poke_array("acc/1/W", (5, 7), -1.0),
+    "reward_inf": _poke_array("replay/reward", 3, np.inf),
+    # The version-2 replay section before each terminal flag was kept once.
+    "old_terminal_array": lambda ckpt: ckpt["arrays"].__setitem__(
+        "replay/terminal", np.zeros(51, bool)),
+    "old_streams_entry": _set("replay", "streams", value={"ram": [128]}),
     "breakout_row_not_list": _on("micro_breakout", _set("env_state", "vars", "bricks", 1,
                                                         value=7)),
     "breakout_row_short": _on("micro_breakout", _set("env_state", "vars", "bricks", 1,
@@ -747,10 +755,26 @@ def test_restore_rejects_bad_resume_entries(resumable_checkpoints, case):
         restore_training_state(ckpt)
 
 
+@pytest.mark.parametrize("cases, name, rule", [
+    (["param_nan"], "param/1/W", "is not finite"),
+    (["acc_negative"], "acc/1/W", "is negative"),
+    (["reward_inf"], "replay/reward", "is not finite"),
+    (["reward_inf", "acc_negative", "param_nan"], "param/1/W", "is not finite"),
+])
+def test_restore_names_the_first_array_holding_a_value_training_never_holds(
+        resumable_checkpoint, cases, name, rule):
+    ckpt = checkpoint_load(resumable_checkpoint)
+    for case in cases:
+        BAD_RESUME_EDITS[case](ckpt)
+    with pytest.raises(CheckpointError, match=f"^corrupt checkpoint: ValueError: "
+                                              f"checkpoint array {name} {rule}$"):
+        restore_training_state(ckpt)
+
+
 def ring(replay):
     """Every slot of a replay ring's arrays by name, written or not."""
     return {**{f"frames/{s}": f for s, f in replay.frames.items()}, "action": replay.action,
-            "reward": replay.reward, "terminal": replay.terminal, "start": replay.start}
+            "reward": replay.reward, "start": replay.start}
 
 
 def assert_same_rows(got, want):
@@ -994,8 +1018,8 @@ def test_checkpoint_arrays_keep_their_dtypes(tmp_path):
     dtypes = {name: str(a.dtype) for name, a in ckpt["arrays"].items()}
     assert {dtypes[n] for n in dtypes if n.startswith(("param/", "acc/"))} == {"float32"}
     assert {n: dtypes[n] for n in dtypes if n.startswith("replay/")} == {
-        "replay/action": "int32", "replay/reward": "float64", "replay/terminal": "bool",
-        "replay/start": "bool", "replay/frames/ram": "uint8"}
+        "replay/action": "int32", "replay/reward": "float64", "replay/start": "bool",
+        "replay/frames/ram": "uint8"}
     assert all(n.startswith(("param/", "acc/", "replay/")) for n in dtypes)
 
 

