@@ -26,11 +26,9 @@ _BYTE = np.dtype(np.uint8)
 
 
 def scale_ram(raw):
-    """Observation bytes (RAM or screen) as network inputs: float32 in
-    [0, 255/256].  Scaling by a power of two is exact."""
-    out = np.asarray(raw).astype(np.float32)  # a copy, scaled in place
-    out *= np.float32(1 / 256)
-    return out
+    """Observation bytes (RAM or screen) as network inputs: float32 in [0, 255/256],
+    in one pass; a byte, and its scaling by a power of two, are exact in float32."""
+    return np.multiply(raw, np.float32(1 / 256), dtype=np.float32)
 
 
 def check_count(name, value, least=1):

@@ -25,13 +25,14 @@ from .agents import (
     train_step,
 )
 from .envs import ENV_REGISTRY, PhiBuffer, check_count, frame_skip_step, make_env, scale_ram
-from .optim import rmsprop_state_for
+from .optim import flush_subnormals, rmsprop_state_for
 from .replay import ReplayMemory
 from .tensor_core import ShapeError, Workspace
 
 CHECKPOINT_MAGIC = b"RAMDQN1\n"
 CHECKPOINT_VERSION = 2
 WARMUP_CHUNK = 4096  # random actions drawn per call during the warm-up
+FLUSH_EVERY = 100  # train steps between `flush_subnormals`, by the saved global_step
 
 
 class CheckpointError(RuntimeError):
@@ -204,8 +205,7 @@ def run_training_epoch(state, steps):
     the first layer with a non-finite parameter."""
     check_count("training steps", steps, least=0)
     state.warmup()
-    hyper = state.hyper
-    losses = []
+    hyper, losses = state.hyper, []
     workspace = Workspace()  # freed with the epoch, for test periods and checkpoints to reuse
     net, replay = state.net, state.replay
 
@@ -224,6 +224,8 @@ def run_training_epoch(state, steps):
                 raise TrainingError(f"epoch {state.epochs_done + 1}: training loss is "
                                     f"{loss}; {_first_nonfinite_layer(state.net)}")
             losses.append(loss)
+            if state.global_step % FLUSH_EVERY == 0:
+                flush_subnormals(state.opt_state)
     state.epochs_done += 1
     return float(np.mean(losses)) if losses else 0.0
 

@@ -59,6 +59,13 @@ def rmsprop_step(net, state):
         net.flat[lo : lo + CHUNK] -= t
 
 
+def flush_subnormals(state):
+    """Zero the accumulators below the smallest normal (2^-126 in float32), where decay sticks
+    and passes run slowly; parameters keep their bits, as acc + eps rounds to eps for them."""
+    acc = state.accumulator
+    acc[acc < np.finfo(acc.dtype).tiny] = 0
+
+
 def q_loss_grad(q_values, actions, targets):
     """Mean squared error on the chosen-action Q entries.
 

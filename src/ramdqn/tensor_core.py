@@ -3,8 +3,8 @@ reverse-mode gradients.
 
 Tensors are plain numpy arrays in row-major order with a leading batch dimension.
 Each network is resolved once into a `Program` of steps, and its forward, per workspace,
-batch size and mode, once into a `_Frame` of bound numpy calls.  Forward retains every
-layer output so backward can compute exact gradients; a finite-difference checker
+batch size and mode, once into a `_Frame` of bound numpy calls, as is its backward.  Forward
+retains every layer output so backward can compute exact gradients; a finite-difference checker
 (`gradient_check`) serves as the independent oracle for the handwritten backward.
 """
 
@@ -190,30 +190,26 @@ class Workspace:
     fewer rows; and the `_Frame` of each forward run in it, built on those buffers."""
 
     def __init__(self):
-        self.buffers, self.views, self.frames = {}, {}, {}
+        self.buffers, self.frames = {}, {}
 
     def take(self, layer, role, shape, dtype):
         """A `shape` array of `dtype` on the buffer of `layer`'s `role`; stale contents."""
-        view = self.views.get((layer, role, shape))
-        if view is None or view.dtype != dtype:  # or cached for another network's dtype
-            size = _flat(shape)
-            buf = self.buffers.get((layer, role))
-            if buf is None or buf.size < size or buf.dtype != dtype:
-                if buf is not None:  # some views, and frames, were bound to the old one
-                    self.views.clear()
-                    self.frames.clear()
-                buf = self.buffers[layer, role] = np.empty(size, dtype)
-            view = self.views[layer, role, shape] = buf[:size].reshape(shape)
-        return view
+        size, buf = _flat(shape), self.buffers.get((layer, role))
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            if buf is not None:  # frames, and their backwards, were bound to the old one
+                self.frames.clear()
+            buf = self.buffers[layer, role] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 class _Frame:
     """One network's forward at one batch size and mode, bound once in a workspace: the
     layer records, in its arrays, and the numpy calls that fill them, in order, each with
-    its arguments and output array fixed.  Inputs are copied into the input records."""
+    its arguments and output array fixed.  Inputs are copied into the input records.
+    `backward` is the `_Backward` last bound on the records."""
 
     def __init__(self, net, batch, train, ws):
-        self.recs, self.calls, self.rng = [None] * len(net.layers), [], None
+        self.recs, self.calls, self.rng, self.backward = [None] * len(net.layers), [], None, None
         for i in net.input_streams.values():
             self.recs[i] = {"out": ws.take(i, "out", (batch,) + net.out_shapes[i], net.dtype)}
         for step in net.program.layers:
@@ -229,6 +225,24 @@ class _Frame:
         if self.rng is None:
             raise ValueError("train-mode dropout needs an rng")
         self.rng.random(shape, out=out)
+
+
+class _Backward:
+    """One network's backward bound once, as a frame's forward, on forward records `recs`
+    and the gradient arrays `grads` it writes: every layer's calls in reverse, from the
+    output gradient copied into `grad`, and a sum where a layer's output has two uses."""
+
+    call = _Frame.call
+
+    def __init__(self, net, recs, grads, ws):
+        self.program, self.recs, self.grads, self.calls = net.program, recs, grads, []
+        self.grad = ws.take(net.terminal, "grad", recs[net.terminal]["out"].shape, net.dtype)
+        gouts = {net.terminal: self.grad}  # each layer's output gradient, once it has one
+        for step in reversed(net.program.layers):
+            if step.i in gouts:
+                for ref, g in step.bind_backward(self, gouts[step.i], ws):
+                    gouts[ref] = g if ref not in gouts else self.call(
+                        np.add, gouts[ref], g, ws.take(ref, "sum", g.shape, net.dtype))
 
 
 @lru_cache(maxsize=None)
@@ -257,28 +271,30 @@ def _conv_cols(x, index, out, call=lambda fn, *args: fn(*args)):
     return out.reshape(n * cells, width)
 
 
-def _col2im(d, stride, dx):
+def _col2im(d, stride, dx, call=lambda fn, *args: fn(*args)):
     """Adjoint of `_conv_cols`: the gradient w.r.t. x, summed into `dx` (B, C, H, W), from
     `d` (B, oh, ow, C, k, k), the gradient w.r.t. its window matrix; one slice-add per
-    kernel offset or, when there are fewer, per output cell."""
+    kernel offset or, when there are fewer, per output cell, each made by `call`."""
     _, oh, ow, _, k, _ = d.shape
-    dx.fill(0)
+    call(dx.fill, 0)
     if oh * ow < k * k:  # ascending offsets meet an entry's cells last to first
         for cell in range(oh * ow - 1, -1, -1):
             i, j = divmod(cell, ow)
-            dx[:, :, i * stride : i * stride + k, j * stride : j * stride + k] += d[:, i, j]
+            tile = dx[:, :, i * stride : i * stride + k, j * stride : j * stride + k]
+            call(np.add, tile, d[:, i, j], tile)
         return dx
     for di in range(k):
         for dj in range(k):
-            dx[:, :, di : di + stride * (oh - 1) + 1 : stride,
-               dj : dj + stride * (ow - 1) + 1 : stride] += d[..., di, dj].transpose(0, 3, 1, 2)
+            tile = dx[:, :, di : di + stride * (oh - 1) + 1 : stride,
+                      dj : dj + stride * (ow - 1) + 1 : stride]
+            call(np.add, tile, d[..., di, dj].transpose(0, 3, 1, 2), tile)
     return dx
 
 
 class _Step:
     """One layer, resolved: `bind` appends its forward's calls to a frame and returns its
-    record, in workspace arrays, and `backward` returns the (layer, gradient) pairs of
-    its inputs."""
+    record, in workspace arrays, and `bind_backward` appends its backward's calls, from
+    its output's gradient `g`, and returns the (layer, gradient) pairs of its inputs."""
 
     def __init__(self, net, i):
         self.i, self.spec, self.dtype, self.shape = i, net.layers[i], net.dtype, net.out_shapes[i]
@@ -329,26 +345,28 @@ class _Weighted(_Step):
             out = out.reshape((batch,) + self.shape[1:] + (units,)).transpose(0, 3, 1, 2)
         return {"out": out, "x": x}
 
-    def backward(self, recs, g, grads, ws):
-        i, rec, y = self.i, recs[self.i], recs[self.i]["out"]
+    def bind_backward(self, bound, g, ws):
+        i, y, grads, call = self.i, bound.recs[self.i]["out"], bound.grads[self.i], bound.call
         if self.index is not None:  # to the rows of the window matrix
             g, y = g.transpose(0, 2, 3, 1), y.transpose(0, 2, 3, 1)
         if self.rectify:  # y > 0 exactly where the pre-activation is
-            mask = np.greater(y, 0, out=ws.take(i, "mask", y.shape, np.bool_))
-            g = np.multiply(g, mask, out=ws.take(i, "g", y.shape, self.dtype))
+            mask = call(np.greater, y, 0, ws.take(i, "mask", y.shape, np.bool_))
+            g = call(np.multiply, g, mask, ws.take(i, "g", y.shape, self.dtype))
+        elif self.index is not None:  # channels-last: copied, as its reshape would be
+            g = call(np.positive, g, ws.take(i, "g", g.shape, self.dtype))
         g = g.reshape(-1, len(self.W))
-        np.matmul(g.T, rec["x"], out=grads[i]["W"].reshape(self.W.shape))
-        if self.b is not None:
-            g.sum(axis=0, out=grads[i]["b"])
+        call(np.matmul, g.T, bound.recs[i]["x"], grads["W"].reshape(self.W.shape))
+        if self.b is not None:  # g.sum(axis=0)
+            call(np.add.reduce, g, 0, out=grads["b"])
         if not self.grad_in:
             return []
-        gx = np.matmul(g, self.W, out=ws.take(i, "gx", (len(g), self.W.shape[1]), self.dtype))
+        gx = call(np.matmul, g, self.W, ws.take(i, "gx", (len(g), self.W.shape[1]), self.dtype))
         if self.index is None:
             return [(self.ref, gx.reshape((len(gx),) + self.in_shape))]
         (c, h, w), (_, oh, ow), k = self.in_shape, self.shape, self.spec.kernel
         n = len(gx) // (oh * ow)
         dx = ws.take(i, "dx", (n, h, w, c), self.dtype).transpose(0, 3, 1, 2)
-        return [(self.ref, _col2im(gx.reshape(n, oh, ow, c, k, k), self.spec.stride, dx))]
+        return [(self.ref, _col2im(gx.reshape(n, oh, ow, c, k, k), self.spec.stride, dx, call))]
 
 
 class _Dropout(_Step):
@@ -367,10 +385,11 @@ class _Dropout(_Step):
         return {"out": call(np.multiply, x, self.dtype.type(scale), out) if scale != 1.0 else x,
                 "scale": scale}
 
-    def backward(self, recs, g, grads, ws):
-        rec = recs[self.i]
+    def bind_backward(self, bound, g, ws):
+        rec = bound.recs[self.i]
         factor = rec["mask"] if "mask" in rec else self.dtype.type(rec["scale"])
-        return [(self.ref, np.multiply(g, factor, out=ws.take(self.i, "gx", g.shape, self.dtype)))]
+        return [(self.ref, bound.call(np.multiply, g, factor,
+                                      ws.take(self.i, "gx", g.shape, self.dtype)))]
 
 
 class _Concat(_Step):
@@ -385,10 +404,10 @@ class _Concat(_Step):
             start = stop
         return {"out": out}
 
-    def backward(self, recs, g, grads, ws):
+    def bind_backward(self, bound, g, ws):
         pieces, start = [], 0
         for r in self.refs:
-            shape = recs[r]["out"].shape
+            shape = bound.recs[r]["out"].shape
             stop = start + _flat(shape[1:])
             pieces.append((r, g[:, start:stop].reshape(shape)))
             start = stop
@@ -447,23 +466,27 @@ def backward(net, acts, output_gradient, grads, workspace=None):
     views of its gradient vector); returns them.
 
     Requires the activation records produced by a matching `forward` call;
-    shape drift between the two is rejected.  Its other arrays are
-    `workspace`'s or, without one, a new workspace's.
+    shape drift between the two is rejected.  Its other arrays are `workspace`'s
+    or, without one, a new workspace's.  The calls are a `_Backward` on `acts` and
+    `grads`, bound once per frame in `workspace`, or for this call on other records.
     """
     if len(acts) != len(net.layers):
         raise ShapeError("activations do not match the network")
     for i, rec in enumerate(acts):
         if rec["out"].shape[1:] != net.out_shapes[i]:
             raise ShapeError(f"layer {i}: stale activations (shape drift)")
-    g_out = np.asarray(output_gradient, dtype=net.dtype)
-    if g_out.shape != acts[net.terminal]["out"].shape:
+    if np.shape(output_gradient) != acts[net.terminal]["out"].shape:
         raise ShapeError("output gradient shape does not match network output")
-    ws, gouts = Workspace() if workspace is None else workspace, [None] * len(net.layers)
-    gouts[net.terminal] = g_out
-    for step in reversed(net.program.layers):
-        if gouts[step.i] is not None:
-            for ref, g in step.backward(acts, gouts[step.i], grads, ws):
-                gouts[ref] = g if gouts[ref] is None else gouts[ref] + g
+    ws = Workspace() if workspace is None else workspace
+    frames = [f for f in ws.frames.values() if f.recs is acts]  # the frame of `acts`, or none
+    bound = frames[0].backward if frames else None
+    if bound is None or bound.grads is not grads or bound.program is not net.program:
+        bound = _Backward(net, acts, grads, ws)
+        for frame in frames:
+            frame.backward = bound
+    np.copyto(bound.grad, output_gradient, casting="unsafe")
+    for call in bound.calls:
+        call()
     return grads
 
 

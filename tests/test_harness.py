@@ -453,6 +453,86 @@ def test_checkpoint_resume_reproduces_loss_sequence(tmp_path):
         assert continued == resumed
 
 
+FLUSH_RUN_STEPS, FLUSH_SAVE_AT = 5_000, 4_950  # the save falls between two flushes
+
+
+@pytest.fixture(scope="module")
+def flushed_run(tmp_path_factory):
+    """One 5,000-action just_ram epoch on micro_catch, whose always-0 RAM bytes and dead
+    units leave accumulators decaying into subnormals: its state, each train step's
+    loss, and a checkpoint with replay saved right after the train step at 4,950."""
+    path = tmp_path_factory.mktemp("flush") / "mid.ckpt"
+    hyper = HyperParams(replay_start_size=100, frame_skip=1, epsilon_decay_steps=5_000,
+                        replay_capacity=6_000, steps_per_epoch=FLUSH_RUN_STEPS, test_steps=10)
+    state, losses = TrainingState(ExperimentConfig("micro_catch", "just_ram", hyper, seed=1)), []
+    real = harness.train_step
+
+    def recording(*args):
+        losses.append(real(*args))
+        if state.global_step == FLUSH_SAVE_AT:
+            checkpoint_save(state, path, include_replay=True)
+        return losses[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "train_step", recording)
+        run_training_epoch(state, FLUSH_RUN_STEPS)
+    return state, losses, path
+
+
+def unflushed_epoch(state, steps):
+    """`run_training_epoch` without its flush of subnormal accumulators (or its loss
+    check): the training the flush must leave bit for bit.  Returns each step's loss."""
+    state.warmup()
+    hyper, net, replay, workspace, losses = state.hyper, state.net, state.replay, Workspace(), []
+    for _ in range(steps):
+        eps = agents.epsilon_at(hyper, state.global_step)
+        state._take_action(select_action(net, lambda: greedy_action(net, replay.latest_state()),
+                                         eps, state.explore_rng))
+        state.global_step += 1
+        if len(replay) >= max(hyper.replay_start_size, hyper.minibatch_size):
+            losses.append(agents.train_step(net, replay, state.opt_state, hyper,
+                                            state.sample_rng, state.dropout_rng, workspace))
+    return losses
+
+
+def subnormals(acc):
+    return (acc > 0) & (acc < np.finfo(acc.dtype).tiny)
+
+
+def test_flushing_subnormal_accumulators_keeps_every_parameter_and_loss_bit(flushed_run):
+    state, losses, _ = flushed_run
+    reference = TrainingState(state.config)
+    assert unflushed_epoch(reference, FLUSH_RUN_STEPS) == losses
+    assert reference.net.flat.tobytes() == state.net.flat.tobytes()
+    kept, flushed = reference.opt_state.accumulator, state.opt_state.accumulator
+    assert subnormals(kept).sum() > 100  # the flushes had work to do
+    # Only accumulators far below the 2^-44 where eps stops absorbing them differ.
+    differ = kept != flushed
+    assert differ.any() and (kept[differ] < 2.0**-100).all() and (flushed[differ] < 2.0**-100).all()
+
+
+def test_no_accumulator_is_subnormal_right_after_a_flush(flushed_run):
+    state = flushed_run[0]
+    assert state.global_step % harness.FLUSH_EVERY == 0  # its last train step flushed
+    assert not subnormals(state.opt_state.accumulator).any()
+
+
+def test_a_run_resumed_between_flushes_matches_the_straight_run(flushed_run, monkeypatch):
+    state, losses, path = flushed_run
+    ckpt = checkpoint_load(path)
+    saved = np.concatenate([a.ravel() for name, a in ckpt["arrays"].items()
+                            if name.startswith("acc/")])
+    assert subnormals(saved).any()  # the flush at the end of the epoch has work to do
+    resumed, tail = restore_training_state(ckpt), []
+    assert resumed.global_step == FLUSH_SAVE_AT
+    real = harness.train_step
+    monkeypatch.setattr(harness, "train_step", lambda *args: tail.append(real(*args)) or tail[-1])
+    run_training_epoch(resumed, FLUSH_RUN_STEPS - FLUSH_SAVE_AT)
+    assert tail == losses[FLUSH_SAVE_AT - FLUSH_RUN_STEPS:]
+    assert resumed.net.flat.tobytes() == state.net.flat.tobytes()
+    assert resumed.opt_state.accumulator.tobytes() == state.opt_state.accumulator.tobytes()
+
+
 class FullDisk:
     """A file opened for writing that takes the first chunk, then runs out of room."""
 

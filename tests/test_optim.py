@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramdqn.agents import build_architecture
-from ramdqn.optim import (CHUNK, DECAY_RHO, STABILIZER_EPS, q_loss_grad, rmsprop_state_for,
-                          rmsprop_step)
+from ramdqn.optim import (CHUNK, DECAY_RHO, STABILIZER_EPS, flush_subnormals, q_loss_grad,
+                          rmsprop_state_for, rmsprop_step)
 from ramdqn.tensor_core import ShapeError
 
 
@@ -234,3 +234,32 @@ def test_q_loss_equals_np_mean_bitwise(dtype, batch, n_actions, seed):
         wrong[rng.integers(batch)] = bad
         with pytest.raises(IndexError):
             q_loss_grad(q, wrong, targets)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flush_zeroes_exactly_the_accumulators_below_the_smallest_normal(dtype):
+    net = build_architecture("just_ram", 2, rng=np.random.default_rng(0), dtype=dtype)
+    state = rmsprop_state_for(net)
+    tiny = np.finfo(dtype).tiny
+    values = np.array([0.0, tiny / 2**20, tiny / 2, np.nextafter(tiny, 0), tiny, 2 * tiny, 0.5],
+                      dtype)
+    state.accumulator[: len(values)] = values
+    flush_subnormals(state)
+    np.testing.assert_array_equal(state.accumulator[: len(values)],
+                                  [0.0, 0.0, 0.0, 0.0, tiny, 2 * tiny, 0.5])
+
+
+def test_a_flushed_accumulator_steps_the_parameters_as_a_subnormal_one_would():
+    # eps = 1e-6 has an ulp of 2^-43 in float32: acc + eps rounds to eps for acc below
+    # 2^-44, a subnormal or 0, so the step is the same bits.
+    net = build_architecture("just_ram", 2, rng=np.random.default_rng(0))
+    twin = build_architecture("just_ram", 2, rng=np.random.default_rng(0))
+    states = [rmsprop_state_for(n) for n in (net, twin)]
+    for state in states:
+        state.accumulator[:] = np.finfo(np.float32).tiny / 3
+    flush_subnormals(states[0])
+    assert not states[0].accumulator.any() and states[1].accumulator.all()
+    for n, state in zip((net, twin), states):
+        state.gradient[:] = np.random.default_rng(1).standard_normal(n.flat.size) * 1e-3
+        rmsprop_step(n, state)
+    assert net.flat.tobytes() == twin.flat.tobytes()

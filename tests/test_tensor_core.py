@@ -942,3 +942,80 @@ def test_a_warm_conv_gather_does_not_copy_its_window_index():
     assert conv1.index.flags.writeable and np.array_equal(conv1.index, read_only)
     assert traced_gather(conv1.index) < 1024
     assert traced_gather(read_only) > 8 * 1024
+
+
+@pytest.mark.parametrize("env_name", ["micro_catch", "micro_diver"])
+@pytest.mark.parametrize("dropout_p", [0.0, 0.25])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_bound_backward_gives_the_gradients_of_a_fresh_one_bitwise(arch, dropout_p, env_name):
+    # One workspace and one set of gradient arrays, as in a training epoch: forwards at
+    # a full batch, at 29 live rows and at 1 row, each backward run twice on its records.
+    env = make_env(env_name)
+    net = build_architecture(arch, env.action_count, screen_shape=env.screen_shape,
+                             dropout_p=dropout_p, rng=np.random.default_rng(3))
+    mode = "train" if dropout_p else "eval"
+    workspace, grads = tensor_core.Workspace(), new_grads(net)
+    for seed, rows in enumerate([32, 29, 1, 32, 29, 1]):
+        x, rng = frame_inputs(net, rows, seed), np.random.default_rng(seed)
+        g = rng.standard_normal((rows, net.output_dim)).astype(net.dtype)
+        acts = forward(net, x, mode, np.random.default_rng(seed), workspace)
+        for _ in range(2):
+            got = backward(net, acts, g, grads, workspace)
+        fresh = forward(net, x, mode, np.random.default_rng(seed))
+        want = backward(net, fresh, g, new_grads(net))
+        for layer, expected in zip(got, want):
+            for key in expected or {}:
+                assert layer[key].tobytes() == expected[key].tobytes(), (rows, key)
+
+
+def test_a_second_backward_on_the_same_records_and_gradients_reuses_its_calls():
+    net = build_architecture("big_mixed_ram", 5, screen_shape=(20, 20), dropout_p=0.25,
+                             rng=np.random.default_rng(3))
+    workspace, grads, g = tensor_core.Workspace(), new_grads(net), np.ones((4, 5))
+    acts = forward(net, frame_inputs(net, 4, 0), "train", np.random.default_rng(0), workspace)
+    backward(net, acts, g, grads, workspace)
+    (frame,) = workspace.frames.values()
+    bound, calls = frame.backward, frame.backward.calls
+    assert bound.recs is acts and bound.grads is grads
+    # The frame's records, refilled by a later forward, keep the same calls.
+    assert forward(net, frame_inputs(net, 4, 1), "train", np.random.default_rng(1),
+                   workspace) is acts
+    backward(net, acts, 2 * g, grads, workspace)
+    assert frame.backward is bound and bound.calls is calls
+    # Other gradient arrays get calls of their own, kept in their place.
+    other = new_grads(net)
+    backward(net, acts, g, other, workspace)
+    assert frame.backward is not bound and frame.backward.grads is other
+
+
+def test_a_bound_backward_still_checks_each_call_before_it_runs():
+    net = build_architecture("just_ram", 4, rng=np.random.default_rng(0))
+    workspace, grads = tensor_core.Workspace(), new_grads(net)
+    acts = forward(net, {"ram": np.random.default_rng(1).random((2, 128))}, workspace=workspace)
+    g = np.random.default_rng(2).standard_normal((2, 4))
+    want = [None if p is None else {k: v.copy() for k, v in p.items()}
+            for p in backward(net, acts, g, grads, workspace)]
+    (frame,) = workspace.frames.values()
+    stale = list(acts)
+    stale[1] = dict(acts[1], out=acts[1]["out"][:, :64])
+    for records, gradient, message in [(acts[:-1], g, "activations do not match the network"),
+                                       (stale, g, "layer 1: stale activations (shape drift)"),
+                                       (acts, np.zeros((2, 5)), "output gradient shape does "
+                                                                "not match network output")]:
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            backward(net, records, gradient, grads, workspace)
+    # A plain copy of the records passes, and gets calls of its own that are not kept.
+    copied = backward(net, list(acts), g, new_grads(net), workspace)
+    assert frame.backward.recs is acts
+    for layer, expected in zip(copied, want):
+        for key in expected or {}:
+            assert layer[key].tobytes() == expected[key].tobytes(), key
+
+
+def test_a_layer_read_twice_gets_the_sum_of_both_gradients():
+    specs = [ram_input(), LayerSpec(kind="dense", units=6, activation="rectify", input_refs=(0,)),
+             LayerSpec(kind="concat", input_refs=(1, 1)),
+             LayerSpec(kind="dense", units=3, input_refs=(2,))]
+    net = make_network(specs, np.random.default_rng(0), dtype=np.float64)
+    x = {"ram": np.random.default_rng(1).random((4, 128))}
+    assert gradient_check(net, x, probes=40, rng=np.random.default_rng(2)) < 1e-8
