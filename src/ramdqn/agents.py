@@ -175,16 +175,15 @@ def compute_targets(net, minibatch, discount, workspace=None):
     if not len(minibatch):
         raise ValueError("minibatch must be nonempty")
     workspace = Workspace() if workspace is None else workspace
-    targets = np.array(minibatch.reward, dtype=np.float64)
-    live = np.flatnonzero(~minibatch.terminal)
+    targets = np.array(minibatch.reward, np.float64)
+    live = (~minibatch.terminal).nonzero()[0]
     if live.size and discount > 0.0:
         batch = minibatch.next_state
         if live.size < len(targets):  # the live rows, in the workspace's first rows
             batch = {k: v.take(live, 0, workspace.take("live", k, v.shape, v.dtype)[: live.size],
                                "clip") for k, v in batch.items()}
-        acts = forward(net, batch, mode="eval", workspace=workspace)
-        q_next = acts[net.terminal]["out"]
-        targets[live] += discount * q_next.max(axis=1)
+        q_next = forward(net, batch, mode="eval", workspace=workspace)[net.terminal]["out"]
+        targets[live] += discount * np.maximum.reduce(q_next, 1)  # q_next.max(axis=1)
     return targets
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +21,7 @@ class RmsPropState:
     parameter vector: the mean-square accumulators and the gradient the
     next step applies.  `mean_square` and `grads` are per-layer views of
     them, shaped as the network's `params`; `backward` writes its gradients
-    into `grads`.  `scratch` holds the working chunk of a step."""
+    into `grads`.  `scratch` holds the working chunk of a step; `bound`, its calls."""
 
     accumulator: np.ndarray
     gradient: np.ndarray
@@ -27,6 +29,7 @@ class RmsPropState:
     grads: list = field(repr=False)
     learning_rate: float = 0.0002
     scratch: np.ndarray = field(default=None, repr=False)
+    bound: tuple = field(default=None, repr=False)
 
 
 def rmsprop_state_for(net, learning_rate=0.0002):
@@ -40,23 +43,26 @@ def rmsprop_step(net, state):
     """One in-place pass over the whole parameter vector, CHUNK entries at
     a time, with the gradient that `backward` wrote through `state.grads`:
     acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
-    The step leaves the gradient scaled by lr.
+    The step leaves the gradient scaled by lr.  Its calls are bound once on the
+    arrays and learning rate they name, and again when one is another object.
     """
     rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
     if net.flat.shape != state.accumulator.shape:
         raise ShapeError("optimizer state does not match parameter layout")
-    for lo in range(0, net.flat.size, CHUNK):
-        g, a = state.gradient[lo : lo + CHUNK], state.accumulator[lo : lo + CHUNK]
-        t = state.scratch[: len(g)]
-        np.multiply(g, 1.0 - rho, out=t)
-        t *= g
-        a *= rho
-        a += t
-        np.add(a, eps, out=t)
-        np.sqrt(t, out=t)
-        g *= lr
-        np.divide(g, t, out=t)
-        net.flat[lo : lo + CHUNK] -= t
+    key = (net.flat, state.accumulator, state.gradient, state.scratch, lr)
+    if state.bound is None or not all(map(operator.is_, key, state.bound[0])):
+        calls = []
+        for lo in range(0, net.flat.size, CHUNK):
+            p, a, g = (v[lo : lo + CHUNK] for v in key[:3])
+            t = state.scratch[: len(g)]
+            calls += [partial(np.multiply, g, 1.0 - rho, t), partial(np.multiply, t, g, t),
+                      partial(np.multiply, a, rho, a), partial(np.add, a, t, a),
+                      partial(np.add, a, eps, t), partial(np.sqrt, t, t),
+                      partial(np.multiply, g, lr, g), partial(np.divide, g, t, t),
+                      partial(np.subtract, p, t, p)]
+        state.bound = key, calls
+    for call in state.bound[1]:
+        call()
 
 
 def flush_subnormals(state):
@@ -78,13 +84,13 @@ def q_loss_grad(q_values, actions, targets):
     batch, n_actions = q.shape
     if actions.shape != (batch,) or targets.shape != (batch,):
         raise ShapeError("actions/targets must be one entry per batch row")
-    if actions.view(np.uintp).max(initial=0) >= n_actions:  # a negative one wraps to a huge one
+    if np.maximum.reduce(actions.view(np.uintp), initial=0) >= n_actions:  # negatives wrap high
         raise IndexError("action index out of range")
-    rows = np.arange(batch)
-    diff = targets - q[rows, actions]
+    flat = np.arange(0, batch * n_actions, n_actions) + actions  # the chosen entries of q.flat
+    diff = targets - q.take(flat)
     total = np.add.reduce(diff * diff, axis=None)
     # np.mean's arithmetic: the sum in q's dtype, over the count in float64, rounded back
     loss = float(total.dtype.type(float(total) / batch))
     grad = np.zeros(q.shape, q.dtype)
-    grad[rows, actions] = -2.0 * diff / batch
+    grad.put(flat, -2.0 * diff / batch)
     return loss, grad

@@ -12,6 +12,7 @@ import numpy as np
 from .envs import check_count, scale_ram
 
 STACKED_STREAM = "screen"  # its states are the last phi_length frames
+_HERE_AFTER = np.array([[0], [1]])  # a transition number's offsets to its two slots
 
 
 @dataclass(eq=False)
@@ -144,7 +145,9 @@ class ReplayMemory:
     def _numbers(self, positions):
         """Transition numbers at list positions: position p holds the latest
         push whose number is p mod capacity, as a list ring written in push
-        order would."""
+        order would; until the ring wraps, that is p."""
+        if self.pushes <= self.capacity:
+            return positions
         last = self.pushes - 1
         return last - (last - positions) % self.capacity
 
@@ -161,17 +164,20 @@ class ReplayMemory:
     def _gather(self, numbers):
         # A next state is its state stack moved on by one frame, which for a
         # terminal transition mixes two episodes; it is never bootstrapped.
-        slots = len(self.start)
-        here, after = numbers % slots, (numbers + 1) % slots
+        # Until the ring wraps, numbers are below `pushes`, so they are slots.
+        slots = numbers + _HERE_AFTER
+        if self.pushes > self.capacity:
+            slots %= len(self.start)
+        here, after = slots
         state, next_state = {}, {}
         for name, frames in self.frames.items():
             if name == STACKED_STREAM:
-                raw = frames[np.stack([*self._walk(here), after], axis=1)]
+                raw = frames.take(np.stack([*self._walk(here), after], axis=1), 0)
                 state[name], next_state[name] = scale_ram(raw[:, :-1]), scale_ram(raw[:, 1:])
-            else:
-                state[name], next_state[name] = scale_ram(frames[here]), scale_ram(frames[after])
-        return Minibatch(state, self.action[here].astype(np.intp), self.reward[here],
-                         next_state, self.start[after])
+            else:  # both rows' bytes in one take, scaled at once
+                state[name], next_state[name] = scale_ram(frames.take(slots, 0))
+        return Minibatch(state, self.action.take(here).astype(np.intp), self.reward.take(here),
+                         next_state, self.start.take(after))
 
     def latest_state(self):
         """The state of the newest observation, the one the next push acts

@@ -3,6 +3,8 @@ import json
 import os
 import signal
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -617,3 +619,16 @@ def test_gradcheck_deterministic(capsys):
     first = capsys.readouterr().out
     main(["gradcheck", "--arch", "big_ram", "--seed", "4"])
     assert capsys.readouterr().out == first
+
+
+def test_python_dash_m_ramdqn_runs_the_command_line():
+    # The package's own directory on the path, whether it is installed or on PYTHONPATH.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ramdqn", "gradcheck", "--arch", "just_ram"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("just_ram: max relative error ")
