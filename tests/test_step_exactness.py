@@ -150,16 +150,6 @@ def test_q_loss_grad_matches_the_plain_loss(rows, n_actions, dtype, form, seed):
     assert_same_bits(grad, plain_grad)
 
 
-@pytest.mark.parametrize("actions, targets, error", [
-    ([0, 3], [0.0, 0.0], IndexError), ([0, -1], [0.0, 0.0], IndexError),
-    ([0], [0.0, 0.0], ShapeError), ([0, 1], [0.0], ShapeError)])
-def test_q_loss_grad_refuses_what_the_plain_loss_refuses(actions, targets, error):
-    q = np.zeros((2, 3), np.float32)
-    for fn in (q_loss_grad, plain_loss_grad):
-        with pytest.raises(error):
-            fn(q, actions, targets)
-
-
 @pytest.mark.parametrize("phi_length", [1, 4])
 def test_sample_minibatch_matches_the_plain_sample_before_and_after_a_wrap(phi_length):
     def obs(tag):
