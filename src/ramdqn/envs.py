@@ -41,25 +41,20 @@ def check_count(name, value, least=1):
 
 class PhiBuffer:
     """Rolling window of the last `phi_length` screens as bytes, oldest
-    first: `frames` is a (phi_length, H, W) uint8 view, and `stack` gives it
-    as network inputs.  Each screen is copied into a kept array of
-    2 * phi_length screens twice, phi_length apart, so the window is always
-    one contiguous view and moving it allocates nothing.  A `phi_length`
-    that `check_count` refuses raises ValueError."""
+    first: `frames` is one (phi_length, H, W) uint8 array, and `stack` gives
+    it as network inputs.  Moving the window shifts its screens down by one
+    and copies the new screen last.  A `phi_length` that `check_count`
+    refuses raises ValueError."""
 
     def __init__(self, phi_length=4):
         check_count("phi_length", phi_length)
         self.phi_length = phi_length
         self.frames = None
-        self._kept = None
 
     def reset(self, screen):
-        n = self.phi_length
-        if self._kept is None or self._kept.shape[1:] != np.shape(screen):
-            self._kept = np.empty((2 * n,) + np.shape(screen), dtype=np.uint8)
-        self._kept[...] = screen
-        self._newest = n - 1
-        self.frames = self._kept[n:]
+        if self.frames is None or self.frames.shape[1:] != np.shape(screen):
+            self.frames = np.empty((self.phi_length,) + np.shape(screen), dtype=np.uint8)
+        self.frames[...] = screen
 
     def stack(self):
         if self.frames is None:
@@ -70,10 +65,8 @@ class PhiBuffer:
         """Move the window on by one screen; no network inputs are built."""
         if self.frames is None:
             raise RuntimeError("PhiBuffer not initialized; call reset first")
-        n, i = self.phi_length, (self._newest + 1) % self.phi_length
-        self._kept[i] = self._kept[i + n] = new_screen
-        self._newest = i
-        self.frames = self._kept[i + 1:i + 1 + n]
+        self.frames[:-1] = self.frames[1:]
+        self.frames[-1] = new_screen
 
 
 def _within(value, allowed):

@@ -201,8 +201,8 @@ def run_training_epoch(state, steps):
     """Run `steps` frame-skip actions with annealing epsilon, training after
     every action once the replay memory is warm; returns the mean loss.
     `steps` that `check_count(..., least=0)` refuses raises ValueError before
-    the warm-up.  A non-finite loss raises TrainingError naming the epoch and
-    the first layer with a non-finite parameter."""
+    the warm-up.  A non-finite loss, or a parameter or RMSprop accumulator left
+    non-finite, raises TrainingError naming the epoch and any non-finite layer."""
     check_count("training steps", steps, least=0)
     state.warmup()
     hyper, losses = state.hyper, []
@@ -226,6 +226,9 @@ def run_training_epoch(state, steps):
             losses.append(loss)
             if state.global_step % FLUSH_EVERY == 0:
                 flush_subnormals(state.opt_state)
+    if not (np.isfinite(net.flat).all() and np.isfinite(state.opt_state.accumulator).all()):
+        raise TrainingError(f"epoch {state.epochs_done + 1}: an update left a non-finite "
+                            f"parameter or accumulator; {_first_nonfinite_layer(net)}")
     state.epochs_done += 1
     return float(np.mean(losses)) if losses else 0.0
 

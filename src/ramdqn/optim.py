@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -21,7 +19,7 @@ class RmsPropState:
     parameter vector: the mean-square accumulators and the gradient the
     next step applies.  `mean_square` and `grads` are per-layer views of
     them, shaped as the network's `params`; `backward` writes its gradients
-    into `grads`.  `scratch` holds the working chunk of a step; `bound`, its calls."""
+    into `grads`.  `scratch` holds the working chunk of a step."""
 
     accumulator: np.ndarray
     gradient: np.ndarray
@@ -29,7 +27,6 @@ class RmsPropState:
     grads: list = field(repr=False)
     learning_rate: float = 0.0002
     scratch: np.ndarray = field(default=None, repr=False)
-    bound: tuple = field(default=None, repr=False)
 
 
 def rmsprop_state_for(net, learning_rate=0.0002):
@@ -43,26 +40,23 @@ def rmsprop_step(net, state):
     """One in-place pass over the whole parameter vector, CHUNK entries at
     a time, with the gradient that `backward` wrote through `state.grads`:
     acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
-    The step leaves the gradient scaled by lr.  Its calls are bound once on the
-    arrays and learning rate they name, and again when one is another object.
+    The step leaves the gradient scaled by lr.
     """
     rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
     if net.flat.shape != state.accumulator.shape:
         raise ShapeError("optimizer state does not match parameter layout")
-    key = (net.flat, state.accumulator, state.gradient, state.scratch, lr)
-    if state.bound is None or not all(map(operator.is_, key, state.bound[0])):
-        calls = []
-        for lo in range(0, net.flat.size, CHUNK):
-            p, a, g = (v[lo : lo + CHUNK] for v in key[:3])
-            t = state.scratch[: len(g)]
-            calls += [partial(np.multiply, g, 1.0 - rho, t), partial(np.multiply, t, g, t),
-                      partial(np.multiply, a, rho, a), partial(np.add, a, t, a),
-                      partial(np.add, a, eps, t), partial(np.sqrt, t, t),
-                      partial(np.multiply, g, lr, g), partial(np.divide, g, t, t),
-                      partial(np.subtract, p, t, p)]
-        state.bound = key, calls
-    for call in state.bound[1]:
-        call()
+    for lo in range(0, net.flat.size, CHUNK):
+        p, a, g = (v[lo : lo + CHUNK] for v in (net.flat, state.accumulator, state.gradient))
+        t = state.scratch[: len(g)]
+        np.multiply(g, 1.0 - rho, t)
+        np.multiply(t, g, t)
+        np.multiply(a, rho, a)
+        np.add(a, t, a)
+        np.add(a, eps, t)
+        np.sqrt(t, t)
+        np.multiply(g, lr, g)
+        np.divide(g, t, t)
+        np.subtract(p, t, p)
 
 
 def flush_subnormals(state):

@@ -69,6 +69,18 @@ def test_train_nonfinite_loss_exit_1(tmp_path, capsys, monkeypatch):
     assert not (out / "curve.csv").exists()
 
 
+def test_train_update_left_nonfinite_exit_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--env", "micro_catch", "--arch", "just_ram", "--out", str(out),
+                   "--epochs", "2", "--seed", "0", "--learning-rate", "1e38",
+                   "--steps-per-epoch", "1", "--replay-start-size", "32", "--test-steps", "20"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 1: an update left a non-finite ") and err.count("\n") == 1
+    assert os.listdir(out) == []
+
+
 def test_train_nonfinite_test_score_exit_1(tmp_path, capsys, monkeypatch):
     real = harness.run_test_period
 

@@ -551,25 +551,27 @@ def test_phi_buffer_fifo():
         np.testing.assert_array_equal(plane, f / 256.0)
 
 
-def test_phi_buffer_window_is_one_view_of_the_last_screens():
-    # Eleven screens through a three-screen window wrap its kept array
-    # several times; the window stays the last three, oldest first, in one
-    # contiguous view of that array, and the caller's screen is copied.
-    buf = PhiBuffer(3)
+@pytest.mark.parametrize("phi_length", [1, 2, 3, 4])
+def test_phi_buffer_window_is_one_view_of_the_last_screens(phi_length):
+    # Eleven screens move the window on eleven times (at phi_length 1 the
+    # shift moves no screens); the window stays the last phi_length screens,
+    # oldest first, in the one contiguous array it was given at reset, and
+    # the caller's screen is copied.
+    buf = PhiBuffer(phi_length)
     screen = np.zeros((2, 3), np.uint8)
     buf.reset(screen)
-    kept = buf.frames.base
-    shown = [0, 0, 0]
+    kept = buf.frames
+    shown = [0] * phi_length
     for i in range(1, 12):
         screen.fill(i)
         buf.observe(screen)
         shown = shown[1:] + [i]
-        assert buf.frames.base is kept and buf.frames.flags.c_contiguous
+        assert buf.frames is kept and buf.frames.flags.c_contiguous
         assert buf.frames[:, 0, 0].tolist() == shown
     screen.fill(99)
-    assert buf.frames[:, 0, 0].tolist() == [9, 10, 11]
+    assert buf.frames[:, 0, 0].tolist() == list(range(12 - phi_length, 12))
     buf.reset(screen)
-    assert buf.frames.base is kept and buf.frames[:, 0, 0].tolist() == [99] * 3
+    assert buf.frames is kept and buf.frames[:, 0, 0].tolist() == [99] * phi_length
 
 
 def test_phi_buffer_scales_by_256():

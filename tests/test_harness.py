@@ -967,6 +967,19 @@ def test_nonfinite_loss_names_epoch_and_layer():
         run_training_epoch(state, 5)
 
 
+def test_an_update_that_overflows_on_the_last_action_stops_before_the_checkpoints(tmp_path):
+    # One training step per epoch: its loss is computed before the update, so
+    # only the parameters after it show the overflow.
+    hyper = HyperParams(learning_rate=1e38, steps_per_epoch=1, replay_start_size=32,
+                        test_steps=20)
+    config = ExperimentConfig("micro_catch", "just_ram", hyper, epochs=2, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"epoch 1: an update left a non-finite parameter or "
+                                 r"accumulator; layer 3 \(dense\) has a non-finite b"):
+        run_experiment(config, tmp_path)
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("env_name, arch", [("micro_catch", "just_ram"),
                                             ("micro_catch", "nips"),
                                             ("micro_diver", "big_mixed_ram")])
@@ -1260,7 +1273,7 @@ def test_pushes_draw_each_observation_into_the_ring_without_allocating_it():
 
 def test_test_period_draws_every_observation_into_one_set_of_arrays():
     # The period's drawing arrays (128 RAM bytes, a 20x20 screen) and its
-    # window's kept screens (2 x 4 of them) are all that it holds: a fresh
+    # window's 4 screens are all that it holds: a fresh
     # observation per action would be held beside them.  At epsilon 1 no
     # network input is built.
     hyper = small_hyper(frame_skip=4, test_steps=1000, test_epsilon=1.0)
@@ -1269,5 +1282,5 @@ def test_test_period_draws_every_observation_into_one_set_of_arrays():
     reports = []
     held = largest_held_numpy_blocks(
         lambda: reports.append(run_test_period(net, "micro_diver", hyper, seed=3)))
-    assert held == [RAM_SIZE, 20 * 20, 2 * 4 * 20 * 20]
+    assert held == [RAM_SIZE, 20 * 20, 4 * 20 * 20]
     assert reports[0].episodes >= 3

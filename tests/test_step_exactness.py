@@ -183,9 +183,9 @@ def test_bound_rmsprop_matches_the_chunk_loop_across_flushes_and_rebinds():
             for s in (state, plain):
                 s.accumulator[::7] = np.float32(1e-40)
                 flush_subnormals(s)
-        if step == 4:  # another learning rate rebinds the calls
+        if step == 4:  # another learning rate
             state.learning_rate = plain.learning_rate = 0.001
-        if step == 5:  # as does another parameter vector of the same layout
+        if step == 5:  # another parameter vector of the same layout
             old, net = net, copy.deepcopy(net)
             before = old.flat.copy()
         g = (rng.standard_normal(net.flat.size) * 1e-3).astype(net.dtype)
@@ -197,13 +197,13 @@ def test_bound_rmsprop_matches_the_chunk_loop_across_flushes_and_rebinds():
         for a, b in ((net.flat, plain_net.flat), (state.accumulator, plain.accumulator),
                      (state.gradient, plain.gradient)):
             assert_same_bits(a, b)
-    assert_same_bits(old.flat, before)  # the vector the calls were first bound on is left alone
+    assert_same_bits(old.flat, before)  # the vector stepped before is left alone
 
 
 def test_bound_rmsprop_carries_on_after_a_restore(tmp_path, monkeypatch):
     hyper = HyperParams(replay_capacity=64, replay_start_size=40, frame_skip=1)
     state = TrainingState(ExperimentConfig("micro_catch", "nips", hyper, seed=3))
-    run_training_epoch(state, 2)  # binds the step on this state's arrays
+    run_training_epoch(state, 2)  # steps this state's arrays
     flush_subnormals(state.opt_state)
     path = tmp_path / "resume.ckpt"
     checkpoint_save(state, path, include_replay=True)
