@@ -70,11 +70,9 @@ def test_train_nonfinite_loss_exit_1(tmp_path, capsys, monkeypatch):
 
 
 def test_train_update_left_nonfinite_exit_1(tmp_path, capsys):
-    out = tmp_path / "run"
-    with np.errstate(all="ignore"):
-        rc = main(["train", "--env", "micro_catch", "--arch", "just_ram", "--out", str(out),
-                   "--epochs", "2", "--seed", "0", "--learning-rate", "1e38",
-                   "--steps-per-epoch", "1", "--replay-start-size", "32", "--test-steps", "20"])
+    with np.errstate(all="ignore"):  # one overflowing step per epoch, after its loss
+        rc, out = run_train(tmp_path, extra=["--learning-rate", "1e38", "--steps-per-epoch", "1",
+                                             "--replay-start-size", "32"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: epoch 1: an update left a non-finite ") and err.count("\n") == 1
