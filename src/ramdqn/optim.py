@@ -40,13 +40,13 @@ def rmsprop_step(net, state):
     """One in-place pass over the whole parameter vector, CHUNK entries at
     a time, with the gradient that `backward` wrote through `state.grads`:
     acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
-    The step leaves the gradient scaled by lr.
-    """
+    The step leaves the gradient scaled by lr."""
     rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
-    if net.flat.shape != state.accumulator.shape:
+    flat, acc, grad = net.flat, state.accumulator, state.gradient
+    if flat.shape != acc.shape:
         raise ShapeError("optimizer state does not match parameter layout")
-    for lo in range(0, net.flat.size, CHUNK):
-        p, a, g = (v[lo : lo + CHUNK] for v in (net.flat, state.accumulator, state.gradient))
+    for lo in range(0, flat.size, CHUNK):
+        p, a, g = flat[lo : lo + CHUNK], acc[lo : lo + CHUNK], grad[lo : lo + CHUNK]
         t = state.scratch[: len(g)]
         np.multiply(g, 1.0 - rho, t)
         np.multiply(t, g, t)
