@@ -40,33 +40,29 @@ def check_count(name, value, least=1):
 
 
 class PhiBuffer:
-    """Rolling window of the last `phi_length` screens as bytes, oldest
-    first: `frames` is one (phi_length, H, W) uint8 array, and `stack` gives
-    it as network inputs.  Moving the window shifts its screens down by one
-    and copies the new screen last.  A `phi_length` that `check_count`
-    refuses raises ValueError."""
+    """Rolling window of the last `phi_length` screens of `screen_shape`, oldest
+    first: `frames` is one zeroed (phi_length, H, W) uint8 array, made once, and
+    `stack` gives it as network inputs.  `MicroGame.observe` draws each screen
+    straight into `newest`, its last row.  A bad `phi_length` raises ValueError."""
 
-    def __init__(self, phi_length=4):
+    def __init__(self, phi_length, screen_shape):
         check_count("phi_length", phi_length)
-        self.phi_length = phi_length
-        self.frames = None
+        self.frames = np.zeros((phi_length, *screen_shape), dtype=np.uint8)
+        self.newest = self.frames[-1]
+        flat, size = self.frames.reshape(-1), self.newest.size
+        # 1-D views, whose overlap numpy copies in place, with no temporary
+        self._dst, self._src = flat[:flat.size - size], flat[size:]
 
-    def reset(self, screen):
-        if self.frames is None or self.frames.shape[1:] != np.shape(screen):
-            self.frames = np.empty((self.phi_length,) + np.shape(screen), dtype=np.uint8)
-        self.frames[...] = screen
+    def reset(self):
+        """Start an episode: repeat the screen in `newest` over the window."""
+        self.frames[:-1] = self.newest
 
     def stack(self):
-        if self.frames is None:
-            raise RuntimeError("PhiBuffer not initialized; call reset first")
         return scale_ram(self.frames)
 
-    def observe(self, new_screen):
-        """Move the window on by one screen; no network inputs are built."""
-        if self.frames is None:
-            raise RuntimeError("PhiBuffer not initialized; call reset first")
-        self.frames[:-1] = self.frames[1:]
-        self.frames[-1] = new_screen
+    def observe(self):
+        """Shift the window down one screen, in place, for the next draw; no inputs are built."""
+        np.copyto(self._dst, self._src)
 
 
 def _within(value, allowed):

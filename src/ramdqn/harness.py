@@ -69,6 +69,11 @@ class ExperimentConfig:
         if not isinstance(self.hyper, HyperParams):
             raise ValueError(f"hyper must be a HyperParams, got {self.hyper!r}")
         check_count("epochs", self.epochs)
+        h = self.hyper
+        if h.replay_start_size + self.epochs * h.steps_per_epoch < h.minibatch_size:
+            raise ValueError(f"no training step can run: replay_start_size {h.replay_start_size} "
+                             f"+ epochs {self.epochs} * steps_per_epoch {h.steps_per_epoch} "
+                             f"transitions are fewer than minibatch_size {h.minibatch_size}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -85,18 +90,15 @@ class EpisodePipeline:
     """Plays a game for an agent: the env, the frame skip, and the rng that
     seeds each episode's reset.  Observations are the bytes of each stream
     in `streams` ("ram", "screen") that the agent reads, drawn into arrays
-    that the caller owns: the replay ring's slots, or `buffers()`.  `draw`
-    starts every episode, the first too: a new game is terminal."""
+    that the caller owns: the replay ring's slots, or the test period's
+    arrays.  `draw` starts every episode, the first too: a new game is
+    terminal."""
 
     def __init__(self, env, streams, hyper, seed_rng):
         self.env = env
         self.streams = [s for s in ("ram", "screen") if s in streams]
         self.frame_skip = hyper.frame_skip
         self.seed_rng = seed_rng
-
-    def buffers(self):
-        """A zeroed uint8 array per stream, to draw observations into."""
-        return self.env.buffers(self.streams)
 
     def step(self, action):
         """Play `action` for one frame-skip step: (reward, terminal).  `draw`
@@ -137,7 +139,7 @@ class TrainingState:
             # The replay ring is the only store of observations: the agent acts
             # from the state of its newest slot, and each push draws the next
             # observation into the slot after it.
-            first = self.episode.draw(self.episode.buffers())
+            first = self.episode.draw(env.buffers(self.episode.streams))
             self.replay = ReplayMemory(self.hyper.replay_capacity, first,
                                        phi_length=self.hyper.phi_length)
         except (ValueError, MemoryError) as e:
@@ -260,8 +262,9 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
     The network is frozen for the period, so the greedy action depends only
     on the window it reads: the RAM bytes, then the screens of the frame
     window.  Each window's action is computed once, and kept for this call
-    under a 16-byte digest of those bytes.  Every observation is drawn into
-    one set of arrays, made once per call.
+    under a 16-byte digest of those bytes.  Every observation is drawn once,
+    the RAM into one array made once per call, each screen straight into the
+    newest row of the window (`PhiBuffer.newest`), which shifts in place.
     """
     steps, epsilon = hyper.test_steps, hyper.test_epsilon
     env = make_env(env_name)
@@ -269,39 +272,37 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
     policy_ss, env_ss = np.random.SeedSequence(seed).spawn(2)
     policy_rng = np.random.default_rng(policy_ss)
     episode = EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(env_ss))
-    phi = PhiBuffer(hyper.phi_length)  # no replay here: the screens' own window
+    obs = env.buffers([s for s in episode.streams if s == "ram"])
+    ram, phi = obs.get("ram"), None
+    if "screen" in episode.streams:  # no replay here: the screens' own window
+        phi = PhiBuffer(hyper.phi_length, env.screen_shape)
+        obs["screen"] = phi.newest
     actions = {}  # window digest -> greedy action
-    obs = episode.buffers()
-    ram, screen = obs.get("ram"), obs.get("screen")
 
-    def greedy():  # in the window of the current `obs`
+    def greedy():  # in the current window
         key = hashlib.blake2b(digest_size=16)
         if ram is not None:
             key.update(ram)
-        if screen is not None:
+        if phi is not None:
             key.update(phi.frames)
         key = key.digest()
         action = actions.get(key)
         if action is None:
             inputs = {"ram": scale_ram(ram)} if ram is not None else {}
-            if screen is not None:
+            if phi is not None:
                 inputs["screen"] = phi.stack()
             action = actions[key] = greedy_action(net, inputs)
         return action
 
-    episode.draw(obs)
-    terminal = True
-    episode_scores = []
-    current = 0.0
+    episode_scores, current, terminal = [], 0.0, True  # the first draw starts an episode
     for _ in range(steps):
-        if screen is not None:
-            if terminal:  # `obs` starts an episode
-                phi.reset(screen)
-            else:
-                phi.observe(screen)
+        if phi is not None and not terminal:
+            phi.observe()  # the draw lands in the newest row
+        episode.draw(obs)
+        if phi is not None and terminal:
+            phi.reset()  # the draw started an episode
         action = select_action(net, greedy, epsilon, policy_rng)
         reward, terminal = episode.step(action)
-        episode.draw(obs)
         current += reward
         if terminal:
             episode_scores.append(current)
@@ -503,16 +504,18 @@ def load_params_into(net, ckpt):
 
 
 def _experiment(header):
-    """The ExperimentConfig (env, arch, hyper, seed) a checkpoint header records.
-    A `dtype` other than float32, the one dtype runs train in, a `hyper` that
-    is not exactly HyperParams' fields, or an entry they refuse raise ValueError."""
+    """The ExperimentConfig (env, arch, hyper, seed) a checkpoint header records,
+    with `minibatch_size` epochs, which can always update, for the count it lacks.
+    A `dtype` other than float32, the one dtype runs train in, a `hyper` that is
+    not exactly HyperParams' fields, or an entry they refuse raise ValueError."""
     if header["dtype"] != "float32":
         raise ValueError(f"dtype {header['dtype']!r} is not float32")
     hyper, names = header["hyper"], {f.name for f in dataclasses.fields(HyperParams)}
     if type(hyper) is not dict or hyper.keys() != names:
         raise ValueError(f"hyper must be a dict of the fields {sorted(names)}")
-    return ExperimentConfig(env_name=header["env"], arch=header["arch"],
-                            hyper=HyperParams(**hyper), seed=header["seed"])
+    hyper = HyperParams(**hyper)
+    return ExperimentConfig(env_name=header["env"], arch=header["arch"], hyper=hyper,
+                            epochs=hyper.minibatch_size, seed=header["seed"])
 
 
 def network_from_checkpoint(ckpt):

@@ -212,6 +212,8 @@ def test_train_unknown_arch_exit_2(tmp_path, capsys):
     ["--replay-start-size", "-1"],
     ["--test-epsilon", "1.5"],
     ["--epsilon-decay-steps", "0"],
+    # 100 warm-up transitions and 10 epochs of 50 actions never fill a minibatch.
+    ["--minibatch-size", "1000000", "--replay-capacity", "1000000", "--steps-per-epoch", "50"],
 ])
 def test_train_invalid_settings_exit_2(tmp_path, capsys, flags):
     rc = main(["train", "--env", "micro_catch", "--arch", "just_ram",

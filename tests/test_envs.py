@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,53 +532,75 @@ def test_scale_ram_in_one_pass_gives_the_two_step_bits():
 
 
 def test_phi_buffer_identical_frames():
-    buf = PhiBuffer(4)
-    frame = np.full((4, 4), 64, dtype=np.uint8)
-    buf.reset(frame)
+    buf = PhiBuffer(4, (4, 4))
+    buf.newest.fill(64)
+    buf.reset()
     stack = buf.stack()
     assert stack.shape == (4, 4, 4)
     for plane in stack:
-        np.testing.assert_array_equal(plane, frame / 256.0)
+        np.testing.assert_array_equal(plane, np.full((4, 4), 64) / 256.0)
 
 
 def test_phi_buffer_fifo():
-    buf = PhiBuffer(4)
-    frames = [np.full((2, 2), i, dtype=np.uint8) for i in range(1, 6)]
-    buf.reset(frames[0])
-    for f in frames[1:]:
-        assert buf.observe(f) is None  # the window moves on; no inputs are built
-    stack = buf.stack()
-    for plane, f in zip(stack, frames[1:]):
-        np.testing.assert_array_equal(plane, f / 256.0)
+    buf = PhiBuffer(4, (2, 2))
+    buf.newest.fill(1)
+    buf.reset()
+    for i in range(2, 6):
+        assert buf.observe() is None  # the window moves on; no inputs are built
+        buf.newest.fill(i)
+    for plane, i in zip(buf.stack(), range(2, 6), strict=True):
+        np.testing.assert_array_equal(plane, np.full((2, 2), i) / 256.0)
 
 
 @pytest.mark.parametrize("phi_length", [1, 2, 3, 4])
 def test_phi_buffer_window_is_one_view_of_the_last_screens(phi_length):
-    # Eleven screens move the window on eleven times (at phi_length 1 the
-    # shift moves no screens); the window stays the last phi_length screens,
-    # oldest first, in the one contiguous array it was given at reset, and
-    # the caller's screen is copied.
-    buf = PhiBuffer(phi_length)
-    screen = np.zeros((2, 3), np.uint8)
-    buf.reset(screen)
-    kept = buf.frames
+    # Eleven screens drawn into `newest` move the window on eleven times (at
+    # phi_length 1 the shift moves no screens); the window stays the last
+    # phi_length screens, oldest first, in the one contiguous array it was
+    # made with, and `newest` stays its last row.
+    buf = PhiBuffer(phi_length, (2, 3))
+    kept, newest = buf.frames, buf.newest
+    assert kept.shape == (phi_length, 2, 3) and not kept.any()  # zeroed, never uninitialised
+    assert newest.base is kept and newest.flags.carray
+    buf.reset()
     shown = [0] * phi_length
     for i in range(1, 12):
-        screen.fill(i)
-        buf.observe(screen)
+        buf.observe()
+        newest.fill(i)
         shown = shown[1:] + [i]
-        assert buf.frames is kept and buf.frames.flags.c_contiguous
-        assert buf.frames[:, 0, 0].tolist() == shown
-    screen.fill(99)
-    assert buf.frames[:, 0, 0].tolist() == list(range(12 - phi_length, 12))
-    buf.reset(screen)
-    assert buf.frames is kept and buf.frames[:, 0, 0].tolist() == [99] * phi_length
+        assert buf.frames is kept and buf.newest is newest and kept.flags.c_contiguous
+        assert (kept == np.array(shown, np.uint8)[:, None, None]).all()
+    newest.fill(99)
+    buf.reset()
+    assert buf.frames is kept and kept[:, 0, 0].tolist() == [99] * phi_length
+
+
+def test_phi_buffer_moves_its_window_without_allocating():
+    # The shift once went through a temporary of phi_length - 1 screens (here
+    # 3,072 bytes); now it copies between two kept 1-D views, in place.  The
+    # peak is bounded by one screen because tracemalloc also counts the
+    # interpreter's own call overhead, a few dozen bytes.
+    buf = PhiBuffer(4, (32, 32))
+    buf.newest.fill(5)
+    buf.reset()
+    buf.observe()  # a first call warms numpy's own caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            buf.observe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < buf.newest.nbytes
+    assert (buf.frames == 5).all()
 
 
 def test_phi_buffer_scales_by_256():
-    buf = PhiBuffer(2)
-    buf.reset(np.zeros((2, 2), dtype=np.uint8))
-    buf.observe(np.full((2, 2), 255, dtype=np.uint8))
+    buf = PhiBuffer(2, (2, 2))
+    buf.reset()
+    buf.observe()
+    buf.newest.fill(255)
     assert buf.stack()[-1][0, 0] == np.float32(255 / 256)
 
 
@@ -585,12 +608,11 @@ def test_phi_buffer_scales_by_256():
 def test_phi_buffer_refuses_a_length_that_is_not_a_positive_integer(phi_length):
     # PhiBuffer(True) kept a one-frame window; 1.5 and "2" failed only later.
     with pytest.raises(ValueError, match="phi_length must be a positive integer"):
-        PhiBuffer(phi_length)
+        PhiBuffer(phi_length, (2, 2))
 
 
 def test_phi_buffer_takes_a_numpy_integer_length():
-    buf = PhiBuffer(np.int64(3))
-    buf.reset(np.zeros((2, 2), dtype=np.uint8))
+    buf = PhiBuffer(np.int64(3), (2, 2))
     assert buf.stack().shape == (3, 2, 2)
 
 

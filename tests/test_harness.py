@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ramdqn import agents, harness
 from ramdqn.agents import HyperParams, greedy_action, select_action
 from ramdqn.cli import main, write_weight_heatmap
-from ramdqn.envs import ENV_REGISTRY, RAM_SIZE, MicroGame, make_env, scale_ram
+from ramdqn.envs import ENV_REGISTRY, RAM_SIZE, MicroGame, PhiBuffer, make_env, scale_ram
 from ramdqn.harness import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -269,7 +269,7 @@ def reference_test_period(net, env_name, hyper, seed):
     episode = harness.EpisodePipeline(make_env(env_name), net.input_streams, hyper,
                                       np.random.default_rng(env_ss))
     phi = ListWindow(hyper.phi_length)
-    obs, terminal = episode.draw(episode.buffers()), True
+    obs, terminal = episode.draw(episode.env.buffers(episode.streams)), True
     scores, current, actions, windows = [], 0.0, [], set()
     for _ in range(hyper.test_steps):
         inputs = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
@@ -382,6 +382,27 @@ def test_config_accepts_a_numpy_integer_epoch_count():
 def test_config_rejects_a_hyper_that_is_not_hyperparams(hyper):
     with pytest.raises(ValueError, match="hyper must be a HyperParams"):
         small_config(hyper=hyper)
+
+
+def test_config_refuses_a_run_that_can_never_update(tmp_path):
+    # 10 warm-up transitions and 2 epochs of 3 actions make 16 transitions:
+    # a minibatch of 17 is never sampled, and the curve would show a mean
+    # loss of 0 for a network that never trained.  At 16 the last action
+    # trains, and the checkpoint of its first epoch, which has not trained
+    # yet, still loads: a header records no epoch count.
+    hyper = small_hyper(minibatch_size=17, replay_start_size=10, steps_per_epoch=3)
+    with pytest.raises(ValueError, match=r"replay_start_size 10 \+ epochs 2 \* "
+                                         r"steps_per_epoch 3 transitions are fewer than "
+                                         r"minibatch_size 17"):
+        small_config(hyper=hyper, epochs=2)
+    state = TrainingState(small_config(hyper=replace(hyper, minibatch_size=16), epochs=2))
+    losses = [run_training_epoch(state, 3)]
+    checkpoint_save(state, tmp_path / "epoch1.ckpt", include_replay=True)
+    losses.append(run_training_epoch(state, 3))
+    assert losses[0] == 0.0 and losses[1] > 0.0
+    ckpt = checkpoint_load(tmp_path / "epoch1.ckpt")
+    assert network_from_checkpoint(ckpt)[1].hyper == state.hyper
+    assert restore_training_state(ckpt).epochs_done == 1
 
 
 def test_config_is_frozen():
@@ -1055,7 +1076,7 @@ def test_pipeline_observes_each_read_stream_once_per_action(monkeypatch, env_nam
     net = harness.build_network(arch, env, hyper, np.random.default_rng(0))
     episode = harness.EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(1))
     rng = np.random.default_rng(2)
-    obs = episode.buffers()
+    obs = episode.env.buffers(episode.streams)
     assert sorted(obs) == sorted(built)
     episode.draw(obs)
     for _ in range(300):
@@ -1084,7 +1105,7 @@ def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
     episode = harness.EpisodePipeline(make_env(env_name), streams, hyper,
                                       np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    obs = episode.draw(episode.buffers())
+    obs = episode.draw(episode.env.buffers(episode.streams))
     ends = 0
     for _ in range(400):
         seeds, calls = copy.deepcopy(episode.seed_rng), len(observed)
@@ -1094,7 +1115,7 @@ def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
         if terminal:
             ends += 1
             twin = harness.EpisodePipeline(make_env(env_name), streams, hyper, seeds)
-            first = twin.draw(twin.buffers())
+            first = twin.draw(twin.env.buffers(twin.streams))
             assert obs.keys() == first.keys()
             for key in first:
                 np.testing.assert_array_equal(obs[key], first[key])
@@ -1258,7 +1279,7 @@ def test_pushes_draw_each_observation_into_the_ring_without_allocating_it():
     hyper = small_hyper(frame_skip=4)
     episode = harness.EpisodePipeline(make_env("micro_diver"), ("ram", "screen"), hyper,
                                       np.random.default_rng(1))
-    first = episode.draw(episode.buffers())
+    first = episode.draw(episode.env.buffers(episode.streams))
     ring = ReplayMemory(1000, first, phi_length=hyper.phi_length)
     actions = np.random.default_rng(2).integers(6, size=1000).tolist()
 
@@ -1272,15 +1293,42 @@ def test_pushes_draw_each_observation_into_the_ring_without_allocating_it():
 
 
 def test_test_period_draws_every_observation_into_one_set_of_arrays():
-    # The period's drawing arrays (128 RAM bytes, a 20x20 screen) and its
-    # window's 4 screens are all that it holds: a fresh
-    # observation per action would be held beside them.  At epsilon 1 no
-    # network input is built.
+    # The period's RAM array (128 bytes) and its window's 4 screens, into
+    # whose newest row each screen is drawn, are all that it holds: a fresh
+    # observation per action, or a screen drawn elsewhere and copied into
+    # the window, would be held beside them.  At epsilon 1 no network input
+    # is built.
     hyper = small_hyper(frame_skip=4, test_steps=1000, test_epsilon=1.0)
     net = harness.build_network("mixed_ram", make_env("micro_diver"), hyper,
                                 np.random.default_rng(0))
     reports = []
     held = largest_held_numpy_blocks(
         lambda: reports.append(run_test_period(net, "micro_diver", hyper, seed=3)))
-    assert held == [RAM_SIZE, 20 * 20, 4 * 20 * 20]
+    assert held == [RAM_SIZE, 4 * 20 * 20]
     assert reports[0].episodes >= 3
+
+
+def test_test_period_draws_each_screen_into_the_windows_newest_row(monkeypatch):
+    # Every screen the game draws, the first of each episode too, goes
+    # straight into the window: no screen is copied into it.
+    windows, drawn = [], []
+
+    class Window(PhiBuffer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            windows.append(self)
+
+    real_observe = MicroGame.observe
+
+    def observe(self, out):
+        drawn.append(out["screen"])
+        return real_observe(self, out)
+
+    monkeypatch.setattr(harness, "PhiBuffer", Window)
+    monkeypatch.setattr(MicroGame, "observe", observe)
+    hyper = small_hyper(test_steps=300, test_epsilon=0.5)
+    net = harness.build_network("nips", make_env("micro_catch"), hyper, np.random.default_rng(0))
+    report = run_test_period(net, "micro_catch", hyper, seed=2)
+    [phi] = windows
+    assert len(drawn) == hyper.test_steps and report.episodes >= 3
+    assert all(screen is phi.newest for screen in drawn)

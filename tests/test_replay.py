@@ -403,6 +403,18 @@ def assert_same_transition(got, want):
             np.testing.assert_array_equal(g[k], w[k])
 
 
+def in_window(phi, screen, starts):
+    """The stacked window after `screen` is drawn into it as a test period
+    draws it: into `phi.newest`, after a shift, or filling the window when it
+    `starts` an episode."""
+    if not starts:
+        phi.observe()
+    phi.newest[...] = screen
+    if starts:
+        phi.reset()
+    return phi.stack()
+
+
 @given(capacity=st.integers(1, 20), phi_length=st.integers(1, 4), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_ring_matches_list_of_transitions(capacity, phi_length, data):
@@ -412,15 +424,14 @@ def test_ring_matches_list_of_transitions(capacity, phi_length, data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     obs_rng = np.random.default_rng(seed)
     ref = ListMemory(capacity)
-    phi = PhiBuffer(phi_length)
+    phi = PhiBuffer(phi_length, (2, 3))
 
     def observe():
         return {"ram": obs_rng.integers(0, 256, 3, dtype=np.uint8),
                 "screen": obs_rng.integers(0, 256, (2, 3), dtype=np.uint8)}
 
     def begin(obs):
-        phi.reset(obs["screen"])
-        return {"ram": scale_ram(obs["ram"]), "screen": phi.stack()}
+        return {"ram": scale_ram(obs["ram"]), "screen": in_window(phi, obs["screen"], True)}
 
     first = observe()
     ring = ReplayMemory(capacity, first, phi_length=phi_length)
@@ -429,8 +440,8 @@ def test_ring_matches_list_of_transitions(capacity, phi_length, data):
         # After a terminal step, `obs` is the next episode's first
         # observation, and the reference's next state is never compared.
         obs = observe()
-        phi.observe(obs["screen"])
-        next_state = {"ram": scale_ram(obs["ram"]), "screen": phi.stack()}
+        next_state = {"ram": scale_ram(obs["ram"]),
+                      "screen": in_window(phi, obs["screen"], False)}
         ring.push(i % 5, float(i) / 3, terminal, copying(obs))
         ref.push(Transition(state, i % 5, float(i) / 3, next_state, terminal))
         state = begin(obs) if terminal else next_state
@@ -457,7 +468,7 @@ def test_latest_state_is_the_phi_window(capacity, phi_length, data):
     terminals = data.draw(st.lists(st.booleans(), max_size=4 * (capacity + phi_length)),
                           label="terminals")
     obs_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    phi = PhiBuffer(phi_length)
+    phi = PhiBuffer(phi_length, (2, 3))
 
     def observe():
         return {"ram": obs_rng.integers(0, 256, 3, dtype=np.uint8),
@@ -471,13 +482,8 @@ def test_latest_state_is_the_phi_window(capacity, phi_length, data):
 
     obs = observe()
     ring = ReplayMemory(capacity, obs, phi_length=phi_length)
-    phi.reset(obs["screen"])
-    check(obs, phi.stack())
+    check(obs, in_window(phi, obs["screen"], True))
     for i, terminal in enumerate(terminals):
         obs = observe()  # after a terminal step, the next episode's first
         ring.push(i % 3, 0.0, terminal, copying(obs))
-        if terminal:
-            phi.reset(obs["screen"])
-        else:
-            phi.observe(obs["screen"])
-        check(obs, phi.stack())
+        check(obs, in_window(phi, obs["screen"], terminal))
