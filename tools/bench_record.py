@@ -8,9 +8,17 @@ seeds in one or more checkouts and append one record per checkout to
         --checkout ../ab/parent --checkout ../ab/head
 
 Clone both sides into one directory, as above.  A used working checkout
-reads faster than a fresh clone of the same commit: `--checkout .` against
+read faster than a fresh clone of the same commit: `--checkout .` against
 a clone read identical code 1.048x on catch_ram `train_steps_per_s` and
-0.78x on `setup_s`, enough to be read as a gain.
+0.78x on `setup_s`, enough to be read as a gain.  Compiled bytecode
+accounts for that gap.  Under `PYTHONDONTWRITEBYTECODE=1` every worker
+compiles `src/ramdqn` unless a `src/ramdqn/__pycache__` is already there.
+In a fresh clone, `python -m compileall src/ramdqn` before each run read
+catch_ram `setup_s` 0.142 -> 0.108 s (0.76x) and `train_steps_per_s`
+2,130 -> 2,223 (1.044x), 4/4 alternating runs each.  With no
+`__pycache__` on either side, the working checkout read 0.98x on both
+metrics against a fresh clone, 1/4 better on each.  A `__pycache__` on
+one side only moves the comparison.
 
 With several checkouts the runs alternate, seed by seed, and the order
 flips on every other seed, so that drift of the host's speed falls on all
