@@ -576,10 +576,10 @@ def test_phi_buffer_window_is_one_view_of_the_last_screens(phi_length):
 
 
 def test_phi_buffer_moves_its_window_without_allocating():
-    # The shift once went through a temporary of phi_length - 1 screens (here
-    # 3,072 bytes); now it copies between two kept 1-D views, in place.  The
-    # peak is bounded by one screen because tracemalloc also counts the
-    # interpreter's own call overhead, a few dozen bytes.
+    # A shift through a temporary would hold phi_length - 1 screens (here
+    # 3,072 bytes).  The peak is bounded by one screen, not 0, because
+    # tracemalloc also counts the interpreter's own call overhead, a few
+    # dozen bytes.
     buf = PhiBuffer(4, (32, 32))
     buf.newest.fill(5)
     buf.reset()
