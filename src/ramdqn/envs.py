@@ -26,9 +26,12 @@ _BYTE = np.dtype(np.uint8)
 
 
 def scale_ram(raw):
-    """Observation bytes (RAM or screen) as network inputs: float32 in [0, 255/256],
-    in one pass; a byte, and its scaling by a power of two, are exact in float32."""
-    return np.multiply(raw, np.float32(1 / 256), dtype=np.float32)
+    """Observation bytes (RAM or screen) as network inputs: float32 in [0, 255/256];
+    a byte, and its scaling by a power of two, are exact in float32.  A cast and then
+    an in-place scale dispatch faster than one multiply that casts as it goes."""
+    out = raw.astype(np.float32)
+    out *= np.float32(1 / 256)
+    return out
 
 
 def check_count(name, value, least=1):

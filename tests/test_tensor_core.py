@@ -1019,3 +1019,90 @@ def test_a_layer_read_twice_gets_the_sum_of_both_gradients():
     net = make_network(specs, np.random.default_rng(0), dtype=np.float64)
     x = {"ram": np.random.default_rng(1).random((4, 128))}
     assert gradient_check(net, x, probes=40, rng=np.random.default_rng(2)) < 1e-8
+
+
+def special_floats(dtype):
+    """+-0, NaNs of either sign, quiet and signalling, +-inf, subnormals and extremes."""
+    info = np.finfo(dtype)
+    tiny, signalling = info.smallest_subnormal, np.array([np.inf, -np.inf], dtype)
+    as_bits(signalling)[:] |= 1  # an all-ones exponent with a payload, quiet bit clear
+    return np.concatenate([np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                                     3 * tiny, -3 * tiny, info.tiny / 2, -info.tiny / 2,
+                                     info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0],
+                                    dtype), signalling])
+
+
+def fast_path_operands(dtype):
+    """Arrays of float `dtype` shaped as layer outputs and their SIMD tails: the special
+    values tiled, and normal draws with the special values scattered among them."""
+    rng, special = np.random.default_rng(7), special_floats(dtype)
+    for shape in [(1,), (7,), (1, 18), (33,), (32, 256), (49, 16), (1, 4)]:
+        yield np.resize(special, shape)
+        yield odd_floats(shape, dtype, rng)
+        mixed = rng.standard_normal(shape).astype(dtype)
+        mixed.ravel()[rng.integers(mixed.size, size=mixed.size // 2 + 1)] = \
+            rng.choice(special, mixed.size // 2 + 1)
+        yield mixed
+
+
+# The bound calls run numpy's fast twins of four slow paths; each must give the same bits.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_rectifier_against_a_zero_array_gives_the_bits_of_one_against_a_scalar_zero(dtype):
+    for x in fast_path_operands(dtype):
+        zeros, want = np.zeros_like(x), np.maximum(x, dtype(0))
+        assert as_bits(np.maximum(x, zeros)).tobytes() == as_bits(want).tobytes()
+        out = x.copy()
+        np.maximum(out, zeros, out=out)
+        assert as_bits(out).tobytes() == as_bits(want).tobytes()
+        assert np.greater(x, zeros).tobytes() == np.greater(x, 0).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_copyto_gives_the_bits_of_np_positive(dtype):
+    for x in fast_path_operands(dtype):
+        for src in (x, x.T):  # contiguous, and a transposed view as a conv's output
+            copied, positive = np.empty_like(src), np.empty_like(src)
+            np.copyto(copied, src)
+            np.positive(src, positive)
+            assert as_bits(copied).tobytes() == as_bits(positive).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_bias_row_gives_the_bits_of_a_one_dimensional_bias(dtype):
+    rng = np.random.default_rng(8)
+    for x in fast_path_operands(dtype):
+        x = x.reshape(-1, x.shape[-1])
+        for b in (odd_floats(x.shape[-1:], dtype, rng), np.resize(special_floats(dtype)[::-1],
+                                                                   x.shape[-1])):
+            row, flat = np.empty_like(x), np.empty_like(x)
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.add(x, b.reshape(1, -1), row)
+                np.add(x, b, flat)
+            assert as_bits(row).tobytes() == as_bits(flat).tobytes()
+
+
+def slow_paths(calls):
+    """The bound calls that take one of numpy's slow paths: np.positive, or a rectifier's
+    np.maximum or np.greater with an operand that is not an array of its output's shape."""
+    return [call for call in calls if call.func is np.positive
+            or call.func in (np.maximum, np.greater) and not all(
+                isinstance(a, np.ndarray) and a.shape == call.args[0].shape for a in call.args)]
+
+
+@pytest.mark.parametrize("env_name", ["micro_catch", "micro_diver"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_bound_forwards_and_backwards_take_no_slow_path(arch, env_name):
+    env = make_env(env_name)
+    net = build_architecture(arch, env.action_count, screen_shape=env.screen_shape,
+                             dropout_p=0.25, rng=np.random.default_rng(3))
+    for rows in (1, 32):
+        for mode in ("eval", "train"):
+            workspace = tensor_core.Workspace()
+            acts = forward(net, frame_inputs(net, rows, 0), mode, np.random.default_rng(0),
+                           workspace)
+            backward(net, acts, np.ones((rows, net.output_dim)), new_grads(net), workspace)
+            (frame,) = workspace.frames.values()
+            rectifiers = [c for c in frame.calls + frame.backward.calls
+                          if c.func in (np.maximum, np.greater)]
+            assert len(rectifiers) == 2 * sum(s.activation == "rectify" for s in net.layers)
+            assert slow_paths(frame.calls) == [] and slow_paths(frame.backward.calls) == []

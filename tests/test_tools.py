@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +57,58 @@ def test_compare_shows_a_gain_only_by_nine_tenths_of_the_seeds_and_the_iqr(capsy
         assert first.startswith(f"{name}: ") and "seeds better, median ratio" in first
         assert " its bound: " in first
         assert verdict.startswith(f"{name}: {'gain shown' if shown else 'no gain shown'} (")
+
+
+def ab_tool():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_ab(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_ab_loads_each_tree_as_a_module_of_its_own():
+    tool, names = ab_tool(), ("ramdqn_ab_first", "ramdqn_ab_second")
+    try:
+        first, second = (tool.load_tree(str(ROOT), name) for name in names)
+        assert first is not second and first.__name__ == names[0]
+        assert first.envs is not second.envs and first.scale_ram is not second.scale_ram
+        assert first.tensor_core.Workspace is not second.tensor_core.Workspace
+        assert first.envs.__file__ == str(ROOT / "src" / "ramdqn" / "envs.py")
+    finally:
+        for key in [k for k in sys.modules if k.split(".")[0] in names]:
+            del sys.modules[key]
+
+
+def test_ab_fails_when_the_trees_compute_different_bits(tmp_path):
+    # A scale_ram of 1/255 trains other parameters from the first epoch on.
+    shutil.copytree(ROOT / "src" / "ramdqn", tmp_path / "src" / "ramdqn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    envs = tmp_path / "src" / "ramdqn" / "envs.py"
+    envs.write_text(envs.read_text() + "\n\ndef scale_ram(raw):\n"
+                    "    return np.multiply(raw, np.float32(1 / 255), dtype=np.float32)\n")
+    proc = run_ab("--base", str(ROOT), "--change", str(tmp_path), "--op", "train",
+                  "--workload", "catch_ram", "--rounds", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == ("ab: round 1: the trees' reports, parameters, accumulators differ, "
+                           "so they do not compute the same bits\n")
+    assert proc.stdout == ""
+
+
+def test_ab_prints_one_line_per_load_order():
+    proc = run_ab("--base", str(ROOT), "--change", str(ROOT), "--op", "test",
+                  "--workload", "catch_ram", "--rounds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [line["load_first"] for line in lines] == ["base", "change"]
+    for line in lines:
+        assert line.keys() == {"op", "workload", "seed", "load_first", "rounds", "median_ratio",
+                               "wins", "ci95"}
+        assert (line["op"], line["workload"], line["rounds"]) == ("test", "catch_ram", 2)
+        assert 0 <= line["wins"] <= 2
+        low, high = line["ci95"]
+        assert 0 < low <= line["median_ratio"] <= high
