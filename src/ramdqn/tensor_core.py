@@ -319,7 +319,7 @@ class _Weighted(_Step):
         spec, p = self.spec, net.params[i]
         self.W = p["W"].reshape(len(p["W"]), -1)
         self.WT, self.rectify = self.W.T, spec.activation == "rectify"
-        self.b = p["b"].reshape(1, -1) if "b" in p else None  # a row: one-row sums broadcast none
+        self.b = p["b"].reshape(1, -1) if "b" in p else None  # a one-row output adds it unbroadcast
         self.grad_in = net.layers[self.ref].kind != "input"  # an input's is never read
         self.index = (_window_index(self.in_shape, spec.kernel, spec.stride).copy()
                       if spec.kind == "conv2d" else None)
