@@ -220,7 +220,7 @@ class _Frame:
         self.calls.append(partial(fn, *args, **out))
         return out.get("out", args[-1])
 
-    def copy(self, src, dst):
+    def copy(self, dst, src):
         """Append `np.copyto(dst, src)`, which dispatches faster than any ufunc copy;
         returns `dst`."""
         self.call(np.copyto, dst, src)
@@ -319,22 +319,15 @@ class _Weighted(_Step):
         spec, p = self.spec, net.params[i]
         self.W = p["W"].reshape(len(p["W"]), -1)
         self.WT, self.rectify = self.W.T, spec.activation == "rectify"
-        self.b = p["b"].reshape(1, -1) if "b" in p else None  # a one-row output adds it unbroadcast
+        self.b = p["b"].reshape(1, -1) if "b" in p else None  # a row: no broadcast at batch 1
         self.grad_in = net.layers[self.ref].kind != "input"  # an input's is never read
         self.index = (_window_index(self.in_shape, spec.kernel, spec.stride).copy()
                       if spec.kind == "conv2d" else None)
 
-    def zeros(self, ws, shape):
-        """Zeros of `shape` on the workspace's buffer, filled now, for the rectifier's
-        np.maximum and np.greater: an array operand keeps both off their scalar path."""
-        zeros = ws.take(self.i, "zeros", shape, self.dtype)
-        zeros.fill(0)
-        return zeros
-
     def bind(self, frame, batch, ws, train):
         i, x, units, call = self.i, frame.recs[self.ref]["out"], len(self.W), frame.call
         if not x.flags.c_contiguous:  # a conv's channels-last output: copied
-            x = frame.copy(x, ws.take(i, "in", x.shape, self.dtype))
+            x = frame.copy(ws.take(i, "in", x.shape, self.dtype), x)
         if self.index is not None:  # cols @ W.T: the swapped order is ~1.6x slower here
             _, oh, ow = self.shape
             x = _conv_cols(x, self.index, ws.take(i, "x", (batch, oh * ow, self.W.shape[1]),
@@ -351,9 +344,11 @@ class _Weighted(_Step):
         if self.b is not None:
             call(np.add, pre, self.b, out)
         elif pre is not out:
-            frame.copy(pre, out)
-        if self.rectify:  # np.maximum takes no positional out
-            call(np.maximum, out, self.zeros(ws, out.shape), out=out)
+            frame.copy(out, pre)
+        if self.rectify:  # against zeros, off np.maximum's slower scalar path; no positional out
+            zeros = ws.take(i, "zeros", out.shape, self.dtype)
+            zeros.fill(0)
+            call(np.maximum, out, zeros, out=out)
         if self.index is not None:
             out = out.reshape((batch,) + self.shape[1:] + (units,)).transpose(0, 3, 1, 2)
         return {"out": out, "x": x}
@@ -363,11 +358,10 @@ class _Weighted(_Step):
         if self.index is not None:  # to the rows of the window matrix
             g, y = g.transpose(0, 2, 3, 1), y.transpose(0, 2, 3, 1)
         if self.rectify:  # y > 0 exactly where the pre-activation is
-            mask = call(np.greater, y, self.zeros(ws, y.shape),
-                        ws.take(i, "mask", y.shape, np.bool_))
+            mask = call(np.greater, y, 0, ws.take(i, "mask", y.shape, np.bool_))
             g = call(np.multiply, g, mask, ws.take(i, "g", y.shape, self.dtype))
         elif self.index is not None:  # channels-last: copied, as its reshape would be
-            g = bound.copy(g, ws.take(i, "g", g.shape, self.dtype))
+            g = bound.copy(ws.take(i, "g", g.shape, self.dtype), g)
         g = g.reshape(-1, len(self.W))
         call(np.matmul, g.T, bound.recs[i]["x"], grads["W"].reshape(self.W.shape))
         if self.b is not None:  # g.sum(axis=0)
@@ -414,7 +408,7 @@ class _Concat(_Step):
         for r in self.refs:  # each input copied into its columns
             x = frame.recs[r]["out"]
             stop = start + _flat(x.shape[1:])
-            frame.copy(x, out[:, start:stop].reshape(x.shape))
+            frame.copy(out[:, start:stop].reshape(x.shape), x)
             start = stop
         return {"out": out}
 

@@ -106,8 +106,8 @@ def test_ab_prints_one_line_per_load_order():
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [line["load_first"] for line in lines] == ["base", "change"]
     for line in lines:
-        assert line.keys() == {"op", "workload", "seed", "load_first", "rounds", "median_ratio",
-                               "wins", "ci95"}
+        assert line.keys() == {"op", "workload", "load_first", "rounds", "median_ratio", "wins",
+                               "ci95"}
         assert (line["op"], line["workload"], line["rounds"]) == ("test", "catch_ram", 2)
         assert 0 <= line["wins"] <= 2
         low, high = line["ci95"]

@@ -7,7 +7,7 @@ workload on both, round after round, and print how much faster the change ran.
     python3 tools/ab.py --base ../ab/base --change ../ab/change \
         --op test --workload diver_fill --rounds 200
 
-Operations, each on the workload's game, network and seed (perfbench's
+Operations, each on the workload's game and network at seed 1 (perfbench's
 `build_config`):
 
   test   one `run_test_period` of the workload's `test_steps` actions, by the
@@ -28,8 +28,7 @@ reading too (two identical trees have read 0.976-1.000x for the one loaded
 second), so the A/B runs twice, in two fresh processes, loading the base
 first and then the change first.  Each prints one JSON line: the median
 ratio, the rounds the change won, and a bootstrap 95% interval of the median
-ratio.  `--load-first` runs one of the two in this process.  BLAS runs on one
-thread.  Clone both trees into one directory, as above: a `__pycache__` in
+ratio.  BLAS runs on one thread.  Clone both trees into one directory, as above: a `__pycache__` in
 one tree only moves the reading (see tools/bench_record.py).
 """
 
@@ -93,7 +92,8 @@ def run_ab(args, workloads):
     trees = {}
     for side in SIDES if args.load_first == "base" else SIDES[::-1]:
         ramdqn = load_tree(getattr(args, side), f"ramdqn_{side}")
-        trees[side] = setup(ramdqn, args.op, workloads.build_config(ramdqn, workload, args.seed, 1))
+        config = workloads.build_config(ramdqn, workload, seed=1, seconds=1)
+        trees[side] = setup(ramdqn, args.op, config)
     ratios, wins = [], 0
     for n in range(1, args.rounds + 1):
         seconds, facts = {}, {}
@@ -108,9 +108,9 @@ def run_ab(args, workloads):
     draws = random.Random(0)
     medians = [statistics.median(draws.choices(ratios, k=len(ratios))) for _ in range(RESAMPLES)]
     cuts = statistics.quantiles(medians, n=40)  # every 2.5%
-    return {"op": args.op, "workload": args.workload, "seed": args.seed,
-            "load_first": args.load_first, "rounds": args.rounds,
-            "median_ratio": statistics.median(ratios), "wins": wins, "ci95": [cuts[0], cuts[-1]]}
+    return {"op": args.op, "workload": args.workload, "load_first": args.load_first,
+            "rounds": args.rounds, "median_ratio": statistics.median(ratios), "wins": wins,
+            "ci95": [cuts[0], cuts[-1]]}
 
 
 def main():
@@ -121,10 +121,9 @@ def main():
     parser.add_argument("--change", required=True)
     parser.add_argument("--op", required=True, choices=("test", "train"))
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=200)
-    parser.add_argument("--load-first", choices=SIDES,
-                        help="run one A/B, in this process (default: both orders)")
+    # How the script re-runs itself: one A/B, in this process, loading this tree first.
+    parser.add_argument("--load-first", choices=SIDES, help=argparse.SUPPRESS)
     args = parser.parse_args()
     for side in SIDES:
         if not os.path.isfile(os.path.join(getattr(args, side), "src", "ramdqn", "__init__.py")):
