@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -46,10 +45,12 @@ class HyperParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # Python ints and floats only (np.float64 is a float): the checkpoint
+            # header stores every field as JSON, and numpy ufuncs refuse a Fraction.
             if type(f.default) is float and (type(value) is bool
-                                             or not isinstance(value, numbers.Real)):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-            # Plain ints, not numpy integers: the checkpoint header stores them as JSON.
+                                             or not isinstance(value, (int, float))):
+                raise ValueError(f"{f.name} must be a real number of type int or float, "
+                                 f"got {value!r}")
             least = 0 if f.name == "replay_start_size" else 1
             if type(f.default) is int and (type(value) is not int or value < least):
                 rule = "an integer >= 0" if least == 0 else "a positive integer"

@@ -31,7 +31,6 @@ from .tensor_core import ShapeError, Workspace
 
 CHECKPOINT_MAGIC = b"RAMDQN1\n"
 CHECKPOINT_VERSION = 2
-WARMUP_CHUNK = 4096  # random actions drawn per call during the warm-up
 FLUSH_EVERY = 100  # train steps between `flush_subnormals`, by the saved global_step
 
 
@@ -88,15 +87,13 @@ def build_network(arch, env, hyper, rng):
 
 class EpisodePipeline:
     """Plays a game for an agent: the env, the frame skip, and the rng that
-    seeds each episode's reset.  Observations are the bytes of each stream
-    in `streams` ("ram", "screen") that the agent reads, drawn into arrays
-    that the caller owns: the replay ring's slots, or the test period's
-    arrays.  `draw` starts every episode, the first too: a new game is
-    terminal."""
+    seeds each episode's reset.  Observations are the bytes of the streams
+    ("ram", "screen") that the caller's arrays name, drawn into those arrays:
+    the replay ring's slots, or the test period's arrays.  `draw` starts
+    every episode, the first too: a new game is terminal."""
 
-    def __init__(self, env, streams, hyper, seed_rng):
+    def __init__(self, env, hyper, seed_rng):
         self.env = env
-        self.streams = [s for s in ("ram", "screen") if s in streams]
         self.frame_skip = hyper.frame_skip
         self.seed_rng = seed_rng
 
@@ -133,13 +130,12 @@ class TrainingState:
         # numpy refusing an array too large to allocate, as is a MemoryError.
         try:
             self.net = build_network(config.arch, env, self.hyper, np.random.default_rng(init_ss))
-            self.episode = EpisodePipeline(env, self.net.input_streams, self.hyper,
-                                           np.random.default_rng(env_ss))
+            self.episode = EpisodePipeline(env, self.hyper, np.random.default_rng(env_ss))
             self.opt_state = rmsprop_state_for(self.net, learning_rate=self.hyper.learning_rate)
             # The replay ring is the only store of observations: the agent acts
             # from the state of its newest slot, and each push draws the next
             # observation into the slot after it.
-            first = self.episode.draw(env.buffers(self.episode.streams))
+            first = self.episode.draw(env.buffers(self.net.input_streams))
             self.replay = ReplayMemory(self.hyper.replay_capacity, first,
                                        phi_length=self.hyper.phi_length)
         except (ValueError, MemoryError) as e:
@@ -174,15 +170,13 @@ class TrainingState:
 
     def warmup(self):
         """Populate the replay memory with random-action transitions.  The
-        actions are drawn WARMUP_CHUNK at a time: the same values, and the
-        same `explore_rng` state after, as one draw per action."""
+        actions are drawn in one call: the same values, and the same
+        `explore_rng` state after, as one draw per action."""
         if self.warmed:
             return
         count, size = self.episode.env.action_count, self.hyper.replay_start_size
-        for done in range(0, size, WARMUP_CHUNK):
-            actions = self.explore_rng.integers(count, size=min(WARMUP_CHUNK, size - done))
-            for action in actions.tolist():
-                self._take_action(action)
+        for action in self.explore_rng.integers(count, size=size).tolist():
+            self._take_action(action)
         self.warmed = True
 
 
@@ -191,12 +185,10 @@ def _layer_arrays(prefix, layers):
     return {f"{prefix}/{i}/{key}": p[key] for i, p in enumerate(layers) for key in sorted(p or {})}
 
 
-def _first_nonfinite_layer(net):
-    for i, p in enumerate(net.params):
-        for key in sorted(p or {}):
-            if not np.isfinite(p[key]).all():
-                return f"layer {i} ({net.layers[i].kind}) has a non-finite {key}"
-    return "every parameter is finite"
+def _first_nonfinite(state):
+    """The checkpoint name of the first parameter or accumulator array of `state` that
+    holds a NaN or an infinity, or None."""
+    return next((name for name, a in state.arrays().items() if not np.isfinite(a).all()), None)
 
 
 def run_training_epoch(state, steps):
@@ -204,7 +196,8 @@ def run_training_epoch(state, steps):
     every action once the replay memory is warm; returns the mean loss.
     `steps` that `check_count(..., least=0)` refuses raises ValueError before
     the warm-up.  A non-finite loss, or a parameter or RMSprop accumulator left
-    non-finite, raises TrainingError naming the epoch and any non-finite layer."""
+    non-finite, raises TrainingError naming the epoch and the first array of
+    `state.arrays()` that is not finite, if any, by its checkpoint name."""
     check_count("training steps", steps, least=0)
     state.warmup()
     hyper, losses = state.hyper, []
@@ -223,14 +216,16 @@ def run_training_epoch(state, steps):
             loss = train_step(state.net, state.replay, state.opt_state, hyper,
                               state.sample_rng, state.dropout_rng, workspace)
             if not math.isfinite(loss):
-                raise TrainingError(f"epoch {state.epochs_done + 1}: training loss is "
-                                    f"{loss}; {_first_nonfinite_layer(state.net)}")
+                bad = _first_nonfinite(state)
+                raise TrainingError(f"epoch {state.epochs_done + 1}: training loss is {loss}; "
+                                    + (f"{bad} is not finite" if bad else
+                                       "every parameter and accumulator is finite"))
             losses.append(loss)
             if state.global_step % FLUSH_EVERY == 0:
                 flush_subnormals(state.opt_state)
-    if not (np.isfinite(net.flat).all() and np.isfinite(state.opt_state.accumulator).all()):
-        raise TrainingError(f"epoch {state.epochs_done + 1}: an update left a non-finite "
-                            f"parameter or accumulator; {_first_nonfinite_layer(net)}")
+    bad = _first_nonfinite(state)
+    if bad:
+        raise TrainingError(f"epoch {state.epochs_done + 1}: an update left {bad} not finite")
     state.epochs_done += 1
     return float(np.mean(losses)) if losses else 0.0
 
@@ -271,10 +266,10 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
     _check_fit(net, env, hyper)
     policy_ss, env_ss = np.random.SeedSequence(seed).spawn(2)
     policy_rng = np.random.default_rng(policy_ss)
-    episode = EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(env_ss))
-    obs = env.buffers([s for s in episode.streams if s == "ram"])
+    episode = EpisodePipeline(env, hyper, np.random.default_rng(env_ss))
+    obs = env.buffers([s for s in net.input_streams if s == "ram"])
     ram, phi = obs.get("ram"), None
-    if "screen" in episode.streams:  # no replay here: the screens' own window
+    if "screen" in net.input_streams:  # no replay here: the screens' own window
         phi = PhiBuffer(hyper.phi_length, env.screen_shape)
         obs["screen"] = phi.newest
     actions = {}  # window digest -> greedy action

@@ -35,7 +35,8 @@ class Minibatch:
 
 class _Contents:
     """The stored transitions, oldest first, each gathered when it is read:
-    item i is a one-row Minibatch, and a slice one Minibatch of its rows."""
+    item i is a one-row Minibatch, and a slice one Minibatch of its rows.  An
+    item past the end raises IndexError, which ends a loop over the contents."""
 
     def __init__(self, memory, numbers):
         self._memory = memory
@@ -46,9 +47,6 @@ class _Contents:
 
     def __getitem__(self, i):
         return self._memory._gather(np.atleast_1d(self._numbers[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 class ReplayMemory:

@@ -358,7 +358,7 @@ class _Weighted(_Step):
         if self.index is not None:  # to the rows of the window matrix
             g, y = g.transpose(0, 2, 3, 1), y.transpose(0, 2, 3, 1)
         if self.rectify:  # y > 0 exactly where the pre-activation is
-            mask = call(np.greater, y, 0, ws.take(i, "mask", y.shape, np.bool_))
+            mask = call(np.greater, y, self.dtype.type(0), ws.take(i, "mask", y.shape, np.bool_))
             g = call(np.multiply, g, mask, ws.take(i, "g", y.shape, self.dtype))
         elif self.index is not None:  # channels-last: copied, as its reshape would be
             g = bound.copy(ws.take(i, "g", g.shape, self.dtype), g)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,11 +174,24 @@ def test_hyper_rejects_epsilons_out_of_order(start, low):
 
 @pytest.mark.parametrize("name", ["learning_rate", "discount", "epsilon_start", "epsilon_min",
                                   "dropout_p", "test_epsilon"])
-@pytest.mark.parametrize("value", [True, False, "0.5"])
+@pytest.mark.parametrize("value", [True, False, "0.5", np.float32(0.5), np.float16(0.5),
+                                   np.int64(0), Fraction(1, 2)],
+                         ids=["True", "False", "0.5", "float32", "float16", "int64", "Fraction"])
 def test_hyper_float_settings_must_be_real_numbers(name, value):
     # A bool passed every range check: learning_rate=True reached RMSprop as its rate.
+    # np.float32 trained an epoch and then failed the first checkpoint_save, whose JSON
+    # header cannot store it; a Fraction failed the first train step.
     with pytest.raises(ValueError, match=f"{name} must be a real number"):
         HyperParams(**{name: value})
+
+
+def test_an_np_float64_setting_round_trips_through_a_checkpoint(tmp_path):
+    hyper = HyperParams(discount=np.float64(0.9), replay_start_size=32, steps_per_epoch=1)
+    state = TrainingState(ExperimentConfig("micro_catch", "just_ram", hyper))
+    harness.run_training_epoch(state, 1)
+    harness.checkpoint_save(state, tmp_path / "c.ckpt")
+    _, config = harness.network_from_checkpoint(harness.checkpoint_load(tmp_path / "c.ckpt"))
+    assert config.hyper == hyper and type(config.hyper.discount) is float
 
 
 INT_SETTINGS = [f.name for f in dataclasses.fields(HyperParams) if type(f.default) is int]
@@ -217,7 +231,7 @@ def test_hyper_accepts_boundary_values():
     HyperParams(test_epsilon=0.0, dropout_p=0.99)
     HyperParams(epsilon_start=1.0, epsilon_min=1.0)
     HyperParams(epsilon_start=0.0, epsilon_min=0.0)
-    HyperParams(learning_rate=1, discount=0, dropout_p=np.float32(0.5))
+    HyperParams(learning_rate=1, discount=0, dropout_p=np.float64(0.5))
     HyperParams(replay_start_size=0)
 
 

@@ -122,9 +122,10 @@ def test_warmup_fills_replay():
                                            ("micro_breakout", "nips"),
                                            ("micro_diver", "big_mixed_ram")])
 def test_warmup_plays_as_one_draw_per_action(env_name, arch):
-    # The warm-up draws its actions in chunks; a start size past one chunk
-    # must leave everything as the loop of one draw per action does.
-    size = harness.WARMUP_CHUNK + 37
+    # The warm-up draws its actions in one call; a start size past the 4,096
+    # actions it once drew per call must leave everything as the loop of one
+    # draw per action does.
+    size = 4_133
     config = small_config(env_name=env_name, arch=arch,
                           hyper=small_hyper(frame_skip=4, replay_start_size=size,
                                             replay_capacity=size))
@@ -266,10 +267,9 @@ def reference_test_period(net, env_name, hyper, seed):
     RAM bytes and then the screens' bytes)."""
     policy_ss, env_ss = np.random.SeedSequence(seed).spawn(2)
     policy_rng = np.random.default_rng(policy_ss)
-    episode = harness.EpisodePipeline(make_env(env_name), net.input_streams, hyper,
-                                      np.random.default_rng(env_ss))
+    episode = harness.EpisodePipeline(make_env(env_name), hyper, np.random.default_rng(env_ss))
     phi = ListWindow(hyper.phi_length)
-    obs, terminal = episode.draw(episode.env.buffers(episode.streams)), True
+    obs, terminal = episode.draw(episode.env.buffers(net.input_streams)), True
     scores, current, actions, windows = [], 0.0, [], set()
     for _ in range(hyper.test_steps):
         inputs = {"ram": scale_ram(obs["ram"])} if "ram" in obs else {}
@@ -978,14 +978,27 @@ def test_a_training_epoch_runs_its_steps_in_one_workspace(monkeypatch):
     assert seen[-1] is not seen[0]
 
 
-def test_nonfinite_loss_names_epoch_and_layer():
+def test_nonfinite_loss_names_epoch_and_array():
     state = TrainingState(small_config())
     state.warmup()
     run_training_epoch(state, 5)
     state.net.params[1]["W"][0, 0] = np.nan
-    with pytest.raises(TrainingError, match=r"epoch 2: training loss is nan; "
-                                            r"layer 1 \(dense\) has a non-finite W"):
+    with pytest.raises(TrainingError,
+                       match=r"^epoch 2: training loss is nan; param/1/W is not finite$"):
         run_training_epoch(state, 5)
+
+
+def test_a_nonfinite_accumulator_is_named_while_every_parameter_is_finite(monkeypatch):
+    # An RMSprop accumulator can overflow while the parameters it scales stay finite.
+    state = TrainingState(small_config())
+    state.opt_state.accumulator[5] = np.inf
+    assert np.isfinite(state.net.flat).all()
+    with pytest.raises(TrainingError, match=r"^epoch 1: an update left acc/1/W not finite$"):
+        run_training_epoch(state, 0)
+    monkeypatch.setattr(harness, "train_step", lambda *args: float("nan"))
+    with pytest.raises(TrainingError,
+                       match=r"^epoch 1: training loss is nan; acc/1/W is not finite$"):
+        run_training_epoch(state, 1)
 
 
 def test_an_update_that_overflows_on_the_last_action_stops_before_the_checkpoints(tmp_path):
@@ -995,8 +1008,7 @@ def test_an_update_that_overflows_on_the_last_action_stops_before_the_checkpoint
                         test_steps=20)
     config = ExperimentConfig("micro_catch", "just_ram", hyper, epochs=2, seed=0)
     with np.errstate(all="ignore"), pytest.raises(
-            TrainingError, match=r"epoch 1: an update left a non-finite parameter or "
-                                 r"accumulator; layer 3 \(dense\) has a non-finite b"):
+            TrainingError, match=r"^epoch 1: an update left param/3/b not finite$"):
         run_experiment(config, tmp_path)
     assert os.listdir(tmp_path) == []
 
@@ -1074,9 +1086,9 @@ def test_pipeline_observes_each_read_stream_once_per_action(monkeypatch, env_nam
     hyper = small_hyper(frame_skip=4)
     env = make_env(env_name)
     net = harness.build_network(arch, env, hyper, np.random.default_rng(0))
-    episode = harness.EpisodePipeline(env, net.input_streams, hyper, np.random.default_rng(1))
+    episode = harness.EpisodePipeline(env, hyper, np.random.default_rng(1))
     rng = np.random.default_rng(2)
-    obs = episode.env.buffers(episode.streams)
+    obs = episode.env.buffers(net.input_streams)
     assert sorted(obs) == sorted(built)
     episode.draw(obs)
     for _ in range(300):
@@ -1102,10 +1114,9 @@ def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
     monkeypatch.setattr(MicroGame, "observe", observe)
     hyper = small_hyper()
     streams = ("ram", "screen")
-    episode = harness.EpisodePipeline(make_env(env_name), streams, hyper,
-                                      np.random.default_rng(5))
+    episode = harness.EpisodePipeline(make_env(env_name), hyper, np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    obs = episode.draw(episode.env.buffers(episode.streams))
+    obs = episode.draw(episode.env.buffers(streams))
     ends = 0
     for _ in range(400):
         seeds, calls = copy.deepcopy(episode.seed_rng), len(observed)
@@ -1114,8 +1125,8 @@ def test_pipeline_steps_into_the_next_episode(monkeypatch, env_name):
         assert len(observed) == calls + 1
         if terminal:
             ends += 1
-            twin = harness.EpisodePipeline(make_env(env_name), streams, hyper, seeds)
-            first = twin.draw(twin.env.buffers(twin.streams))
+            twin = harness.EpisodePipeline(make_env(env_name), hyper, seeds)
+            first = twin.draw(twin.env.buffers(streams))
             assert obs.keys() == first.keys()
             for key in first:
                 np.testing.assert_array_equal(obs[key], first[key])
@@ -1277,9 +1288,8 @@ def test_pushes_draw_each_observation_into_the_ring_without_allocating_it():
     # of each drawn straight into the ring slot that keeps it, as training
     # and the warm-up push them: no observation array is made.
     hyper = small_hyper(frame_skip=4)
-    episode = harness.EpisodePipeline(make_env("micro_diver"), ("ram", "screen"), hyper,
-                                      np.random.default_rng(1))
-    first = episode.draw(episode.env.buffers(episode.streams))
+    episode = harness.EpisodePipeline(make_env("micro_diver"), hyper, np.random.default_rng(1))
+    first = episode.draw(episode.env.buffers(("ram", "screen")))
     ring = ReplayMemory(1000, first, phi_length=hyper.phi_length)
     actions = np.random.default_rng(2).integers(6, size=1000).tolist()
 

@@ -1,8 +1,7 @@
 """The train step's trimmed pieces, bit for bit against test-local copies of their
-plainer forms: the Bellman targets, the squared-loss gradient, minibatch sampling
-and RMSprop.  Each copy is the code the trimmed function replaced."""
+plainer forms: the Bellman targets, the squared-loss gradient and minibatch
+sampling.  Each copy is the code the trimmed function replaced."""
 
-import copy
 from functools import lru_cache
 
 import numpy as np
@@ -11,13 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drawing import copying
-from ramdqn import agents
-from ramdqn.agents import HyperParams, build_architecture, compute_targets
+from ramdqn.agents import build_architecture, compute_targets
 from ramdqn.envs import scale_ram
-from ramdqn.harness import (ExperimentConfig, TrainingState, checkpoint_load, checkpoint_save,
-                            restore_training_state, run_training_epoch)
-from ramdqn.optim import (CHUNK, DECAY_RHO, STABILIZER_EPS, flush_subnormals, q_loss_grad,
-                          rmsprop_state_for, rmsprop_step)
+from ramdqn.optim import q_loss_grad
 from ramdqn.replay import STACKED_STREAM, Minibatch, ReplayMemory
 from ramdqn.tensor_core import ShapeError, Workspace, forward
 
@@ -72,22 +67,6 @@ def plain_gather(memory, numbers):
             state[name], next_state[name] = scale_ram(frames[here]), scale_ram(frames[after])
     return Minibatch(state, memory.action[here].astype(np.intp), memory.reward[here],
                      next_state, memory.start[after])
-
-
-def plain_rmsprop(net, state):
-    rho, eps, lr = DECAY_RHO, STABILIZER_EPS, state.learning_rate
-    for lo in range(0, net.flat.size, CHUNK):
-        g, a = state.gradient[lo : lo + CHUNK], state.accumulator[lo : lo + CHUNK]
-        t = state.scratch[: len(g)]
-        np.multiply(g, 1.0 - rho, out=t)
-        t *= g
-        a *= rho
-        a += t
-        np.add(a, eps, out=t)
-        np.sqrt(t, out=t)
-        g *= lr
-        np.divide(g, t, out=t)
-        net.flat[lo : lo + CHUNK] -= t
 
 
 def assert_same_bits(a, b):
@@ -165,54 +144,3 @@ def test_sample_minibatch_matches_the_plain_sample_before_and_after_a_wrap(phi_l
         for number, item in zip(range(memory.pushes - len(memory), memory.pushes),
                                 memory.contents()):
             assert_same_minibatch(item, plain_gather(memory, np.array([number])))
-
-
-def nips_net():
-    net = build_architecture("nips", 3, screen_shape=(16, 16), rng=np.random.default_rng(0))
-    assert net.flat.size > 3 * CHUNK  # 299,059 parameters: five chunks
-    return net
-
-
-def test_bound_rmsprop_matches_the_chunk_loop_across_flushes_and_rebinds():
-    net = nips_net()
-    plain_net = copy.deepcopy(net)
-    state, plain = rmsprop_state_for(net), rmsprop_state_for(plain_net)
-    rng = np.random.default_rng(1)
-    for step in range(7):
-        if step == 2:  # stuck subnormal accumulators, flushed in place
-            for s in (state, plain):
-                s.accumulator[::7] = np.float32(1e-40)
-                flush_subnormals(s)
-        if step == 4:  # another learning rate
-            state.learning_rate = plain.learning_rate = 0.001
-        if step == 5:  # another parameter vector of the same layout
-            old, net = net, copy.deepcopy(net)
-            before = old.flat.copy()
-        g = (rng.standard_normal(net.flat.size) * 1e-3).astype(net.dtype)
-        g[rng.random(g.size) < 0.3] = 0  # entries without a gradient, whose accumulators decay
-        np.copyto(state.gradient, g)
-        np.copyto(plain.gradient, g)
-        rmsprop_step(net, state)
-        plain_rmsprop(plain_net, plain)
-        for a, b in ((net.flat, plain_net.flat), (state.accumulator, plain.accumulator),
-                     (state.gradient, plain.gradient)):
-            assert_same_bits(a, b)
-    assert_same_bits(old.flat, before)  # the vector stepped before is left alone
-
-
-def test_bound_rmsprop_carries_on_after_a_restore(tmp_path, monkeypatch):
-    hyper = HyperParams(replay_capacity=64, replay_start_size=40, frame_skip=1)
-    state = TrainingState(ExperimentConfig("micro_catch", "nips", hyper, seed=3))
-    run_training_epoch(state, 2)  # steps this state's arrays
-    flush_subnormals(state.opt_state)
-    path = tmp_path / "resume.ckpt"
-    checkpoint_save(state, path, include_replay=True)
-    restored = restore_training_state(checkpoint_load(path))
-    for s in (state, restored):
-        run_training_epoch(s, 2)
-    monkeypatch.setattr(agents, "rmsprop_step", plain_rmsprop)
-    plain = restore_training_state(checkpoint_load(path))
-    run_training_epoch(plain, 2)
-    for s in (state, restored):
-        assert_same_bits(s.net.flat, plain.net.flat)
-        assert_same_bits(s.opt_state.accumulator, plain.opt_state.accumulator)

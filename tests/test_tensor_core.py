@@ -1080,13 +1080,15 @@ def test_a_bias_row_gives_the_bits_of_a_one_dimensional_bias(dtype):
             assert as_bits(row).tobytes() == as_bits(flat).tobytes()
 
 
-def slow_paths(calls):
-    """The bound calls that take one of numpy's slow paths: np.positive, or a rectifier's
-    np.maximum with an operand that is not an array of its output's shape.  The backward's
-    np.greater keeps its scalar 0, which is faster at the batch-32 masks training builds."""
+def slow_paths(calls, dtype):
+    """The bound calls that take one of numpy's slow paths: np.positive, a rectifier's
+    np.maximum with an operand that is not an array of its output's shape, or the backward's
+    np.greater against a 0 that is not a numpy scalar of the layer `dtype`.  The mask keeps
+    a scalar 0, which is faster than a zero array at the batch-32 masks training builds."""
     return [call for call in calls if call.func is np.positive
             or call.func is np.maximum and not all(
-                isinstance(a, np.ndarray) and a.shape == call.args[0].shape for a in call.args)]
+                isinstance(a, np.ndarray) and a.shape == call.args[0].shape for a in call.args)
+            or call.func is np.greater and type(call.args[1]) is not dtype.type]
 
 
 @pytest.mark.parametrize("env_name", ["micro_catch", "micro_diver"])
@@ -1105,4 +1107,4 @@ def test_bound_forwards_and_backwards_take_no_slow_path(arch, env_name):
             rectifiers = [c for c in frame.calls + frame.backward.calls
                           if c.func in (np.maximum, np.greater)]
             assert len(rectifiers) == 2 * sum(s.activation == "rectify" for s in net.layers)
-            assert slow_paths(frame.calls) == [] and slow_paths(frame.backward.calls) == []
+            assert slow_paths(frame.calls + frame.backward.calls, net.dtype) == []

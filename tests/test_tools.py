@@ -112,3 +112,12 @@ def test_ab_prints_one_line_per_load_order():
         assert 0 <= line["wins"] <= 2
         low, high = line["ci95"]
         assert 0 < low <= line["median_ratio"] <= high
+
+
+def test_ab_times_the_warmup_on_a_fresh_state_each_round():
+    proc = run_ab("--base", str(ROOT), "--change", str(ROOT), "--op", "warmup",
+                  "--workload", "catch_ram", "--rounds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(line["op"], line["load_first"], line["rounds"]) for line in lines] == [
+        ("warmup", "base", 2), ("warmup", "change", 2)]

@@ -13,11 +13,15 @@ Operations, each on the workload's game and network at seed 1 (perfbench's
   test   one `run_test_period` of the workload's `test_steps` actions, by the
          network as `TrainingState` initialises it;
   train  one `run_training_epoch` of the workload's `train_steps` actions,
-         after the workload's replay warm-up, which is not timed.
+         after the workload's replay warm-up, which is not timed;
+  warmup one `TrainingState.warmup` of the workload's `replay_start_size`
+         random actions, on a `TrainingState` built anew for each round
+         outside the timed span.
 
 Both trees start from the same config, so they must stay equal bit for bit.
 After every round the script compares what the round reported (the test
-report or the mean loss), the parameters and the RMSprop accumulators, and
+report or the mean loss) and the parameters and RMSprop accumulators, or
+after a warm-up the replay ring's arrays and the explore rng's state.  It
 exits 1 naming the round and all that differs: an A/B of a change that moves
 the arithmetic fails loudly.
 
@@ -67,23 +71,41 @@ def load_tree(tree, name):
 
 
 def setup(ramdqn, op, config):
-    """`op` on `config` as (run, state): `run()` does one round's timed work and
-    returns what it reports; `state` holds the network and optimizer it uses."""
+    """`op` on `config` as `begin()`, which prepares one round, untimed, and returns
+    (run, facts): `run()` does the round's timed work and returns what it reports,
+    and `facts()` gives every fact that the two trees must share after it."""
+    if op == "warmup":
+        def begin():
+            state = ramdqn.TrainingState(config)
+            return state.warmup, lambda: {
+                "replay": {name: a.tobytes() for name, a in state.replay.arrays().items()},
+                "explore_rng": state.explore_rng.bit_generator.state}
+        return begin
     state = ramdqn.TrainingState(config)
     if op == "test":
-        return (lambda: vars(ramdqn.run_test_period(state.net, config.env_name, config.hyper,
-                                                    config.seed)), state)
-    state.warmup()
-    return lambda: ramdqn.run_training_epoch(state, config.hyper.steps_per_epoch), state
+        def run():
+            return vars(ramdqn.run_test_period(state.net, config.env_name, config.hyper,
+                                               config.seed))
+    else:
+        state.warmup()
+
+        def run():
+            return ramdqn.run_training_epoch(state, config.hyper.steps_per_epoch)
+
+    def facts():
+        return {"parameters": state.net.flat.tobytes(),
+                "accumulators": state.opt_state.accumulator.tobytes()}
+
+    return lambda: (run, facts)
 
 
-def timed(run, state):
+def timed(begin):
     """One round: its seconds, and every fact that the two trees must share after it."""
+    run, facts = begin()
     start = time.perf_counter()
     reported = run()
     seconds = time.perf_counter() - start
-    return seconds, {"reports": reported, "parameters": state.net.flat.tobytes(),
-                     "accumulators": state.opt_state.accumulator.tobytes()}
+    return seconds, {"reports": reported, **facts()}
 
 
 def run_ab(args, workloads):
@@ -98,7 +120,7 @@ def run_ab(args, workloads):
     for n in range(1, args.rounds + 1):
         seconds, facts = {}, {}
         for side in SIDES if n % 2 else SIDES[::-1]:
-            seconds[side], facts[side] = timed(*trees[side])
+            seconds[side], facts[side] = timed(trees[side])
         differ = [key for key, value in facts["base"].items() if value != facts["change"][key]]
         if differ:
             sys.exit(f"ab: round {n}: the trees' {', '.join(differ)} differ, so they do not "
@@ -119,7 +141,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the tree the ratios are against")
     parser.add_argument("--change", required=True)
-    parser.add_argument("--op", required=True, choices=("test", "train"))
+    parser.add_argument("--op", required=True, choices=("test", "train", "warmup"))
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--rounds", type=int, default=200)
     # How the script re-runs itself: one A/B, in this process, loading this tree first.
