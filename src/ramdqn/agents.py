@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,8 +62,8 @@ class HyperParams:
         if self.replay_capacity < max(self.minibatch_size, self.replay_start_size):
             raise ValueError("replay_capacity must be at least "
                              "max(minibatch_size, replay_start_size)")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be finite and positive, "
+        if not 0.0 < self.learning_rate <= sys.float_info.max:  # exact for an int past it
+            raise ValueError(f"learning_rate must be positive and within float64's range, "
                              f"got {self.learning_rate!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
@@ -190,12 +190,12 @@ def compute_targets(net, minibatch, discount, workspace=None):
 
 def train_step(net, memory, optimizer_state, hyper, sample_rng, dropout_rng=None, workspace=None):
     """One parameter update: sample, target, squared-loss gradient, rmsprop, in
-    `workspace`'s arrays or a new workspace's."""
+    `workspace`'s arrays or a new workspace's.  The online forward runs in train
+    mode: the network's dropout layers, if it has any, draw from `dropout_rng`."""
     workspace = Workspace() if workspace is None else workspace
     batch = memory.sample_minibatch(hyper.minibatch_size, sample_rng)
     targets = compute_targets(net, batch, hyper.discount, workspace)
-    mode = "train" if hyper.dropout_p > 0.0 else "eval"
-    acts = forward(net, batch.state, mode=mode, rng=dropout_rng, workspace=workspace)
+    acts = forward(net, batch.state, mode="train", rng=dropout_rng, workspace=workspace)
     q = acts[net.terminal]["out"]
     loss, dq = q_loss_grad(q, batch.action, targets)
     backward(net, acts, dq, optimizer_state.grads, workspace)

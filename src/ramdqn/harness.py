@@ -131,7 +131,7 @@ class TrainingState:
         try:
             self.net = build_network(config.arch, env, self.hyper, np.random.default_rng(init_ss))
             self.episode = EpisodePipeline(env, self.hyper, np.random.default_rng(env_ss))
-            self.opt_state = rmsprop_state_for(self.net, learning_rate=self.hyper.learning_rate)
+            self.opt_state = rmsprop_state_for(self.net, self.hyper.learning_rate)
             # The replay ring is the only store of observations: the agent acts
             # from the state of its newest slot, and each push draws the next
             # observation into the slot after it.
@@ -303,12 +303,9 @@ def run_test_period(net, env_name, hyper, seed, epoch=0, mean_loss=0.0):
             episode_scores.append(current)
             current = 0.0
 
-    if episode_scores:
-        avg = sum(episode_scores) / len(episode_scores)
-        return EpochReport(epoch=epoch, avg_score=avg, episodes=len(episode_scores),
-                           steps=steps, mean_loss=mean_loss)
-    return EpochReport(epoch=epoch, avg_score=current, episodes=1, steps=steps,
-                       mean_loss=mean_loss, truncated=True)
+    scores = episode_scores or [current]  # no episode ended: the one truncated
+    return EpochReport(epoch=epoch, avg_score=sum(scores) / len(scores), episodes=len(scores),
+                       steps=steps, mean_loss=mean_loss, truncated=not episode_scores)
 
 
 def write_atomically(path, chunks):

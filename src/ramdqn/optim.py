@@ -25,11 +25,11 @@ class RmsPropState:
     gradient: np.ndarray
     mean_square: list = field(repr=False)
     grads: list = field(repr=False)
-    learning_rate: float = 0.0002
+    learning_rate: float
     scratch: np.ndarray = field(default=None, repr=False)
 
 
-def rmsprop_state_for(net, learning_rate=0.0002):
+def rmsprop_state_for(net, learning_rate):
     """Zeroed accumulators and gradient mirroring a network's parameters."""
     acc, grad = np.zeros_like(net.flat), np.zeros_like(net.flat)
     return RmsPropState(acc, grad, param_views(net.params, acc), param_views(net.params, grad),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,14 +69,11 @@ class NetworkGraph:
     dtype: np.dtype
     flat: np.ndarray
     input_streams: dict = field(default_factory=dict)
-    _program: Program = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def program(self):
         """The `Program`, built on first use; a `dataclasses.replace` copy has none yet."""
-        if self._program is None:
-            self._program = Program(self)
-        return self._program
+        return Program(self)
 
     def __deepcopy__(self, memo):
         # Each parameter byte is copied once, into the copy's own vector.

@@ -148,6 +148,15 @@ def test_hyper_rejects_nonpositive_learning_rate(lr):
         HyperParams(learning_rate=lr)
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "discount", "epsilon_start", "epsilon_min",
+                                  "dropout_p", "test_epsilon"])
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["above", "below"])
+def test_hyper_refuses_an_int_beyond_float64s_range(name, value):
+    # learning_rate=10**400 raised OverflowError from math.isfinite.
+    with pytest.raises(ValueError, match=name):
+        HyperParams(**{name: value})
+
+
 @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
 def test_hyper_rejects_dropout_outside_unit_interval(p):
     with pytest.raises(ValueError, match="dropout_p"):
@@ -408,7 +417,7 @@ def test_train_step_deterministic():
         rng = np.random.default_rng(3)
         net = build_architecture("just_ram", 3, rng=np.random.default_rng(1),
                                  dtype=np.float64)
-        opt = rmsprop_state_for(net)
+        opt = rmsprop_state_for(net, HyperParams.learning_rate)
         data_rng = np.random.default_rng(2)
 
         def observe():
@@ -430,7 +439,7 @@ def test_train_step_perfect_fit_keeps_params():
         if p is not None:
             for v in p.values():
                 v[...] = 0.0
-    opt = rmsprop_state_for(net)
+    opt = rmsprop_state_for(net, HyperParams.learning_rate)
     s = {"ram": np.random.default_rng(0).integers(0, 256, 128, dtype=np.uint8)}
     mem = ReplayMemory(8, s)
     for _ in range(4):
@@ -472,7 +481,7 @@ def test_training_a_deep_copy_leaves_the_original_unchanged():
     mem = ReplayMemory(16, observe())
     for i in range(8):
         mem.push(i % 3, float(i % 2), i % 4 == 0, copying(observe()))
-    opt, rng = rmsprop_state_for(twin), np.random.default_rng(3)
+    opt, rng = rmsprop_state_for(twin, HyperParams.learning_rate), np.random.default_rng(3)
     for _ in range(5):
         train_step(twin, mem, opt, small_hyper(), rng)
     assert net.flat.tobytes() == before.tobytes()
@@ -482,6 +491,27 @@ def test_training_a_deep_copy_leaves_the_original_unchanged():
             assert np.shares_memory(p[key], twin.flat)
             assert not np.shares_memory(p[key], net.flat)
             assert not np.shares_memory(q[key], twin.flat)
+
+
+def test_train_step_draws_the_masks_of_a_dropout_network_under_any_hyperparameters():
+    # The network's layers decide: under HyperParams(), whose dropout_p is 0, a
+    # dropout network trained in eval mode, unmasked and scaled by 1 - p.
+    net = build_architecture("just_ram", 3, dropout_p=0.5, rng=np.random.default_rng(1))
+    hyper = HyperParams()
+    data_rng = np.random.default_rng(2)
+
+    def observe():
+        return {"ram": data_rng.integers(0, 256, 128, dtype=np.uint8)}
+
+    mem = ReplayMemory(64, observe())
+    for i in range(hyper.minibatch_size + 8):
+        mem.push(i % 3, float(i % 2), i % 5 == 0, copying(observe()))
+    opt, dropout_rng = rmsprop_state_for(net, hyper.learning_rate), np.random.default_rng(4)
+    before = copy.deepcopy(dropout_rng.bit_generator.state)
+    train_step(net, mem, opt, hyper, np.random.default_rng(3), dropout_rng)
+    assert dropout_rng.bit_generator.state != before
+    with pytest.raises(ValueError, match="train-mode dropout needs an rng"):
+        train_step(net, mem, opt, hyper, np.random.default_rng(3))
 
 
 def warm_state(env_name, arch, dropout_p=0.0):

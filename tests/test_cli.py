@@ -614,12 +614,6 @@ def test_gradcheck_nan_backward_exit_1(monkeypatch, capsys):
     assert captured.err.startswith("FAIL:")
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "0", "-0.5"])
-def test_gradcheck_bad_tolerance_exit_2(capsys, tolerance):
-    assert main(["gradcheck", "--arch", "just_ram", "--tolerance", tolerance]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
 def test_gradcheck_negative_seed_exit_2(capsys):
     assert main(["gradcheck", "--arch", "just_ram", "--seed", "-1"]) == 2
     captured = capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramdqn.agents import build_architecture
+from ramdqn.agents import HyperParams, build_architecture
 from ramdqn.optim import (CHUNK, DECAY_RHO, STABILIZER_EPS, flush_subnormals, q_loss_grad,
                           rmsprop_state_for, rmsprop_step)
 from ramdqn.tensor_core import ShapeError
@@ -18,7 +18,7 @@ def tiny_net():
 
 def test_zero_gradient_leaves_params_and_decays_acc():
     net = tiny_net()
-    state = rmsprop_state_for(net)  # its gradient starts as zeros
+    state = rmsprop_state_for(net, HyperParams.learning_rate)  # its gradient starts as zeros
     state.mean_square[1]["W"][...] = 1.0
     before = {i: {k: v.copy() for k, v in p.items()}
               for i, p in enumerate(net.params) if p is not None}
@@ -48,7 +48,7 @@ def test_rmsprop_deterministic():
     results = []
     for _ in range(2):
         net = tiny_net()
-        state = rmsprop_state_for(net)
+        state = rmsprop_state_for(net, HyperParams.learning_rate)
         state.grads[1]["W"][...] = 0.3
         state.grads[2]["b"][...] = -1.5
         rmsprop_step(net, state)
@@ -58,7 +58,7 @@ def test_rmsprop_deterministic():
 
 def test_rmsprop_opposes_gradient_sign():
     net = tiny_net()
-    state = rmsprop_state_for(net)
+    state = rmsprop_state_for(net, HyperParams.learning_rate)
     rng = np.random.default_rng(3)
     grad = rng.standard_normal(state.grads[1]["W"].shape)
     state.grads[1]["W"][...] = grad
@@ -74,7 +74,7 @@ def test_rmsprop_shape_mismatch():
     net = tiny_net()
     other = build_architecture("just_ram", 5, rng=np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ShapeError):
-        rmsprop_step(net, rmsprop_state_for(other))
+        rmsprop_step(net, rmsprop_state_for(other, HyperParams.learning_rate))
 
 
 def test_rmsprop_matches_reference_expression_bitwise():
@@ -239,7 +239,7 @@ def test_q_loss_equals_np_mean_bitwise(dtype, batch, n_actions, seed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_flush_zeroes_exactly_the_accumulators_below_the_smallest_normal(dtype):
     net = build_architecture("just_ram", 2, rng=np.random.default_rng(0), dtype=dtype)
-    state = rmsprop_state_for(net)
+    state = rmsprop_state_for(net, HyperParams.learning_rate)
     tiny = np.finfo(dtype).tiny
     values = np.array([0.0, tiny / 2**20, tiny / 2, np.nextafter(tiny, 0), tiny, 2 * tiny, 0.5],
                       dtype)
@@ -254,7 +254,7 @@ def test_a_flushed_accumulator_steps_the_parameters_as_a_subnormal_one_would():
     # 2^-44, a subnormal or 0, so the step is the same bits.
     net = build_architecture("just_ram", 2, rng=np.random.default_rng(0))
     twin = build_architecture("just_ram", 2, rng=np.random.default_rng(0))
-    states = [rmsprop_state_for(n) for n in (net, twin)]
+    states = [rmsprop_state_for(n, HyperParams.learning_rate) for n in (net, twin)]
     for state in states:
         state.accumulator[:] = np.finfo(np.float32).tiny / 3
     flush_subnormals(states[0])

@@ -25,6 +25,20 @@ def test_bench_record_refuses_a_checkout_named_twice(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["5-3", "1,9-8"])
+def test_bench_record_refuses_a_range_that_gives_no_seed(tmp_path, seeds):
+    # No run, then an IndexError in record() on the empty list of runs.
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--workload", "catch_ram",
+         "--seeds", seeds, "--seconds", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "gives no seed" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def bench_record():
     spec = importlib.util.spec_from_file_location("bench_record",
                                                   ROOT / "tools" / "bench_record.py")
@@ -121,3 +135,12 @@ def test_ab_times_the_warmup_on_a_fresh_state_each_round():
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [(line["op"], line["load_first"], line["rounds"]) for line in lines] == [
         ("warmup", "base", 2), ("warmup", "change", 2)]
+
+
+def test_ab_times_train_steps_on_a_fixed_ring():
+    proc = run_ab("--base", str(ROOT), "--change", str(ROOT), "--op", "step",
+                  "--workload", "catch_nips", "--rounds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(line["op"], line["load_first"], line["rounds"]) for line in lines] == [
+        ("step", "base", 2), ("step", "change", 2)]

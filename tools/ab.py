@@ -16,11 +16,14 @@ Operations, each on the workload's game and network at seed 1 (perfbench's
          after the workload's replay warm-up, which is not timed;
   warmup one `TrainingState.warmup` of the workload's `replay_start_size`
          random actions, on a `TrainingState` built anew for each round
-         outside the timed span.
+         outside the timed span;
+  step   the workload's `train_steps` `train_step` calls in a new workspace,
+         on the replay ring of one warm-up, which is not timed: the ring
+         stays as it is, and only the network and optimizer move.
 
 Both trees start from the same config, so they must stay equal bit for bit.
 After every round the script compares what the round reported (the test
-report or the mean loss) and the parameters and RMSprop accumulators, or
+report, the mean loss or the step losses) and the parameters and RMSprop accumulators, or
 after a warm-up the replay ring's arrays and the explore rng's state.  It
 exits 1 naming the round and all that differs: an A/B of a change that moves
 the arithmetic fails loudly.
@@ -81,16 +84,20 @@ def setup(ramdqn, op, config):
                 "replay": {name: a.tobytes() for name, a in state.replay.arrays().items()},
                 "explore_rng": state.explore_rng.bit_generator.state}
         return begin
-    state = ramdqn.TrainingState(config)
-    if op == "test":
-        def run():
-            return vars(ramdqn.run_test_period(state.net, config.env_name, config.hyper,
-                                               config.seed))
-    else:
+    state, steps = ramdqn.TrainingState(config), config.hyper.steps_per_epoch
+    if op != "test":
         state.warmup()
 
-        def run():
-            return ramdqn.run_training_epoch(state, config.hyper.steps_per_epoch)
+    def run():
+        if op == "test":
+            return vars(ramdqn.run_test_period(state.net, config.env_name, config.hyper,
+                                               config.seed))
+        if op == "train":
+            return ramdqn.run_training_epoch(state, steps)
+        workspace = ramdqn.tensor_core.Workspace()
+        return [ramdqn.train_step(state.net, state.replay, state.opt_state, state.hyper,
+                                  state.sample_rng, state.dropout_rng, workspace)
+                for _ in range(steps)]
 
     def facts():
         return {"parameters": state.net.flat.tobytes(),
@@ -141,7 +148,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the tree the ratios are against")
     parser.add_argument("--change", required=True)
-    parser.add_argument("--op", required=True, choices=("test", "train", "warmup"))
+    parser.add_argument("--op", required=True, choices=("test", "train", "warmup", "step"))
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--rounds", type=int, default=200)
     # How the script re-runs itself: one A/B, in this process, loading this tree first.

@@ -52,11 +52,15 @@ MACHINE = "perfbench: machine "
 
 
 def parse_seeds(text):
-    """'31-40' or '1,5,9' (or a mix) as a list of ints."""
+    """'31-40' or '1,5,9' (or a mix) as a list of ints; a range that gives no
+    seed, such as '5-3', raises ArgumentTypeError, so argparse exits 2."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} gives no seed")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
