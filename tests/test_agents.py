@@ -507,7 +507,7 @@ def test_train_step_draws_the_masks_of_a_dropout_network_under_any_hyperparamete
     for i in range(hyper.minibatch_size + 8):
         mem.push(i % 3, float(i % 2), i % 5 == 0, copying(observe()))
     opt, dropout_rng = rmsprop_state_for(net, hyper.learning_rate), np.random.default_rng(4)
-    before = copy.deepcopy(dropout_rng.bit_generator.state)
+    before = dropout_rng.bit_generator.state  # a new dict
     train_step(net, mem, opt, hyper, np.random.default_rng(3), dropout_rng)
     assert dropout_rng.bit_generator.state != before
     with pytest.raises(ValueError, match="train-mode dropout needs an rng"):

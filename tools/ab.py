@@ -23,10 +23,10 @@ Operations, each on the workload's game and network at seed 1 (perfbench's
 
 Both trees start from the same config, so they must stay equal bit for bit.
 After every round the script compares what the round reported (the test
-report, the mean loss or the step losses) and the parameters and RMSprop accumulators, or
-after a warm-up the replay ring's arrays and the explore rng's state.  It
-exits 1 naming the round and all that differs: an A/B of a change that moves
-the arithmetic fails loudly.
+report, the mean loss or the steps' losses) and the parameters and RMSprop
+accumulators, or after a warm-up the replay ring's arrays and the explore
+rng's state.  It exits 1 naming the round and all that differs: an A/B of a
+change that moves the arithmetic fails loudly.
 
 Each round runs both trees, the base first in odd rounds and the change
 first in even ones.  A round's ratio is the base's time over the change's,
